@@ -3,7 +3,7 @@
 Bands are sorted-eigenvalue curves theta -> E_j(theta) of the fiber
 matrices on a uniform odd grid over [-1/2, 1/2] (both endpoints sampled;
 they are identified by 1-periodicity).  Band intervals are sharpened by
-golden-section refinement around the grid extrema, gaps are the complement
+Brent's method around the grid extrema, gaps are the complement
 of the interval union below a trusted energy ceiling, and the persistence
 sweep compares those gaps against the decoupled reference H_{0,0} =
 alpha + spec(K_0) as the confinement omega grows at fixed field B.
@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, Potential, derive_params
-from .fiber import FiberMatrix, assemble_fiber, eigenvalues_fiber
+from .fiber import FiberBlock, FiberMatrix, assemble_fiber, eigenvalues_fiber, fiber_at, fiber_block
 from .hermite import ProjectedPotential, project_potential
 from .hill import h00_gaps, hill_bands
-from .numutil import complement_within, golden_section_minimize, merge_intervals
+from .numutil import complement_within, golden_section_minimize, merge_intervals, refine_band_edge
 
 __all__ = [
     "BandStructure",
@@ -100,27 +100,37 @@ def _kinematic_m_cover(params: ChannelParams, ceiling: float) -> int:
     return int(math.ceil(math.sqrt(span / params.beta) + 0.5)) + 3
 
 
-def _grid_eigs(params, proj, theta, n_hermite, m_max) -> np.ndarray:
-    mat = assemble_fiber(params, proj, theta, n_hermite, m_max)
-    return eigenvalues_fiber(mat)
+def _probe_eigs(params, proj, theta, n_hermite, m_max) -> np.ndarray:
+    # the probe solves each truncation at three phases only, so it assembles
+    # one-off fibers instead of holding a block
+    return eigenvalues_fiber(assemble_fiber(params, proj, theta, n_hermite, m_max))
 
 
-def _grid_eigs_task(args) -> np.ndarray:
-    return _grid_eigs(*args)
+def _block_eigs(block: FiberBlock, theta: float) -> np.ndarray:
+    return eigenvalues_fiber(fiber_at(block, theta))
 
 
-def _band_value(params, proj, theta, n_hermite, m_max, j) -> float:
-    theta = theta - round(theta)  # 1-periodic spectrum; keep the fiber phase in range
-    vals = _grid_eigs(params, proj, theta, n_hermite, m_max)
-    return float(vals[j])
-
-
-def _refine_task(args) -> tuple[int, int, float]:
-    params, proj, n_hermite, m_max, j, sign, a, b, xtol, best = args
-    _, val = golden_section_minimize(
-        lambda t: sign * _band_value(params, proj, t, n_hermite, m_max, j), a, b, xtol
+def _refine_edge(block: FiberBlock, grid, column, j, sign, xtol) -> float:
+    return refine_band_edge(
+        lambda t: float(_block_eigs(block, t)[j]),
+        grid,
+        column,
+        sign,
+        xtol,
+        minimize=golden_section_minimize,
     )
-    return j, int(sign), min(val, best)
+
+
+def _map(fn, tasks: list[tuple], workers: int) -> list:
+    """fn(*task) for every task, in a process pool when workers > 1.
+
+    Tasks go out in one chunk per worker; a fiber block shared by the tasks
+    of a chunk is pickled once for the whole chunk.
+    """
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*tasks), chunksize=math.ceil(len(tasks) / workers)))
 
 
 def _cauchy_probe(params, spec, ceiling, n_hermite, m_max, tol, probes) -> tuple[bool, ProjectedPotential]:
@@ -130,8 +140,8 @@ def _cauchy_probe(params, spec, ceiling, n_hermite, m_max, tol, probes) -> tuple
         spec, params, nmax=big_n - 1, mfourier=max(16, 2 * big_m)
     )
     for theta in probes:
-        small = _grid_eigs(params, proj, theta, n_hermite, m_max)
-        big = _grid_eigs(params, proj, theta, big_n, big_m)
+        small = _probe_eigs(params, proj, theta, n_hermite, m_max)
+        big = _probe_eigs(params, proj, theta, big_n, big_m)
         small = small[small <= ceiling]
         big = big[big <= ceiling]
         common = min(small.size, big.size)
@@ -193,13 +203,8 @@ def compute_bands(
         )
 
     grid = np.linspace(-0.5, 0.5, theta_count)
-    tasks = [(params, proj, float(t), n_h, m_m) for t in grid]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_grid_eigs_task, tasks))
-    else:
-        rows = [_grid_eigs_task(t) for t in tasks]
-    all_vals = np.vstack(rows)
+    block = fiber_block(params, proj, n_h, m_m)
+    all_vals = np.vstack(_map(_block_eigs, [(block, float(t)) for t in grid], workers))
 
     band_mins = all_vals.min(axis=0)
     band_count = int(np.searchsorted(band_mins, energy_ceiling, side="right"))
@@ -207,24 +212,12 @@ def compute_bands(
 
     intervals = np.column_stack([bands.min(axis=0), bands.max(axis=0)])
     if refine and band_count:
-        step = grid[1] - grid[0]
-        jobs = []
-        for j in range(band_count):
-            for sign, col in ((1.0, 0), (-1.0, 1)):
-                idx = int(np.argmin(sign * bands[:, j]))
-                a, b = grid[idx] - step, grid[idx] + step
-                best = float(np.min(sign * bands[:, j]))
-                jobs.append((params, proj, n_h, m_m, j, sign, a, b, xtol, best))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_refine_task, jobs))
-        else:
-            results = [_refine_task(job) for job in jobs]
-        for j, sign, val in results:
-            if sign > 0:
-                intervals[j, 0] = val
-            else:
-                intervals[j, 1] = -val
+        jobs = [
+            (block, grid, bands[:, j], j, sign, xtol)
+            for j in range(band_count)
+            for sign in (1.0, -1.0)
+        ]
+        intervals = np.reshape(_map(_refine_edge, jobs, workers), (band_count, 2))
 
     for arr in (grid, bands, intervals):
         arr.setflags(write=False)

@@ -23,7 +23,6 @@ each Fourier index m owns a contiguous block of Hermite levels.
 
 from __future__ import annotations
 
-import math
 import tempfile
 from dataclasses import dataclass
 
@@ -35,14 +34,15 @@ from .hermite import ProjectedPotential
 
 __all__ = [
     "FiberMatrix",
+    "FiberBlock",
+    "fiber_block",
+    "fiber_at",
     "assemble_fiber",
     "eigenvalues_fiber",
     "EigensolverError",
     "ResolventBoundCheck",
     "complex_theta_resolvent_bound",
 ]
-
-_HERMITICITY_TOL = 1e-14
 
 
 class EigensolverError(RuntimeError):
@@ -84,22 +84,40 @@ class FiberMatrix:
         return complex(self.entries[self.index(n, m), self.index(np_, mp)])
 
 
-def assemble_fiber(
+@dataclass(eq=False)
+class FiberBlock:
+    """The theta-independent part of the fiber at one truncation.
+
+    ``base`` is the potential's Toeplitz block plus alpha (2n+1) on the
+    diagonal, Hermitian and real whenever the projected coefficients are.
+    The remaining terms depend on theta only through m + theta: ``row_m``
+    gives m for every row, and the ladder entries sit at (``ladder_rows``,
+    ``ladder_cols``) with value ``ladder_weight`` * (m + theta).
+    """
+
+    params: ChannelParams
+    n_hermite: int
+    m_max: int
+    m_offset: int
+    base: np.ndarray
+    row_m: np.ndarray
+    ladder_rows: np.ndarray
+    ladder_cols: np.ndarray
+    ladder_weight: np.ndarray
+
+
+def fiber_block(
     params: ChannelParams,
     proj: ProjectedPotential,
-    theta: float,
     n_hermite: int,
     m_max: int,
     m_offset: int = 0,
-) -> FiberMatrix:
-    """Assemble the dense Hermitian fiber matrix at Bloch phase theta.
+) -> FiberBlock:
+    """Build the theta-independent part of the fiber once per truncation.
 
     The projection must cover the requested truncation: proj.nmax + 1 >=
-    n_hermite and proj.mfourier >= 2 * m_max.  theta is restricted to
-    [-1/2, 1/2]; use the 1-periodicity of the spectrum for values outside.
+    n_hermite and proj.mfourier >= 2 * m_max.
     """
-    if abs(theta) > 0.5 + 1e-12:
-        raise ValueError("theta must lie in [-1/2, 1/2]")
     if n_hermite < 1 or m_max < 0:
         raise ValueError("need n_hermite >= 1 and m_max >= 0")
     if proj.nmax + 1 < n_hermite:
@@ -115,37 +133,73 @@ def assemble_fiber(
 
     N = n_hermite
     ms = np.arange(-m_max, m_max + 1) + m_offset
-    width = ms.size
-    dim = N * width
+    dim = N * ms.size
     alpha = params.alpha
 
     # potential part: block (mu, nu) of the Toeplitz structure in m
     kdiff = ms[:, None] - ms[None, :]
     pot = proj.coeffs[:N, :N, kdiff + proj.mfourier]  # (n, n', mu, nu)
-    h = np.transpose(pot, (2, 0, 3, 1)).reshape(dim, dim).astype(complex)
-
-    diag = (alpha * (2.0 * np.arange(N) + 1.0))[None, :] + ((ms + theta) ** 2)[:, None]
-    h[np.arange(dim), np.arange(dim)] += diag.ravel()
+    if not pot.imag.any():
+        pot = pot.real
+    h = np.transpose(pot, (2, 0, 3, 1)).reshape(dim, dim)
+    # the quadrature leaves the projection Hermitian only up to rounding
+    base = h + h.conj().T
+    base *= 0.5
+    base.flat[:: dim + 1] += np.tile(alpha * (2.0 * np.arange(N) + 1.0), ms.size)
 
     # magnetic ladder coupling B sqrt(2(n+1)/alpha) (m+theta) between n and n+1
-    ladder = params.B * np.sqrt(2.0 * np.arange(1, N) / alpha)
-    for j, m in enumerate(ms):
-        base = j * N
-        rows = base + np.arange(N - 1)
-        h[rows, rows + 1] += ladder * (m + theta)
-        h[rows + 1, rows] += ladder * (m + theta)
-
-    h = 0.5 * (h + h.conj().T)
-    dev = float(np.max(np.abs(h - h.conj().T)))
-    assert dev <= _HERMITICITY_TOL, f"fiber matrix not Hermitian: deviation {dev:.3e}"
-    return FiberMatrix(
+    lower = (np.arange(ms.size)[:, None] * N + np.arange(N - 1)[None, :]).ravel()
+    weight = np.tile(params.B * np.sqrt(2.0 * np.arange(1, N) / alpha), ms.size)
+    return FiberBlock(
         params=params,
-        theta=float(theta),
         n_hermite=N,
         m_max=m_max,
         m_offset=m_offset,
+        base=base,
+        row_m=np.repeat(ms, N).astype(float),
+        ladder_rows=np.concatenate([lower, lower + 1]),
+        ladder_cols=np.concatenate([lower + 1, lower]),
+        ladder_weight=np.concatenate([weight, weight]),
+    )
+
+
+def fiber_at(block: FiberBlock, theta: float) -> FiberMatrix:
+    """The fiber matrix at Bloch phase theta from its theta-independent block.
+
+    theta is restricted to [-1/2, 1/2]; use the 1-periodicity of the
+    spectrum for values outside.
+    """
+    if abs(theta) > 0.5 + 1e-12:
+        raise ValueError("theta must lie in [-1/2, 1/2]")
+    h = block.base.copy()
+    h.flat[:: h.shape[0] + 1] += (block.row_m + theta) ** 2
+    rows = block.ladder_rows
+    h[rows, block.ladder_cols] += block.ladder_weight * (block.row_m[rows] + theta)
+    return FiberMatrix(
+        params=block.params,
+        theta=float(theta),
+        n_hermite=block.n_hermite,
+        m_max=block.m_max,
+        m_offset=block.m_offset,
         entries=h,
     )
+
+
+def assemble_fiber(
+    params: ChannelParams,
+    proj: ProjectedPotential,
+    theta: float,
+    n_hermite: int,
+    m_max: int,
+    m_offset: int = 0,
+) -> FiberMatrix:
+    """Assemble the dense Hermitian fiber matrix at Bloch phase theta.
+
+    One-off form of ``fiber_at(fiber_block(...), theta)``, with their
+    requirements; callers that solve many phases at one truncation should
+    build the block once.
+    """
+    return fiber_at(fiber_block(params, proj, n_hermite, m_max, m_offset), theta)
 
 
 def eigenvalues_fiber(mat: FiberMatrix, count: int | None = None) -> np.ndarray:
@@ -164,13 +218,9 @@ def eigenvalues_fiber(mat: FiberMatrix, count: int | None = None) -> np.ndarray:
 
 
 def _dump_matrix(entries: np.ndarray) -> str:
-    fd, path = tempfile.mkstemp(prefix="fiber_matrix_", suffix=".csv")
-    with open(fd, "w") as fh:
-        fh.write("row,col,re,im\n")
-        for i in range(entries.shape[0]):
-            for j in range(entries.shape[1]):
-                v = entries[i, j]
-                fh.write(f"{i},{j},{v.real!r},{v.imag!r}\n")
+    fd, path = tempfile.mkstemp(prefix="fiber_matrix_", suffix=".npy")
+    with open(fd, "wb") as fh:
+        np.save(fh, entries)
     return path
 
 

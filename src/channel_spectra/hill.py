@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +28,7 @@ import scipy.sparse.linalg
 
 from .channel import ChannelParams, Potential
 from .hermite import project_potential
-from .numutil import complement_within, golden_section_minimize, merge_intervals
+from .numutil import complement_within, golden_section_minimize, merge_intervals, refine_band_edge
 
 __all__ = [
     "hill_matrix",
@@ -41,15 +41,21 @@ __all__ = [
 ]
 
 
-def _coeff_lookup(coeffs) -> Callable[[int], complex]:
+def _coeff_array(coeffs, kmax: int) -> np.ndarray:
+    """c_k for k = -kmax..kmax as a complex array, zero where not given."""
+    out = np.zeros(2 * kmax + 1, dtype=complex)
     if isinstance(coeffs, Mapping):
-        table = {int(k): complex(v) for k, v in coeffs.items()}
-        return lambda k: table.get(k, 0.0 + 0.0j)
+        for k, v in coeffs.items():
+            if abs(int(k)) <= kmax:
+                out[int(k) + kmax] = complex(v)
+        return out
     arr = np.asarray(coeffs)
     if arr.ndim != 1 or arr.size % 2 == 0:
         raise ValueError("coefficient array must have odd length 2*K+1 for k in [-K, K]")
     half = arr.size // 2
-    return lambda k: complex(arr[k + half]) if abs(k) <= half else 0.0 + 0.0j
+    keep = min(half, kmax)
+    out[kmax - keep : kmax + keep + 1] = arr[half - keep : half + keep + 1]
+    return out
 
 
 def hill_matrix(coeffs, theta: float, m_max: int = 32) -> np.ndarray:
@@ -60,12 +66,9 @@ def hill_matrix(coeffs, theta: float, m_max: int = 32) -> np.ndarray:
     """
     if abs(theta) > 0.5 + 1e-12:
         raise ValueError("theta must lie in [-1/2, 1/2]")
-    c = _coeff_lookup(coeffs)
+    c = _coeff_array(coeffs, 2 * m_max)
     ms = np.arange(-m_max, m_max + 1)
-    h = np.empty((ms.size, ms.size), dtype=complex)
-    for i, mi in enumerate(ms):
-        for j, mj in enumerate(ms):
-            h[i, j] = c(mi - mj)
+    h = c[ms[:, None] - ms[None, :] + 2 * m_max]
     h[np.arange(ms.size), np.arange(ms.size)] += (ms + theta) ** 2
     dev = float(np.max(np.abs(h - h.conj().T)))
     if dev > 1e-12 * max(1.0, float(np.max(np.abs(h)))):
@@ -153,34 +156,6 @@ class HillBands:
         return merge_intervals([tuple(row) for row in self.band_intervals])
 
 
-def _refine_band_extrema(
-    value_fn: Callable[[float, int], float],
-    theta_grid: np.ndarray,
-    band_values: np.ndarray,
-    j: int,
-    xtol: float,
-) -> tuple[float, float]:
-    """Golden-section refinement of min and max of band j over theta.
-
-    The band is 1-periodic in theta, so brackets around an endpoint
-    extremum wrap; value_fn must accept any real theta.
-    """
-    lo = _refine_one(value_fn, theta_grid, band_values, j, xtol, sign=+1.0)
-    hi = -_refine_one(value_fn, theta_grid, band_values, j, xtol, sign=-1.0)
-    lo = min(lo, float(np.min(band_values)))
-    hi = max(hi, float(np.max(band_values)))
-    return lo, hi
-
-
-def _refine_one(value_fn, theta_grid, band_values, j, xtol, sign) -> float:
-    idx = int(np.argmin(sign * band_values))
-    step = theta_grid[1] - theta_grid[0]
-    a = theta_grid[idx] - step
-    b = theta_grid[idx] + step
-    _, fmin = golden_section_minimize(lambda t: sign * value_fn(t, j), a, b, xtol)
-    return min(fmin, float(np.min(sign * band_values)))
-
-
 def hill_bands(
     coeffs,
     m_max: int = 32,
@@ -192,8 +167,9 @@ def hill_bands(
     """Band structure of -d^2 + V over a uniform theta grid.
 
     theta_count must be odd and >= 9 so the grid contains theta = 0 and the
-    +-1/2 endpoints, where band edges of real potentials sit; the refinement
-    verifies that numerically instead of assuming it.
+    +-1/2 endpoints, where band edges of real potentials sit; the Brent
+    refinement around each grid extremum verifies that numerically instead
+    of assuming it.
     """
     if theta_count < 9 or theta_count % 2 == 0:
         raise ValueError("theta_count must be odd and >= 9")
@@ -201,16 +177,18 @@ def hill_bands(
     rows = [hill_spectrum(coeffs, t, m_max, band_count) for t in grid]
     bands = np.vstack(rows)
 
-    def value_fn(theta: float, j: int) -> float:
-        theta = theta - round(theta)  # spectrum is 1-periodic in theta
-        return float(hill_spectrum(coeffs, theta, m_max, j + 1)[j])
-
-    intervals = np.empty((band_count, 2))
-    for j in range(band_count):
-        if refine:
-            intervals[j] = _refine_band_extrema(value_fn, grid, bands[:, j], j, xtol)
-        else:
-            intervals[j] = (float(np.min(bands[:, j])), float(np.max(bands[:, j])))
+    intervals = np.column_stack([bands.min(axis=0), bands.max(axis=0)])
+    if refine:
+        for j in range(band_count):
+            for col, sign in enumerate((1.0, -1.0)):
+                intervals[j, col] = refine_band_edge(
+                    lambda t: float(hill_spectrum(coeffs, t, m_max, j + 1)[j]),
+                    grid,
+                    bands[:, j],
+                    sign,
+                    xtol,
+                    minimize=golden_section_minimize,
+                )
     return HillBands(theta_grid=grid, bands=bands, band_intervals=intervals, m_max=m_max)
 
 

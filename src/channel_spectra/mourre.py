@@ -75,23 +75,35 @@ def excluded_intervals(
     """Threshold windows [(2n+1) alpha +- delta] reaching up to the ceiling."""
     if not 0.0 < delta < params.alpha:
         raise ValueError("need 0 < delta < alpha")
-    out = []
-    n = 0
-    while (2 * n + 1) * params.alpha - delta <= ceiling:
-        center = (2 * n + 1) * params.alpha
-        out.append((center - delta, center + delta))
-        n += 1
-    return out
+    return _threshold_windows(params.alpha, delta, ceiling)
+
+
+# more threshold windows than this below one energy means E / alpha is absurd
+_MAX_WINDOWS = 100_000
 
 
 def _threshold_windows(alpha: float, half_width: float, ceiling: float) -> list[tuple[float, float]]:
-    out = []
-    n = 0
-    while (2 * n + 1) * alpha - half_width <= ceiling:
-        center = (2 * n + 1) * alpha
-        out.append((center - half_width, center + half_width))
-        n += 1
-    return out
+    """Windows (2n+1) alpha +- half_width for every n whose window starts at or
+    below the ceiling.  The count comes in closed form and is refused above
+    _MAX_WINDOWS."""
+    if not math.isfinite(ceiling):
+        raise ValueError(f"threshold windows need a finite ceiling, got {ceiling}")
+
+    def starts_below(n: int) -> bool:
+        return (2 * n + 1) * alpha - half_width <= ceiling
+
+    count = max(math.floor(((ceiling + half_width) / alpha - 1.0) / 2.0) + 1, 0)
+    if count > _MAX_WINDOWS:
+        raise ValueError(
+            f"{count} threshold windows below {ceiling:g} (alpha = {alpha:g}); "
+            f"at most {_MAX_WINDOWS} are supported"
+        )
+    # settle rounding at the boundary so the count agrees with starts_below
+    while count > 0 and not starts_below(count - 1):
+        count -= 1
+    while starts_below(count):
+        count += 1
+    return [((2 * n + 1) * alpha - half_width, (2 * n + 1) * alpha + half_width) for n in range(count)]
 
 
 def condition_one_threshold(
@@ -157,6 +169,8 @@ def evaluate_certificate(
     c: float = RELATIVE_BOUND_CONSTANT,
 ) -> MourreReport:
     """Evaluate conditions (I) and (II); inadmissibility is a result, not an error."""
+    if not all(math.isfinite(v) for v in (E, delta, eps)):
+        raise ValueError("E, delta and eps must be finite")
     if delta <= 0.0 or eps <= 0.0:
         raise ValueError("need delta > 0 and eps > 0")
     if delta >= params.alpha:
@@ -277,8 +291,8 @@ def scaling_sweep(
     omega_list,
     c: float = RELATIVE_BOUND_CONSTANT,
 ) -> ScalingSweepReport:
-    if E0 <= 0 or delta0 <= 0 or eps0 <= 0:
-        raise ValueError("scaled parameters must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (E0, delta0, eps0)):
+        raise ValueError("scaled parameters must be finite and positive")
     # E0 must stay clear of the scaled threshold windows (2n+1) +- (d0+e0)
     pad = delta0 + eps0
     if pad >= 1.0:

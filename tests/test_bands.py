@@ -182,3 +182,55 @@ def test_sweep_constant_potential_shifts_bottom():
 def test_sweep_validates_target_gap_count():
     with pytest.raises(ValueError):
         gap_persistence_sweep(3.0, [4.0], ZeroPotential(), target_gap_count=0)
+
+
+_WEAK_COS = FourierXPotential.from_cosines({1: 0.3, 2: 0.1})
+_NON_EVEN = FourierXPotential({1: 0.15, -1: 0.15, 2: -0.05j, -2: 0.05j})
+
+
+@pytest.mark.parametrize("spec", [_WEAK_COS, _NON_EVEN, ZeroPotential()], ids=["even", "complex", "zero"])
+def test_refinement_solves_per_extremum(monkeypatch, spec):
+    from channel_spectra import bands
+
+    counts = {"searches": 0, "solves": 0}
+    inside = []
+    solve, search = bands.eigenvalues_fiber, bands.golden_section_minimize
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += bool(inside)
+        return solve(*args, **kwargs)
+
+    def counted_search(*args, **kwargs):
+        counts["searches"] += 1
+        inside.append(True)
+        try:
+            return search(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(bands, "eigenvalues_fiber", counted_solve)
+    monkeypatch.setattr(bands, "golden_section_minimize", counted_search)
+    bs = compute_bands(
+        _P34, spec, theta_count=17, energy_ceiling=_P34.alpha + 1.6 * _P34.beta, n_hermite=8
+    )
+    assert counts["searches"] == 2 * bs.band_count == 6
+    assert counts["solves"] <= 16 * counts["searches"]
+
+
+def test_free_band_edges_match_closed_form_at_coarse_xtol():
+    bs = compute_bands(
+        _P34, ZeroPotential(), theta_count=17, energy_ceiling=_P34.alpha + 3.0, n_hermite=8, xtol=1e-6
+    )
+    # lowest Landau level: band k spans alpha + beta [(k/2)^2, ((k+1)/2)^2]
+    k = np.arange(bs.band_count)[:, None] + np.array([0.0, 1.0])
+    exact = _P34.alpha + _P34.beta * (k / 2.0) ** 2
+    assert bs.band_count == 5
+    assert np.max(np.abs(bs.band_intervals - exact)) < 1e-6
+
+
+def test_workers_give_identical_band_intervals():
+    kwargs = dict(theta_count=9, energy_ceiling=_P34.alpha + 1.6 * _P34.beta, n_hermite=8)
+    serial = compute_bands(_P34, _NON_EVEN, workers=1, **kwargs)
+    pooled = compute_bands(_P34, _NON_EVEN, workers=2, **kwargs)
+    assert np.array_equal(serial.band_intervals, pooled.band_intervals)
+    assert np.array_equal(serial.bands, pooled.bands)

@@ -2,11 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from channel_spectra.cli import COMMANDS, ConfigError, main, resolve_config
+import channel_spectra
+from channel_spectra import derive_params
+from channel_spectra.cli import COMMANDS, ConfigError, _free_fiber_check, main, resolve_config
 
 
 def _read_csv(path):
@@ -333,6 +339,44 @@ def test_diagnostics_command(tmp_path):
         "classical_integrator",
         "commutator_identity",
     }
+
+
+def test_diagnostics_at_strong_field_weak_confinement(tmp_path):
+    out = tmp_path / "run"
+    assert main(["diagnostics", "--out", str(out), "--set", "B=3.331176", "--set", "omega=3.051963"]) == 0
+    check = json.loads((out / "diagnostics.json").read_text())["checks"]["free_fiber_spectrum"]
+    assert check["passed"] and check["max_abs_error"] < 1e-12
+
+
+@pytest.mark.parametrize("B", [0.0, 0.5, 1.0, 3.331176, 6.0, 12.0])
+@pytest.mark.parametrize("omega", [0.2, 1.0, 3.051963, 8.0])
+def test_free_fiber_check_over_field_and_confinement(B, omega):
+    check = _free_fiber_check(derive_params(B, omega))
+    assert check["passed"], check
+    assert check["max_abs_error"] < 1e-8
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["E=1e400", "E=1e300", "delta=NaN", "eps=-Infinity", "scaling.E0=1e400"],
+)
+def test_mourre_rejects_non_finite_and_absurd_inputs_promptly(tmp_path, setting):
+    # run in a child process so that a regression to an endless loop fails
+    # on the timeout instead of hanging the suite
+    src = str(Path(channel_spectra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    args = ["mourre", "--out", str(tmp_path / "o"), "--set", setting]
+    if setting.startswith("scaling."):
+        args += ["--set", "scaling.delta0=0.2", "--set", "scaling.eps0=0.2", "--set", "scaling.omega_list=[4.0]"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "channel_spectra.cli", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "config error" in proc.stderr
 
 
 def test_sweep_command_small(tmp_path):

@@ -17,6 +17,7 @@ from channel_spectra import (
     eigenvalues_fiber,
     project_potential,
 )
+from channel_spectra.fiber import fiber_at, fiber_block
 
 
 def _free_proj(params, nmax=15, mfourier=16):
@@ -134,6 +135,29 @@ def test_eigensolver_failure_dumps_matrix(monkeypatch, tmp_path):
         eigenvalues_fiber(mat)
     assert err.value.dump_path and os.path.exists(err.value.dump_path)
     assert err.value.dump_path.startswith(str(tmp_path))
+    assert np.array_equal(np.load(err.value.dump_path), mat.entries)
+
+
+@pytest.mark.parametrize(
+    "spec, real",
+    [
+        (FourierXPotential.from_cosines({1: 2.0, 2: 0.5}), True),
+        (FourierXPotential({1: 0.3 + 0.2j, -1: 0.3 - 0.2j}), False),
+    ],
+)
+def test_block_reused_across_phases_matches_fresh_assembly(spec, real):
+    p = derive_params(2.0, 1.5)
+    proj = project_potential(spec, p, nmax=9, mfourier=8)
+    block = fiber_block(p, proj, n_hermite=10, m_max=3, m_offset=1)
+    base = block.base.copy()
+    for theta in (0.0, 0.1, -0.5, 0.5):
+        fresh = assemble_fiber(p, proj, theta, n_hermite=10, m_max=3, m_offset=1)
+        assert np.array_equal(fiber_at(block, theta).entries, fresh.entries)
+    assert np.array_equal(block.base, base)  # each phase works on its own copy
+    assert np.array_equal(block.base, block.base.conj().T)
+    assert np.iscomplexobj(block.base) != real
+    with pytest.raises(ValueError):
+        fiber_at(block, 0.75)
 
 
 def test_resolvent_bound_reference_value():

@@ -158,3 +158,22 @@ def test_h00_gaps_match_mathieu_gap_edges():
         assert abs(ghi - ehi) < 1e-6
     assert abs(report.lower - (p.alpha + eps0[0])) < 1e-6
     assert math.isclose(report.ceiling, p.alpha + 5.0)
+
+
+def _loop_hill_matrix(coeffs, theta, m_max):
+    """Entry-by-entry reference: c_{m_i - m_j} plus (m + theta)^2 on the diagonal."""
+    ms = range(-m_max, m_max + 1)
+    h = np.array([[complex(coeffs.get(mi - mj, 0.0)) for mj in ms] for mi in ms])
+    h[np.diag_indices(len(ms))] += (np.arange(-m_max, m_max + 1) + theta) ** 2
+    return h
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [_TWO_COS, {1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 3: 0.1j, -3: -0.1j, 0: 0.7}, {9: 1.0, -9: 1.0}],
+)
+def test_hill_matrix_matches_entrywise_reference(coeffs):
+    for theta in (0.0, 0.2, -0.5):
+        assert np.array_equal(hill_matrix(coeffs, theta, m_max=4), _loop_hill_matrix(coeffs, theta, 4))
+    arr = np.array([coeffs.get(k, 0.0) for k in range(-12, 13)], dtype=complex)
+    assert np.array_equal(hill_matrix(arr, 0.2, m_max=4), hill_matrix(coeffs, 0.2, m_max=4))
