@@ -26,11 +26,8 @@ from .channel import (
     TransverseProfilePotential,
     ZeroPotential,
     derive_params,
-    evaluate_potential,
     grid_potential_from_csv,
     potential_from_dict,
-    potential_norm_estimates,
-    potential_to_dict,
 )
 from .hermite import HermiteBasis, ProjectedPotential, hermite_eval, project_potential
 from .fiber import (

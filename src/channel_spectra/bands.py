@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelParams, Potential, derive_params
-from .fiber import FiberBlock, FiberMatrix, assemble_fiber, eigenvalues_fiber, fiber_at, fiber_block
+from .fiber import FiberMatrix, assemble_fiber, eigenvalues_fiber, fiber_at, fiber_block
 from .hermite import ProjectedPotential, project_potential
 from .hill import h00_gaps, hill_bands
-from .numutil import complement_within, golden_section_minimize, merge_intervals, refine_band_edge
+from .numutil import GapReport, bloch_bands, gap_report, golden_section_minimize, merge_intervals, theta_grid
 
 __all__ = [
     "BandStructure",
@@ -43,25 +42,6 @@ __all__ = [
 
 DEFAULT_N_HERMITE = 40
 DEFAULT_M_MAX = 8
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Spectral gaps (maximal open intervals) below a trusted ceiling."""
-
-    gaps: tuple[tuple[float, float], ...]
-    lower: float
-    ceiling: float
-    tolerance: float
-    band_intervals: tuple[tuple[float, float], ...] = ()
-
-    @property
-    def count(self) -> int:
-        return len(self.gaps)
-
-    @property
-    def widths(self) -> tuple[float, ...]:
-        return tuple(hi - lo for lo, hi in self.gaps)
 
 
 @dataclass(eq=False)
@@ -106,33 +86,6 @@ def _probe_eigs(params, proj, theta, n_hermite, m_max) -> np.ndarray:
     return eigenvalues_fiber(assemble_fiber(params, proj, theta, n_hermite, m_max))
 
 
-def _block_eigs(block: FiberBlock, theta: float) -> np.ndarray:
-    return eigenvalues_fiber(fiber_at(block, theta))
-
-
-def _refine_edge(block: FiberBlock, grid, column, j, sign, xtol) -> float:
-    return refine_band_edge(
-        lambda t: float(_block_eigs(block, t)[j]),
-        grid,
-        column,
-        sign,
-        xtol,
-        minimize=golden_section_minimize,
-    )
-
-
-def _map(fn, tasks: list[tuple], workers: int) -> list:
-    """fn(*task) for every task, in a process pool when workers > 1.
-
-    Tasks go out in one chunk per worker; a fiber block shared by the tasks
-    of a chunk is pickled once for the whole chunk.
-    """
-    if workers <= 1:
-        return [fn(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*tasks), chunksize=math.ceil(len(tasks) / workers)))
-
-
 def _cauchy_probe(params, spec, ceiling, n_hermite, m_max, tol, probes) -> tuple[bool, ProjectedPotential]:
     """Compare eigenvalues below the ceiling at (N, M) and (2N, M+4)."""
     big_n, big_m = 2 * n_hermite, m_max + 4
@@ -162,7 +115,6 @@ def compute_bands(
     refine: bool = True,
     xtol: float = 1e-8,
     cauchy_tol: float = 1e-7,
-    workers: int = 1,
 ) -> BandStructure:
     """Band curves of H(theta) for an x-periodic potential.
 
@@ -170,8 +122,7 @@ def compute_bands(
     both +-1/2 endpoints).  Bands are reported when their grid minimum lies
     at or below the ceiling; eigenvalues above the ceiling are not trusted.
     """
-    if theta_count < 9 or theta_count % 2 == 0:
-        raise ValueError("theta_count must be odd and >= 9")
+    grid = theta_grid(theta_count)
     if energy_ceiling is None:
         w0 = spec.norm_estimates().w0
         energy_ceiling = 3.0 * params.alpha + (w0 if math.isfinite(w0) else 0.0)
@@ -202,22 +153,15 @@ def compute_bands(
             stacklevel=2,
         )
 
-    grid = np.linspace(-0.5, 0.5, theta_count)
     block = fiber_block(params, proj, n_h, m_m)
-    all_vals = np.vstack(_map(_block_eigs, [(block, float(t)) for t in grid], workers))
-
-    band_mins = all_vals.min(axis=0)
-    band_count = int(np.searchsorted(band_mins, energy_ceiling, side="right"))
-    bands = all_vals[:, :band_count].copy()
-
-    intervals = np.column_stack([bands.min(axis=0), bands.max(axis=0)])
-    if refine and band_count:
-        jobs = [
-            (block, grid, bands[:, j], j, sign, xtol)
-            for j in range(band_count)
-            for sign in (1.0, -1.0)
-        ]
-        intervals = np.reshape(_map(_refine_edge, jobs, workers), (band_count, 2))
+    bands, intervals = bloch_bands(
+        lambda t: eigenvalues_fiber(fiber_at(block, t)),
+        grid,
+        lambda table: int(np.searchsorted(table.min(axis=0), energy_ceiling, side="right")),
+        refine,
+        xtol,
+        minimize=golden_section_minimize,
+    )
 
     for arr in (grid, bands, intervals):
         arr.setflags(write=False)
@@ -238,21 +182,11 @@ def detect_gaps(band_structure: BandStructure, gap_tolerance: float | None = Non
     """Maximal intervals below the ceiling not covered by any band."""
     if gap_tolerance is None:
         gap_tolerance = 1e-6 * band_structure.params.alpha
-    ceiling = band_structure.energy_ceiling
-    clipped = [
-        (lo, min(hi, ceiling))
-        for lo, hi in band_structure.band_intervals
-        if lo <= ceiling
-    ]
-    covered = merge_intervals(clipped)
-    lower = covered[0][0] if covered else band_structure.params.alpha
-    gaps = complement_within(covered, lower, ceiling, gap_tolerance)
-    return GapReport(
-        gaps=tuple(gaps),
-        lower=lower,
-        ceiling=ceiling,
-        tolerance=float(gap_tolerance),
-        band_intervals=tuple((float(lo), float(hi)) for lo, hi in band_structure.band_intervals),
+    return gap_report(
+        band_structure.band_intervals,
+        band_structure.params.alpha,
+        band_structure.energy_ceiling,
+        gap_tolerance,
     )
 
 
@@ -313,7 +247,6 @@ def gap_persistence_sweep(
     gap_tolerance: float | None = None,
     n_hermite: int | None = None,
     refine: bool = True,
-    workers: int = 1,
 ) -> GapPersistenceReport:
     """Track how full-operator gaps approach the H_{0,0} gaps as omega grows.
 
@@ -351,7 +284,6 @@ def gap_persistence_sweep(
             energy_ceiling=ceiling,
             n_hermite=n_hermite,
             refine=refine,
-            workers=workers,
         )
         full = detect_gaps(bs, gap_tolerance)
         reference = h00_gaps(

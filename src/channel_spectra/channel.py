@@ -27,6 +27,7 @@ safe to share across threads or worker processes.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -48,9 +49,6 @@ __all__ = [
     "GaussianProfile",
     "PolynomialProfile",
     "PotentialBounds",
-    "evaluate_potential",
-    "potential_norm_estimates",
-    "potential_to_dict",
     "potential_from_dict",
     "grid_potential_from_csv",
 ]
@@ -215,10 +213,11 @@ class PolynomialProfile:
         return {"shape": "polynomial", "coeffs": list(self.coeffs)}
 
 
+# shape -> (the one parameter key it reads, constructor)
 _PROFILE_SHAPES = {
-    "constant": lambda d: ConstantProfile(float(d.get("value", 1.0))),
-    "gaussian": lambda d: GaussianProfile(float(d.get("sigma", 1.0))),
-    "polynomial": lambda d: PolynomialProfile(d["coeffs"]),
+    "constant": ("value", lambda d: ConstantProfile(float(d.get("value", 1.0)))),
+    "gaussian": ("sigma", lambda d: GaussianProfile(float(d.get("sigma", 1.0)))),
+    "polynomial": ("coeffs", lambda d: PolynomialProfile(d["coeffs"])),
 }
 
 
@@ -226,7 +225,11 @@ def _profile_from_dict(d: Mapping) -> ConstantProfile | GaussianProfile | Polyno
     shape = d.get("shape")
     if shape not in _PROFILE_SHAPES:
         raise ValueError(f"unknown profile shape {shape!r}")
-    return _PROFILE_SHAPES[shape](d)
+    key, build = _PROFILE_SHAPES[shape]
+    unknown = sorted(set(d) - {"shape", key})
+    if unknown:
+        raise ValueError(f"profile shape {shape!r} takes only {key!r}, got {', '.join(unknown)}")
+    return build(d)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +351,8 @@ def _canonical_coeffs(coeffs: Mapping[int, complex]) -> tuple[tuple[int, complex
     for k, v in coeffs.items():
         k = int(k)
         v = complex(v)
+        if not cmath.isfinite(v):
+            raise ValueError(f"Fourier coefficient at k={k} must be finite")
         if v != 0.0:
             cleaned[k] = v
     scale = max((abs(v) for v in cleaned.values()), default=0.0)
@@ -574,6 +579,8 @@ class _Bump:
     width: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.amplitude, self.x0, self.y0))):
+            raise ValueError("bump amplitude and center must be finite")
         if not (self.width > 0.0 and math.isfinite(self.width)):
             raise ValueError("bump width must be positive and finite")
 
@@ -809,20 +816,7 @@ def grid_potential_from_csv(path) -> GridSampledPotential:
 
 
 # ---------------------------------------------------------------------------
-# module-level wrappers and serialization
-
-
-def evaluate_potential(spec: Potential, x, y):
-    """W(x, y), vectorized over broadcastable x, y."""
-    return spec.evaluate(x, y)
-
-
-def potential_norm_estimates(spec: Potential) -> PotentialBounds:
-    return spec.norm_estimates()
-
-
-def potential_to_dict(spec: Potential) -> dict:
-    return spec.to_dict()
+# serialization
 
 
 _KINDS: dict[str, type] = {

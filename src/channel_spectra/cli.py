@@ -1,7 +1,7 @@
 """Command line interface.
 
     channel-spectra <command> [--config file] [--set key=value ...]
-                              [--out dir] [--workers n]
+                              [--out dir] [--workers 1]
 
 Commands and their main artifacts (written into the output directory):
 
@@ -28,13 +28,16 @@ use dots for nested paths, e.g. --set potential.kind=zero.  Unknown keys are
 rejected.  Every artifact run writes manifest.json echoing the resolved
 configuration.  Exit status: 0 on success (an inadmissible transport
 certificate is a result, not an error), 1 on configuration errors, 2 on
-numerical failure such as non-convergence.
+numerical failure such as non-convergence.  Every command runs in a single
+process; the worker count flag is kept for existing scripts and any value
+other than 1 is a configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import sys
@@ -290,7 +293,7 @@ def _emit_bands(bs, art: _Artifacts, gaps=None):
     )
 
 
-def _cmd_bands(cfg: dict, art: _Artifacts, workers: int, with_gaps: bool) -> int:
+def _cmd_bands(cfg: dict, art: _Artifacts, with_gaps: bool) -> int:
     params = _params(cfg)
     spec = _build_potential(cfg["potential"])
     bs = compute_bands(
@@ -303,7 +306,6 @@ def _cmd_bands(cfg: dict, art: _Artifacts, workers: int, with_gaps: bool) -> int
         refine=bool(cfg["refine"]),
         xtol=float(cfg["xtol"]),
         cauchy_tol=float(cfg["cauchy_tol"]),
-        workers=workers,
     )
     gap_pairs = ()
     if with_gaps:
@@ -340,7 +342,7 @@ def _cmd_bands(cfg: dict, art: _Artifacts, workers: int, with_gaps: bool) -> int
     return 0
 
 
-def _cmd_sweep(cfg: dict, art: _Artifacts, workers: int) -> int:
+def _cmd_sweep(cfg: dict, art: _Artifacts) -> int:
     spec = _build_potential(cfg["potential"])
     omegas = [float(w) for w in cfg["omega_list"]]
     if not omegas:
@@ -355,7 +357,6 @@ def _cmd_sweep(cfg: dict, art: _Artifacts, workers: int) -> int:
         gap_tolerance=cfg["gap_tolerance"],
         n_hermite=None if cfg["n_hermite"] is None else int(cfg["n_hermite"]),
         refine=bool(cfg["refine"]),
-        workers=workers,
     )
     rows = []
     full_rows = []
@@ -682,30 +683,26 @@ def _cmd_diagnostics(cfg: dict, art: _Artifacts) -> int:
     return 0 if all_ok else 2
 
 
-def _run(command: str, cfg: dict, out_dir: Path, workers: int) -> int:
+_HANDLERS = {
+    "bands": functools.partial(_cmd_bands, with_gaps=False),
+    "gaps": functools.partial(_cmd_bands, with_gaps=True),
+    "sweep-omega": _cmd_sweep,
+    "hill": _cmd_hill,
+    "classical": _cmd_classical,
+    "mourre": _cmd_mourre,
+    "commutator": _cmd_commutator,
+    "diagnostics": _cmd_diagnostics,
+}
+
+
+def _run(command: str, cfg: dict, out_dir: Path) -> int:
     art = _Artifacts(out_dir)
-    if command == "bands":
-        code = _cmd_bands(cfg, art, workers, with_gaps=False)
-    elif command == "gaps":
-        code = _cmd_bands(cfg, art, workers, with_gaps=True)
-    elif command == "sweep-omega":
-        code = _cmd_sweep(cfg, art, workers)
-    elif command == "hill":
-        code = _cmd_hill(cfg, art)
-    elif command == "classical":
-        code = _cmd_classical(cfg, art)
-    elif command == "mourre":
-        code = _cmd_mourre(cfg, art)
-    elif command == "commutator":
-        code = _cmd_commutator(cfg, art)
-    else:
-        code = _cmd_diagnostics(cfg, art)
+    code = _HANDLERS[command](cfg, art)
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "package_version": __version__,
         "command": command,
         "config": cfg,
-        "workers": workers,
         "artifacts": art.names,
         "exit_status": code,
     }
@@ -733,7 +730,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config key (dots descend into nested objects)",
         )
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers for sweeps")
+        p.add_argument(
+            "--workers", type=int, default=1, help="accepted for compatibility; must be 1"
+        )
         if command == "commutator":
             p.add_argument(
                 "--gen-nogo",
@@ -749,11 +748,11 @@ def main(argv=None) -> int:
         cfg = resolve_config(args.command, args.config, args.set)
         if getattr(args, "gen_nogo", False):
             cfg["gen_nogo"] = True
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
+        if args.workers != 1:
+            raise ConfigError("--workers must be 1: every command runs in one process")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _run(args.command, cfg, out_dir, args.workers)
+        return _run(args.command, cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

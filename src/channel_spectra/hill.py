@@ -28,7 +28,7 @@ import scipy.sparse.linalg
 
 from .channel import ChannelParams, Potential
 from .hermite import project_potential
-from .numutil import complement_within, golden_section_minimize, merge_intervals, refine_band_edge
+from .numutil import GapReport, bloch_bands, gap_report, golden_section_minimize, merge_intervals, theta_grid
 
 __all__ = [
     "hill_matrix",
@@ -171,24 +171,15 @@ def hill_bands(
     refinement around each grid extremum verifies that numerically instead
     of assuming it.
     """
-    if theta_count < 9 or theta_count % 2 == 0:
-        raise ValueError("theta_count must be odd and >= 9")
-    grid = np.linspace(-0.5, 0.5, theta_count)
-    rows = [hill_spectrum(coeffs, t, m_max, band_count) for t in grid]
-    bands = np.vstack(rows)
-
-    intervals = np.column_stack([bands.min(axis=0), bands.max(axis=0)])
-    if refine:
-        for j in range(band_count):
-            for col, sign in enumerate((1.0, -1.0)):
-                intervals[j, col] = refine_band_edge(
-                    lambda t: float(hill_spectrum(coeffs, t, m_max, j + 1)[j]),
-                    grid,
-                    bands[:, j],
-                    sign,
-                    xtol,
-                    minimize=golden_section_minimize,
-                )
+    grid = theta_grid(theta_count)
+    bands, intervals = bloch_bands(
+        lambda t: hill_spectrum(coeffs, t, m_max, band_count),
+        grid,
+        lambda table: band_count,
+        refine,
+        xtol,
+        minimize=golden_section_minimize,
+    )
     return HillBands(theta_grid=grid, bands=bands, band_intervals=intervals, m_max=m_max)
 
 
@@ -199,30 +190,18 @@ def h00_gaps(
     m_max: int = 32,
     theta_count: int = 17,
     gap_tolerance: float | None = None,
-):
+) -> GapReport:
     """Spectral gaps of the decoupled block H_{0,0} = alpha + spec(K_0) below the ceiling.
 
     K_0 = -d_x^2 + W_0(x) with W_0 the lowest diagonal Hermite projection
     of the potential.
     """
-    from .bands import GapReport  # shared report type; bands imports this module
-
     if gap_tolerance is None:
         gap_tolerance = 1e-6 * params.alpha
     proj = project_potential(spec, params, nmax=0, mfourier=2 * m_max)
-    coeffs = proj.diag_coeffs(0)
     # generous band count: free bands reach (k/2)^2, need alpha + eps <= ceiling
     span = max(ceiling - params.alpha, 1.0)
     band_count = min(2 * m_max - 2, int(2.0 * math.sqrt(span)) + 4)
-    hb = hill_bands(coeffs, m_max=m_max, theta_count=theta_count, band_count=band_count)
+    hb = hill_bands(proj.diag_coeffs(0), m_max=m_max, theta_count=theta_count, band_count=band_count)
     shifted = [(params.alpha + lo, params.alpha + hi) for lo, hi in hb.band_intervals]
-    covered = merge_intervals(shifted)
-    lower = covered[0][0] if covered else params.alpha
-    gaps = complement_within(covered, lower, ceiling, gap_tolerance)
-    return GapReport(
-        gaps=tuple(gaps),
-        lower=lower,
-        ceiling=ceiling,
-        tolerance=gap_tolerance,
-        band_intervals=tuple((float(lo), float(hi)) for lo, hi in shifted),
-    )
+    return gap_report(shifted, params.alpha, ceiling, gap_tolerance)

@@ -1,10 +1,12 @@
 """Small numeric helpers shared across modules: interval arithmetic,
-Brent's one-dimensional minimisation and band-edge refinement."""
+Brent's one-dimensional minimisation, Bloch band computation and gap
+reports."""
 
 from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -12,6 +14,10 @@ import numpy as np
 __all__ = [
     "golden_section_minimize",
     "refine_band_edge",
+    "theta_grid",
+    "bloch_bands",
+    "GapReport",
+    "gap_report",
     "merge_intervals",
     "complement_within",
 ]
@@ -135,6 +141,84 @@ def refine_band_edge(
         lambda t: sign * value(t - round(t)), grid[idx] - step, grid[idx] + step, xtol
     )
     return sign * min(found, float(signed[idx]))
+
+
+def theta_grid(theta_count: int) -> np.ndarray:
+    """Uniform Bloch-phase grid over [-1/2, 1/2], both endpoints included.
+
+    theta_count must be odd and >= 9, so the grid contains theta = 0 and
+    the +-1/2 endpoints, where band edges of real, even potentials sit.
+    """
+    if theta_count < 9 or theta_count % 2 == 0:
+        raise ValueError("theta_count must be odd and >= 9")
+    return np.linspace(-0.5, 0.5, theta_count)
+
+
+def bloch_bands(
+    spectrum: Callable[[float], np.ndarray],
+    grid: np.ndarray,
+    keep: Callable[[np.ndarray], int],
+    refine: bool,
+    xtol: float,
+    *,
+    minimize: Callable,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Band curves on the grid and their [min, max] intervals.
+
+    ``spectrum(theta)`` returns the ascending eigenvalues at one phase; the
+    grid pass solves each phase once for all bands.  ``keep`` maps the
+    (theta, eigenvalue) table to the number of lowest bands kept.  With
+    ``refine``, every band edge is sharpened by refine_band_edge around its
+    grid extremum, band by band, minimum before maximum; ``minimize`` is
+    passed through to it.
+    """
+    table = np.vstack([spectrum(float(t)) for t in grid])
+    bands = table[:, : keep(table)].copy()
+    intervals = np.column_stack([bands.min(axis=0), bands.max(axis=0)])
+    if refine:
+        for j in range(bands.shape[1]):
+            for col, sign in enumerate((1.0, -1.0)):
+                intervals[j, col] = refine_band_edge(
+                    lambda t: float(spectrum(t)[j]), grid, bands[:, j], sign, xtol, minimize=minimize
+                )
+    return bands, intervals
+
+
+@dataclass(frozen=True)
+class GapReport:
+    """Spectral gaps (maximal open intervals) below a trusted ceiling."""
+
+    gaps: tuple[tuple[float, float], ...]
+    lower: float
+    ceiling: float
+    tolerance: float
+    band_intervals: tuple[tuple[float, float], ...] = ()
+
+    @property
+    def count(self) -> int:
+        return len(self.gaps)
+
+    @property
+    def widths(self) -> tuple[float, ...]:
+        return tuple(hi - lo for lo, hi in self.gaps)
+
+
+def gap_report(band_intervals, floor: float, ceiling: float, tolerance: float) -> GapReport:
+    """Gaps between the lowest band edge and the ceiling wider than tolerance.
+
+    The gaps are measured from the bottom of the band union, or from
+    ``floor`` when there are no bands.
+    """
+    intervals = tuple((float(lo), float(hi)) for lo, hi in band_intervals)
+    covered = merge_intervals(intervals)
+    lower = covered[0][0] if covered else floor
+    return GapReport(
+        gaps=tuple(complement_within(covered, lower, ceiling, tolerance)),
+        lower=lower,
+        ceiling=ceiling,
+        tolerance=float(tolerance),
+        band_intervals=intervals,
+    )
 
 
 def merge_intervals(intervals: Iterable[Sequence[float]]) -> list[tuple[float, float]]:

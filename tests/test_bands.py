@@ -227,10 +227,3 @@ def test_free_band_edges_match_closed_form_at_coarse_xtol():
     assert bs.band_count == 5
     assert np.max(np.abs(bs.band_intervals - exact)) < 1e-6
 
-
-def test_workers_give_identical_band_intervals():
-    kwargs = dict(theta_count=9, energy_ceiling=_P34.alpha + 1.6 * _P34.beta, n_hermite=8)
-    serial = compute_bands(_P34, _NON_EVEN, workers=1, **kwargs)
-    pooled = compute_bands(_P34, _NON_EVEN, workers=2, **kwargs)
-    assert np.array_equal(serial.band_intervals, pooled.band_intervals)
-    assert np.array_equal(serial.bands, pooled.bands)

@@ -19,7 +19,6 @@ from channel_spectra import (
     derive_params,
     grid_potential_from_csv,
     potential_from_dict,
-    potential_to_dict,
 )
 
 
@@ -218,7 +217,7 @@ def test_grid_csv_incomplete_rectangle_rejected(tmp_path):
     ],
 )
 def test_to_dict_roundtrip(spec):
-    clone = potential_from_dict(potential_to_dict(spec))
+    clone = potential_from_dict(spec.to_dict())
     x = np.linspace(-3.0, 3.0, 17)
     y = np.linspace(-2.0, 2.0, 17)
     assert np.max(np.abs(clone(x, y) - spec(x, y))) < 1e-14
@@ -230,7 +229,7 @@ def test_grid_roundtrip_through_dict():
     y = np.array([0.0, 1.0])
     vals = np.arange(6.0).reshape(3, 2)
     spec = GridSampledPotential(x, y, vals)
-    clone = potential_from_dict(potential_to_dict(spec))
+    clone = potential_from_dict(spec.to_dict())
     pts = np.linspace(0.0, 2.0, 9)
     assert np.max(np.abs(clone(pts, 0.5 + 0 * pts) - spec(pts, 0.5 + 0 * pts))) < 1e-14
 

@@ -280,6 +280,41 @@ def test_workers_validation(tmp_path):
     assert main(["bands", "--out", str(tmp_path / "o"), "--workers", "0"]) == 1
 
 
+def test_workers_accepts_only_one(tmp_path, capsys):
+    args = ["bands", "--set", "theta_count=9", "--set", "n_hermite=8", "--set", "refine=false"]
+    assert main([*args, "--out", str(tmp_path / "one"), "--workers", "1"]) == 0
+    manifest = json.loads((tmp_path / "one" / "manifest.json").read_text())
+    assert "workers" not in manifest
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "two"), "--workers", "2"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "two").exists()
+
+
+def test_gaussian_profile_width_key_is_rejected(tmp_path, capsys):
+    potential = '{"kind": "profile_y", "profile": {"shape": "gaussian", "width": 0.2}}'
+    assert main(["classical", "--out", str(tmp_path / "o"), "--set", f"potential={potential}"]) == 1
+    assert "width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [
+        '{"kind": "fourier_x", "coeffs": {"1": [NaN, 0.0], "-1": [NaN, 0.0]}}',
+        '{"kind": "fourier_x", "coeffs": {"0": Infinity}}',
+        '{"kind": "fourier_x_profile", "coeffs": {"1": [0.1, NaN], "-1": [0.1, NaN]}, '
+        '"profile": {"shape": "constant"}}',
+        '{"kind": "gaussian_bumps", "bumps": [[NaN, 0.0, 0.0, 1.0]]}',
+        '{"kind": "gaussian_bumps", "bumps": [[0.1, NaN, 0.0, 1.0]]}',
+        '{"kind": "gaussian_bumps", "bumps": [[0.1, 0.0, Infinity, 1.0]]}',
+    ],
+    ids=["fourier-nan", "fourier-inf", "fourier-profile-nan", "bump-amplitude", "bump-x0", "bump-y0"],
+)
+def test_non_finite_potential_data_exits_one(tmp_path, capsys, potential):
+    assert main(["mourre", "--out", str(tmp_path / "o"), "--set", f"potential={potential}"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

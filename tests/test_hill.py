@@ -177,3 +177,35 @@ def test_hill_matrix_matches_entrywise_reference(coeffs):
         assert np.array_equal(hill_matrix(coeffs, theta, m_max=4), _loop_hill_matrix(coeffs, theta, 4))
     arr = np.array([coeffs.get(k, 0.0) for k in range(-12, 13)], dtype=complex)
     assert np.array_equal(hill_matrix(arr, 0.2, m_max=4), hill_matrix(coeffs, 0.2, m_max=4))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [{1: 0.3, -1: 0.3, 2: 0.1, -2: 0.1}, {1: 0.15, -1: 0.15, 2: -0.05j, -2: 0.05j}, {}],
+    ids=["even", "complex", "zero"],
+)
+def test_refinement_solves_per_extremum(monkeypatch, coeffs):
+    from channel_spectra import hill
+
+    counts = {"searches": 0, "solves": 0}
+    inside = []
+    solve, search = hill.hill_spectrum, hill.golden_section_minimize
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += bool(inside)
+        return solve(*args, **kwargs)
+
+    def counted_search(*args, **kwargs):
+        counts["searches"] += 1
+        inside.append(True)
+        try:
+            return search(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(hill, "hill_spectrum", counted_solve)
+    monkeypatch.setattr(hill, "golden_section_minimize", counted_search)
+    hb = hill.hill_bands(coeffs, m_max=8, theta_count=17, band_count=5)
+    assert hb.band_intervals.shape == (5, 2)
+    assert counts["searches"] == 2 * 5
+    assert counts["solves"] <= 16 * counts["searches"]

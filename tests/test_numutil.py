@@ -1,11 +1,17 @@
-"""Brent's bounded minimisation and the shared band-edge refinement."""
+"""Brent's bounded minimisation, the shared Bloch band computation and gap reports."""
 
 import math
 
 import numpy as np
 import pytest
 
-from channel_spectra.numutil import golden_section_minimize, refine_band_edge
+from channel_spectra.numutil import (
+    bloch_bands,
+    gap_report,
+    golden_section_minimize,
+    refine_band_edge,
+    theta_grid,
+)
 
 
 class _Counted:
@@ -87,3 +93,32 @@ def test_refine_band_edge_wraps_the_period_and_keeps_the_grid_value():
     # a search that finds nothing better leaves the grid extremum
     flat = refine_band_edge(lambda t: 5.0, grid, column, 1.0, 1e-9, minimize=golden_section_minimize)
     assert flat == float(column.min())
+
+
+def test_bloch_bands_solves_each_phase_once_and_refines_every_edge():
+    # two bands with off-grid extrema; a third eigenvalue is dropped by keep
+    def spectrum(t):
+        solves.append(t)
+        c = math.cos(2.0 * math.pi * (t - 0.1))
+        return np.array([-c, 3.0 + c, 10.0])
+
+    solves = []
+    grid = theta_grid(9)
+    bands, intervals = bloch_bands(spectrum, grid, lambda table: 2, False, 1e-9, minimize=golden_section_minimize)
+    assert solves == list(grid) and bands.shape == (9, 2)
+    assert np.array_equal(intervals, np.column_stack([bands.min(axis=0), bands.max(axis=0)]))
+    _, refined = bloch_bands(spectrum, grid, lambda table: 2, True, 1e-9, minimize=golden_section_minimize)
+    assert np.max(np.abs(refined - [[-1.0, 1.0], [2.0, 4.0]])) < 1e-14
+    for count in (7, 8, 10):
+        with pytest.raises(ValueError):
+            theta_grid(count)
+
+
+def test_gap_report_measures_from_the_band_bottom():
+    report = gap_report([(3.0, 4.0), (1.0, 2.0), (2.0, 2.05)], 0.0, 5.0, 0.1)
+    assert report.gaps == ((2.05, 3.0), (4.0, 5.0))
+    assert report.lower == 1.0 and report.count == 2
+    assert report.band_intervals == ((3.0, 4.0), (1.0, 2.0), (2.0, 2.05))
+    # hairline gaps are dropped; without bands the floor is the bottom
+    assert gap_report([(1.0, 2.0), (2.05, 3.0)], 0.0, 3.0, 0.1).gaps == ()
+    assert gap_report([], 0.5, 5.0, 0.1).gaps == ((0.5, 5.0),)
