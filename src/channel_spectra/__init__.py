@@ -71,7 +71,6 @@ from .mourre import (
     appendix_norm_checks,
     condition_one_threshold,
     evaluate_certificate,
-    excluded_intervals,
     resolvent_constant,
     scaling_sweep,
     transverse_quadratic_eigenvalues,

@@ -119,10 +119,13 @@ def compute_bands(
     """Band curves of H(theta) for an x-periodic potential.
 
     theta_count must be odd and >= 9 (the grid then contains theta = 0 and
-    both +-1/2 endpoints).  Bands are reported when their grid minimum lies
-    at or below the ceiling; eigenvalues above the ceiling are not trusted.
+    both +-1/2 endpoints), and cauchy_tol > 0.  Bands are reported when
+    their grid minimum lies at or below the ceiling; eigenvalues above the
+    ceiling are not trusted.
     """
     grid = theta_grid(theta_count)
+    if not cauchy_tol > 0.0:
+        raise ValueError("need cauchy_tol > 0")
     if energy_ceiling is None:
         w0 = spec.norm_estimates().w0
         energy_ceiling = 3.0 * params.alpha + (w0 if math.isfinite(w0) else 0.0)

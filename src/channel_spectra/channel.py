@@ -35,6 +35,8 @@ from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .schema import ConfigError, Key, OneOf, parse
+
 __all__ = [
     "ChannelParams",
     "derive_params",
@@ -49,6 +51,8 @@ __all__ = [
     "GaussianProfile",
     "PolynomialProfile",
     "PotentialBounds",
+    "POTENTIAL",
+    "PERIODIC_POTENTIAL",
     "potential_from_dict",
     "grid_potential_from_csv",
 ]
@@ -211,25 +215,6 @@ class PolynomialProfile:
 
     def to_dict(self) -> dict:
         return {"shape": "polynomial", "coeffs": list(self.coeffs)}
-
-
-# shape -> (the one parameter key it reads, constructor)
-_PROFILE_SHAPES = {
-    "constant": ("value", lambda d: ConstantProfile(float(d.get("value", 1.0)))),
-    "gaussian": ("sigma", lambda d: GaussianProfile(float(d.get("sigma", 1.0)))),
-    "polynomial": ("coeffs", lambda d: PolynomialProfile(d["coeffs"])),
-}
-
-
-def _profile_from_dict(d: Mapping) -> ConstantProfile | GaussianProfile | PolynomialProfile:
-    shape = d.get("shape")
-    if shape not in _PROFILE_SHAPES:
-        raise ValueError(f"unknown profile shape {shape!r}")
-    key, build = _PROFILE_SHAPES[shape]
-    unknown = sorted(set(d) - {"shape", key})
-    if unknown:
-        raise ValueError(f"profile shape {shape!r} takes only {key!r}, got {', '.join(unknown)}")
-    return build(d)
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +401,6 @@ def _coeffs_to_dict(coeffs) -> dict:
     return {str(k): [c.real, c.imag] for k, c in coeffs}
 
 
-def _coeffs_from_dict(d: Mapping) -> dict[int, complex]:
-    out = {}
-    for k, v in d.items():
-        if isinstance(v, (list, tuple)):
-            out[int(k)] = complex(v[0], v[1])
-        else:
-            out[int(k)] = complex(v)
-    return out
-
-
 @dataclass(frozen=True)
 class FourierXPotential(Potential):
     """W(x) = sum_k c_k exp(i k x), 2*pi-periodic, independent of y."""
@@ -451,9 +426,6 @@ class FourierXPotential(Potential):
             else:
                 raise ValueError("cosine harmonics must have k >= 0")
         return cls(coeffs)
-
-    def coeff(self, k: int) -> complex:
-        return dict(self.coeffs).get(int(k), 0.0 + 0.0j)
 
     def evaluate(self, x, y):
         xb, _, scalar = _as_xy(x, y)
@@ -585,6 +557,14 @@ class _Bump:
             raise ValueError("bump width must be positive and finite")
 
 
+def _as_bump(b) -> _Bump:
+    if isinstance(b, _Bump):
+        return b
+    if len(b) != 4:
+        raise ValueError(f"a bump is [amplitude, x0, y0, width], got {list(b)!r}")
+    return _Bump(*map(float, b))
+
+
 @dataclass(frozen=True)
 class GaussianBumpPotential(Potential):
     """Sum of isotropic Gaussian bumps a * exp(-((x-x0)^2+(y-y0)^2)/(2 s^2)).
@@ -598,10 +578,7 @@ class GaussianBumpPotential(Potential):
     periodic_in_x: ClassVar[bool] = False
 
     def __init__(self, bumps: Iterable[Sequence[float]]):
-        parsed = tuple(
-            b if isinstance(b, _Bump) else _Bump(float(b[0]), float(b[1]), float(b[2]), float(b[3]))
-            for b in bumps
-        )
+        parsed = tuple(map(_as_bump, bumps))
         if not parsed:
             raise ValueError("need at least one bump")
         object.__setattr__(self, "bumps", parsed)
@@ -816,34 +793,62 @@ def grid_potential_from_csv(path) -> GridSampledPotential:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: the schema of a potential dict, one constructor argument
+# per key (see schema.py)
 
 
-_KINDS: dict[str, type] = {
-    cls.kind: cls
-    for cls in (
-        ZeroPotential,
-        FourierXPotential,
-        SeparableFourierPotential,
-        TransverseProfilePotential,
-        GaussianBumpPotential,
-        GridSampledPotential,
-    )
+def _fourier_coeffs(value, where: str) -> dict[str, list[float]]:
+    """Harmonic k -> c_k as [re, im]; a plain number is taken as [re, 0]."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{where} must be an object")
+    out = {}
+    for k, c in value.items():
+        try:
+            k = int(str(k))
+        except ValueError:
+            raise ConfigError(f"{where} keys must be integers, got {k!r}") from None
+        pair = parse(list[float], c if isinstance(c, list) else [c, 0.0], f"{where}.{k}")
+        if len(pair) != 2:
+            raise ConfigError(f"{where}.{k} must be [re, im]")
+        out[str(k)] = pair
+    return out
+
+
+_COEFFS = Key(_fourier_coeffs)
+_SHAPES: dict[str, tuple[type, dict]] = {
+    "constant": (ConstantProfile, {"value": Key(float, 1.0)}),
+    "gaussian": (GaussianProfile, {"sigma": Key(float, 1.0, gt=0.0)}),
+    "polynomial": (PolynomialProfile, {"coeffs": Key(list[float])}),
 }
+_PROFILE = Key(OneOf("shape", {shape: keys for shape, (_, keys) in _SHAPES.items()}))
+_KINDS: dict[str, tuple[type, dict]] = {
+    "zero": (ZeroPotential, {}),
+    "fourier_x": (FourierXPotential, {"coeffs": _COEFFS}),
+    "fourier_x_profile": (SeparableFourierPotential, {"coeffs": _COEFFS, "profile": _PROFILE}),
+    "profile_y": (TransverseProfilePotential, {"profile": _PROFILE, "amplitude": Key(float, 1.0)}),
+    "gaussian_bumps": (GaussianBumpPotential, {"bumps": Key(list[list[float]])}),
+    "grid": (
+        GridSampledPotential,
+        {"x": Key(list[float]), "y": Key(list[float]), "values": Key(list[list[float]])},
+    ),
+}
+POTENTIAL = OneOf("kind", {kind: keys for kind, (_, keys) in _KINDS.items()})
+PERIODIC_POTENTIAL = OneOf(
+    "kind", {kind: keys for kind, (cls, keys) in _KINDS.items() if cls.periodic_in_x}
+)
 
 
 def potential_from_dict(d: Mapping) -> Potential:
-    kind = d.get("kind")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown potential kind {kind!r}")
-    if kind == "zero":
-        return ZeroPotential()
-    if kind == "fourier_x":
-        return FourierXPotential(_coeffs_from_dict(d["coeffs"]))
-    if kind == "fourier_x_profile":
-        return SeparableFourierPotential(_coeffs_from_dict(d["coeffs"]), _profile_from_dict(d["profile"]))
-    if kind == "profile_y":
-        return TransverseProfilePotential(_profile_from_dict(d["profile"]), float(d.get("amplitude", 1.0)))
-    if kind == "gaussian_bumps":
-        return GaussianBumpPotential(d["bumps"])
-    return GridSampledPotential(d["x"], d["y"], np.asarray(d["values"], dtype=float))
+    """Build a potential from its dict form (``to_dict`` or a config value).
+
+    The dict is checked against POTENTIAL first: an unknown kind or key, a
+    value of the wrong type or a non-finite number raises ConfigError.
+    """
+    args = parse(POTENTIAL, d, "potential")
+    cls, _ = _KINDS[args.pop("kind")]
+    if "coeffs" in args:
+        args["coeffs"] = {int(k): complex(*c) for k, c in args["coeffs"].items()}
+    if "profile" in args:
+        shape = args["profile"].pop("shape")
+        args["profile"] = _SHAPES[shape][0](**args["profile"])
+    return cls(**args)

@@ -26,7 +26,6 @@ slope 2 beta p_x^2, the classical counterpart of the commutator [H, iA].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +55,14 @@ class ClassicalState:
     py: float
 
 
+def _hamiltonian(params: ChannelParams, x, y, px, py, spec: Potential | None = None):
+    """H_cl at one phase-space point or elementwise over arrays of them."""
+    h = (px + params.B * y) ** 2 + py**2 + params.omega**2 * y**2
+    return h if spec is None else h + spec.evaluate(x, y)
+
+
 def energy(params: ChannelParams, state: ClassicalState, spec: Potential | None = None) -> float:
-    w = 0.0 if spec is None else float(spec.evaluate(state.x, state.y))
-    kin = (state.px + params.B * state.y) ** 2 + state.py**2
-    return kin + params.omega**2 * state.y**2 + w
+    return float(_hamiltonian(params, state.x, state.y, state.px, state.py, spec))
 
 
 def guiding_center(params: ChannelParams, state: ClassicalState) -> tuple[float, float]:
@@ -118,39 +121,40 @@ class Trajectory:
         return ClassicalState(t=float(self.times[i]), x=x, y=y, px=px, py=py)
 
 
-def closed_form_state(params: ChannelParams, initial: ClassicalState, t: float) -> ClassicalState:
-    """Exact W = 0 orbit at time t (initial.t is the reference time)."""
-    dt = t - initial.t
+def _free_orbit(params: ChannelParams, initial: ClassicalState, elapsed: np.ndarray) -> np.ndarray:
+    """Exact W = 0 states (x, y, px, py), one row per elapsed time since initial.t."""
     a = params.alpha
     amp = initial.y + params.mu * initial.px
-    c = math.cos(2.0 * a * dt)
-    s = math.sin(2.0 * a * dt)
+    tau = 2.0 * a * elapsed
+    c, s = np.cos(tau), np.sin(tau)
     y = -params.mu * initial.px + amp * c + (initial.py / a) * s
     py = initial.py * c - a * amp * s
     x = (
         initial.x
-        + 2.0 * params.beta * initial.px * dt
+        + 2.0 * params.beta * initial.px * elapsed
         + (params.B / a) * amp * s
         + params.mu * initial.py * (1.0 - c)
     )
-    return ClassicalState(t=t, x=x, y=y, px=initial.px, py=py)
+    px = np.full_like(elapsed, initial.px)
+    return np.column_stack([x, y, px, py])
+
+
+def closed_form_state(params: ChannelParams, initial: ClassicalState, t: float) -> ClassicalState:
+    """Exact W = 0 orbit at time t (initial.t is the reference time)."""
+    x, y, px, py = _free_orbit(params, initial, np.array([t - initial.t]))[0].tolist()
+    return ClassicalState(t=t, x=x, y=y, px=px, py=py)
 
 
 def _trajectory_arrays(params, method, source, times, states, spec=None, aborted=False) -> Trajectory:
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
-    b, om = params.B, params.omega
-    kin = (states[:, 2] + b * states[:, 1]) ** 2 + states[:, 3] ** 2
-    energies = kin + om**2 * states[:, 1] ** 2
-    if spec is not None:
-        energies = energies + np.asarray(spec.evaluate(states[:, 0], states[:, 1]), dtype=float)
     return Trajectory(
         params=params,
         method=method,
         source_potential=source,
         times=times,
         states=states,
-        energies=energies,
+        energies=_hamiltonian(params, *states.T, spec),
         aborted=aborted,
     )
 
@@ -163,20 +167,7 @@ def closed_form_trajectory(
         raise ValueError("need positive dt and t_end")
     n = int(round(t_end / dt))
     times = initial.t + dt * np.arange(n + 1)
-    a = params.alpha
-    amp = initial.y + params.mu * initial.px
-    tau = 2.0 * a * (times - initial.t)
-    c, s = np.cos(tau), np.sin(tau)
-    y = -params.mu * initial.px + amp * c + (initial.py / a) * s
-    py = initial.py * c - a * amp * s
-    x = (
-        initial.x
-        + 2.0 * params.beta * initial.px * (times - initial.t)
-        + (params.B / a) * amp * s
-        + params.mu * initial.py * (1.0 - c)
-    )
-    px = np.full_like(times, initial.px)
-    states = np.column_stack([x, y, px, py])
+    states = _free_orbit(params, initial, times - initial.t)
     return _trajectory_arrays(params, "closed_form", "zero", times, states)
 
 

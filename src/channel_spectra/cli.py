@@ -23,20 +23,27 @@ Commands and their main artifacts (written into the output directory):
                  nogo.json describing the constraint chain
     diagnostics  diagnostics.json with self-check results
 
-Configuration is JSON (a single object); --set flags override file keys and
-use dots for nested paths, e.g. --set potential.kind=zero.  Unknown keys are
-rejected.  Every artifact run writes manifest.json echoing the resolved
-configuration.  Exit status: 0 on success (an inadmissible transport
-certificate is a result, not an error), 1 on configuration errors, 2 on
-numerical failure such as non-convergence.  Every command runs in a single
-process; the worker count flag is kept for existing scripts and any value
-other than 1 is a configuration error.
+Configuration is one JSON object: the --config file, then --set flags
+(values parse as JSON, dots descend into nested objects, e.g. --set
+potential.kind=zero).  Each command's keys, with their types, defaults and
+ranges, are declared once in the command tables below and checked by the
+parser in schema.py, which also checks the potential through the
+tables next to channel.potential_from_dict.  Unknown keys are rejected at
+every depth, every number must be finite, and a bad single key exits 1
+before the output directory is created.  Once it exists, manifest.json
+records the typed config, the artifacts written, the exit status and, on
+failure, the error, however the run ends.  Exit status: 0 on success (an
+inadmissible transport certificate is a result, not an error), 1 on
+configuration errors, including settings that are valid one by one but not
+together (delta >= alpha), 2 on numerical failure such as
+non-convergence.  Every command runs in a single process; the worker count
+flag is kept for existing scripts and any value other than 1 is a
+configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import json
 import math
@@ -49,9 +56,10 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from . import __version__
 from .bands import compute_bands, detect_gaps, gap_persistence_sweep
 from .channel import (
+    PERIODIC_POTENTIAL,
+    POTENTIAL,
     ChannelParams,
     FourierXPotential,
-    Potential,
     ZeroPotential,
     derive_params,
     potential_from_dict,
@@ -61,153 +69,129 @@ from .fiber import EigensolverError, assemble_fiber, complex_theta_resolvent_bou
 from .hermite import project_potential
 from .hill import fd_hill_richardson, h00_gaps, hill_bands, hill_spectrum
 from .mourre import appendix_norm_checks, evaluate_certificate, scaling_sweep
+from .numutil import theta_grid
 from .output import write_band_svg, write_csv, write_json
 from .quadratic import QuadraticObservable, commutator_iA, conjugate_observable, gen_nogo_scan, h0_observable
+from .schema import ConfigError, Key, parse
 
 MANIFEST_SCHEMA_VERSION = 1
 
 __all__ = ["ConfigError", "main", "resolve_config", "COMMANDS"]
 
 
-class ConfigError(ValueError):
-    """Raised for unknown keys, malformed values, or inconsistent settings."""
+# the command tables: every key with its type, default and range (see
+# schema.py); None means "choose automatically"
+_B = Key(float, 3.0, ge=0.0)
+_OMEGA = Key(float, 4.0, gt=0.0)
 
 
+def _potential(default: dict, kinds=PERIODIC_POTENTIAL) -> Key:
+    # the gap and Hill commands need W periodic in x; the constructors'
+    # own checks (conjugate symmetry, grid shape, bump width) run here too
+    return Key(kinds, default, check=potential_from_dict)
+
+
+_ZERO_W = {"kind": "zero"}
 _TWO_COS = {"kind": "fourier_x", "coeffs": {"1": [1.0, 0.0], "-1": [1.0, 0.0]}}
+_GAP_TOLERANCE = Key(float, None, ge=0.0)
 
-# every knob has a documented default; None means "choose automatically"
+_BANDS = {
+    "B": _B,
+    "omega": _OMEGA,
+    "potential": _potential(_ZERO_W),
+    "theta_count": Key(int, 33, check=theta_grid),
+    "n_hermite": Key(int, None, ge=1),
+    "m_max": Key(int, None, ge=0),
+    "ceiling": Key(float, None),
+    "refine": Key(bool, True),
+    "xtol": Key(float, 1e-8, gt=0.0),
+    "cauchy_tol": Key(float, 1e-7, gt=0.0),
+}
+
 _SCHEMAS: dict[str, dict] = {
-    "bands": {
-        "B": 3.0,
-        "omega": 4.0,
-        "potential": {"kind": "zero"},
-        "theta_count": 33,
-        "n_hermite": None,
-        "m_max": None,
-        "ceiling": None,
-        "refine": True,
-        "xtol": 1e-8,
-        "cauchy_tol": 1e-7,
-    },
-    "gaps": {
-        "B": 3.0,
-        "omega": 4.0,
-        "potential": _TWO_COS,
-        "theta_count": 33,
-        "n_hermite": None,
-        "m_max": None,
-        "ceiling": None,
-        "refine": True,
-        "xtol": 1e-8,
-        "cauchy_tol": 1e-7,
-        "gap_tolerance": None,
-    },
+    "bands": _BANDS,
+    "gaps": {**_BANDS, "potential": _potential(_TWO_COS), "gap_tolerance": _GAP_TOLERANCE},
     "sweep-omega": {
-        "B": 3.0,
-        "omega_list": [4.0, 10.0, 40.0],
-        "potential": _TWO_COS,
-        "theta_count": 17,
-        "hill_m_max": 32,
-        "target_gap_count": 1,
-        "gap_tolerance": None,
-        "n_hermite": None,
-        "refine": True,
+        "B": _B,
+        "omega_list": Key(list[float], [4.0, 10.0, 40.0], gt=0.0),
+        "potential": _potential(_TWO_COS),
+        "theta_count": Key(int, 17, check=theta_grid),
+        "hill_m_max": Key(int, 32, ge=1),
+        "target_gap_count": Key(int, 1, ge=1),
+        "gap_tolerance": _GAP_TOLERANCE,
+        "n_hermite": Key(int, None, ge=1),
+        "refine": Key(bool, True),
     },
     "hill": {
-        "B": 3.0,
-        "omega": 4.0,
-        "potential": _TWO_COS,
-        "m_max": 32,
-        "theta_count": 17,
-        "band_count": 8,
-        "ceiling": None,
-        "fd_check": False,
-        "fd_points": 1024,
+        "B": _B,
+        "omega": _OMEGA,
+        "potential": _potential(_TWO_COS),
+        "m_max": Key(int, 32, ge=1),
+        "theta_count": Key(int, 17, check=theta_grid),
+        "band_count": Key(int, 8, ge=1),
+        "ceiling": Key(float, None),
+        "fd_check": Key(bool, False),
+        "fd_points": Key(int, 1024, ge=16),
     },
     "classical": {
-        "B": 3.0,
-        "omega": 4.0,
-        "potential": {"kind": "zero"},
-        "x0": 0.0,
-        "y0": 0.0,
-        "px0": 1.0,
-        "py0": 0.0,
-        "t_end": 1.0,
-        "dt": 1e-3,
+        "B": _B,
+        "omega": _OMEGA,
+        "potential": _potential(_ZERO_W, POTENTIAL),
+        "x0": Key(float, 0.0),
+        "y0": Key(float, 0.0),
+        "px0": Key(float, 1.0),
+        "py0": Key(float, 0.0),
+        "t_end": Key(float, 1.0, gt=0.0),
+        "dt": Key(float, 1e-3, gt=0.0),
     },
     "mourre": {
-        "B": 3.0,
-        "omega": 4.0,
-        "potential": {"kind": "zero"},
-        "E": 8.0,
-        "delta": 1.0,
-        "eps": 1.0,
-        "scaling": None,
+        "B": _B,
+        "omega": _OMEGA,
+        "potential": _potential(_ZERO_W, POTENTIAL),
+        "E": Key(float, 8.0),
+        "delta": Key(float, 1.0, gt=0.0),
+        "eps": Key(float, 1.0, gt=0.0),
+        "scaling": Key(
+            {
+                "E0": Key(float, gt=0.0),
+                "delta0": Key(float, gt=0.0),
+                "eps0": Key(float, gt=0.0),
+                "omega_list": Key(list[float], gt=0.0),
+            },
+            None,
+        ),
     },
-    "commutator": {
-        "B": 3.0,
-        "omega": 4.0,
-        "gen_nogo": False,
-    },
-    "diagnostics": {
-        "B": 3.0,
-        "omega": 4.0,
-    },
+    "commutator": {"B": _B, "omega": _OMEGA, "gen_nogo": Key(bool, False)},
+    "diagnostics": {"B": _B, "omega": _OMEGA},
 }
 
 COMMANDS = tuple(_SCHEMAS)
 
 
-def _parse_set_value(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
-
-
-def _apply_set(config: dict, schema: dict, assignment: str) -> None:
+def _apply_set(config: dict, assignment: str) -> None:
     key, sep, raw = assignment.partition("=")
     if not sep:
         raise ConfigError(f"--set expects key=value, got {assignment!r}")
-    parts = key.split(".")
-    if parts[0] not in schema:
-        raise ConfigError(f"unknown config key {parts[0]!r}")
-    value = _parse_set_value(raw)
+    *parents, last = key.split(".")
     target = config
-    for part in parts[:-1]:
-        nxt = target.get(part)
-        if nxt is None:
-            nxt = {}
-            target[part] = nxt
-        if not isinstance(nxt, dict):
+    for part in parents:
+        if target.get(part) is None:
+            target[part] = {}
+        target = target[part]
+        if not isinstance(target, dict):
             raise ConfigError(f"cannot descend into non-object key {part!r}")
-        target = nxt
-    target[parts[-1]] = value
-
-
-def _check_types(config: dict, schema: dict) -> None:
-    for key, default in schema.items():
-        value = config[key]
-        if value is None or default is None:
-            continue
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{key} must be a boolean")
-        elif isinstance(default, (int, float)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{key} must be a number")
-        elif isinstance(default, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{key} must be an object")
-        elif isinstance(default, list):
-            if not isinstance(value, list):
-                raise ConfigError(f"{key} must be a list")
+    try:
+        target[last] = json.loads(raw)
+    except json.JSONDecodeError:
+        target[last] = raw  # a bare string
 
 
 def resolve_config(command: str, config_path: str | None, sets: list[str]) -> dict:
-    """Merge defaults, optional JSON file, then --set overrides; strict keys."""
-    schema = _SCHEMAS[command]
-    config = copy.deepcopy(schema)
+    """The optional JSON file, then --set overrides, validated against the
+    command's schema: the typed config with defaults filled in, or a
+    ConfigError.  A dotted --set descends into the file's object, or into a
+    new empty one, never into the default."""
+    config = {}
     if config_path:
         try:
             with open(config_path) as fh:
@@ -218,34 +202,10 @@ def resolve_config(command: str, config_path: str | None, sets: list[str]) -> di
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must contain a JSON object")
-        unknown = sorted(set(file_cfg) - set(schema))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        config.update(copy.deepcopy(file_cfg))
+        config = file_cfg
     for assignment in sets:
-        _apply_set(config, schema, assignment)
-    _check_types(config, schema)
-    return config
-
-
-def _build_potential(spec_dict: dict) -> Potential:
-    if not isinstance(spec_dict, dict) or "kind" not in spec_dict:
-        raise ConfigError("potential must be an object with a 'kind' key")
-    if spec_dict.get("kind") == "fourier_x" and "cosines" in spec_dict:
-        return FourierXPotential.from_cosines(
-            {int(k): float(v) for k, v in spec_dict["cosines"].items()}
-        )
-    try:
-        return potential_from_dict(spec_dict)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad potential spec: {exc}") from exc
-
-
-def _params(cfg: dict) -> ChannelParams:
-    try:
-        return derive_params(cfg["B"], cfg["omega"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        _apply_set(config, assignment)
+    return parse(_SCHEMAS[command], config)
 
 
 class _Artifacts:
@@ -294,18 +254,17 @@ def _emit_bands(bs, art: _Artifacts, gaps=None):
 
 
 def _cmd_bands(cfg: dict, art: _Artifacts, with_gaps: bool) -> int:
-    params = _params(cfg)
-    spec = _build_potential(cfg["potential"])
+    params = derive_params(cfg["B"], cfg["omega"])
     bs = compute_bands(
         params,
-        spec,
-        theta_count=int(cfg["theta_count"]),
+        potential_from_dict(cfg["potential"]),
+        theta_count=cfg["theta_count"],
         energy_ceiling=cfg["ceiling"],
-        n_hermite=None if cfg["n_hermite"] is None else int(cfg["n_hermite"]),
-        m_max=None if cfg["m_max"] is None else int(cfg["m_max"]),
-        refine=bool(cfg["refine"]),
-        xtol=float(cfg["xtol"]),
-        cauchy_tol=float(cfg["cauchy_tol"]),
+        n_hermite=cfg["n_hermite"],
+        m_max=cfg["m_max"],
+        refine=cfg["refine"],
+        xtol=cfg["xtol"],
+        cauchy_tol=cfg["cauchy_tol"],
     )
     gap_pairs = ()
     if with_gaps:
@@ -343,20 +302,16 @@ def _cmd_bands(cfg: dict, art: _Artifacts, with_gaps: bool) -> int:
 
 
 def _cmd_sweep(cfg: dict, art: _Artifacts) -> int:
-    spec = _build_potential(cfg["potential"])
-    omegas = [float(w) for w in cfg["omega_list"]]
-    if not omegas:
-        raise ConfigError("omega_list must be non-empty")
     report = gap_persistence_sweep(
-        float(cfg["B"]),
-        omegas,
-        spec,
-        target_gap_count=int(cfg["target_gap_count"]),
-        theta_count=int(cfg["theta_count"]),
-        hill_m_max=int(cfg["hill_m_max"]),
+        cfg["B"],
+        cfg["omega_list"],
+        potential_from_dict(cfg["potential"]),
+        target_gap_count=cfg["target_gap_count"],
+        theta_count=cfg["theta_count"],
+        hill_m_max=cfg["hill_m_max"],
         gap_tolerance=cfg["gap_tolerance"],
-        n_hermite=None if cfg["n_hermite"] is None else int(cfg["n_hermite"]),
-        refine=bool(cfg["refine"]),
+        n_hermite=cfg["n_hermite"],
+        refine=cfg["refine"],
     )
     rows = []
     full_rows = []
@@ -379,19 +334,12 @@ def _cmd_sweep(cfg: dict, art: _Artifacts) -> int:
 
 
 def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
-    params = _params(cfg)
-    spec = _build_potential(cfg["potential"])
-    if not spec.periodic_in_x:
-        raise ConfigError("hill requires a potential that is periodic in x")
-    m_max = int(cfg["m_max"])
+    params = derive_params(cfg["B"], cfg["omega"])
+    spec = potential_from_dict(cfg["potential"])
+    m_max = cfg["m_max"]
     proj = project_potential(spec, params, nmax=0, mfourier=2 * m_max)
     coeffs = proj.diag_coeffs(0)
-    hb = hill_bands(
-        coeffs,
-        m_max=m_max,
-        theta_count=int(cfg["theta_count"]),
-        band_count=int(cfg["band_count"]),
-    )
+    hb = hill_bands(coeffs, m_max=m_max, theta_count=cfg["theta_count"], band_count=cfg["band_count"])
     n_bands = hb.bands.shape[1]
     header = ["theta"] + [f"band_{j + 1}" for j in range(n_bands)]
     art.csv(
@@ -410,8 +358,8 @@ def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
             for j, (lo, hi) in enumerate(hb.band_intervals)
         ],
     )
-    ceiling = 3.0 * params.alpha if cfg["ceiling"] is None else float(cfg["ceiling"])
-    gaps = h00_gaps(params, spec, ceiling, m_max=m_max, theta_count=int(cfg["theta_count"]))
+    ceiling = 3.0 * params.alpha if cfg["ceiling"] is None else cfg["ceiling"]
+    gaps = h00_gaps(params, spec, ceiling, m_max=m_max, theta_count=cfg["theta_count"])
     art.csv(
         "hill_gaps.csv",
         ["gap", "lower", "upper", "width"],
@@ -430,7 +378,7 @@ def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
         checks = []
         for theta in (0.0, 0.25, 0.5):
             fourier = hill_spectrum(coeffs, theta, m_max=m_max, count=5)
-            fd = fd_hill_richardson(v_of_x, theta, count=5, n_points=int(cfg["fd_points"]))
+            fd = fd_hill_richardson(v_of_x, theta, count=5, n_points=cfg["fd_points"])
             checks.append(
                 {
                     "theta": theta,
@@ -446,16 +394,10 @@ def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
 
 
 def _cmd_classical(cfg: dict, art: _Artifacts) -> int:
-    params = _params(cfg)
-    spec = _build_potential(cfg["potential"])
-    initial = ClassicalState(
-        t=0.0,
-        x=float(cfg["x0"]),
-        y=float(cfg["y0"]),
-        px=float(cfg["px0"]),
-        py=float(cfg["py0"]),
-    )
-    t_end, dt = float(cfg["t_end"]), float(cfg["dt"])
+    params = derive_params(cfg["B"], cfg["omega"])
+    spec = potential_from_dict(cfg["potential"])
+    initial = ClassicalState(t=0.0, x=cfg["x0"], y=cfg["y0"], px=cfg["px0"], py=cfg["py0"])
+    t_end, dt = cfg["t_end"], cfg["dt"]
     traj = integrate(params, spec, initial, t_end, dt=dt)
     art.csv(
         "trajectory.csv",
@@ -496,11 +438,9 @@ def _cmd_classical(cfg: dict, art: _Artifacts) -> int:
 
 
 def _cmd_mourre(cfg: dict, art: _Artifacts) -> int:
-    params = _params(cfg)
-    spec = _build_potential(cfg["potential"])
-    report = evaluate_certificate(
-        params, spec, float(cfg["E"]), float(cfg["delta"]), float(cfg["eps"])
-    )
+    params = derive_params(cfg["B"], cfg["omega"])
+    spec = potential_from_dict(cfg["potential"])
+    report = evaluate_certificate(params, spec, cfg["E"], cfg["delta"], cfg["eps"])
     art.json("certificate.json", report)
     art.csv(
         "excluded.csv",
@@ -517,22 +457,8 @@ def _cmd_mourre(cfg: dict, art: _Artifacts) -> int:
         print(f"  {reason}")
     scaling = cfg["scaling"]
     if scaling is not None:
-        if not isinstance(scaling, dict):
-            raise ConfigError("scaling must be an object")
-        allowed = {"E0", "delta0", "eps0", "omega_list"}
-        unknown = sorted(set(scaling) - allowed)
-        if unknown:
-            raise ConfigError(f"unknown scaling keys: {', '.join(unknown)}")
-        missing = sorted(allowed - set(scaling))
-        if missing:
-            raise ConfigError(f"scaling block needs keys: {', '.join(missing)}")
         sweep = scaling_sweep(
-            float(cfg["B"]),
-            float(scaling["E0"]),
-            float(scaling["delta0"]),
-            float(scaling["eps0"]),
-            spec,
-            [float(w) for w in scaling["omega_list"]],
+            cfg["B"], scaling["E0"], scaling["delta0"], scaling["eps0"], spec, scaling["omega_list"]
         )
         art.csv(
             "scaling.csv",
@@ -574,7 +500,7 @@ def _observable_rows(label: str, obs: QuadraticObservable):
 
 
 def _cmd_commutator(cfg: dict, art: _Artifacts) -> int:
-    params = _params(cfg)
+    params = derive_params(cfg["B"], cfg["omega"])
     h0 = h0_observable(params)
     a = conjugate_observable(params)
     comm = commutator_iA(h0, a)
@@ -625,7 +551,7 @@ def _free_fiber_check(params: ChannelParams, theta: float = 0.3) -> dict:
 
 
 def _cmd_diagnostics(cfg: dict, art: _Artifacts) -> int:
-    params = _params(cfg)
+    params = derive_params(cfg["B"], cfg["omega"])
     checks: dict[str, dict] = {}
 
     d = derive_params(3.0, 4.0)
@@ -647,7 +573,7 @@ def _cmd_diagnostics(cfg: dict, art: _Artifacts) -> int:
             res.append(complex_theta_resolvent_bound(p, theta2).passed)
     checks["complex_theta_resolvent_bound"] = {"passed": all(res)}
 
-    two_cos = FourierXPotential.from_cosines({1: 2.0})
+    two_cos = FourierXPotential({1: 1.0, -1: 1.0})  # 2 cos x
     hproj = project_potential(two_cos, params, nmax=0, mfourier=64)
     fourier = hill_spectrum(hproj.diag_coeffs(0), 0.25, m_max=32, count=5)
     fd = fd_hill_richardson(lambda x: 2.0 * np.cos(x), 0.25, count=5, n_points=1024)
@@ -696,17 +622,32 @@ _HANDLERS = {
 
 
 def _run(command: str, cfg: dict, out_dir: Path) -> int:
+    """Run one command; manifest.json is written however the run ends."""
     art = _Artifacts(out_dir)
-    code = _HANDLERS[command](cfg, art)
-    manifest = {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "package_version": __version__,
-        "command": command,
-        "config": cfg,
-        "artifacts": art.names,
-        "exit_status": code,
-    }
-    write_json(out_dir / "manifest.json", manifest)
+    code, error = 1, None
+    try:
+        code = _HANDLERS[command](cfg, art)
+    except ValueError as exc:  # settings that are valid one by one but not together
+        error = f"config error: {exc}"
+    except (EigensolverError, ArpackNoConvergence, np.linalg.LinAlgError) as exc:
+        code, error = 2, f"numerical failure: {exc}"
+    except BaseException as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
+        manifest = {
+            "schema_version": MANIFEST_SCHEMA_VERSION,
+            "package_version": __version__,
+            "command": command,
+            "config": cfg,
+            "artifacts": art.names,
+            "exit_status": code,
+        }
+        if error is not None:
+            manifest["error"] = error
+        write_json(out_dir / "manifest.json", manifest)
+    if error is not None:
+        print(error, file=sys.stderr)
     print(f"wrote {len(art.names) + 1} file(s) to {out_dir}")
     return code
 
@@ -745,23 +686,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args.command, args.config, args.set)
-        if getattr(args, "gen_nogo", False):
-            cfg["gen_nogo"] = True
         if args.workers != 1:
             raise ConfigError("--workers must be 1: every command runs in one process")
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return _run(args.command, cfg, out_dir)
+        cfg = resolve_config(args.command, args.config, args.set)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (EigensolverError, ArpackNoConvergence, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+    if getattr(args, "gen_nogo", False):
+        cfg["gen_nogo"] = True
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return _run(args.command, cfg, out_dir)
 
 
 if __name__ == "__main__":

@@ -72,17 +72,6 @@ class FiberMatrix:
     def m_window(self) -> np.ndarray:
         return np.arange(-self.m_max, self.m_max + 1) + self.m_offset
 
-    def index(self, n: int, m: int) -> int:
-        if not 0 <= n < self.n_hermite:
-            raise IndexError(f"Hermite index {n} outside [0, {self.n_hermite})")
-        pos = m - self.m_offset + self.m_max
-        if not 0 <= pos <= 2 * self.m_max:
-            raise IndexError(f"Fourier index {m} outside the window")
-        return pos * self.n_hermite + n
-
-    def entry(self, n: int, m: int, np_: int, mp: int) -> complex:
-        return complex(self.entries[self.index(n, m), self.index(np_, mp)])
-
 
 @dataclass(eq=False)
 class FiberBlock:

@@ -115,11 +115,6 @@ class ProjectedPotential:
     mfourier: int
     coeffs: np.ndarray
 
-    def coeff(self, n: int, m: int, k: int) -> complex:
-        if abs(k) > self.mfourier:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[n, m, k + self.mfourier])
-
     def diag_coeffs(self, n: int) -> np.ndarray:
         """c^{(n,n)}_k for k = -mfourier..mfourier."""
         return self.coeffs[n, n]
@@ -133,15 +128,6 @@ class ProjectedPotential:
 
     def max_abs_coeff(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
-
-    def rows(self):
-        """(n, m, k, c) tuples for CSV-style dumps, zeros skipped."""
-        for n in range(self.nmax + 1):
-            for m in range(self.nmax + 1):
-                for idx, k in enumerate(range(-self.mfourier, self.mfourier + 1)):
-                    c = self.coeffs[n, m, idx]
-                    if c != 0.0:
-                        yield n, m, k, complex(c)
 
 
 _ALIASING_RTOL = 1e-8
@@ -158,10 +144,10 @@ def project_potential(
 ) -> ProjectedPotential:
     """Project W onto the scaled Hermite basis and the x-Fourier modes.
 
-    Requires an x-periodic kind.  Separable kinds (all built-in periodic
-    ones) use exact factorized quadrature; a generic tensor-grid route is
-    kept for cross-validation and future kinds.  Warns when the retained
-    Fourier tail at |k| = mfourier is above 1e-8 of the largest coefficient.
+    Requires an x-periodic kind.  Every built-in periodic kind is separable
+    and uses exact factorized quadrature (the tests cross-check it against
+    a tensor-grid projection).  Warns when Fourier coefficients beyond
+    |k| = mfourier are dropped that exceed 1e-8 of the largest one kept.
     """
     if not spec.periodic_in_x:
         raise ValueError(f"potential kind {spec.kind!r} is not 2*pi-periodic in x")
@@ -183,7 +169,7 @@ def project_potential(
             ((0, complex(spec.amplitude)),), spec.profile, params, nmax, mfourier, order
         )
     else:
-        coeffs = _project_generic(spec, params, nmax, mfourier, order)
+        raise ValueError(f"no Hermite projection for potential kind {spec.kind!r}")
 
     coeffs.setflags(write=False)
     proj = ProjectedPotential(alpha=params.alpha, nmax=nmax, mfourier=mfourier, coeffs=coeffs)
@@ -218,38 +204,6 @@ def _project_separable(coeffs, profile, params, nmax, mfourier, order) -> np.nda
         warnings.warn(
             f"Fourier cutoff mfourier={mfourier} drops coefficients of relative size "
             f"{rel:.2e}; raise mfourier",
-            stacklevel=2,
-        )
-    return out
-
-
-def _project_generic(spec, params, nmax, mfourier, order) -> np.ndarray:
-    """Tensor-grid projection: Gauss-Hermite in s, uniform DFT in x."""
-    basis = HermiteBasis.build(nmax, order)
-    nx = 8
-    while nx < 4 * (mfourier + 2):
-        nx *= 2
-    x = 2.0 * math.pi * np.arange(nx) / nx
-    yvals = basis.nodes / math.sqrt(params.alpha)
-    wgrid = spec.evaluate(x[None, :], yvals[:, None])  # (order, nx)
-    wphi = basis.weights * basis.phi
-    # G[n, m, j] = sum_i wphi[n,i] phi[m,i] W(x_j, y_i)
-    g = np.einsum("ni,mi,ij->nmj", wphi, basis.phi, wgrid)
-    spec_x = np.fft.fft(g, axis=-1) / nx  # coefficient of e^{ikx} at index k mod nx
-    ks = np.fft.fftfreq(nx, d=1.0 / nx).astype(int)
-    out = np.zeros((nmax + 1, nmax + 1, 2 * mfourier + 1), dtype=complex)
-    for idx, k in enumerate(ks):
-        if abs(k) <= mfourier:
-            out[:, :, k + mfourier] = spec_x[:, :, idx]
-    retained = np.max(np.abs(out))
-    tail = max(
-        float(np.max(np.abs(out[:, :, 0]))),
-        float(np.max(np.abs(out[:, :, -1]))),
-    )
-    if retained > 0.0 and tail > _ALIASING_RTOL * retained:
-        warnings.warn(
-            f"Fourier tail at |k| = mfourier is {tail / retained:.2e} of the peak; "
-            "projection may be aliased, raise mfourier",
             stacklevel=2,
         )
     return out

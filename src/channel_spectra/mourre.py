@@ -45,12 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, Potential, derive_params
-from .numutil import complement_within, merge_intervals
+from .numutil import complement_within
 
 __all__ = [
     "RELATIVE_BOUND_CONSTANT",
     "resolvent_constant",
-    "excluded_intervals",
     "condition_one_threshold",
     "MourreReport",
     "evaluate_certificate",
@@ -67,15 +66,6 @@ RELATIVE_BOUND_CONSTANT = math.sqrt(6.0)
 def resolvent_constant(params: ChannelParams, c: float = RELATIVE_BOUND_CONSTANT) -> float:
     """C(omega, B) = c (1 + alpha^2) / omega^2."""
     return c * (1.0 + params.alpha**2) / params.omega**2
-
-
-def excluded_intervals(
-    params: ChannelParams, delta: float, ceiling: float
-) -> list[tuple[float, float]]:
-    """Threshold windows [(2n+1) alpha +- delta] reaching up to the ceiling."""
-    if not 0.0 < delta < params.alpha:
-        raise ValueError("need 0 < delta < alpha")
-    return _threshold_windows(params.alpha, delta, ceiling)
 
 
 # more threshold windows than this below one energy means E / alpha is absurd

@@ -1,11 +1,16 @@
 """Band structure assembly, gap detection and the gap persistence sweep."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import channel_spectra
 from channel_spectra import (
     BandStructure,
     ConstantProfile,
@@ -227,3 +232,20 @@ def test_free_band_edges_match_closed_form_at_coarse_xtol():
     assert bs.band_count == 5
     assert np.max(np.abs(bs.band_intervals - exact)) < 1e-6
 
+
+
+@pytest.mark.parametrize("tol", ["-1.0", "0.0", "float('nan')"])
+def test_non_positive_cauchy_tol_is_rejected_promptly(tol):
+    # in a child process, so that a regression to the endless truncation
+    # doubling fails on the timeout instead of stalling the suite
+    src = str(Path(channel_spectra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = (
+        "from channel_spectra import ZeroPotential, compute_bands, derive_params\n"
+        f"compute_bands(derive_params(3.0, 4.0), ZeroPotential(), n_hermite=8, cauchy_tol={tol})\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 1
+    assert "ValueError: need cauchy_tol > 0" in proc.stderr

@@ -2,17 +2,23 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import channel_spectra
-from channel_spectra import derive_params
+from channel_spectra import cli, derive_params, potential_from_dict
 from channel_spectra.cli import COMMANDS, ConfigError, _free_fiber_check, main, resolve_config
+from channel_spectra.fiber import EigensolverError
+from channel_spectra.schema import Key, OneOf
 
 
 def _read_csv(path):
@@ -437,3 +443,218 @@ def test_sweep_command_small(tmp_path):
     assert float(rows[0]["discrepancy"]) < 0.5
     full = _read_csv(out / "full_gaps.csv")
     assert len(full) >= 1
+
+
+_PROFILE_Y = '{"kind": "profile_y", "profile": {"shape": "constant"}, '
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bands", "--set", "theta_count=33.7"],
+        ["hill", "--set", "m_max=2.5"],
+        ["bands", "--set", 'potential={"kind": "zero", "bogus": 1}'],
+        ["mourre", "--set", "potential=" + _PROFILE_Y + '"amplitud": 0.5}'],
+        ["mourre", "--set", "potential=" + _PROFILE_Y + '"amplitude": NaN}'],
+        ["gaps", "--set", "gap_tolerance=true"],
+        ["bands", "--set", "ceiling=abc"],
+        ["gaps", "--set", "gap_tolerance=x"],
+        ["hill", "--set", "ceiling=[1]"],
+        ["bands", "--set", "cauchy_tol=-1", "--set", "n_hermite=8"],
+        [
+            "gaps",
+            "--set",
+            'potential={"kind": "fourier_x", "coeffs": {"1": [0.5, 0.0], "-1": [0.5, 0.0]}, '
+            '"cosines": {"1": 2.0}}',
+        ],
+    ],
+    ids=[
+        "theta_count-fraction",
+        "hill-m_max-fraction",
+        "zero-potential-bogus-key",
+        "profile_y-misspelt-amplitude",
+        "profile_y-nan-amplitude",
+        "gap_tolerance-bool",
+        "ceiling-string",
+        "gap_tolerance-string",
+        "hill-ceiling-list",
+        "cauchy_tol-negative",
+        "cosines-with-coeffs",
+    ],
+)
+def test_invalid_single_key_exits_one_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cross_key_error_leaves_a_manifest(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["mourre", "--set", "delta=100", "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1
+    assert "delta" in manifest["error"]
+    assert manifest["config"]["delta"] == 100.0 and manifest["artifacts"] == []
+
+
+def test_numerical_failure_leaves_a_manifest(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise EigensolverError("no convergence", "nowhere.npy")
+
+    monkeypatch.setattr(cli, "compute_bands", fail)
+    out = tmp_path / "o"
+    assert main(["bands", "--out", str(out)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 2
+    assert "no convergence" in manifest["error"]
+    assert manifest["config"]["theta_count"] == 33
+
+
+def test_manifest_records_typed_config(tmp_path):
+    out = tmp_path / "o"
+    args = ["--set", "B=2", "--set", "theta_count=9.0", "--set", "refine=false", "--set", "n_hermite=8"]
+    assert main(["bands", *args, "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["B"] == 2.0 and isinstance(config["B"], float)
+    assert config["theta_count"] == 9 and isinstance(config["theta_count"], int)
+    assert config["m_max"] is None and config["xtol"] == 1e-8
+    assert "error" not in json.loads((out / "manifest.json").read_text())
+
+
+# Hypothesis: overrides of known keys (nested ones too) and unknown keys
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=5)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+_NUMBERS = st.integers(-3, 70) | st.floats(-2.0, 60.0) | st.sampled_from([2.5, math.nan, math.inf, 10**400])
+_OBJECTS = [
+    {"E0": 1.6, "delta0": 0.2, "eps0": 0.2, "omega_list": [1.0, 4.0]},
+    {"shape": "gaussian", "sigma": 0.5},
+    {"shape": "polynomial", "coeffs": [1, 0.5]},
+    {"1": [0.5, 0.0], "-1": [0.5, 0.0]},
+    {"0": 0.2},
+    {"kind": "zero"},
+    {"kind": "fourier_x", "coeffs": {"2": [0.0, 0.1], "-2": [0.0, -0.1]}},
+    {"kind": "fourier_x", "coeffs": {"1": [0.5, 0.0]}},
+    {"kind": "profile_y", "profile": {"shape": "constant"}, "amplitude": 2},
+    {"kind": "fourier_x_profile", "coeffs": {"0": 0.2}, "profile": {"shape": "gaussian"}},
+    {"kind": "gaussian_bumps", "bumps": [[0.1, 0.0, 0.0, 1.0]]},
+    {"kind": "grid", "x": [0, 1], "y": [0, 1], "values": [[0, 1], [1, 0]]},
+]
+
+
+def _typed_values(key: Key, holding: str = ""):
+    """Values of about the key's type, in range or just outside it; objects
+    that hold the given key, when one is named."""
+    kind = key.type
+    if kind is bool:
+        return st.booleans()
+    if kind in (int, float):
+        return _NUMBERS
+    if kind is str:
+        return st.sampled_from(["zero", "fourier_x", "profile_y", "grid", "gaussian", "constant"])
+    if typing.get_origin(kind) is list:
+        return st.lists(_NUMBERS, max_size=3) | st.lists(st.lists(_NUMBERS, max_size=4), max_size=2)
+    if isinstance(kind, OneOf):
+        return st.sampled_from([o for o in _OBJECTS if kind.tag in o and (not holding or holding in o)])
+    if isinstance(kind, dict):
+        return st.sampled_from([o for o in _OBJECTS if set(o) <= set(kind)])
+    return st.sampled_from([o for o in _OBJECTS if all(k.lstrip("-").isdigit() for k in o)])
+
+
+def _schema_keys(schema, prefix=""):
+    """(path, Key) for every key of a table, nested keys included."""
+    for name, key in schema.items():
+        yield prefix + name, key
+        if isinstance(key.type, OneOf):
+            yield prefix + name + "." + key.type.tag, Key(str)
+        nested = key.type.schemas.values() if isinstance(key.type, OneOf) else [key.type]
+        for sub in nested:
+            if isinstance(sub, dict):
+                yield from _schema_keys(sub, prefix + name + ".")
+
+
+_UNKNOWN = st.sampled_from(["nope", "potential.bogus", "scaling.extra", "potential.profile.width"])
+
+
+def _overrides(schema):
+    """Up to three overrides; a nested key comes after a plausible object for
+    its top-level key, so that it has something to descend into."""
+    picks = [st.tuples(_UNKNOWN, _JSON).map(lambda pair: [pair])]
+    for path, key in _schema_keys(schema):
+        top = path.split(".")[0]
+        pick = st.tuples(st.just(path), _typed_values(key) | _JSON)
+        if path == top:
+            picks.append(pick.map(lambda pair: [pair]))
+        else:
+            base = st.tuples(st.just(top), _typed_values(schema[top], path.split(".")[1]))
+            picks.append(st.tuples(base, pick).map(list))
+    groups = st.lists(st.one_of(picks), max_size=3)
+    return groups.map(lambda gs: [pair for g in gs for pair in g])
+
+
+_OVERRIDES = {command: _overrides(schema) for command, schema in cli._SCHEMAS.items()}
+
+
+def _conforms(key: Key, value) -> None:
+    """Assert that a resolved value has its key's declared type and range."""
+    if value is None:
+        assert key.default is None
+        return
+    kind = key.type
+    if kind is bool:
+        assert type(value) is bool
+    elif kind is int:
+        assert type(value) is int
+    elif kind is float:
+        assert type(value) is float and math.isfinite(value)
+    elif typing.get_origin(kind) is list:
+        assert isinstance(value, list) and value
+        for item in value:
+            _conforms(Key(typing.get_args(kind)[0], ge=key.ge, gt=key.gt), item)
+    elif isinstance(kind, (dict, OneOf)):
+        schema = kind if isinstance(kind, dict) else {kind.tag: Key(str), **kind.schemas[value[kind.tag]]}
+        assert set(value) == set(schema)
+        for name, sub in schema.items():
+            if sub.type is not str:
+                _conforms(sub, value[name])
+    else:  # Fourier coefficients: harmonic -> [re, im]
+        for k, pair in value.items():
+            int(k)
+            assert len(pair) == 2 and all(type(c) is float and math.isfinite(c) for c in pair)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        assert key.ge is None or value >= key.ge
+        assert key.gt is None or value > key.gt
+    if key.check is not None:
+        key.check(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_resolved_config_is_typed_or_rejected(data):
+    command = data.draw(st.sampled_from(COMMANDS))
+    overrides = data.draw(_OVERRIDES[command])
+    sets = [f"{path}={json.dumps(value)}" for path, value in overrides]
+    try:
+        cfg = resolve_config(command, None, sets)
+    except ConfigError:
+        return
+    schema = cli._SCHEMAS[command]
+    assert set(cfg) == set(schema)
+    for name, key in schema.items():
+        _conforms(key, cfg[name])
+    if "potential" in cfg:
+        potential_from_dict(cfg["potential"])

@@ -13,7 +13,6 @@ from channel_spectra import (
     appendix_norm_checks,
     derive_params,
     evaluate_certificate,
-    excluded_intervals,
     scaling_sweep,
 )
 from channel_spectra.mourre import (
@@ -101,16 +100,11 @@ def test_certificate_parameter_validation():
 
 
 def test_excluded_intervals_layout():
-    assert excluded_intervals(_P34, 1.0, 20.0) == [(4.0, 6.0), (14.0, 16.0)]
-    assert excluded_intervals(_P34, 1.0, 24.0) == [
-        (4.0, 6.0),
-        (14.0, 16.0),
-        (24.0, 26.0),
-    ]
-    with pytest.raises(ValueError):
-        excluded_intervals(_P34, 0.0, 20.0)
-    with pytest.raises(ValueError):
-        excluded_intervals(_P34, 5.0, 20.0)
+    # windows (2n+1) alpha +- (delta + eps) starting at or below max(E, alpha) + delta + eps
+    cert = evaluate_certificate(_P34, ZeroPotential(), E=19.0, delta=0.5, eps=0.5)
+    assert cert.excluded == ((4.0, 6.0), (14.0, 16.0))
+    cert = evaluate_certificate(_P34, ZeroPotential(), E=23.0, delta=0.5, eps=0.5)
+    assert cert.excluded == ((4.0, 6.0), (14.0, 16.0), (24.0, 26.0))
 
 
 def test_scaling_sweep_threshold_growth():
