@@ -66,10 +66,6 @@ class BandStructure:
     def spectrum_bottom(self) -> float:
         return float(np.min(self.band_intervals[:, 0]))
 
-    def band_variations(self) -> np.ndarray:
-        """max - min of each band over the grid (flat-band proxy)."""
-        return self.bands.max(axis=0) - self.bands.min(axis=0)
-
     def union_intervals(self) -> list[tuple[float, float]]:
         return merge_intervals([tuple(row) for row in self.band_intervals])
 

@@ -107,7 +107,7 @@ class ConstantProfile:
         return np.full_like(y, self.value)
 
     def derivative(self, y):
-        return np.zeros_like(np.asarray(y, dtype=float))
+        return _ones(y) * 0.0
 
     def second_derivative(self, y):
         return np.zeros_like(np.asarray(y, dtype=float))
@@ -144,7 +144,6 @@ class GaussianProfile:
         return np.exp(-(y * y) / (2.0 * self.sigma**2))
 
     def derivative(self, y):
-        y = np.asarray(y, dtype=float)
         return -(y / self.sigma**2) * self(y)
 
     def second_derivative(self, y):
@@ -187,7 +186,6 @@ class PolynomialProfile:
         return np.polynomial.polynomial.polyval(y, np.asarray(self.coeffs))
 
     def derivative(self, y):
-        y = np.asarray(y, dtype=float)
         der = np.polynomial.polynomial.polyder(np.asarray(self.coeffs))
         return np.polynomial.polynomial.polyval(y, der)
 
@@ -307,6 +305,18 @@ def _ret(values: np.ndarray, scalar: bool):
     return float(values) if scalar else values
 
 
+def _ones(x, y=0.0):
+    """1.0 at a point given by floats, else ones of the broadcast shape of x and y.
+
+    The analytic gradients compute on their inputs as given.  Multiplying by
+    this broadcasts a component that depends on one coordinate only, or
+    builds an identically zero one, without changing a bit of it.
+    """
+    if isinstance(x, float) and isinstance(y, float):
+        return 1.0
+    return np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)))
+
+
 @dataclass(frozen=True)
 class ZeroPotential(Potential):
     kind: ClassVar[str] = "zero"
@@ -360,8 +370,8 @@ def _canonical_coeffs(coeffs: Mapping[int, complex]) -> tuple[tuple[int, complex
     return tuple(sorted(out.items()))
 
 
-def _fourier_eval(coeffs: tuple[tuple[int, complex], ...], x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
+def _fourier_eval(coeffs: tuple[tuple[int, complex], ...], x, out=0.0):
+    """f(x) = sum_k c_k e^{ikx} added term by term onto ``out``."""
     for k, c in coeffs:
         if k == 0:
             out = out + c.real
@@ -370,8 +380,8 @@ def _fourier_eval(coeffs: tuple[tuple[int, complex], ...], x: np.ndarray) -> np.
     return out
 
 
-def _fourier_eval_deriv(coeffs, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
+def _fourier_eval_deriv(coeffs, x, out=0.0):
+    """f'(x) added term by term onto ``out``."""
     for k, c in coeffs:
         if k > 0:
             out = out + 2.0 * k * (-c.real * np.sin(k * x) - c.imag * np.cos(k * x))
@@ -429,11 +439,11 @@ class FourierXPotential(Potential):
 
     def evaluate(self, x, y):
         xb, _, scalar = _as_xy(x, y)
-        return _ret(_fourier_eval(self.coeffs, xb), scalar)
+        return _ret(_fourier_eval(self.coeffs, xb, np.zeros_like(xb)), scalar)
 
     def gradient(self, x, y):
-        xb, _, _ = _as_xy(x, y)
-        return _fourier_eval_deriv(self.coeffs, xb), np.zeros_like(xb)
+        zero = _ones(x, y) * 0.0
+        return _fourier_eval_deriv(self.coeffs, x, zero), zero
 
     def norm_estimates(self) -> PotentialBounds:
         w0, exact = _fourier_sup(self.coeffs)
@@ -471,14 +481,13 @@ class SeparableFourierPotential(Potential):
 
     def evaluate(self, x, y):
         xb, yb, scalar = _as_xy(x, y)
-        return _ret(_fourier_eval(self.coeffs, xb) * self.profile(yb), scalar)
+        return _ret(_fourier_eval(self.coeffs, xb, np.zeros_like(xb)) * self.profile(yb), scalar)
 
     def gradient(self, x, y):
-        xb, yb, _ = _as_xy(x, y)
-        g = self.profile(yb)
+        zero = _ones(x, y) * 0.0
         return (
-            _fourier_eval_deriv(self.coeffs, xb) * g,
-            _fourier_eval(self.coeffs, xb) * self.profile.derivative(yb),
+            _fourier_eval_deriv(self.coeffs, x, zero) * self.profile(y),
+            _fourier_eval(self.coeffs, x, zero) * self.profile.derivative(y),
         )
 
     def norm_estimates(self) -> PotentialBounds:
@@ -522,8 +531,8 @@ class TransverseProfilePotential(Potential):
         return _ret(self.amplitude * self.profile(yb) * np.ones_like(xb), scalar)
 
     def gradient(self, x, y):
-        xb, yb, _ = _as_xy(x, y)
-        return np.zeros_like(xb), self.amplitude * self.profile.derivative(yb)
+        one = _ones(x, y)
+        return one * 0.0, self.amplitude * self.profile.derivative(y) * one
 
     def norm_estimates(self) -> PotentialBounds:
         a = abs(self.amplitude)
@@ -592,14 +601,12 @@ class GaussianBumpPotential(Potential):
         return _ret(out, scalar)
 
     def gradient(self, x, y):
-        xb, yb, _ = _as_xy(x, y)
-        wx = np.zeros_like(xb)
-        wy = np.zeros_like(xb)
+        wx = wy = 0.0
         for b in self.bumps:
-            r2 = (xb - b.x0) ** 2 + (yb - b.y0) ** 2
+            r2 = (x - b.x0) ** 2 + (y - b.y0) ** 2
             g = b.amplitude * np.exp(-r2 / (2.0 * b.width**2))
-            wx = wx - (xb - b.x0) / b.width**2 * g
-            wy = wy - (yb - b.y0) / b.width**2 * g
+            wx = wx - (x - b.x0) / b.width**2 * g
+            wy = wy - (y - b.y0) / b.width**2 * g
         return wx, wy
 
     def _box(self) -> tuple[float, float, float, float]:

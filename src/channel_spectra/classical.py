@@ -44,6 +44,17 @@ __all__ = [
 ]
 
 _BLOWUP_LIMIT = 1e9
+# 320 MB of states, and about two minutes of RK4 at some 13 us a step with a potential
+_MAX_STEPS = 10**7
+
+
+def _step_count(t_end: float, dt: float) -> int:
+    """round(t_end / dt), refused above _MAX_STEPS before anything is allocated."""
+    if not (dt > 0 and t_end > 0):
+        raise ValueError("need positive dt and t_end")
+    if not t_end / dt <= _MAX_STEPS:
+        raise ValueError(f"t_end / dt = {t_end / dt:.3g} exceeds the cap of {_MAX_STEPS:.0e} steps")
+    return int(round(t_end / dt))
 
 
 @dataclass(frozen=True)
@@ -163,30 +174,10 @@ def closed_form_trajectory(
     params: ChannelParams, initial: ClassicalState, t_end: float, dt: float
 ) -> Trajectory:
     """Sampled exact W = 0 orbit from initial.t to initial.t + t_end."""
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("need positive dt and t_end")
-    n = int(round(t_end / dt))
+    n = _step_count(t_end, dt)
     times = initial.t + dt * np.arange(n + 1)
     states = _free_orbit(params, initial, times - initial.t)
     return _trajectory_arrays(params, "closed_form", "zero", times, states)
-
-
-def _rhs(params: ChannelParams, spec: Potential | None, state: np.ndarray) -> np.ndarray:
-    x, y, px, py = state
-    if spec is None:
-        wx = wy = 0.0
-    else:
-        wx, wy = spec.gradient(x, y)
-        wx, wy = float(wx), float(wy)
-    vx = 2.0 * (px + params.B * y)
-    return np.array(
-        [
-            vx,
-            2.0 * py,
-            -wx,
-            -params.B * vx - 2.0 * params.omega**2 * y - wy,
-        ]
-    )
 
 
 def integrate(
@@ -198,30 +189,47 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step RK4 integration of Hamilton's equations.
 
+    The state is carried as four Python floats and the potential gradient is
+    taken at one float point per stage.  Every operation is the one the
+    length-4 state array would do, in the same order, so the trajectory is
+    the array form's bit for bit.  At most 10^7 steps are taken: t_end / dt
+    above 1e7 raises ValueError before anything is allocated.
+
     Aborts (returning the partial trajectory flagged ``aborted``) when any
-    phase-space component exceeds 1e9, which only happens for unbounded
-    potential data.
+    phase-space component exceeds 1e9 or is not finite, which only happens
+    for unbounded potential data.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("need positive dt and t_end")
+    n = _step_count(t_end, dt)
     if isinstance(spec, ZeroPotential):
         spec = None
-    n = int(round(t_end / dt))
+    B, w2 = params.B, 2.0 * params.omega**2
+    gradient = None if spec is None else spec.gradient
+
+    def rhs(x, y, px, py):
+        wx, wy = (0.0, 0.0) if gradient is None else map(float, gradient(x, y))
+        vx = 2.0 * (px + B * y)
+        return vx, 2.0 * py, -wx, -B * vx - w2 * y - wy
+
     states = np.empty((n + 1, 4))
     states[0] = (initial.x, initial.y, initial.px, initial.py)
+    x, y, px, py = states[0].tolist()
+    half, sixth, limit = 0.5 * dt, dt / 6.0, _BLOWUP_LIMIT
     aborted = False
     steps = 0
-    s = states[0]
     for i in range(n):
-        k1 = _rhs(params, spec, s)
-        k2 = _rhs(params, spec, s + 0.5 * dt * k1)
-        k3 = _rhs(params, spec, s + 0.5 * dt * k2)
-        k4 = _rhs(params, spec, s + dt * k3)
-        s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(s)) or np.max(np.abs(s)) > _BLOWUP_LIMIT:
+        dx1, dy1, dpx1, dpy1 = rhs(x, y, px, py)
+        dx2, dy2, dpx2, dpy2 = rhs(x + half * dx1, y + half * dy1, px + half * dpx1, py + half * dpy1)
+        dx3, dy3, dpx3, dpy3 = rhs(x + half * dx2, y + half * dy2, px + half * dpx2, py + half * dpy2)
+        dx4, dy4, dpx4, dpy4 = rhs(x + dt * dx3, y + dt * dy3, px + dt * dpx3, py + dt * dpy3)
+        x = x + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
+        y = y + sixth * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4)
+        px = px + sixth * (dpx1 + 2.0 * dpx2 + 2.0 * dpx3 + dpx4)
+        py = py + sixth * (dpy1 + 2.0 * dpy2 + 2.0 * dpy3 + dpy4)
+        # one test per component: a NaN fails its own, where max() could pass it over
+        if not (abs(x) <= limit and abs(y) <= limit and abs(px) <= limit and abs(py) <= limit):
             aborted = True
             break
-        states[i + 1] = s
+        states[i + 1] = (x, y, px, py)
         steps = i + 1
     times = initial.t + dt * np.arange(steps + 1)
     return _trajectory_arrays(

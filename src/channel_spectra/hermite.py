@@ -119,16 +119,6 @@ class ProjectedPotential:
         """c^{(n,n)}_k for k = -mfourier..mfourier."""
         return self.coeffs[n, n]
 
-    def toeplitz_block(self, n: int, m: int, m_window: np.ndarray) -> np.ndarray:
-        """Matrix [c^{(n,m)}_{mu - nu}] over the Fourier window."""
-        kdiff = m_window[:, None] - m_window[None, :]
-        if np.max(np.abs(kdiff)) > self.mfourier:
-            raise ValueError("Fourier cutoff of the projection is too small for this window")
-        return self.coeffs[n, m, kdiff + self.mfourier]
-
-    def max_abs_coeff(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
 
 _ALIASING_RTOL = 1e-8
 _CACHE: dict[tuple, ProjectedPotential] = {}
@@ -149,6 +139,8 @@ def project_potential(
     a tensor-grid projection).  Warns when Fourier coefficients beyond
     |k| = mfourier are dropped that exceed 1e-8 of the largest one kept.
     """
+    if not 0 <= nmax <= _MAX_DEGREE:
+        raise ValueError(f"nmax must be in [0, {_MAX_DEGREE}], got {nmax}")
     if not spec.periodic_in_x:
         raise ValueError(f"potential kind {spec.kind!r} is not 2*pi-periodic in x")
     if mfourier < 0:

@@ -198,10 +198,6 @@ class GapReport:
     def count(self) -> int:
         return len(self.gaps)
 
-    @property
-    def widths(self) -> tuple[float, ...]:
-        return tuple(hi - lo for lo, hi in self.gaps)
-
 
 def gap_report(band_intervals, floor: float, ceiling: float, tolerance: float) -> GapReport:
     """Gaps between the lowest band edge and the ceiling wider than tolerance.

@@ -8,8 +8,13 @@ import pytest
 
 from channel_spectra import (
     ClassicalState,
+    ConstantProfile,
+    FourierXPotential,
     GaussianBumpPotential,
+    GaussianProfile,
+    GridSampledPotential,
     PolynomialProfile,
+    SeparableFourierPotential,
     TransverseProfilePotential,
     ZeroPotential,
     closed_form_state,
@@ -18,10 +23,88 @@ from channel_spectra import (
     integrate,
     mourre_observable,
 )
-from channel_spectra.classical import energy, guiding_center
+from channel_spectra.channel import Potential
+from channel_spectra.classical import _BLOWUP_LIMIT, _trajectory_arrays, energy, guiding_center
 
 _P34 = derive_params(3.0, 4.0)
 _INIT = ClassicalState(t=0.0, x=0.0, y=0.0, px=1.0, py=0.0)
+
+
+def _reference_rhs(params, spec, state):
+    x, y, px, py = state
+    if spec is None:
+        wx = wy = 0.0
+    else:
+        wx, wy = spec.gradient(np.asarray(x), np.asarray(y))
+        wx, wy = float(wx), float(wy)
+    vx = 2.0 * (px + params.B * y)
+    return np.array([vx, 2.0 * py, -wx, -params.B * vx - 2.0 * params.omega**2 * y - wy])
+
+
+def _reference_integrate(params, spec, initial, t_end, dt):
+    """Oracle for integrate: the same RK4 on the state as a length-4 array,
+    with the gradient taken at 0-d arrays."""
+    if isinstance(spec, ZeroPotential):
+        spec = None
+    n = int(round(t_end / dt))
+    states = np.empty((n + 1, 4))
+    states[0] = (initial.x, initial.y, initial.px, initial.py)
+    aborted = False
+    steps = 0
+    s = states[0]
+    for i in range(n):
+        k1 = _reference_rhs(params, spec, s)
+        k2 = _reference_rhs(params, spec, s + 0.5 * dt * k1)
+        k3 = _reference_rhs(params, spec, s + 0.5 * dt * k2)
+        k4 = _reference_rhs(params, spec, s + dt * k3)
+        s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(s)) or np.max(np.abs(s)) > _BLOWUP_LIMIT:
+            aborted = True
+            break
+        states[i + 1] = s
+        steps = i + 1
+    times = initial.t + dt * np.arange(steps + 1)
+    return _trajectory_arrays(params, "rk4", "", times, states[: steps + 1], spec=spec, aborted=aborted)
+
+
+class _NanOnCall(Potential):
+    """dW/dx is NaN at the 40th gradient call only, the last stage of step
+    10, so that step ends with p_x NaN and x, y, p_y finite."""
+
+    kind = "nan_on_call"
+
+    def __init__(self):
+        self.calls = 0
+
+    def evaluate(self, x, y):
+        return 0.0 * np.asarray(x, dtype=float)
+
+    def gradient(self, x, y):
+        self.calls += 1
+        return (math.nan if self.calls == 40 else 0.0), 0.0
+
+
+def _bits(a):
+    """Bit patterns of floats, so that equality tells -0.0 from 0.0."""
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+_GRID_X = np.linspace(-3.0, 3.0, 7)
+_GRID_Y = np.linspace(-2.0, 2.0, 5)
+_TWO_BUMPS = GaussianBumpPotential([(0.8, 0.3, -0.2, 0.9), (-0.4, -1.0, 0.5, 1.3)])
+_COMPLEX_COS = {1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 3: 0.1 - 0.05j, -3: 0.1 + 0.05j, 0: 0.2}
+_ANALYTIC = {
+    "gaussian_bumps": _TWO_BUMPS,
+    "fourier_x": FourierXPotential(_COMPLEX_COS),
+    "fourier_x_profile": SeparableFourierPotential(_COMPLEX_COS, GaussianProfile(0.8)),
+    "fourier_x_profile-polynomial": SeparableFourierPotential(
+        {2: 0.5j, -2: -0.5j}, PolynomialProfile([0.1, 0.3, -0.7])
+    ),
+    "fourier_x_profile-constant": SeparableFourierPotential(_COMPLEX_COS, ConstantProfile(-1.5)),
+    "profile_y": TransverseProfilePotential(GaussianProfile(0.7), -1.3),
+    "profile_y-polynomial": TransverseProfilePotential(PolynomialProfile([0.0, 0.4, 0.9]), 0.6),
+    "profile_y-constant": TransverseProfilePotential(ConstantProfile(2.0), -1.3),
+}
 
 
 def test_reference_orbit_formulas():
@@ -151,4 +234,101 @@ def test_time_step_validation():
     with pytest.raises(ValueError):
         integrate(_P34, None, _INIT, t_end=-1.0)
     with pytest.raises(ValueError):
+        integrate(_P34, None, _INIT, t_end=1.0, dt=math.nan)
+    with pytest.raises(ValueError):
         closed_form_trajectory(_P34, _INIT, t_end=0.0, dt=1e-3)
+    # more than 1e7 steps is refused before the (n + 1, 4) state array exists
+    for t_end, dt in ((1e9, 1e-3), (1e7 + 1.0, 1.0), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match="cap"):
+            integrate(_P34, None, _INIT, t_end=t_end, dt=dt)
+        with pytest.raises(ValueError, match="cap"):
+            closed_form_trajectory(_P34, _INIT, t_end=t_end, dt=dt)
+
+
+@pytest.mark.parametrize(
+    "params, spec, initial, t_end",
+    [
+        (_P34, None, _INIT, 1.0),
+        (_P34, ZeroPotential(), ClassicalState(0.0, 0.3, -0.1, 0.7, 0.4), 1.0),
+        (_P34, _TWO_BUMPS, ClassicalState(0.0, -1.5, 0.1, 1.2, 0.2), 1.5),
+        (_P34, _ANALYTIC["fourier_x"], ClassicalState(0.0, 0.0, 0.1, 1.0, 0.2), 1.5),
+        (_P34, _ANALYTIC["fourier_x_profile"], ClassicalState(0.0, 0.0, 0.1, 1.0, 0.2), 1.5),
+        (_P34, _ANALYTIC["profile_y"], ClassicalState(0.0, 0.0, 0.1, 1.0, 0.2), 1.5),
+        (
+            _P34,
+            GridSampledPotential(
+                _GRID_X, _GRID_Y, np.outer(np.cos(_GRID_X), _GRID_Y**2)
+            ),
+            ClassicalState(0.0, 0.0, 0.1, 1.0, 0.2),
+            0.5,
+        ),
+        (
+            derive_params(0.0, 1.0),
+            TransverseProfilePotential(PolynomialProfile([0.0, 0.0, -10.0])),
+            ClassicalState(0.0, 0.0, 0.1, 0.0, 0.0),
+            10.0,
+        ),
+    ],
+    ids=[
+        "none", "zero", "gaussian_bumps", "fourier_x", "fourier_x_profile", "profile_y",
+        "grid", "aborting-polynomial",
+    ],
+)
+def test_integrate_is_bit_identical_to_the_array_form(params, spec, initial, t_end):
+    got = integrate(params, spec, initial, t_end=t_end, dt=1e-3)
+    want = _reference_integrate(params, spec, initial, t_end, 1e-3)
+    assert got.aborted == want.aborted
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(_bits(got.states), _bits(want.states))
+    assert np.array_equal(got.energies, want.energies)
+
+
+def test_a_nan_in_one_component_aborts_the_step():
+    got = integrate(_P34, _NanOnCall(), _INIT, t_end=0.1, dt=1e-3)
+    want = _reference_integrate(_P34, _NanOnCall(), _INIT, 0.1, 1e-3)
+    assert got.aborted and want.aborted
+    assert got.times.size == want.times.size == 10
+    assert np.array_equal(got.states, want.states)
+    assert np.all(np.isfinite(got.states))
+
+
+@pytest.mark.parametrize("name", sorted(_ANALYTIC))
+def test_gradient_at_a_float_point_is_the_array_gradient(name):
+    spec = _ANALYTIC[name]
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(-4.0, 4.0, 200), [0.0, -0.0, 0.3]])
+    y = np.concatenate([rng.uniform(-2.0, 2.0, 200), [0.0, -0.0, -0.2]])
+    wx, wy = spec.gradient(x, y)
+    points = [spec.gradient(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    for w in points[0]:
+        assert np.ndim(w) == 0 and isinstance(w, float)
+    sx, sy = (np.array(c, dtype=float) for c in zip(*points))
+    if isinstance(spec, GaussianBumpPotential):
+        # (x - x0) ** 2 rounds through C pow on a float and through x * x on
+        # an array; they differ in the last bit for about 1 in 1000 inputs
+        scale = sum(abs(b.amplitude) / b.width for b in spec.bumps)
+        assert np.max(np.abs(wx - sx)) <= 4e-16 * scale
+        assert np.max(np.abs(wy - sy)) <= 4e-16 * scale
+    else:
+        assert np.array_equal(_bits(wx), _bits(sx))
+        assert np.array_equal(_bits(wy), _bits(sy))
+
+
+@pytest.mark.parametrize("name", sorted(_ANALYTIC))
+def test_gradient_of_arrays_has_the_broadcast_shape(name):
+    spec = _ANALYTIC[name]
+    x = np.linspace(-2.0, 2.0, 6)
+    y = np.linspace(-1.0, 1.0, 4)
+    for xs, ys, shape in (
+        (x, 0.25, (6,)),
+        (0.25, y, (4,)),
+        (x[:, None] + 0.0 * y, 0.0 * x[:, None] + y, (6, 4)),
+        (x[:, None], y[None, :], (6, 4)),
+    ):
+        wx, wy = spec.gradient(xs, ys)
+        assert np.shape(wx) == shape and np.shape(wy) == shape
+        # each entry is the gradient at that point
+        xb, yb = np.broadcast_arrays(xs, ys)
+        i = (1,) * len(shape)
+        px, py = spec.gradient(float(xb[i]), float(yb[i]))
+        assert abs(wx[i] - px) <= 1e-15 and abs(wy[i] - py) <= 1e-15

@@ -491,6 +491,34 @@ def test_invalid_single_key_exits_one_before_any_output(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classical", "--set", "t_end=1e9"],
+        ["bands", "--set", 'potential={"kind": "zero"}', "--set", "n_hermite=600"],
+    ],
+    ids=["classical-step-cap", "zero-potential-hermite-cap"],
+)
+def test_oversized_run_is_refused_promptly(tmp_path, argv):
+    # in a child process, so that a regression to allocating first and
+    # running for minutes fails on the timeout instead of stalling the suite
+    src = str(Path(channel_spectra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "channel_spectra.cli", *argv, "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1
+    assert manifest["error"] == proc.stderr.strip()
+
+
 def test_cross_key_error_leaves_a_manifest(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["mourre", "--set", "delta=100", "--out", str(out)]) == 1

@@ -26,6 +26,18 @@ def _coeff(proj, n, m, k):
     return proj.coeffs[n, m, k + proj.mfourier]
 
 
+def _toeplitz_block(proj, n, m, m_window):
+    """Matrix [c^{(n,m)}_{mu - nu}] over a Fourier window."""
+    kdiff = m_window[:, None] - m_window[None, :]
+    if np.max(np.abs(kdiff)) > proj.mfourier:
+        raise ValueError("Fourier cutoff of the projection is too small for this window")
+    return proj.coeffs[n, m, kdiff + proj.mfourier]
+
+
+def _max_abs_coeff(proj):
+    return float(np.max(np.abs(proj.coeffs)))
+
+
 def _project_generic(spec, params, nmax, mfourier):
     """Oracle for project_potential: the same projection by brute force, on a
     tensor grid (Gauss-Hermite in s, uniform DFT in x), for any periodic W."""
@@ -79,7 +91,19 @@ def test_overlap_s_squared_matches_ladder():
 def test_zero_potential_projects_to_zero():
     p = derive_params(3.0, 4.0)
     proj = project_potential(ZeroPotential(), p, nmax=5, mfourier=4)
-    assert proj.max_abs_coeff() == 0.0
+    assert _max_abs_coeff(proj) == 0.0
+
+
+def test_projection_degree_cap_applies_to_every_kind():
+    # checked before the cache lookup and the allocation: the W = 0 array
+    # at nmax = 1199 and mfourier = 16 alone would be about 0.8 GB
+    p = derive_params(3.0, 4.0)
+    for spec in (ZeroPotential(), FourierXPotential.from_cosines({1: 2.0})):
+        with pytest.raises(ValueError, match="nmax"):
+            project_potential(spec, p, nmax=1199)
+        with pytest.raises(ValueError, match="nmax"):
+            project_potential(spec, p, nmax=-1)
+    assert project_potential(ZeroPotential(), p, nmax=1000, mfourier=0).coeffs.shape == (1001, 1001, 1)
 
 
 def test_pure_cosine_projection_is_diagonal():
@@ -167,14 +191,14 @@ def test_toeplitz_block_layout():
     spec = FourierXPotential.from_cosines({1: 2.0, 2: 0.6})
     proj = project_potential(spec, p, nmax=3, mfourier=6)
     window = np.arange(-2, 3)
-    block = proj.toeplitz_block(1, 1, window)
+    block = _toeplitz_block(proj, 1, 1, window)
     # block[i, j] = c_{window[i] - window[j]}
     assert abs(block[2, 1] - _coeff(proj, 1, 1, 1)) < 1e-15
     assert abs(block[1, 2] - _coeff(proj, 1, 1, -1)) < 1e-15
     assert abs(block[4, 2] - _coeff(proj, 1, 1, 2)) < 1e-15
     assert abs(block[0, 0] - _coeff(proj, 1, 1, 0)) < 1e-15
     with pytest.raises(ValueError):
-        proj.toeplitz_block(1, 1, np.arange(-7, 8))  # window wider than cutoff
+        _toeplitz_block(proj, 1, 1, np.arange(-7, 8))  # window wider than cutoff
 
 
 def test_projection_of_one_cosine_has_only_its_harmonics():
