@@ -15,7 +15,6 @@ calculus for quadratic observables (:mod:`quadratic`).
 from .channel import (
     ChannelParams,
     ConstantProfile,
-    FourierXPotential,
     GaussianBumpPotential,
     GaussianProfile,
     GridSampledPotential,
@@ -23,7 +22,6 @@ from .channel import (
     Potential,
     PotentialBounds,
     SeparableFourierPotential,
-    TransverseProfilePotential,
     ZeroPotential,
     derive_params,
     grid_potential_from_csv,

@@ -21,8 +21,11 @@ the 2*pi normalization is implemented.  Fourier convention throughout:
 
 Potential kinds split into x-periodic ones (usable by the Bloch fiber and
 band modules) and localized ones (classical scattering, transport
-certificates).  All descriptor types are immutable after construction and
-safe to share across threads or worker processes.
+certificates).  The x-periodic ones are ZeroPotential and one separable
+type, SeparableFourierPotential W = f(x) g(y): the config kinds
+``fourier_x``, ``fourier_x_profile`` and ``profile_y`` are three spellings
+of it.  All descriptor types are immutable after construction and safe to
+share across threads or worker processes.
 """
 
 from __future__ import annotations
@@ -42,9 +45,7 @@ __all__ = [
     "derive_params",
     "Potential",
     "ZeroPotential",
-    "FourierXPotential",
     "SeparableFourierPotential",
-    "TransverseProfilePotential",
     "GaussianBumpPotential",
     "GridSampledPotential",
     "ConstantProfile",
@@ -411,19 +412,37 @@ def _coeffs_to_dict(coeffs) -> dict:
     return {str(k): [c.real, c.imag] for k, c in coeffs}
 
 
+def _times(a: float, b: float) -> float:
+    """a * b for a product of sup bounds: 0 when either factor is 0.
+
+    A factor that vanishes identically vanishes the product, even against
+    an unbounded one (a polynomial profile has sup |g| = inf).
+    """
+    return 0.0 if a == 0.0 or b == 0.0 else a * b
+
+
 @dataclass(frozen=True)
-class FourierXPotential(Potential):
-    """W(x) = sum_k c_k exp(i k x), 2*pi-periodic, independent of y."""
+class SeparableFourierPotential(Potential):
+    """W(x, y) = f(x) g(y) with f a 2*pi-periodic Fourier sum and g a profile.
+
+    The one x-periodic type besides ZeroPotential.  The config kinds
+    ``fourier_x`` (g = 1), ``fourier_x_profile`` and ``profile_y``
+    (f = amplitude) all build it.
+    """
 
     coeffs: tuple[tuple[int, complex], ...]
-    kind: ClassVar[str] = "fourier_x"
+    profile: ConstantProfile | GaussianProfile | PolynomialProfile
+    kind: ClassVar[str] = "fourier_x_profile"
     periodic_in_x: ClassVar[bool] = True
 
-    def __init__(self, coeffs: Mapping[int, complex]):
+    def __init__(self, coeffs: Mapping[int, complex], profile=ConstantProfile()) -> None:
         object.__setattr__(self, "coeffs", _canonical_coeffs(coeffs))
+        object.__setattr__(self, "profile", profile)
+        # g itself when g is constant: the gradient then skips g and g' = 0
+        object.__setattr__(self, "_g", float(profile(0.0)) if profile.is_constant else None)
 
     @classmethod
-    def from_cosines(cls, amplitudes: Mapping[int, float]) -> "FourierXPotential":
+    def from_cosines(cls, amplitudes: Mapping[int, float]) -> "SeparableFourierPotential":
         """Build sum_k a_k cos(k x) (k >= 0); a_0 is the constant term."""
         coeffs: dict[int, complex] = {}
         for k, a in amplitudes.items():
@@ -438,53 +457,13 @@ class FourierXPotential(Potential):
         return cls(coeffs)
 
     def evaluate(self, x, y):
-        xb, _, scalar = _as_xy(x, y)
-        return _ret(_fourier_eval(self.coeffs, xb, np.zeros_like(xb)), scalar)
-
-    def gradient(self, x, y):
-        zero = _ones(x, y) * 0.0
-        return _fourier_eval_deriv(self.coeffs, x, zero), zero
-
-    def norm_estimates(self) -> PotentialBounds:
-        w0, exact = _fourier_sup(self.coeffs)
-        nonconst = any(k != 0 for k, _ in self.coeffs)
-        dxx = sum(2.0 * k * k * abs(c) for k, c in self.coeffs if k > 0)
-        return PotentialBounds(
-            w0=w0,
-            w0_prime=math.inf if nonconst else 0.0,
-            dxx=dxx,
-            dyy=0.0,
-            dxy=0.0,
-            x2_dxx=math.inf if nonconst else 0.0,
-            method="analytic" if exact else "grid",
-        )
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "coeffs": _coeffs_to_dict(self.coeffs)}
-
-    def cache_key(self) -> tuple:
-        return (self.kind, self.coeffs)
-
-
-@dataclass(frozen=True)
-class SeparableFourierPotential(Potential):
-    """W(x, y) = f(x) g(y) with f a 2*pi-periodic Fourier sum and g a profile."""
-
-    coeffs: tuple[tuple[int, complex], ...]
-    profile: ConstantProfile | GaussianProfile | PolynomialProfile
-    kind: ClassVar[str] = "fourier_x_profile"
-    periodic_in_x: ClassVar[bool] = True
-
-    def __init__(self, coeffs: Mapping[int, complex], profile) -> None:
-        object.__setattr__(self, "coeffs", _canonical_coeffs(coeffs))
-        object.__setattr__(self, "profile", profile)
-
-    def evaluate(self, x, y):
         xb, yb, scalar = _as_xy(x, y)
         return _ret(_fourier_eval(self.coeffs, xb, np.zeros_like(xb)) * self.profile(yb), scalar)
 
     def gradient(self, x, y):
         zero = _ones(x, y) * 0.0
+        if self._g is not None:
+            return _fourier_eval_deriv(self.coeffs, x, zero) * self._g, zero
         return (
             _fourier_eval_deriv(self.coeffs, x, zero) * self.profile(y),
             _fourier_eval(self.coeffs, x, zero) * self.profile.derivative(y),
@@ -494,15 +473,17 @@ class SeparableFourierPotential(Potential):
         fsup, exact = _fourier_sup(self.coeffs)
         fd1 = sum(2.0 * k * abs(c) for k, c in self.coeffs if k > 0)
         fd2 = sum(2.0 * k * k * abs(c) for k, c in self.coeffs if k > 0)
-        gsup = self.profile.sup_abs()
+        w0 = _times(fsup, self.profile.sup_abs())
+        dxx = _times(fd2, self.profile.sup_abs())
+        # a nonconstant periodic f makes x dW/dx and x^2 W_xx unbounded unless W = 0
         nonconst_x = any(k != 0 for k, _ in self.coeffs)
         return PotentialBounds(
-            w0=fsup * gsup,
-            w0_prime=0.0 if not nonconst_x else (math.inf if fsup * gsup > 0 else 0.0),
-            dxx=fd2 * gsup,
-            dyy=fsup * self.profile.sup_abs_second(),
-            dxy=fd1 * self.profile.sup_abs_derivative(),
-            x2_dxx=math.inf if nonconst_x and fd2 * gsup > 0 else 0.0,
+            w0=w0,
+            w0_prime=math.inf if nonconst_x and w0 > 0 else 0.0,
+            dxx=dxx,
+            dyy=_times(fsup, self.profile.sup_abs_second()),
+            dxy=_times(fd1, self.profile.sup_abs_derivative()),
+            x2_dxx=math.inf if nonconst_x and dxx > 0 else 0.0,
             method="analytic" if exact else "grid",
         )
 
@@ -515,41 +496,6 @@ class SeparableFourierPotential(Potential):
 
     def cache_key(self) -> tuple:
         return (self.kind, self.coeffs, str(self.profile.to_dict()))
-
-
-@dataclass(frozen=True)
-class TransverseProfilePotential(Potential):
-    """W(x, y) = amplitude * g(y): no x-dependence, so ||x dW/dx|| = 0 exactly."""
-
-    profile: ConstantProfile | GaussianProfile | PolynomialProfile
-    amplitude: float = 1.0
-    kind: ClassVar[str] = "profile_y"
-    periodic_in_x: ClassVar[bool] = True
-
-    def evaluate(self, x, y):
-        xb, yb, scalar = _as_xy(x, y)
-        return _ret(self.amplitude * self.profile(yb) * np.ones_like(xb), scalar)
-
-    def gradient(self, x, y):
-        one = _ones(x, y)
-        return one * 0.0, self.amplitude * self.profile.derivative(y) * one
-
-    def norm_estimates(self) -> PotentialBounds:
-        a = abs(self.amplitude)
-        return PotentialBounds(
-            w0=a * self.profile.sup_abs(),
-            w0_prime=0.0,
-            dxx=0.0,
-            dyy=a * self.profile.sup_abs_second(),
-            dxy=0.0,
-            x2_dxx=0.0,
-        )
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "profile": self.profile.to_dict(), "amplitude": self.amplitude}
-
-    def cache_key(self) -> tuple:
-        return (self.kind, self.amplitude, str(self.profile.to_dict()))
 
 
 @dataclass(frozen=True)
@@ -596,17 +542,18 @@ class GaussianBumpPotential(Potential):
         xb, yb, scalar = _as_xy(x, y)
         out = np.zeros_like(xb)
         for b in self.bumps:
-            r2 = (xb - b.x0) ** 2 + (yb - b.y0) ** 2
-            out = out + b.amplitude * np.exp(-r2 / (2.0 * b.width**2))
+            # d * d, not d ** 2: C pow rounds a float differently from an array
+            dx, dy = xb - b.x0, yb - b.y0
+            out = out + b.amplitude * np.exp(-(dx * dx + dy * dy) / (2.0 * b.width**2))
         return _ret(out, scalar)
 
     def gradient(self, x, y):
         wx = wy = 0.0
         for b in self.bumps:
-            r2 = (x - b.x0) ** 2 + (y - b.y0) ** 2
-            g = b.amplitude * np.exp(-r2 / (2.0 * b.width**2))
-            wx = wx - (x - b.x0) / b.width**2 * g
-            wy = wy - (y - b.y0) / b.width**2 * g
+            dx, dy = x - b.x0, y - b.y0
+            g = b.amplitude * np.exp(-(dx * dx + dy * dy) / (2.0 * b.width**2))
+            wx = wx - dx / b.width**2 * g
+            wy = wy - dy / b.width**2 * g
         return wx, wy
 
     def _box(self) -> tuple[float, float, float, float]:
@@ -830,9 +777,9 @@ _SHAPES: dict[str, tuple[type, dict]] = {
 _PROFILE = Key(OneOf("shape", {shape: keys for shape, (_, keys) in _SHAPES.items()}))
 _KINDS: dict[str, tuple[type, dict]] = {
     "zero": (ZeroPotential, {}),
-    "fourier_x": (FourierXPotential, {"coeffs": _COEFFS}),
+    "fourier_x": (SeparableFourierPotential, {"coeffs": _COEFFS}),
     "fourier_x_profile": (SeparableFourierPotential, {"coeffs": _COEFFS, "profile": _PROFILE}),
-    "profile_y": (TransverseProfilePotential, {"profile": _PROFILE, "amplitude": Key(float, 1.0)}),
+    "profile_y": (SeparableFourierPotential, {"profile": _PROFILE, "amplitude": Key(float, 1.0)}),
     "gaussian_bumps": (GaussianBumpPotential, {"bumps": Key(list[list[float]])}),
     "grid": (
         GridSampledPotential,
@@ -855,6 +802,8 @@ def potential_from_dict(d: Mapping) -> Potential:
     cls, _ = _KINDS[args.pop("kind")]
     if "coeffs" in args:
         args["coeffs"] = {int(k): complex(*c) for k, c in args["coeffs"].items()}
+    if "amplitude" in args:
+        args["coeffs"] = {0: args.pop("amplitude")}
     if "profile" in args:
         shape = args["profile"].pop("shape")
         args["profile"] = _SHAPES[shape][0](**args["profile"])

@@ -59,7 +59,7 @@ from .channel import (
     PERIODIC_POTENTIAL,
     POTENTIAL,
     ChannelParams,
-    FourierXPotential,
+    SeparableFourierPotential,
     ZeroPotential,
     derive_params,
     potential_from_dict,
@@ -573,7 +573,7 @@ def _cmd_diagnostics(cfg: dict, art: _Artifacts) -> int:
             res.append(complex_theta_resolvent_bound(p, theta2).passed)
     checks["complex_theta_resolvent_bound"] = {"passed": all(res)}
 
-    two_cos = FourierXPotential({1: 1.0, -1: 1.0})  # 2 cos x
+    two_cos = SeparableFourierPotential({1: 1.0, -1: 1.0})  # 2 cos x
     hproj = project_potential(two_cos, params, nmax=0, mfourier=64)
     fourier = hill_spectrum(hproj.diag_coeffs(0), 0.25, m_max=32, count=5)
     fd = fd_hill_richardson(lambda x: 2.0 * np.cos(x), 0.25, count=5, n_points=1024)

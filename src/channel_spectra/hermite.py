@@ -27,14 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .channel import (
-    ChannelParams,
-    FourierXPotential,
-    Potential,
-    SeparableFourierPotential,
-    TransverseProfilePotential,
-    ZeroPotential,
-)
+from .channel import ChannelParams, Potential, SeparableFourierPotential, ZeroPotential
 
 __all__ = ["hermite_eval", "HermiteBasis", "ProjectedPotential", "project_potential"]
 
@@ -134,10 +127,13 @@ def project_potential(
 ) -> ProjectedPotential:
     """Project W onto the scaled Hermite basis and the x-Fourier modes.
 
-    Requires an x-periodic kind.  Every built-in periodic kind is separable
-    and uses exact factorized quadrature (the tests cross-check it against
-    a tensor-grid projection).  Warns when Fourier coefficients beyond
-    |k| = mfourier are dropped that exceed 1e-8 of the largest one kept.
+    Requires an x-periodic kind: W = 0, or the separable W = f(x) g(y)
+    that every other periodic config kind builds.  Its projection factors
+    into the Fourier coefficients of f times the overlap matrix
+    <phi_n| g |phi_m>, by Gauss-Hermite quadrature, or exactly g * I for a
+    constant g (the tests cross-check it against a tensor-grid projection).
+    Warns when Fourier coefficients beyond |k| = mfourier are dropped that
+    exceed 1e-8 of the largest one kept.
     """
     if not 0 <= nmax <= _MAX_DEGREE:
         raise ValueError(f"nmax must be in [0, {_MAX_DEGREE}], got {nmax}")
@@ -152,14 +148,8 @@ def project_potential(
 
     if isinstance(spec, ZeroPotential):
         coeffs = np.zeros((nmax + 1, nmax + 1, 2 * mfourier + 1), dtype=complex)
-    elif isinstance(spec, FourierXPotential):
-        coeffs = _project_separable(spec.coeffs, None, params, nmax, mfourier, order)
     elif isinstance(spec, SeparableFourierPotential):
         coeffs = _project_separable(spec.coeffs, spec.profile, params, nmax, mfourier, order)
-    elif isinstance(spec, TransverseProfilePotential):
-        coeffs = _project_separable(
-            ((0, complex(spec.amplitude)),), spec.profile, params, nmax, mfourier, order
-        )
     else:
         raise ValueError(f"no Hermite projection for potential kind {spec.kind!r}")
 
@@ -173,9 +163,9 @@ def project_potential(
 
 def _profile_overlap(profile, params: ChannelParams, nmax: int, order: int | None) -> np.ndarray:
     """<phi_n| g(s/sqrt(alpha)) |phi_m> for a transverse profile g."""
+    if profile.is_constant:
+        return profile(0.0) * np.eye(nmax + 1)
     basis = HermiteBasis.build(nmax, order)
-    if profile is None:
-        return np.eye(nmax + 1)
     gvals = profile(basis.nodes / math.sqrt(params.alpha))
     return basis.overlap(gvals)
 

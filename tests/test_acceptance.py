@@ -14,8 +14,8 @@ import pytest
 
 from channel_spectra import (
     ClassicalState,
-    FourierXPotential,
     QuadraticObservable,
+    SeparableFourierPotential,
     ZeroPotential,
     appendix_norm_checks,
     assemble_fiber,
@@ -39,7 +39,7 @@ from channel_spectra import (
     transverse_quadratic_eigenvalues,
 )
 
-_TWO_COS = FourierXPotential.from_cosines({1: 2.0})
+_TWO_COS = SeparableFourierPotential.from_cosines({1: 2.0})
 
 
 @pytest.fixture

@@ -14,8 +14,7 @@ import channel_spectra
 from channel_spectra import (
     BandStructure,
     ConstantProfile,
-    FourierXPotential,
-    TransverseProfilePotential,
+    SeparableFourierPotential,
     ZeroPotential,
     assemble_fiber,
     compute_bands,
@@ -27,7 +26,7 @@ from channel_spectra import (
 )
 
 _P34 = derive_params(3.0, 4.0)
-_TWO_COS = FourierXPotential.from_cosines({1: 2.0})
+_TWO_COS = SeparableFourierPotential.from_cosines({1: 2.0})
 
 
 def test_free_bands_match_exact_parabolas():
@@ -172,7 +171,7 @@ def test_sweep_without_gaps_reports_unmatched():
 
 
 def test_sweep_constant_potential_shifts_bottom():
-    spec = TransverseProfilePotential(ConstantProfile(1.0))
+    spec = SeparableFourierPotential({0: 1.0}, ConstantProfile(1.0))
     report = gap_persistence_sweep(
         3.0, [4.0], spec, theta_count=9, n_hermite=16, refine=False
     )
@@ -190,8 +189,8 @@ def test_sweep_validates_target_gap_count():
         gap_persistence_sweep(3.0, [4.0], ZeroPotential(), target_gap_count=0)
 
 
-_WEAK_COS = FourierXPotential.from_cosines({1: 0.3, 2: 0.1})
-_NON_EVEN = FourierXPotential({1: 0.15, -1: 0.15, 2: -0.05j, -2: 0.05j})
+_WEAK_COS = SeparableFourierPotential.from_cosines({1: 0.3, 2: 0.1})
+_NON_EVEN = SeparableFourierPotential({1: 0.15, -1: 0.15, 2: -0.05j, -2: 0.05j})
 
 
 @pytest.mark.parametrize("spec", [_WEAK_COS, _NON_EVEN, ZeroPotential()], ids=["even", "complex", "zero"])

@@ -8,18 +8,18 @@ import pytest
 from channel_spectra import (
     ChannelParams,
     ConstantProfile,
-    FourierXPotential,
     GaussianBumpPotential,
     GaussianProfile,
     GridSampledPotential,
     PolynomialProfile,
     SeparableFourierPotential,
-    TransverseProfilePotential,
     ZeroPotential,
     derive_params,
     grid_potential_from_csv,
     potential_from_dict,
+    project_potential,
 )
+from channel_spectra import hermite
 
 
 def test_derive_params_reference_values():
@@ -49,7 +49,7 @@ def test_derive_params_rejects_bad_input(B, omega):
 
 
 def test_fourier_x_evaluation_matches_cosine_sum():
-    spec = FourierXPotential.from_cosines({0: 0.5, 1: 2.0, 3: -0.7})
+    spec = SeparableFourierPotential.from_cosines({0: 0.5, 1: 2.0, 3: -0.7})
     x = np.linspace(-7.0, 7.0, 201)
     expected = 0.5 + 2.0 * np.cos(x) - 0.7 * np.cos(3 * x)
     got = spec(x, np.zeros_like(x))
@@ -59,7 +59,7 @@ def test_fourier_x_evaluation_matches_cosine_sum():
 
 
 def test_fourier_x_norm_estimates_single_harmonic_exact():
-    spec = FourierXPotential.from_cosines({1: 2.0})
+    spec = SeparableFourierPotential.from_cosines({1: 2.0})
     b = spec.norm_estimates()
     assert b.w0 == 2.0
     assert math.isinf(b.w0_prime)  # periodic, so x dW/dx is unbounded
@@ -71,7 +71,7 @@ def test_fourier_x_norm_estimates_dominate_dense_grid():
     rng = np.random.default_rng(21)
     for _ in range(10):
         amps = {k: float(rng.uniform(-1.5, 1.5)) for k in range(4)}
-        spec = FourierXPotential.from_cosines(amps)
+        spec = SeparableFourierPotential.from_cosines(amps)
         b = spec.norm_estimates()
         x = np.linspace(0.0, 2 * math.pi, 20001)
         brute = float(np.max(np.abs(spec(x, 0.0 * x))))
@@ -82,8 +82,8 @@ def test_fourier_x_norm_estimates_dominate_dense_grid():
 
 def test_fourier_conjugate_symmetry_enforced():
     with pytest.raises(ValueError):
-        FourierXPotential({1: 1.0 + 0.5j, -1: 1.0 + 0.5j})  # needs conj pairing
-    FourierXPotential({1: 1.0 + 0.5j, -1: 1.0 - 0.5j})  # fine
+        SeparableFourierPotential({1: 1.0 + 0.5j, -1: 1.0 + 0.5j})  # needs conj pairing
+    SeparableFourierPotential({1: 1.0 + 0.5j, -1: 1.0 - 0.5j})  # fine
 
 
 def test_gaussian_profile_derivatives_match_finite_differences():
@@ -98,7 +98,7 @@ def test_gaussian_profile_derivatives_match_finite_differences():
 
 
 def test_transverse_profile_potential_is_x_independent():
-    spec = TransverseProfilePotential(GaussianProfile(1.0), amplitude=0.5)
+    spec = SeparableFourierPotential({0: 0.5}, GaussianProfile(1.0))
     y = np.linspace(-2.0, 2.0, 11)
     a = spec(np.zeros_like(y), y)
     b = spec(np.full_like(y, 17.3), y)
@@ -106,6 +106,72 @@ def test_transverse_profile_potential_is_x_independent():
     bounds = spec.norm_estimates()
     assert bounds.w0_prime == 0.0  # no x dependence at all
     assert abs(bounds.w0 - 0.5) < 1e-12
+
+
+_COS = {"1": [0.3, 0.2], "-1": [0.3, -0.2], "0": 0.1, "3": [-0.05, 0.0], "-3": [-0.05, 0.0]}
+_PROFILES = {
+    "gaussian": ({"shape": "gaussian", "sigma": 0.8}, -1.3),
+    "y^2": ({"shape": "polynomial", "coeffs": [0.0, 0.0, 1.0]}, 0.01),
+    "polynomial": ({"shape": "polynomial", "coeffs": [0.2, -0.4, 0.9]}, 0.6),
+    "constant": ({"shape": "constant", "value": 2.0}, -0.7),
+}
+_SPELLINGS = {
+    "fourier_x": (
+        {"kind": "fourier_x", "coeffs": _COS},
+        {"kind": "fourier_x_profile", "coeffs": _COS, "profile": {"shape": "constant", "value": 1.0}},
+    ),
+    **{
+        f"profile_y-{name}": (
+            {"kind": "profile_y", "profile": g, "amplitude": a},
+            {"kind": "fourier_x_profile", "coeffs": {"0": a}, "profile": g},
+        )
+        for name, (g, a) in _PROFILES.items()
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPELLINGS))
+def test_spellings_of_one_separable_potential_agree(name):
+    a, b = (potential_from_dict(d) for d in _SPELLINGS[name])
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-4.0, 4.0, 50)
+    y = rng.uniform(-2.0, 2.0, 50)
+    assert np.array_equal(a.evaluate(x, y), b.evaluate(x, y))
+    for ga, gb in zip(a.gradient(x, y), b.gradient(x, y)):
+        assert np.array_equal(ga, gb)
+    for xp, yp in zip(x[:10].tolist(), y[:10].tolist()):
+        assert a.evaluate(xp, yp) == b.evaluate(xp, yp)
+        assert a.gradient(xp, yp) == b.gradient(xp, yp)
+    assert a.norm_estimates() == b.norm_estimates()
+    assert a.cache_key() == b.cache_key()
+    p = derive_params(3.0, 4.0)
+    projections = []
+    for spec in (a, b):
+        hermite._CACHE.clear()  # the equal cache keys would hand back one object
+        projections.append(project_potential(spec, p, nmax=5, mfourier=4).coeffs)
+    assert np.array_equal(*projections)
+
+
+def test_zero_factor_times_unbounded_profile_has_finite_bounds():
+    # 0 * sup|g| = 0 * inf must not make a NaN bound
+    for d in (
+        {"kind": "profile_y", "profile": {"shape": "polynomial", "coeffs": [0, 1]}, "amplitude": 0},
+        {"kind": "fourier_x_profile", "coeffs": {"0": 0.01},
+         "profile": {"shape": "polynomial", "coeffs": [0, 0, 1]}},
+        {"kind": "fourier_x_profile", "coeffs": {"1": 0.5, "-1": 0.5},
+         "profile": {"shape": "constant", "value": 0.0}},
+    ):
+        b = potential_from_dict(d).norm_estimates()
+        values = [b.w0, b.w0_prime, b.dxx, b.dyy, b.dxy, b.x2_dxx]
+        assert not any(map(math.isnan, values)), d
+    zero = potential_from_dict(
+        {"kind": "profile_y", "profile": {"shape": "polynomial", "coeffs": [0, 1]}, "amplitude": 0}
+    )
+    assert zero.norm_estimates() == ZeroPotential().norm_estimates()
+    y2 = potential_from_dict(
+        {"kind": "profile_y", "profile": {"shape": "polynomial", "coeffs": [0, 0, 1]}, "amplitude": 0.01}
+    ).norm_estimates()
+    assert (y2.w0, y2.dxx, y2.dyy, y2.dxy) == (math.inf, 0.0, 0.02, 0.0)
 
 
 def test_separable_fourier_matches_product():
@@ -209,10 +275,10 @@ def test_grid_csv_incomplete_rectangle_rejected(tmp_path):
     "spec",
     [
         ZeroPotential(),
-        FourierXPotential.from_cosines({0: 0.2, 2: 1.0}),
+        SeparableFourierPotential.from_cosines({0: 0.2, 2: 1.0}),
         SeparableFourierPotential({1: 0.5, -1: 0.5}, GaussianProfile(0.9)),
-        TransverseProfilePotential(PolynomialProfile([0.0, 1.0]), amplitude=2.0),
-        TransverseProfilePotential(ConstantProfile(1.5)),
+        SeparableFourierPotential({0: 2.0}, PolynomialProfile([0.0, 1.0])),
+        SeparableFourierPotential({0: 1.0}, ConstantProfile(1.5)),
         GaussianBumpPotential([(0.3, 0.0, 0.0, 1.0), (0.1, 2.0, 1.0, 0.5)]),
     ],
 )

@@ -9,13 +9,11 @@ import pytest
 from channel_spectra import (
     ClassicalState,
     ConstantProfile,
-    FourierXPotential,
     GaussianBumpPotential,
     GaussianProfile,
     GridSampledPotential,
     PolynomialProfile,
     SeparableFourierPotential,
-    TransverseProfilePotential,
     ZeroPotential,
     closed_form_state,
     closed_form_trajectory,
@@ -95,15 +93,15 @@ _TWO_BUMPS = GaussianBumpPotential([(0.8, 0.3, -0.2, 0.9), (-0.4, -1.0, 0.5, 1.3
 _COMPLEX_COS = {1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 3: 0.1 - 0.05j, -3: 0.1 + 0.05j, 0: 0.2}
 _ANALYTIC = {
     "gaussian_bumps": _TWO_BUMPS,
-    "fourier_x": FourierXPotential(_COMPLEX_COS),
+    "fourier_x": SeparableFourierPotential(_COMPLEX_COS),
     "fourier_x_profile": SeparableFourierPotential(_COMPLEX_COS, GaussianProfile(0.8)),
     "fourier_x_profile-polynomial": SeparableFourierPotential(
         {2: 0.5j, -2: -0.5j}, PolynomialProfile([0.1, 0.3, -0.7])
     ),
     "fourier_x_profile-constant": SeparableFourierPotential(_COMPLEX_COS, ConstantProfile(-1.5)),
-    "profile_y": TransverseProfilePotential(GaussianProfile(0.7), -1.3),
-    "profile_y-polynomial": TransverseProfilePotential(PolynomialProfile([0.0, 0.4, 0.9]), 0.6),
-    "profile_y-constant": TransverseProfilePotential(ConstantProfile(2.0), -1.3),
+    "profile_y": SeparableFourierPotential({0: -1.3}, GaussianProfile(0.7)),
+    "profile_y-polynomial": SeparableFourierPotential({0: 0.6}, PolynomialProfile([0.0, 0.4, 0.9])),
+    "profile_y-constant": SeparableFourierPotential({0: -1.3}, ConstantProfile(2.0)),
 }
 
 
@@ -213,7 +211,7 @@ def test_rk4_conserves_energy_with_bump_potential():
 
 def test_unbounded_potential_aborts_cleanly():
     # W = -10 y^2 overturns the confinement; the orbit grows like e^{6t}
-    spec = TransverseProfilePotential(PolynomialProfile([0.0, 0.0, -10.0]))
+    spec = SeparableFourierPotential({0: 1.0}, PolynomialProfile([0.0, 0.0, -10.0]))
     p = derive_params(0.0, 1.0)
     traj = integrate(p, spec, ClassicalState(0.0, 0.0, 0.1, 0.0, 0.0), t_end=10.0, dt=1e-3)
     assert traj.aborted
@@ -264,7 +262,7 @@ def test_time_step_validation():
         ),
         (
             derive_params(0.0, 1.0),
-            TransverseProfilePotential(PolynomialProfile([0.0, 0.0, -10.0])),
+            SeparableFourierPotential({0: 1.0}, PolynomialProfile([0.0, 0.0, -10.0])),
             ClassicalState(0.0, 0.0, 0.1, 0.0, 0.0),
             10.0,
         ),
@@ -303,15 +301,8 @@ def test_gradient_at_a_float_point_is_the_array_gradient(name):
     for w in points[0]:
         assert np.ndim(w) == 0 and isinstance(w, float)
     sx, sy = (np.array(c, dtype=float) for c in zip(*points))
-    if isinstance(spec, GaussianBumpPotential):
-        # (x - x0) ** 2 rounds through C pow on a float and through x * x on
-        # an array; they differ in the last bit for about 1 in 1000 inputs
-        scale = sum(abs(b.amplitude) / b.width for b in spec.bumps)
-        assert np.max(np.abs(wx - sx)) <= 4e-16 * scale
-        assert np.max(np.abs(wy - sy)) <= 4e-16 * scale
-    else:
-        assert np.array_equal(_bits(wx), _bits(sx))
-        assert np.array_equal(_bits(wy), _bits(sy))
+    assert np.array_equal(_bits(wx), _bits(sx))
+    assert np.array_equal(_bits(wy), _bits(sy))
 
 
 @pytest.mark.parametrize("name", sorted(_ANALYTIC))

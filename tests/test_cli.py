@@ -213,6 +213,30 @@ def test_mourre_inadmissible_is_still_success(tmp_path):
     assert any("non-localized" in r for r in cert["reasons"])
 
 
+@pytest.mark.parametrize(
+    "potential, w0",
+    [
+        ('{"kind": "profile_y", "profile": {"shape": "polynomial", "coeffs": [0, 1]}, "amplitude": 0}', 0.0),
+        (
+            '{"kind": "fourier_x_profile", "coeffs": {"0": 0.01}, '
+            '"profile": {"shape": "polynomial", "coeffs": [0, 0, 1]}}',
+            "inf",
+        ),
+    ],
+    ids=["zero-amplitude", "y-squared"],
+)
+def test_mourre_zero_factor_times_unbounded_profile_writes_no_nan(tmp_path, potential, w0):
+    out = tmp_path / "run"
+    assert main(["mourre", "--out", str(out), "--set", f"potential={potential}"]) == 0
+    text = (out / "certificate.json").read_text()
+    assert "nan" not in text.lower()
+    cert = json.loads(text)
+    assert cert["w0"] == w0
+    assert cert["second_derivatives_bounded"] is True
+    if w0 == 0.0:  # W = 0 is as admissible as the zero kind
+        assert cert["admissible"] is True and cert["reasons"] == []
+
+
 def test_mourre_scaling_block(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

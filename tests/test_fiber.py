@@ -9,7 +9,7 @@ import scipy.linalg
 
 from channel_spectra import (
     EigensolverError,
-    FourierXPotential,
+    SeparableFourierPotential,
     ZeroPotential,
     assemble_fiber,
     complex_theta_resolvent_bound,
@@ -35,7 +35,7 @@ def _free_proj(params, nmax=15, mfourier=16):
 
 def test_entries_match_operator_blocks():
     p = derive_params(3.0, 4.0)
-    spec = FourierXPotential.from_cosines({1: 2.0})
+    spec = SeparableFourierPotential.from_cosines({1: 2.0})
     proj = project_potential(spec, p, nmax=39, mfourier=16)
     mat = assemble_fiber(p, proj, 0.25, n_hermite=40, m_max=4)
     # diagonal: alpha (2n+1) + (m + theta)^2 plus the k=0 projection (zero here)
@@ -52,7 +52,7 @@ def test_entries_match_operator_blocks():
 
 def test_fiber_matrix_is_hermitian():
     p = derive_params(2.0, 1.5)
-    spec = FourierXPotential({1: 0.3 + 0.2j, -1: 0.3 - 0.2j})
+    spec = SeparableFourierPotential({1: 0.3 + 0.2j, -1: 0.3 - 0.2j})
     proj = project_potential(spec, p, nmax=9, mfourier=8)
     mat = assemble_fiber(p, proj, 0.1, n_hermite=10, m_max=3)
     assert np.max(np.abs(mat.entries - mat.entries.conj().T)) == 0.0
@@ -95,7 +95,7 @@ def test_gauge_shift_symmetry():
     # theta and theta - 1 describe the same operator once the Fourier
     # window shifts by one: spec(theta=1/2, [-M, M]) = spec(-1/2, [-M+1, M+1])
     p = derive_params(3.0, 4.0)
-    spec = FourierXPotential.from_cosines({1: 2.0})
+    spec = SeparableFourierPotential.from_cosines({1: 2.0})
     proj = project_potential(spec, p, nmax=19, mfourier=16)
     a = eigenvalues_fiber(assemble_fiber(p, proj, 0.5, n_hermite=20, m_max=4))
     b = eigenvalues_fiber(assemble_fiber(p, proj, -0.5, n_hermite=20, m_max=4, m_offset=1))
@@ -105,7 +105,7 @@ def test_gauge_shift_symmetry():
 def test_endpoint_identification_on_symmetric_window():
     # with a symmetric window the +-1/2 fibers are unitarily equivalent
     p = derive_params(3.0, 4.0)
-    spec = FourierXPotential.from_cosines({1: 2.0})
+    spec = SeparableFourierPotential.from_cosines({1: 2.0})
     proj = project_potential(spec, p, nmax=19, mfourier=16)
     a = eigenvalues_fiber(assemble_fiber(p, proj, 0.5, n_hermite=20, m_max=5))
     b = eigenvalues_fiber(assemble_fiber(p, proj, -0.5, n_hermite=20, m_max=5))
@@ -150,8 +150,8 @@ def test_eigensolver_failure_dumps_matrix(monkeypatch, tmp_path):
 @pytest.mark.parametrize(
     "spec, real",
     [
-        (FourierXPotential.from_cosines({1: 2.0, 2: 0.5}), True),
-        (FourierXPotential({1: 0.3 + 0.2j, -1: 0.3 - 0.2j}), False),
+        (SeparableFourierPotential.from_cosines({1: 2.0, 2: 0.5}), True),
+        (SeparableFourierPotential({1: 0.3 + 0.2j, -1: 0.3 - 0.2j}), False),
     ],
 )
 def test_block_reused_across_phases_matches_fresh_assembly(spec, real):

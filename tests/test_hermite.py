@@ -8,12 +8,10 @@ import pytest
 from scipy.special import eval_hermite
 
 from channel_spectra import (
-    FourierXPotential,
     GaussianProfile,
     HermiteBasis,
     PolynomialProfile,
     SeparableFourierPotential,
-    TransverseProfilePotential,
     ZeroPotential,
     derive_params,
     hermite_eval,
@@ -98,7 +96,7 @@ def test_projection_degree_cap_applies_to_every_kind():
     # checked before the cache lookup and the allocation: the W = 0 array
     # at nmax = 1199 and mfourier = 16 alone would be about 0.8 GB
     p = derive_params(3.0, 4.0)
-    for spec in (ZeroPotential(), FourierXPotential.from_cosines({1: 2.0})):
+    for spec in (ZeroPotential(), SeparableFourierPotential.from_cosines({1: 2.0})):
         with pytest.raises(ValueError, match="nmax"):
             project_potential(spec, p, nmax=1199)
         with pytest.raises(ValueError, match="nmax"):
@@ -108,7 +106,7 @@ def test_projection_degree_cap_applies_to_every_kind():
 
 def test_pure_cosine_projection_is_diagonal():
     p = derive_params(3.0, 4.0)
-    spec = FourierXPotential.from_cosines({1: 2.0})
+    spec = SeparableFourierPotential.from_cosines({1: 2.0})
     proj = project_potential(spec, p, nmax=6, mfourier=5)
     for n in range(7):
         assert abs(_coeff(proj, n, n, 1) - 1.0) < 1e-13
@@ -132,7 +130,7 @@ def test_linear_profile_projection_reference_value():
 
 def test_profile_only_potential_has_constant_fourier_slot():
     p = derive_params(1.0, 2.0)
-    spec = TransverseProfilePotential(GaussianProfile(0.7), amplitude=0.4)
+    spec = SeparableFourierPotential({0: 0.4}, GaussianProfile(0.7))
     proj = project_potential(spec, p, nmax=4, mfourier=3)
     coeffs = proj.coeffs
     nonzero = np.abs(coeffs) > 1e-15
@@ -155,7 +153,7 @@ def test_generic_fft_path_agrees_with_separable():
 
 def test_generic_fft_path_agrees_for_pure_profile():
     p = derive_params(1.0, 1.0)
-    spec = TransverseProfilePotential(GaussianProfile(0.8), amplitude=-0.6)
+    spec = SeparableFourierPotential({0: -0.6}, GaussianProfile(0.8))
     fast = project_potential(spec, p, nmax=4, mfourier=4)
     slow = _project_generic(spec, p, nmax=4, mfourier=4)
     assert np.max(np.abs(fast.coeffs - slow)) < 1e-10
@@ -163,7 +161,7 @@ def test_generic_fft_path_agrees_for_pure_profile():
 
 def test_projection_cache_hits():
     p = derive_params(3.0, 4.0)
-    spec = FourierXPotential.from_cosines({1: 2.0})
+    spec = SeparableFourierPotential.from_cosines({1: 2.0})
     a = project_potential(spec, p, nmax=4, mfourier=4)
     b = project_potential(spec, p, nmax=4, mfourier=4)
     assert a is b
@@ -181,14 +179,14 @@ def test_nonperiodic_potential_rejected():
 
 def test_dropped_harmonics_warn():
     p = derive_params(3.0, 4.0)
-    spec = FourierXPotential.from_cosines({5: 1.0})
+    spec = SeparableFourierPotential.from_cosines({5: 1.0})
     with pytest.warns(UserWarning):
         project_potential(spec, p, nmax=2, mfourier=3)
 
 
 def test_toeplitz_block_layout():
     p = derive_params(3.0, 4.0)
-    spec = FourierXPotential.from_cosines({1: 2.0, 2: 0.6})
+    spec = SeparableFourierPotential.from_cosines({1: 2.0, 2: 0.6})
     proj = project_potential(spec, p, nmax=3, mfourier=6)
     window = np.arange(-2, 3)
     block = _toeplitz_block(proj, 1, 1, window)
@@ -203,7 +201,7 @@ def test_toeplitz_block_layout():
 
 def test_projection_of_one_cosine_has_only_its_harmonics():
     p = derive_params(1.0, 1.0)
-    spec = FourierXPotential.from_cosines({1: 1.0})
+    spec = SeparableFourierPotential.from_cosines({1: 1.0})
     proj = project_potential(spec, p, nmax=1, mfourier=1)
     nonzero = {(n, m, k - proj.mfourier) for n, m, k in zip(*np.nonzero(proj.coeffs))}
     assert nonzero == {(0, 0, 1), (0, 0, -1), (1, 1, 1), (1, 1, -1)}

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import mathieu_a, mathieu_b
 
 from channel_spectra import (
-    FourierXPotential,
+    SeparableFourierPotential,
     derive_params,
     fd_hill_eigenvalues,
     fd_hill_richardson,
@@ -143,7 +143,7 @@ def test_union_intervals_merges_overlaps():
 
 def test_h00_gaps_match_mathieu_gap_edges():
     p = derive_params(3.0, 4.0)
-    spec = FourierXPotential.from_cosines({1: 2.0})
+    spec = SeparableFourierPotential.from_cosines({1: 2.0})
     report = h00_gaps(p, spec, ceiling=p.alpha + 5.0, m_max=32, theta_count=17)
     eps0 = _mathieu_periodic()
     epsh = _mathieu_antiperiodic()

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from channel_spectra import (
-    FourierXPotential,
     GaussianBumpPotential,
+    SeparableFourierPotential,
     ZeroPotential,
     appendix_norm_checks,
     derive_params,
@@ -57,7 +57,7 @@ def test_zero_potential_certificate_is_admissible():
 def test_periodic_potential_is_rejected_as_non_localized():
     # x dW/dx of a periodic potential is unbounded, so condition (II) can
     # never hold; this is a reported outcome, not an error
-    spec = FourierXPotential.from_cosines({1: 0.001})
+    spec = SeparableFourierPotential.from_cosines({1: 0.001})
     report = evaluate_certificate(_P34, spec, E=8.0, delta=1.0, eps=1.0)
     assert not report.admissible
     assert report.verdict == "inadmissible: non-localized"
