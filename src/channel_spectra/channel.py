@@ -107,12 +107,6 @@ class ConstantProfile:
         y = np.asarray(y, dtype=float)
         return np.full_like(y, self.value)
 
-    def derivative(self, y):
-        return _ones(y) * 0.0
-
-    def second_derivative(self, y):
-        return np.zeros_like(np.asarray(y, dtype=float))
-
     @property
     def is_constant(self) -> bool:
         return True
@@ -146,11 +140,6 @@ class GaussianProfile:
 
     def derivative(self, y):
         return -(y / self.sigma**2) * self(y)
-
-    def second_derivative(self, y):
-        y = np.asarray(y, dtype=float)
-        s2 = self.sigma**2
-        return ((y * y) / s2 - 1.0) / s2 * self(y)
 
     @property
     def is_constant(self) -> bool:
@@ -189,11 +178,6 @@ class PolynomialProfile:
     def derivative(self, y):
         der = np.polynomial.polynomial.polyder(np.asarray(self.coeffs))
         return np.polynomial.polynomial.polyval(y, der)
-
-    def second_derivative(self, y):
-        y = np.asarray(y, dtype=float)
-        der2 = np.polynomial.polynomial.polyder(np.asarray(self.coeffs), 2)
-        return np.polynomial.polynomial.polyval(y, der2)
 
     @property
     def is_constant(self) -> bool:
@@ -276,21 +260,13 @@ class Potential:
         return self.evaluate(x, y)
 
     def gradient(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """(dW/dx, dW/dy), by central differences unless overridden."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        h = 1e-6
-        wx = (self.evaluate(x + h, y) - self.evaluate(x - h, y)) / (2.0 * h)
-        wy = (self.evaluate(x, y + h) - self.evaluate(x, y - h)) / (2.0 * h)
-        return wx, wy
+        """(dW/dx, dW/dy)."""
+        raise NotImplementedError
 
     def norm_estimates(self) -> PotentialBounds:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
-
-    def cache_key(self) -> tuple:
         raise NotImplementedError
 
 
@@ -306,7 +282,7 @@ def _ret(values: np.ndarray, scalar: bool):
     return float(values) if scalar else values
 
 
-def _ones(x, y=0.0):
+def _ones(x, y):
     """1.0 at a point given by floats, else ones of the broadcast shape of x and y.
 
     The analytic gradients compute on their inputs as given.  Multiplying by
@@ -336,9 +312,6 @@ class ZeroPotential(Potential):
 
     def to_dict(self) -> dict:
         return {"kind": self.kind}
-
-    def cache_key(self) -> tuple:
-        return (self.kind,)
 
 
 def _canonical_coeffs(coeffs: Mapping[int, complex]) -> tuple[tuple[int, complex], ...]:
@@ -494,9 +467,6 @@ class SeparableFourierPotential(Potential):
             "profile": self.profile.to_dict(),
         }
 
-    def cache_key(self) -> tuple:
-        return (self.kind, self.coeffs, str(self.profile.to_dict()))
-
 
 @dataclass(frozen=True)
 class _Bump:
@@ -597,9 +567,6 @@ class GaussianBumpPotential(Potential):
             "kind": self.kind,
             "bumps": [[b.amplitude, b.x0, b.y0, b.width] for b in self.bumps],
         }
-
-    def cache_key(self) -> tuple:
-        return (self.kind, self.bumps)
 
 
 def _grid_sup_weighted(pot: GaussianBumpPotential, weight, first: str | None = None, second: str | None = None) -> float:
@@ -710,9 +677,6 @@ class GridSampledPotential(Potential):
             "y": list(self.y),
             "values": [list(row) for row in self.values],
         }
-
-    def cache_key(self) -> tuple:
-        return (self.kind, self.x.tobytes(), self.y.tobytes(), self.values.tobytes())
 
     def __repr__(self) -> str:
         return f"GridSampledPotential(nx={self.x.size}, ny={self.y.size})"

@@ -48,6 +48,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,7 @@ from .classical import ClassicalState, closed_form_trajectory, integrate, mourre
 from .fiber import EigensolverError, assemble_fiber, complex_theta_resolvent_bound, eigenvalues_fiber
 from .hermite import project_potential
 from .hill import fd_hill_richardson, h00_gaps, hill_bands, hill_spectrum
-from .mourre import appendix_norm_checks, evaluate_certificate, scaling_sweep
+from .mourre import ScalingSweepRow, appendix_norm_checks, evaluate_certificate, scaling_sweep
 from .numutil import theta_grid
 from .output import write_band_svg, write_csv, write_json
 from .quadratic import QuadraticObservable, commutator_iA, conjugate_observable, gen_nogo_scan, h0_observable
@@ -215,36 +216,30 @@ class _Artifacts:
         self.out_dir = out_dir
         self.names: list[str] = []
 
-    def csv(self, name: str, header, rows) -> Path:
-        path = write_csv(self.out_dir / name, header, rows)
+    def write(self, writer, name: str, *args, **kwargs) -> None:
+        """``writer(out_dir / name, *args, **kwargs)``, recorded for the manifest."""
+        writer(self.out_dir / name, *args, **kwargs)
         self.names.append(name)
-        return path
-
-    def json(self, name: str, payload) -> Path:
-        path = write_json(self.out_dir / name, payload)
-        self.names.append(name)
-        return path
-
-    def svg(self, name: str, *args, **kwargs) -> Path:
-        path = write_band_svg(self.out_dir / name, *args, **kwargs)
-        self.names.append(name)
-        return path
 
 
-def _band_rows(bs):
-    for i, theta in enumerate(bs.theta_grid):
-        yield [theta] + [bs.bands[i, j] for j in range(bs.band_count)]
+_GAP_HEADER = ["gap", "lower", "upper", "width"]
+
+
+def _numbered(rows) -> list[list]:
+    """Each row with its 1-based index in front: the band and gap columns."""
+    return [[j, *row] for j, row in enumerate(rows, 1)]
+
+
+def _gap_rows(gaps) -> list[list]:
+    return _numbered([lo, hi, hi - lo] for lo, hi in gaps)
 
 
 def _emit_bands(bs, art: _Artifacts, gaps=None):
     header = ["theta"] + [f"band_{j + 1}" for j in range(bs.band_count)]
-    art.csv("bands.csv", header, _band_rows(bs))
-    art.csv(
-        "band_intervals.csv",
-        ["band", "min", "max"],
-        [[j + 1, lo, hi] for j, (lo, hi) in enumerate(bs.band_intervals)],
-    )
-    art.svg(
+    art.write(write_csv, "bands.csv", header, np.column_stack([bs.theta_grid, bs.bands]).tolist())
+    art.write(write_csv, "band_intervals.csv", ["band", "min", "max"], _numbered(bs.band_intervals.tolist()))
+    art.write(
+        write_band_svg,
         "bands.svg",
         bs.theta_grid,
         bs.bands.T,
@@ -270,13 +265,10 @@ def _cmd_bands(cfg: dict, art: _Artifacts, with_gaps: bool) -> int:
     if with_gaps:
         report = detect_gaps(bs, gap_tolerance=cfg["gap_tolerance"])
         gap_pairs = report.gaps
-        art.csv(
-            "gaps.csv",
-            ["gap", "lower", "upper", "width"],
-            [[j + 1, lo, hi, hi - lo] for j, (lo, hi) in enumerate(report.gaps)],
-        )
+        art.write(write_csv, "gaps.csv", _GAP_HEADER, _gap_rows(gap_pairs))
     _emit_bands(bs, art, gaps=gap_pairs)
-    art.json(
+    art.write(
+        write_json,
         "bands_summary.json",
         {
             "params": params,
@@ -314,20 +306,19 @@ def _cmd_sweep(cfg: dict, art: _Artifacts) -> int:
         refine=cfg["refine"],
     )
     rows = []
-    full_rows = []
     for entry in report.entries:
         for j, disc in enumerate(entry.discrepancies):
             ref = entry.reference.gaps[j] if j < len(entry.reference.gaps) else (math.nan, math.nan)
             rows.append([entry.omega, entry.alpha, j + 1, ref[0], ref[1], disc])
-        for j, (lo, hi) in enumerate(entry.full.gaps):
-            full_rows.append([entry.omega, j + 1, lo, hi, hi - lo])
-    art.csv(
+    art.write(
+        write_csv,
         "sweep.csv",
         ["omega", "alpha", "gap", "reference_lower", "reference_upper", "discrepancy"],
         rows,
     )
-    art.csv("full_gaps.csv", ["omega", "gap", "lower", "upper", "width"], full_rows)
-    art.json("sweep_summary.json", report)
+    full_rows = [[e.omega, *row] for e in report.entries for row in _gap_rows(e.full.gaps)]
+    art.write(write_csv, "full_gaps.csv", ["omega", *_GAP_HEADER], full_rows)
+    art.write(write_json, "sweep_summary.json", report)
     trend = "decreasing" if report.discrepancies_decreasing else "not monotone"
     print(f"gap-edge discrepancy over omega list: {trend}")
     return 0
@@ -342,29 +333,13 @@ def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
     hb = hill_bands(coeffs, m_max=m_max, theta_count=cfg["theta_count"], band_count=cfg["band_count"])
     n_bands = hb.bands.shape[1]
     header = ["theta"] + [f"band_{j + 1}" for j in range(n_bands)]
-    art.csv(
-        "hill_curves.csv",
-        header,
-        (
-            [theta] + [params.alpha + hb.bands[i, j] for j in range(n_bands)]
-            for i, theta in enumerate(hb.theta_grid)
-        ),
-    )
-    art.csv(
-        "hill_intervals.csv",
-        ["band", "min", "max"],
-        [
-            [j + 1, params.alpha + lo, params.alpha + hi]
-            for j, (lo, hi) in enumerate(hb.band_intervals)
-        ],
-    )
+    curves = np.column_stack([hb.theta_grid, params.alpha + hb.bands])
+    art.write(write_csv, "hill_curves.csv", header, curves.tolist())
+    intervals = _numbered((params.alpha + hb.band_intervals).tolist())
+    art.write(write_csv, "hill_intervals.csv", ["band", "min", "max"], intervals)
     ceiling = 3.0 * params.alpha if cfg["ceiling"] is None else cfg["ceiling"]
     gaps = h00_gaps(params, spec, ceiling, m_max=m_max, theta_count=cfg["theta_count"])
-    art.csv(
-        "hill_gaps.csv",
-        ["gap", "lower", "upper", "width"],
-        [[j + 1, lo, hi, hi - lo] for j, (lo, hi) in enumerate(gaps.gaps)],
-    )
+    art.write(write_csv, "hill_gaps.csv", _GAP_HEADER, _gap_rows(gaps.gaps))
     print(f"{n_bands} band(s); {gaps.count} gap(s) below {ceiling:.6g}")
     if cfg["fd_check"]:
         coeff_map = {k - m_max * 2: coeffs[k] for k in range(coeffs.size)}
@@ -387,7 +362,7 @@ def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
                     "max_abs_diff": float(np.max(np.abs(np.asarray(fourier) - np.asarray(fd)))),
                 }
             )
-        art.json("fd_check.json", {"checks": checks})
+        art.write(write_json, "fd_check.json", {"checks": checks})
         worst = max(c["max_abs_diff"] for c in checks)
         print(f"finite-difference cross-check: max deviation {worst:.3e}")
     return 0
@@ -399,17 +374,11 @@ def _cmd_classical(cfg: dict, art: _Artifacts) -> int:
     initial = ClassicalState(t=0.0, x=cfg["x0"], y=cfg["y0"], px=cfg["px0"], py=cfg["py0"])
     t_end, dt = cfg["t_end"], cfg["dt"]
     traj = integrate(params, spec, initial, t_end, dt=dt)
-    art.csv(
-        "trajectory.csv",
-        ["t", "x", "y", "px", "py", "energy"],
-        zip(traj.times, traj.x, traj.y, traj.px, traj.py, traj.energies),
-    )
+    orbit = np.column_stack([traj.times, traj.states, traj.energies])
+    art.write(write_csv, "trajectory.csv", ["t", "x", "y", "px", "py", "energy"], orbit.tolist())
     series = mourre_observable(traj)
-    art.csv(
-        "guiding.csv",
-        ["t", "sx", "sy", "px_sx"],
-        zip(traj.times, traj.guiding_center_x, traj.guiding_center_y, traj.px_sx),
-    )
+    guiding = np.column_stack([traj.times, traj.guiding_center_x, traj.guiding_center_y, series.values])
+    art.write(write_csv, "guiding.csv", ["t", "sx", "sy", "px_sx"], guiding.tolist())
     summary = {
         "params": params,
         "aborted": traj.aborted,
@@ -426,7 +395,7 @@ def _cmd_classical(cfg: dict, art: _Artifacts) -> int:
                 np.max(np.abs(traj.y[:n] - exact.y[:n])),
             )
         )
-    art.json("classical_summary.json", summary)
+    art.write(write_json, "classical_summary.json", summary)
     print(
         f"integrated to t={traj.times[-1]:.6g}; energy drift {traj.energy_drift:.3e}; "
         f"px*sx slope {series.slope:.9g}"
@@ -441,17 +410,9 @@ def _cmd_mourre(cfg: dict, art: _Artifacts) -> int:
     params = derive_params(cfg["B"], cfg["omega"])
     spec = potential_from_dict(cfg["potential"])
     report = evaluate_certificate(params, spec, cfg["E"], cfg["delta"], cfg["eps"])
-    art.json("certificate.json", report)
-    art.csv(
-        "excluded.csv",
-        ["lower", "upper"],
-        [[lo, hi] for lo, hi in report.excluded],
-    )
-    art.csv(
-        "certified.csv",
-        ["lower", "upper"],
-        [[lo, hi] for lo, hi in report.certified_set],
-    )
+    art.write(write_json, "certificate.json", report)
+    art.write(write_csv, "excluded.csv", ["lower", "upper"], report.excluded)
+    art.write(write_csv, "certified.csv", ["lower", "upper"], report.certified_set)
     print(f"certificate: {report.verdict}")
     for reason in report.reasons:
         print(f"  {reason}")
@@ -460,33 +421,10 @@ def _cmd_mourre(cfg: dict, art: _Artifacts) -> int:
         sweep = scaling_sweep(
             cfg["B"], scaling["E0"], scaling["delta0"], scaling["eps0"], spec, scaling["omega_list"]
         )
-        art.csv(
-            "scaling.csv",
-            [
-                "omega",
-                "alpha",
-                "E",
-                "delta",
-                "eps",
-                "condition_one_threshold",
-                "condition_two_headroom",
-                "admissible",
-            ],
-            [
-                [
-                    r.omega,
-                    r.alpha,
-                    r.E,
-                    r.delta,
-                    r.eps,
-                    r.condition_one_threshold,
-                    r.condition_two_headroom,
-                    r.admissible,
-                ]
-                for r in sweep.rows
-            ],
-        )
-        art.json("scaling_summary.json", sweep)
+        # admissible, the one bool in any table, is written 1/0
+        rows = [list({**asdict(r), "admissible": int(r.admissible)}.values()) for r in sweep.rows]
+        art.write(write_csv, "scaling.csv", [f.name for f in fields(ScalingSweepRow)], rows)
+        art.write(write_json, "scaling_summary.json", sweep)
         if sweep.smallest_admissible_omega is None:
             print("scaling sweep: no admissible omega in the list")
         else:
@@ -507,7 +445,7 @@ def _cmd_commutator(cfg: dict, art: _Artifacts) -> int:
     rows = list(_observable_rows("H0", h0))
     rows += list(_observable_rows("A", a))
     rows += list(_observable_rows("[H0,iA]", comm))
-    art.csv("commutator.csv", ["observable", "term", "coefficient"], rows)
+    art.write(write_csv, "commutator.csv", ["observable", "term", "coefficient"], rows)
     expected = QuadraticObservable.from_terms({("p1", "p1"): 2.0 * params.beta})
     clean = (comm - expected).max_abs() < 1e-12
     lines = [
@@ -516,10 +454,9 @@ def _cmd_commutator(cfg: dict, art: _Artifacts) -> int:
     ]
     if cfg["gen_nogo"]:
         report = gen_nogo_scan(params.B, params.alpha)
-        art.json("nogo.json", report)
+        art.write(write_json, "nogo.json", report)
         lines.append(f"uniform-commutator scan verdict: {report.verdict}")
-    (art.out_dir / "verdict.txt").write_text("\n".join(lines) + "\n")
-    art.names.append("verdict.txt")
+    art.write(Path.write_text, "verdict.txt", "\n".join(lines) + "\n")
     for line in lines:
         print(line)
     return 0
@@ -603,7 +540,7 @@ def _cmd_diagnostics(cfg: dict, art: _Artifacts) -> int:
     checks["commutator_identity"] = {"passed": dev < 1e-12, "max_abs_deviation": dev}
 
     all_ok = all(c["passed"] for c in checks.values())
-    art.json("diagnostics.json", {"all_passed": all_ok, "checks": checks})
+    art.write(write_json, "diagnostics.json", {"all_passed": all_ok, "checks": checks})
     for name, result in checks.items():
         print(f"{'PASS' if result['passed'] else 'FAIL'}  {name}")
     return 0 if all_ok else 2

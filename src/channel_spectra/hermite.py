@@ -141,18 +141,18 @@ def project_potential(
         raise ValueError(f"potential kind {spec.kind!r} is not 2*pi-periodic in x")
     if mfourier < 0:
         raise ValueError("mfourier must be >= 0")
-    key = (spec.cache_key(), params.alpha, nmax, mfourier, order)
+    if not isinstance(spec, (ZeroPotential, SeparableFourierPotential)):
+        raise ValueError(f"no Hermite projection for potential kind {spec.kind!r}")
+    # both kinds are frozen dataclasses: equal and hashed on their fields
+    key = (spec, params.alpha, nmax, mfourier, order)
     hit = _CACHE.get(key)
     if hit is not None:
         return hit
 
     if isinstance(spec, ZeroPotential):
         coeffs = np.zeros((nmax + 1, nmax + 1, 2 * mfourier + 1), dtype=complex)
-    elif isinstance(spec, SeparableFourierPotential):
-        coeffs = _project_separable(spec.coeffs, spec.profile, params, nmax, mfourier, order)
     else:
-        raise ValueError(f"no Hermite projection for potential kind {spec.kind!r}")
-
+        coeffs = _project_separable(spec.coeffs, spec.profile, params, nmax, mfourier, order)
     coeffs.setflags(write=False)
     proj = ProjectedPotential(alpha=params.alpha, nmax=nmax, mfourier=mfourier, coeffs=coeffs)
     if len(_CACHE) >= _CACHE_LIMIT:

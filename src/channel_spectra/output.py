@@ -1,7 +1,9 @@
 """Artifact writers: CSV tables, JSON reports, and a small SVG band diagram.
 
-Floats are written with repr so artifacts round-trip exactly; infinities
-appear as the strings "inf" / "-inf" in JSON, which has no literal for them.
+A CSV table is a header plus rows of plain values, formatted by the csv
+module: it writes a float, a NumPy float64 included, as repr(float(v)), so
+artifacts round-trip exactly.  JSON writes floats with repr too; infinities
+appear there as the strings "inf" / "-inf", as JSON has no literal for them.
 """
 
 from __future__ import annotations
@@ -14,22 +16,11 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "format_value",
     "jsonable",
     "write_csv",
     "write_json",
     "write_band_svg",
 ]
-
-
-def format_value(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, complex):
-        return repr(value)
-    return str(value)
 
 
 def jsonable(value):
@@ -67,8 +58,7 @@ def write_csv(path, header, rows) -> Path:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+        writer.writerows(rows)
     return path
 
 

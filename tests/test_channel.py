@@ -86,15 +86,28 @@ def test_fourier_conjugate_symmetry_enforced():
     SeparableFourierPotential({1: 1.0 + 0.5j, -1: 1.0 - 0.5j})  # fine
 
 
+def _sup_second_difference(g, half_width: float, h: float = 1e-3) -> float:
+    """max |g''| over [-half_width, half_width] by central second differences."""
+    y = np.linspace(-half_width, half_width, 20001)
+    return float(np.max(np.abs(g(y + h) - 2.0 * g(y) + g(y - h)))) / h**2
+
+
 def test_gaussian_profile_derivatives_match_finite_differences():
     g = GaussianProfile(sigma=0.8)
     y = np.linspace(-3.0, 3.0, 41)
     h = 1e-6
     fd1 = (g(y + h) - g(y - h)) / (2 * h)
     assert np.max(np.abs(g.derivative(y) - fd1)) < 1e-8
-    h = 1e-4  # second differences need a larger step to stay above rounding
-    fd2 = (g(y + h) - 2 * g(y) + g(y - h)) / h**2
-    assert np.max(np.abs(g.second_derivative(y) - fd2)) < 1e-6
+    # sup |g''| bounds d^2W/dy^2 in the certificates (norm_estimates' dyy)
+    assert g.sup_abs_second() == 1.0 / 0.8**2
+    assert abs(_sup_second_difference(g, 6.0) / g.sup_abs_second() - 1.0) < 1e-4
+    quadratic = PolynomialProfile([0.3, -0.7, 1.25])
+    assert quadratic.sup_abs_second() == 2.5
+    assert abs(_sup_second_difference(quadratic, 5.0) - 2.5) < 1e-6
+    cubic = PolynomialProfile([0.3, -0.7, 1.25, 0.5])
+    assert cubic.sup_abs_second() == math.inf
+    # and g'' = 3 y + 2.5 is indeed unbounded
+    assert _sup_second_difference(cubic, 100.0) > 9.0 * _sup_second_difference(cubic, 10.0)
 
 
 def test_transverse_profile_potential_is_x_independent():
@@ -143,11 +156,11 @@ def test_spellings_of_one_separable_potential_agree(name):
         assert a.evaluate(xp, yp) == b.evaluate(xp, yp)
         assert a.gradient(xp, yp) == b.gradient(xp, yp)
     assert a.norm_estimates() == b.norm_estimates()
-    assert a.cache_key() == b.cache_key()
+    assert a == b
     p = derive_params(3.0, 4.0)
     projections = []
     for spec in (a, b):
-        hermite._CACHE.clear()  # the equal cache keys would hand back one object
+        hermite._CACHE.clear()  # equal specs would get one cached projection
         projections.append(project_potential(spec, p, nmax=5, mfourier=4).coeffs)
     assert np.array_equal(*projections)
 
@@ -287,7 +300,7 @@ def test_to_dict_roundtrip(spec):
     x = np.linspace(-3.0, 3.0, 17)
     y = np.linspace(-2.0, 2.0, 17)
     assert np.max(np.abs(clone(x, y) - spec(x, y))) < 1e-14
-    assert clone.cache_key() == spec.cache_key()
+    assert clone == spec
 
 
 def test_grid_roundtrip_through_dict():

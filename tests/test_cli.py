@@ -256,7 +256,7 @@ def test_mourre_scaling_block(tmp_path):
     out = tmp_path / "run"
     assert main(["mourre", "--config", str(cfg), "--out", str(out)]) == 0
     rows = _read_csv(out / "scaling.csv")
-    # bool cells are written through the integer branch of format_value
+    # the bool admissible column is written 1/0
     assert [r["admissible"] for r in rows] == ["0", "1"]
     summary = json.loads((out / "scaling_summary.json").read_text())
     assert summary["smallest_admissible_omega"] == 4.0

@@ -165,8 +165,24 @@ def test_projection_cache_hits():
     a = project_potential(spec, p, nmax=4, mfourier=4)
     b = project_potential(spec, p, nmax=4, mfourier=4)
     assert a is b
+    # the cache is keyed on the spec's value, not on the object
+    twin = SeparableFourierPotential({1: 1.0, -1: 1.0})
+    assert twin is not spec and twin == spec
+    assert project_potential(twin, p, nmax=4, mfourier=4) is a
     c = project_potential(spec, derive_params(3.0, 5.0), nmax=4, mfourier=4)
     assert c is not a
+
+
+def test_unknown_periodic_kind_rejected_before_the_cache():
+    from channel_spectra import Potential
+
+    class Unhashable(Potential):
+        kind = "unhashable"
+        periodic_in_x = True
+        __hash__ = None
+
+    with pytest.raises(ValueError, match="unhashable"):
+        project_potential(Unhashable(), derive_params(3.0, 4.0), nmax=2, mfourier=2)
 
 
 def test_nonperiodic_potential_rejected():

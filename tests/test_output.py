@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from channel_spectra.output import (
-    format_value,
     jsonable,
     write_band_svg,
     write_csv,
@@ -17,13 +16,18 @@ from channel_spectra.output import (
 )
 
 
-def test_format_value_round_trips_floats():
-    for v in (1.0 / 3.0, 0.1, 5e-324, 1e308, -0.0):
-        assert float(format_value(v)) == v
-    assert format_value(np.float64(0.25)) == "0.25"
-    assert format_value(7) == "7"
-    assert format_value(np.int64(-3)) == "-3"
-    assert format_value("label") == "label"
+def test_write_csv_writes_float_cells_as_repr(tmp_path):
+    floats = [1.0 / 3.0, 0.1, 5e-324, 1e308, -0.0, math.nan, math.inf]
+    path = write_csv(
+        tmp_path / "cells.csv",
+        ["value"],
+        [[v] for v in floats] + [[np.float64(v)] for v in floats] + [[7], [np.int64(-3)], ["label"]],
+    )
+    cells = path.read_text().splitlines()[1:]
+    expected = [repr(float(v)) for v in floats]
+    assert cells == expected + expected + ["7", "-3", "label"]
+    assert [float(c) for c in cells[:4]] == floats[:4]
+    assert math.copysign(1.0, float(cells[4])) == -1.0
 
 
 def test_jsonable_scalars_and_specials():
