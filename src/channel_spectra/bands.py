@@ -8,11 +8,34 @@ of the interval union below a trusted energy ceiling, and the persistence
 sweep compares those gaps against the decoupled reference H_{0,0} =
 alpha + spec(K_0) as the confinement omega grows at fixed field B.
 
-Truncation policy: starting sizes are validated by a Cauchy criterion
-(eigenvalues below the ceiling move by < cauchy_tol when the Hermite
-cutoff doubles and the Fourier window widens by 4) and raised until it
-passes.  The Fourier window must also cover the ceiling kinematically:
-beta (M - 1/2)^2 + alpha > ceiling, with margin.
+Truncation policy.  The Fourier window must cover the ceiling
+kinematically, beta (M - 1/2)^2 + alpha > ceiling with margin.  At most
+four truncations are checked, and a step that would take N past 500 (the
+Hermite degree cap) stops the growth; a truncation that never passes is
+reported with converged = False and a warning.
+
+- W = W(x) (W = 0, or a separable potential with a constant profile): the
+  fiber is built in the displaced Landau basis, where the free part is
+  diagonal.  At the probe phases theta = 0, 1/3, -1/2, every eigenpair
+  (lambda, v) below the ceiling has the residual r = ||H_QP v|| into the
+  discarded space Q (levels n >= N or Fourier indices |m| > M), on which
+  H >= c_Q = min(alpha (2N+1), alpha + beta (M + 1/2)^2) - sup |W|.  The
+  first-order Temple/Kato estimate r^2 / (c_Q - lambda) of the truncation
+  error (Parlett, The Symmetric Eigenvalue Problem, ch. 10-11) is sharp,
+  so the truncation passes when 2 max r^2 / (c_Q - lambda) plus the
+  eigensolver's rounding eps ||H|| is at most cauchy_tol, and c_Q clears
+  the ceiling (no discarded state can then sit below it).  Otherwise N
+  doubles when the levels' share of the estimate exceeds half of what the
+  rounding leaves of cauchy_tol, or their floor alpha (2N+1) - sup |W| is
+  below the ceiling, and M grows by 4 on the same test for the window's
+  share and floor.  N starts at 4, or at n_hermite.
+- any other potential: the Hermite basis, validated by a Cauchy criterion
+  (eigenvalues below the ceiling move by < cauchy_tol when the Hermite
+  cutoff doubles and the Fourier window widens by 4), and raised to that
+  larger pair until it passes.  N starts at 40, or at n_hermite.
+
+An explicit n_hermite or m_max is a starting size that is only ever
+raised; n_hermite above 500 is a configuration error.
 """
 
 from __future__ import annotations
@@ -22,12 +45,23 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .channel import ChannelParams, Potential, derive_params
-from .fiber import FiberMatrix, assemble_fiber, eigenvalues_fiber, fiber_at, fiber_block
+from .channel import ChannelParams, Potential, SeparableFourierPotential, ZeroPotential, derive_params
+from .fiber import (
+    FiberBlock,
+    FiberMatrix,
+    assemble_fiber,
+    eigenvalues_fiber,
+    fiber_at,
+    fiber_block,
+    landau_block,
+    landau_residuals,
+)
 from .hermite import ProjectedPotential, project_potential
 from .hill import h00_gaps, hill_bands
 from .numutil import GapReport, bloch_bands, gap_report, golden_section_minimize, merge_intervals, theta_grid
+from .schema import ConfigError
 
 __all__ = [
     "BandStructure",
@@ -38,10 +72,16 @@ __all__ = [
     "detect_gaps",
     "gap_persistence_sweep",
     "dominant_hermite_index",
+    "landau_error_estimates",
 ]
 
 DEFAULT_N_HERMITE = 40
+DEFAULT_N_LANDAU = 4
 DEFAULT_M_MAX = 8
+# the Cauchy probe projects W up to Hermite degree 2N - 1 <= 999
+MAX_N_HERMITE = 500
+_GROWTH_STEPS = 4
+_PROBES = (0.0, 1.0 / 3.0, -0.5)
 
 
 @dataclass(eq=False)
@@ -57,6 +97,7 @@ class BandStructure:
     m_max: int
     converged: bool
     notes: tuple[str, ...] = ()
+    basis: str = "hermite"  # or "landau": see the module's truncation policy
 
     @property
     def band_count(self) -> int:
@@ -82,13 +123,13 @@ def _probe_eigs(params, proj, theta, n_hermite, m_max) -> np.ndarray:
     return eigenvalues_fiber(assemble_fiber(params, proj, theta, n_hermite, m_max))
 
 
-def _cauchy_probe(params, spec, ceiling, n_hermite, m_max, tol, probes) -> tuple[bool, ProjectedPotential]:
+def _cauchy_probe(params, spec, ceiling, n_hermite, m_max, tol) -> tuple[bool, ProjectedPotential]:
     """Compare eigenvalues below the ceiling at (N, M) and (2N, M+4)."""
     big_n, big_m = 2 * n_hermite, m_max + 4
     proj = project_potential(
         spec, params, nmax=big_n - 1, mfourier=max(16, 2 * big_m)
     )
-    for theta in probes:
+    for theta in _PROBES:
         small = _probe_eigs(params, proj, theta, n_hermite, m_max)
         big = _probe_eigs(params, proj, theta, big_n, big_m)
         small = small[small <= ceiling]
@@ -99,6 +140,84 @@ def _cauchy_probe(params, spec, ceiling, n_hermite, m_max, tol, probes) -> tuple
         if common and float(np.max(np.abs(small[:common] - big[:common]))) > tol:
             return False, proj
     return True, proj
+
+
+def _hermite_truncation(params, spec, ceiling, n_h, m_m, tol, notes) -> tuple[FiberBlock, bool]:
+    converged = False
+    for _ in range(_GROWTH_STEPS):
+        converged, proj = _cauchy_probe(params, spec, ceiling, n_h, m_m, tol)
+        if converged:
+            break
+        if 2 * n_h > MAX_N_HERMITE:
+            notes.append(f"truncation growth stopped at N={n_h} by the Hermite degree cap")
+            break
+        # the probe's larger pair is covered by its projection
+        n_h, m_m = 2 * n_h, m_m + 4
+        notes.append(f"truncation raised to (N={n_h}, M={m_m})")
+    return fiber_block(params, proj, n_h, m_m), converged
+
+
+def _x_only_coeffs(spec: Potential):
+    """The (k, W_k) Fourier pairs of W when W depends on x only, else None."""
+    if isinstance(spec, ZeroPotential):
+        return ()
+    if isinstance(spec, SeparableFourierPotential) and spec.profile.is_constant:
+        g = float(spec.profile(0.0))
+        return tuple((k, c * g) for k, c in spec.coeffs)
+    return None
+
+
+def landau_error_estimates(
+    block: FiberBlock, coeffs, w0: float, ceiling: float, theta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Eigenvalues below the ceiling at theta and their truncation error estimates.
+
+    ``block`` is a ``landau_block`` for the Fourier pairs ``coeffs`` of W,
+    and w0 bounds sup |W|.  Returns the eigenvalues, the shares of
+    2 r^2 / (c_Q - lambda) from the discarded levels and from the discarded
+    Fourier indices (see the module docstring), and the eigensolver's
+    rounding eps ||H||.  The shares are infinite when c_Q does not clear the
+    ceiling.
+    """
+    h = fiber_at(block, theta).entries  # real whenever the coefficients are
+    vals, vecs = scipy.linalg.eigh(h, subset_by_value=(-np.inf, ceiling))
+    c_q = min(_floors(block, w0))
+    gap = c_q - vals if c_q > ceiling else np.zeros_like(vals)
+    r2_levels, r2_window = landau_residuals(block, coeffs, vecs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        levels, window = (np.where(gap > 0.0, 2.0 * r2 / gap, np.inf) for r2 in (r2_levels, r2_window))
+    rounding = np.finfo(float).eps * float(np.max(np.sum(np.abs(h), axis=1)))
+    return vals, levels, window, rounding
+
+
+def _floors(block: FiberBlock, w0: float) -> tuple[float, float]:
+    """Lower bounds of H on the discarded levels n >= N and on the discarded
+    Fourier indices |m| > M, given sup |W| <= w0."""
+    p = block.params
+    return p.alpha * (2 * block.n_hermite + 1) - w0, p.alpha + p.beta * (block.m_max + 0.5) ** 2 - w0
+
+
+def _landau_truncation(params, coeffs, w0, ceiling, n_l, m_m, tol, notes) -> tuple[FiberBlock, bool]:
+    for step in range(_GROWTH_STEPS):
+        block = landau_block(params, coeffs, n_l, m_m)
+        estimates = [landau_error_estimates(block, coeffs, w0, ceiling, t) for t in _PROBES]
+        worst = max(float(np.max(lv + wn, initial=0.0)) + r for _, lv, wn, r in estimates)
+        low_levels, low_window = (floor <= ceiling for floor in _floors(block, w0))
+        if worst <= tol and not (low_levels or low_window):
+            return block, True
+        if step + 1 == _GROWTH_STEPS:
+            break
+        # grow each direction whose share takes more than half of what the
+        # rounding leaves of the tolerance, or whose floor is below the ceiling
+        half = 0.5 * (tol - max(r for *_, r in estimates))
+        grow_levels = low_levels or any(np.any(lv > half) for _, lv, _, _ in estimates)
+        grow_window = low_window or any(np.any(wn > half) for _, _, wn, _ in estimates)
+        if grow_levels and 2 * n_l > MAX_N_HERMITE:
+            notes.append(f"truncation growth stopped at N={n_l} by the Hermite degree cap")
+            break
+        n_l, m_m = (2 * n_l if grow_levels else n_l), (m_m + 4 if grow_window else m_m)
+        notes.append(f"truncation raised to (N={n_l}, M={m_m})")
+    return block, False
 
 
 def compute_bands(
@@ -117,42 +236,43 @@ def compute_bands(
     theta_count must be odd and >= 9 (the grid then contains theta = 0 and
     both +-1/2 endpoints), and cauchy_tol > 0.  Bands are reported when
     their grid minimum lies at or below the ceiling; eigenvalues above the
-    ceiling are not trusted.
+    ceiling are not trusted.  The basis and the truncation follow the
+    module's truncation policy; n_hermite above MAX_N_HERMITE raises
+    ConfigError.
     """
     grid = theta_grid(theta_count)
     if not cauchy_tol > 0.0:
         raise ValueError("need cauchy_tol > 0")
+    if n_hermite is not None and n_hermite > MAX_N_HERMITE:
+        raise ConfigError(f"n_hermite = {n_hermite} exceeds the Hermite degree cap of {MAX_N_HERMITE}")
     if energy_ceiling is None:
         w0 = spec.norm_estimates().w0
         energy_ceiling = 3.0 * params.alpha + (w0 if math.isfinite(w0) else 0.0)
     notes: list[str] = []
+    coeffs = _x_only_coeffs(spec)
 
-    n_h = DEFAULT_N_HERMITE if n_hermite is None else int(n_hermite)
     m_m = DEFAULT_M_MAX if m_max is None else int(m_max)
     cover = _kinematic_m_cover(params, energy_ceiling)
     if m_m < cover:
         m_m = cover
         notes.append(f"m_max raised to {m_m} to cover the energy ceiling")
 
-    probes = (0.0, 1.0 / 3.0, -0.5)
-    converged = False
-    proj = None
-    for _ in range(4):
-        converged, proj = _cauchy_probe(
-            params, spec, energy_ceiling, n_h, m_m, cauchy_tol, probes
+    if coeffs is None:
+        n_h = DEFAULT_N_HERMITE if n_hermite is None else int(n_hermite)
+        block, converged = _hermite_truncation(params, spec, energy_ceiling, n_h, m_m, cauchy_tol, notes)
+    else:
+        n_h = DEFAULT_N_LANDAU if n_hermite is None else int(n_hermite)
+        w0 = spec.norm_estimates().w0
+        block, converged = _landau_truncation(
+            params, coeffs, w0, energy_ceiling, n_h, m_m, cauchy_tol, notes
         )
-        if converged:
-            break
-        n_h, m_m = 2 * n_h, m_m + 4
-        notes.append(f"truncation raised to (N={n_h}, M={m_m})")
     if not converged:
         warnings.warn(
             f"truncation did not meet the Cauchy tolerance {cauchy_tol:.1e} at "
-            f"(N={n_h}, M={m_m}); eigenvalues near the ceiling may be unconverged",
+            f"(N={block.n_hermite}, M={block.m_max}); eigenvalues near the ceiling may be unconverged",
             stacklevel=2,
         )
 
-    block = fiber_block(params, proj, n_h, m_m)
     bands, intervals = bloch_bands(
         lambda t: eigenvalues_fiber(fiber_at(block, t)),
         grid,
@@ -170,10 +290,11 @@ def compute_bands(
         bands=bands,
         band_intervals=intervals,
         energy_ceiling=float(energy_ceiling),
-        n_hermite=n_h,
-        m_max=m_m,
+        n_hermite=block.n_hermite,
+        m_max=block.m_max,
         converged=converged,
         notes=tuple(notes),
+        basis="hermite" if coeffs is None else "landau",
     )
 
 

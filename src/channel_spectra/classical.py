@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, Potential, ZeroPotential
+from .schema import ConfigError
 
 __all__ = [
     "ClassicalState",
@@ -51,9 +52,9 @@ _MAX_STEPS = 10**7
 def _step_count(t_end: float, dt: float) -> int:
     """round(t_end / dt), refused above _MAX_STEPS before anything is allocated."""
     if not (dt > 0 and t_end > 0):
-        raise ValueError("need positive dt and t_end")
+        raise ConfigError("need positive dt and t_end")
     if not t_end / dt <= _MAX_STEPS:
-        raise ValueError(f"t_end / dt = {t_end / dt:.3g} exceeds the cap of {_MAX_STEPS:.0e} steps")
+        raise ConfigError(f"t_end / dt = {t_end / dt:.3g} exceeds the cap of {_MAX_STEPS:.0e} steps")
     return int(round(t_end / dt))
 
 

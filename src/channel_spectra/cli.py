@@ -35,10 +35,10 @@ records the typed config, the artifacts written, the exit status and, on
 failure, the error, however the run ends.  Exit status: 0 on success (an
 inadmissible transport certificate is a result, not an error), 1 on
 configuration errors, including settings that are valid one by one but not
-together (delta >= alpha), 2 on numerical failure such as
-non-convergence.  Every command runs in a single process; the worker count
-flag is kept for existing scripts and any value other than 1 is a
-configuration error.
+together (delta >= alpha), 2 on numerical failure: a truncation that does
+not converge, or any other ValueError from the library.  Every command
+runs in a single process; the worker count flag is kept for existing
+scripts and any value other than 1 is a configuration error.
 """
 
 from __future__ import annotations
@@ -275,6 +275,7 @@ def _cmd_bands(cfg: dict, art: _Artifacts, with_gaps: bool) -> int:
             "band_count": bs.band_count,
             "spectrum_bottom": bs.spectrum_bottom,
             "energy_ceiling": bs.energy_ceiling,
+            "basis": bs.basis,
             "n_hermite": bs.n_hermite,
             "m_max": bs.m_max,
             "converged": bs.converged,
@@ -288,7 +289,7 @@ def _cmd_bands(cfg: dict, art: _Artifacts, with_gaps: bool) -> int:
     if with_gaps:
         print(f"{len(gap_pairs)} gap(s) detected")
     if not bs.converged:
-        print("warning: truncation probe did not converge", file=sys.stderr)
+        print("warning: truncation did not converge", file=sys.stderr)
         return 2
     return 0
 
@@ -321,6 +322,9 @@ def _cmd_sweep(cfg: dict, art: _Artifacts) -> int:
     art.write(write_json, "sweep_summary.json", report)
     trend = "decreasing" if report.discrepancies_decreasing else "not monotone"
     print(f"gap-edge discrepancy over omega list: {trend}")
+    if not all(e.converged for e in report.entries):
+        print("warning: truncation did not converge", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -564,9 +568,9 @@ def _run(command: str, cfg: dict, out_dir: Path) -> int:
     code, error = 1, None
     try:
         code = _HANDLERS[command](cfg, art)
-    except ValueError as exc:  # settings that are valid one by one but not together
+    except ConfigError as exc:  # settings that are valid one by one but not together
         error = f"config error: {exc}"
-    except (EigensolverError, ArpackNoConvergence, np.linalg.LinAlgError) as exc:
+    except (ValueError, EigensolverError, ArpackNoConvergence) as exc:  # LinAlgError is a ValueError
         code, error = 2, f"numerical failure: {exc}"
     except BaseException as exc:
         error = f"{type(exc).__name__}: {exc}"

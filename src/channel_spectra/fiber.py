@@ -1,7 +1,7 @@
-"""Bloch fiber matrices H(theta) in the Hermite-Fourier product basis.
+"""Bloch fiber matrices H(theta) in two product bases.
 
 After the Bloch-Floquet decomposition over theta in [-1/2, 1/2) and the
-substitution s = sqrt(alpha) y, the fiber acts on the basis
+substitution s = sqrt(alpha) y, the Hermite-Fourier fiber acts on the basis
 
     e_{n,m} = phi_n(s) e^{i m x} / sqrt(2 pi),   0 <= n < N,  |m - off| <= M,
 
@@ -17,8 +17,18 @@ projected potential coefficients.  For W = 0 the exact eigenvalues are
 alpha (2n+1) + beta (m+theta)^2: the magnetic ladder coupling is what bends
 the bare (m+theta)^2 dispersion down to beta (m+theta)^2.
 
+For a potential of x alone, W = sum_k W_k e^{ikx}, the displaced Landau
+basis phi_n(s - s_m) e^{imx} / sqrt(2 pi), s_m = -B (m+theta) / alpha^{3/2},
+diagonalises the free part instead:
+
+    <n,m| H(theta) |n',m'> = delta_{nn'} delta_{mm'} [alpha (2n+1) + beta (m+theta)^2]
+                           + W_{m-m'} D_{nn'}(B (m-m') / alpha^{3/2}),
+
+with D the displaced-Hermite overlap of ``displacement_overlaps``.  The
+coupling does not depend on theta, which enters through the diagonal only.
+
 Storage is dense; the basis ordering is row = (m - off + M) * N + n so that
-each Fourier index m owns a contiguous block of Hermite levels.
+each Fourier index m owns a contiguous block of levels.
 """
 
 from __future__ import annotations
@@ -28,14 +38,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.polynomial.hermite import hermgauss
 
 from .channel import ChannelParams
-from .hermite import ProjectedPotential
+from .hermite import _MAX_DEGREE, ProjectedPotential, _hermite_table
 
 __all__ = [
     "FiberMatrix",
     "FiberBlock",
     "fiber_block",
+    "landau_block",
+    "landau_residuals",
+    "displacement_overlaps",
     "fiber_at",
     "assemble_fiber",
     "eigenvalues_fiber",
@@ -78,10 +92,12 @@ class FiberBlock:
     """The theta-independent part of the fiber at one truncation.
 
     ``base`` is the potential's Toeplitz block plus alpha (2n+1) on the
-    diagonal, Hermitian and real whenever the projected coefficients are.
+    diagonal, Hermitian and real whenever the potential's coefficients are.
     The remaining terms depend on theta only through m + theta: ``row_m``
-    gives m for every row, and the ladder entries sit at (``ladder_rows``,
-    ``ladder_cols``) with value ``ladder_weight`` * (m + theta).
+    gives m for every row, the diagonal gains ``kinetic`` * (m + theta)^2
+    (1 in the Hermite basis, beta in the Landau basis), and the ladder
+    entries sit at (``ladder_rows``, ``ladder_cols``) with value
+    ``ladder_weight`` * (m + theta); the Landau basis has none.
     """
 
     params: ChannelParams
@@ -93,6 +109,7 @@ class FiberBlock:
     ladder_rows: np.ndarray
     ladder_cols: np.ndarray
     ladder_weight: np.ndarray
+    kinetic: float
 
 
 def fiber_block(
@@ -149,7 +166,108 @@ def fiber_block(
         ladder_rows=np.concatenate([lower, lower + 1]),
         ladder_cols=np.concatenate([lower + 1, lower]),
         ladder_weight=np.concatenate([weight, weight]),
+        kinetic=1.0,
     )
+
+
+def displacement_overlaps(n_rows: int, n_cols: int, d: float) -> np.ndarray:
+    """D[n, k] = int phi_n(s) phi_k(s - d) ds for n < n_rows and k < n_cols.
+
+    The matrix elements of the displacement operator between Hermite
+    functions (Cahill and Glauber, Phys. Rev. 177, 1857, 1969); D(0) is the
+    identity and D(-d) = D(d)^T.  With s = u + d/2 the integrand is e^{-u^2}
+    times a polynomial of degree n + k, so the Gauss-Hermite rule in u with
+    (n_rows + n_cols) // 2 + 1 nodes, each factor shifted by d/2, is exact
+    up to rounding.
+    """
+    nodes, weights = hermgauss((n_rows + n_cols) // 2 + 1)
+    # exp(u^2) in log space: raw weights underflow near the edge nodes
+    weights = np.exp(np.log(weights) + nodes * nodes)
+    left = _hermite_table(n_rows - 1, nodes + 0.5 * d)
+    right = _hermite_table(n_cols - 1, nodes - 0.5 * d)
+    return (left * weights) @ right.T
+
+
+def _harmonics(coeffs) -> list[tuple[int, complex]]:
+    return [(int(k), complex(c)) for k, c in coeffs if c != 0]
+
+
+def landau_block(params: ChannelParams, coeffs, n_levels: int, m_max: int) -> FiberBlock:
+    """The theta-independent part of the fiber in the displaced Landau basis.
+
+    For W(x) = sum_k W_k e^{ikx}, given as the (k, W_k) pairs ``coeffs``
+    with W_{-k} = conj(W_k): ``base`` holds alpha (2n+1) on the diagonal and
+    the blocks W_{m-m'} D(B (m-m') / alpha^{3/2}) for n, n' < n_levels and
+    |m|, |m'| <= m_max.  ``fiber_at`` adds beta (m+theta)^2.
+    """
+    if n_levels < 1 or m_max < 0:
+        raise ValueError("need n_levels >= 1 and m_max >= 0")
+    N, size = n_levels, 2 * m_max + 1
+    dim = N * size
+    harmonics = [(k, c) for k, c in _harmonics(coeffs) if abs(k) < size]
+    real = all(c.imag == 0.0 for _, c in harmonics)
+    h = np.zeros((size, N, size, N), dtype=float if real else complex)
+    scale = params.B / params.alpha**1.5
+    overlaps: dict[int, np.ndarray] = {}
+    for k, c in harmonics:
+        if abs(k) not in overlaps:
+            overlaps[abs(k)] = np.eye(N) if k == 0 else displacement_overlaps(N, N, scale * abs(k))
+        # D(-d) = D(d)^T, so the blocks of k and -k are exactly adjoint
+        block = overlaps[abs(k)] if k >= 0 else overlaps[-k].T
+        rows = np.arange(max(k, 0), size + min(k, 0))
+        h[rows, :, rows - k, :] = (c.real if real else c) * block
+    base = h.reshape(dim, dim)
+    base.flat[:: dim + 1] += np.tile(params.alpha * (2.0 * np.arange(N) + 1.0), size)
+    no_ladder = np.empty(0, dtype=int)
+    return FiberBlock(
+        params=params,
+        n_hermite=N,
+        m_max=m_max,
+        m_offset=0,
+        base=base,
+        row_m=np.repeat(np.arange(-m_max, m_max + 1), N).astype(float),
+        ladder_rows=no_ladder,
+        ladder_cols=no_ladder,
+        ladder_weight=np.empty(0),
+        kinetic=params.beta,
+    )
+
+
+def landau_residuals(block: FiberBlock, coeffs, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """||H_QP v||^2 for the columns v of ``vectors``, split by where Q lies.
+
+    ``block`` is a ``landau_block`` for the same ``coeffs``, and Q is the
+    complement of its truncation: the levels n >= N inside the Fourier
+    window (first array) and the Fourier indices |m| > M (second).  The free
+    part is diagonal in this basis, so only W couples into Q, and it reaches
+    the rows |m| <= M + max |k| and the levels up to where D falls below
+    1e-12 (the rows beyond add less than 1e-24 sum |W_k|^2 to r^2, and the
+    quadrature's own rounding in D is about 1e-14).  Only those rows are
+    formed.
+    """
+    N, size = block.n_hermite, 2 * block.m_max + 1
+    harmonics = [(k, c) for k, c in _harmonics(coeffs) if k != 0]
+    vecs = vectors.reshape(size, N, vectors.shape[1])
+    if not harmonics:
+        zero = np.zeros(vecs.shape[2])
+        return zero, zero
+    scale = block.params.B / block.params.alpha**1.5
+    reach = max(abs(k) for k, _ in harmonics)
+    pad = 8
+    while True:
+        n_rows = min(N + pad, _MAX_DEGREE + 1)
+        overlaps = [displacement_overlaps(n_rows, N, scale * k) for k, _ in harmonics]
+        tail = max(float(np.max(np.abs(d[-4:]))) for d in overlaps)
+        if tail <= 1e-12 or n_rows > _MAX_DEGREE:
+            break
+        pad *= 2
+    rows = np.zeros((size + 2 * reach, n_rows, vecs.shape[2]), dtype=np.result_type(vecs, complex))
+    for (k, c), d in zip(harmonics, overlaps):
+        rows[reach + k : reach + k + size] += c * (d @ vecs)
+    rows[reach : reach + size, :N] = 0.0  # the kept space P
+    r2 = np.abs(rows) ** 2
+    inside = r2[reach : reach + size].sum(axis=(0, 1))
+    return inside, r2.sum(axis=(0, 1)) - inside
 
 
 def fiber_at(block: FiberBlock, theta: float) -> FiberMatrix:
@@ -161,7 +279,7 @@ def fiber_at(block: FiberBlock, theta: float) -> FiberMatrix:
     if abs(theta) > 0.5 + 1e-12:
         raise ValueError("theta must lie in [-1/2, 1/2]")
     h = block.base.copy()
-    h.flat[:: h.shape[0] + 1] += (block.row_m + theta) ** 2
+    h.flat[:: h.shape[0] + 1] += block.kinetic * (block.row_m + theta) ** 2
     rows = block.ladder_rows
     h[rows, block.ladder_cols] += block.ladder_weight * (block.row_m[rows] + theta)
     return FiberMatrix(

@@ -46,6 +46,7 @@ import numpy as np
 
 from .channel import ChannelParams, Potential, derive_params
 from .numutil import complement_within
+from .schema import ConfigError
 
 __all__ = [
     "RELATIVE_BOUND_CONSTANT",
@@ -77,14 +78,14 @@ def _threshold_windows(alpha: float, half_width: float, ceiling: float) -> list[
     below the ceiling.  The count comes in closed form and is refused above
     _MAX_WINDOWS."""
     if not math.isfinite(ceiling):
-        raise ValueError(f"threshold windows need a finite ceiling, got {ceiling}")
+        raise ConfigError(f"threshold windows need a finite ceiling, got {ceiling}")
 
     def starts_below(n: int) -> bool:
         return (2 * n + 1) * alpha - half_width <= ceiling
 
     count = max(math.floor(((ceiling + half_width) / alpha - 1.0) / 2.0) + 1, 0)
     if count > _MAX_WINDOWS:
-        raise ValueError(
+        raise ConfigError(
             f"{count} threshold windows below {ceiling:g} (alpha = {alpha:g}); "
             f"at most {_MAX_WINDOWS} are supported"
         )
@@ -160,11 +161,11 @@ def evaluate_certificate(
 ) -> MourreReport:
     """Evaluate conditions (I) and (II); inadmissibility is a result, not an error."""
     if not all(math.isfinite(v) for v in (E, delta, eps)):
-        raise ValueError("E, delta and eps must be finite")
+        raise ConfigError("E, delta and eps must be finite")
     if delta <= 0.0 or eps <= 0.0:
-        raise ValueError("need delta > 0 and eps > 0")
+        raise ConfigError("need delta > 0 and eps > 0")
     if delta >= params.alpha:
-        raise ValueError("need delta < alpha")
+        raise ConfigError("need delta < alpha")
     bounds = spec.norm_estimates()
     w0, w0p = bounds.w0, bounds.w0_prime
     reasons: list[str] = []
@@ -282,14 +283,14 @@ def scaling_sweep(
     c: float = RELATIVE_BOUND_CONSTANT,
 ) -> ScalingSweepReport:
     if not all(math.isfinite(v) and v > 0 for v in (E0, delta0, eps0)):
-        raise ValueError("scaled parameters must be finite and positive")
+        raise ConfigError("scaled parameters must be finite and positive")
     # E0 must stay clear of the scaled threshold windows (2n+1) +- (d0+e0)
     pad = delta0 + eps0
     if pad >= 1.0:
-        raise ValueError("delta0 + eps0 must be < 1 for disjoint scaled windows")
+        raise ConfigError("delta0 + eps0 must be < 1 for disjoint scaled windows")
     n_near = round((E0 - 1.0) / 2.0)
     if n_near >= 0 and abs(E0 - (2 * n_near + 1)) <= pad:
-        raise ValueError("E0 lies inside a scaled threshold window")
+        raise ConfigError("E0 lies inside a scaled threshold window")
     rows = []
     smallest = None
     for omega in omega_list:

@@ -14,6 +14,7 @@ import channel_spectra
 from channel_spectra import (
     BandStructure,
     ConstantProfile,
+    GaussianProfile,
     SeparableFourierPotential,
     ZeroPotential,
     assemble_fiber,
@@ -21,9 +22,11 @@ from channel_spectra import (
     derive_params,
     detect_gaps,
     dominant_hermite_index,
+    eigenvalues_fiber,
     gap_persistence_sweep,
     project_potential,
 )
+from channel_spectra.schema import ConfigError
 
 _P34 = derive_params(3.0, 4.0)
 _TWO_COS = SeparableFourierPotential.from_cosines({1: 2.0})
@@ -249,3 +252,59 @@ def test_non_positive_cauchy_tol_is_rejected_promptly(tol):
     )
     assert proc.returncode == 1
     assert "ValueError: need cauchy_tol > 0" in proc.stderr
+
+
+_GAUSSIAN_COS = SeparableFourierPotential({1: 0.3, -1: 0.3}, GaussianProfile(1.5))
+
+
+def test_x_only_potentials_take_the_landau_basis():
+    free = compute_bands(_P34, ZeroPotential(), theta_count=9, energy_ceiling=2.0 * _P34.alpha, refine=False)
+    coupled = compute_bands(_P34, _TWO_COS, theta_count=9, energy_ceiling=12.0, n_hermite=8, refine=False)
+    profiled = compute_bands(_P34, _GAUSSIAN_COS, theta_count=9, energy_ceiling=6.0, n_hermite=8, refine=False)
+    assert (free.basis, coupled.basis, profiled.basis) == ("landau", "landau", "hermite")
+    assert free.converged and coupled.converged and profiled.converged
+    # W = 0 passes at the first size tried; an explicit size is never lowered
+    assert (free.n_hermite, coupled.n_hermite) == (4, 8)
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-10])
+def test_landau_bands_match_the_hermite_basis_to_the_tolerance(tol):
+    spec = SeparableFourierPotential({1: 0.4, -1: 0.4, 2: 0.1j, -2: -0.1j})
+    landau = compute_bands(
+        _P34, spec, theta_count=9, energy_ceiling=_P34.alpha + 2.0, refine=False, cauchy_tol=tol
+    )
+    assert landau.basis == "landau" and landau.converged
+    # Hermite fibers on the same Fourier window, converged to about 1e-12 at N = 60
+    proj = project_potential(spec, _P34, nmax=59, mfourier=16)
+    for theta, row in zip(landau.theta_grid, landau.bands):
+        ref = eigenvalues_fiber(assemble_fiber(_P34, proj, theta, 60, landau.m_max))
+        assert np.max(np.abs(row - ref[: row.size])) < tol
+
+
+def test_tolerance_below_rounding_is_never_met_even_at_zero_residual():
+    # W = 0: the Landau basis is exact and every residual is 0, but the
+    # eigensolver still rounds at about eps ||H||
+    with pytest.warns(UserWarning, match="Cauchy"):
+        bs = compute_bands(
+            _P34, ZeroPotential(), theta_count=9, energy_ceiling=6.0, cauchy_tol=1e-18, refine=False
+        )
+    assert not bs.converged
+
+
+def test_oversized_n_hermite_is_a_config_error():
+    with pytest.raises(ConfigError, match="500"):
+        compute_bands(_P34, ZeroPotential(), n_hermite=501)
+
+
+@pytest.mark.parametrize("spec", [_TWO_COS, _GAUSSIAN_COS], ids=["landau", "hermite"])
+def test_growth_stops_at_the_hermite_degree_cap(monkeypatch, spec):
+    from channel_spectra import bands
+
+    monkeypatch.setattr(bands, "MAX_N_HERMITE", 8)
+    with pytest.warns(UserWarning, match="did not meet"):
+        bs = compute_bands(
+            _P34, spec, theta_count=9, energy_ceiling=6.0, n_hermite=4, cauchy_tol=1e-18, refine=False
+        )
+    assert not bs.converged
+    assert bs.n_hermite == 8
+    assert any("Hermite degree cap" in note for note in bs.notes)

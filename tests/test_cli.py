@@ -21,6 +21,9 @@ from channel_spectra.fiber import EigensolverError
 from channel_spectra.schema import Key, OneOf
 
 
+_TWO_COS_CFG = {"kind": "fourier_x", "coeffs": {"1": [1.0, 0.0], "-1": [1.0, 0.0]}}
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -109,6 +112,7 @@ def test_bands_command_artifacts(tmp_path):
     assert "bands.svg" in manifest["artifacts"]
     summary = json.loads((out / "bands_summary.json").read_text())
     assert summary["converged"] is True
+    assert summary["basis"] == "landau"  # W = 0 depends on x only
     assert abs(summary["spectrum_bottom"] - 5.0) < 1e-6
 
 
@@ -565,6 +569,42 @@ def test_numerical_failure_leaves_a_manifest(tmp_path, capsys, monkeypatch):
     assert manifest["exit_status"] == 2
     assert "no convergence" in manifest["error"]
     assert manifest["config"]["theta_count"] == 33
+
+
+def test_library_value_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("matrix lost its symmetry")
+
+    monkeypatch.setattr(cli, "compute_bands", fail)
+    out = tmp_path / "o"
+    assert main(["bands", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: matrix lost its symmetry")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 2
+    assert manifest["error"] == "numerical failure: matrix lost its symmetry"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bands", "--set", "n_hermite=2", "--set", "theta_count=9", "--set", "ceiling=6.5"],
+        ["sweep-omega", "--set", "omega_list=[4.0]", "--set", "n_hermite=2", "--set", "theta_count=9"],
+    ],
+    ids=["bands", "sweep-omega"],
+)
+def test_truncation_growth_past_the_cap_exits_two(tmp_path, capsys, monkeypatch, argv):
+    from channel_spectra import bands
+
+    # W = 2 cos x needs more than N = 2 Landau levels for 1e-7, and the
+    # first doubling would pass the (lowered) cap
+    monkeypatch.setattr(bands, "MAX_N_HERMITE", 3)
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning, match="did not meet"):
+        code = main([*argv, "--set", f"potential={json.dumps(_TWO_COS_CFG)}", "--out", str(out)])
+    assert code == 2
+    assert "truncation did not converge" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["exit_status"] == 2
 
 
 def test_manifest_records_typed_config(tmp_path):

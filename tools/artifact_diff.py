@@ -1,6 +1,6 @@
-"""Byte-compare the artifacts that two checkouts of channel-spectra write.
+"""Compare the artifacts that two checkouts of channel-spectra write.
 
-    python3 tools/artifact_diff.py BASE CHANGE [--work DIR]
+    python3 tools/artifact_diff.py BASE CHANGE [--work DIR] [--tol X]
 
 BASE and CHANGE are checkouts (directories holding ``src/channel_spectra``).
 Both run the same requests:
@@ -18,13 +18,23 @@ byte, and so are the exit statuses (``status.json``).  Exit status 0 when
 both checkouts wrote the same set of files with the same bytes, 1
 otherwise.  The outputs go to a temporary directory, or are kept in
 ``--work DIR`` (``DIR/base`` and ``DIR/change``).
+
+With ``--tol X``, a CSV or JSON file whose bytes differ is compared by
+value instead: the same CSV header and row count, the same JSON structure,
+equal text and flags, and numbers that differ by at most X.  The largest
+absolute deviation is printed for each such file.  A JSON key that only
+the change writes is listed and allowed (a new summary field); a key that
+only the base writes is a difference.  Any other file must still be
+byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -117,15 +127,81 @@ def _files(root: Path) -> set[str]:
     return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
 
 
-def compare(base: Path, change: Path) -> list[str]:
-    """One line per difference between the two output trees."""
+class _Mismatch(Exception):
+    """Two artifacts differ by more than a numeric deviation."""
+
+
+def _deviation(a, b, added: list) -> float:
+    """Largest |a - b| over the numbers of two parsed artifacts.
+
+    Raises _Mismatch where their structure, text or flags differ.  Keys
+    that only ``b`` has are appended to ``added``.
+    """
+    if isinstance(a, bool) or isinstance(b, bool) or isinstance(a, str) or isinstance(b, str):
+        if a != b:
+            raise _Mismatch(f"{a!r} != {b!r}")
+        return 0.0
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return 0.0
+        return abs(a - b) if math.isfinite(a) and math.isfinite(b) else math.inf
+    if isinstance(a, dict) and isinstance(b, dict):
+        missing = sorted(set(a) - set(b))
+        if missing:
+            raise _Mismatch(f"keys {missing} missing from the change")
+        added += sorted(set(b) - set(a))
+        return max((_deviation(a[k], b[k], added) for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise _Mismatch(f"{len(a)} items against {len(b)}")
+        return max((_deviation(x, y, added) for x, y in zip(a, b)), default=0.0)
+    if a is None and b is None:
+        return 0.0
+    raise _Mismatch(f"{type(a).__name__} against {type(b).__name__}")
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _parse(path: Path):
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    # the header stays text; a cell becomes a number where it parses as one
+    return rows[:1] + [[_cell(c) for c in row] for row in rows[1:]]
+
+
+def compare(base: Path, change: Path, tol: float | None = None) -> list[str]:
+    """One line per difference between the two output trees.
+
+    With ``tol``, differing CSV and JSON files are compared by value; the
+    largest deviation of each is reported on a line starting ``within``
+    when it is at most ``tol``, and such lines are not differences.
+    """
     base_files, change_files = _files(base), _files(change)
-    problems = [f"only in base: {name}" for name in sorted(base_files - change_files)]
-    problems += [f"only in change: {name}" for name in sorted(change_files - base_files)]
+    lines = [f"only in base: {name}" for name in sorted(base_files - change_files)]
+    lines += [f"only in change: {name}" for name in sorted(change_files - base_files)]
     for name in sorted(base_files & change_files):
-        if not filecmp.cmp(base / name, change / name, shallow=False):
-            problems.append(f"differs: {name}")
-    return problems
+        if filecmp.cmp(base / name, change / name, shallow=False):
+            continue
+        if tol is None or Path(name).suffix not in (".csv", ".json"):
+            lines.append(f"differs: {name}")
+            continue
+        added: list[str] = []
+        try:
+            dev = _deviation(_parse(base / name), _parse(change / name), added)
+        except _Mismatch as exc:
+            lines.append(f"differs: {name}: {exc}")
+            continue
+        note = f" (keys added: {', '.join(added)})" if added else ""
+        verdict = "within" if dev <= tol else "differs"
+        lines.append(f"{verdict}: {name}: max deviation {dev:.3e}{note}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -133,6 +209,9 @@ def main(argv=None) -> int:
     parser.add_argument("base", type=Path, help="checkout to compare against")
     parser.add_argument("change", type=Path, help="checkout under test")
     parser.add_argument("--work", type=Path, help="keep the outputs in this directory")
+    parser.add_argument(
+        "--tol", type=float, help="compare differing CSV and JSON files by value, to this absolute deviation"
+    )
     args = parser.parse_args(argv)
     argvs = request_argvs()
     with tempfile.TemporaryDirectory() as tmp:
@@ -146,17 +225,21 @@ def main(argv=None) -> int:
         if any(codes.values()):
             print(f"a child process failed: {codes}")
             return 1
-        problems = compare(roots["base"], roots["change"])
+        lines = compare(roots["base"], roots["change"], args.tol)
         status = json.loads((roots["change"] / "status.json").read_text())
         file_count = len(_files(roots["change"]))
-    for line in problems[:50]:
+    problems = [line for line in lines if not line.startswith("within")]
+    # every deviation in --tol mode; the first 50 differences otherwise
+    shown = lines if args.tol is not None else lines[:50]
+    for line in shown:
         print(line)
-    if len(problems) > 50:
-        print(f"... and {len(problems) - 50} more")
+    if len(lines) > len(shown):
+        print(f"... and {len(lines) - len(shown)} more")
     failed = sum(code != 0 for code in status.values())
+    within = f", {len(lines) - len(problems)} within {args.tol:g}" if args.tol is not None else ""
     print(
         f"{len(argvs)} requests ({failed} exited nonzero in the change), {file_count} files: "
-        f"{'identical' if not problems else f'{len(problems)} difference(s)'}"
+        f"{'identical' if not lines else f'{len(problems)} difference(s)'}{within}"
     )
     return 1 if problems else 0
 
