@@ -42,7 +42,6 @@ from .bands import (
     GapReport,
     compute_bands,
     detect_gaps,
-    dominant_hermite_index,
     gap_persistence_sweep,
 )
 from .hill import (

@@ -9,10 +9,13 @@ sweep compares those gaps against the decoupled reference H_{0,0} =
 alpha + spec(K_0) as the confinement omega grows at fixed field B.
 
 Truncation policy.  The Fourier window must cover the ceiling
-kinematically, beta (M - 1/2)^2 + alpha > ceiling with margin.  At most
-four truncations are checked, and a step that would take N past 500 (the
-Hermite degree cap) stops the growth; a truncation that never passes is
-reported with converged = False and a warning.
+kinematically, beta (M - 1/2)^2 + alpha > ceiling with margin.  One growth
+loop serves both bases: each hands it how to build the block of a
+truncation (N, M) and how to judge it, and a failed judgement doubles N,
+widens M by 4, or both.  At most four truncations are checked, and a step
+that would take N past 500 (the Hermite degree cap) stops the growth; a
+truncation that never passes is reported with converged = False and a
+warning, and the last truncation checked is the one used.
 
 - W = W(x) (W = 0, or a separable potential with a constant profile): the
   fiber is built in the displaced Landau basis, where the free part is
@@ -32,10 +35,13 @@ reported with converged = False and a warning.
 - any other potential: the Hermite basis, validated by a Cauchy criterion
   (eigenvalues below the ceiling move by < cauchy_tol when the Hermite
   cutoff doubles and the Fourier window widens by 4), and raised to that
-  larger pair until it passes.  N starts at 40, or at n_hermite.
+  larger pair until it passes.  The kept pair is a block built from the
+  probe's own projection; the larger pair is solved at the three probe
+  phases as one-off fibers.  N starts at 40, or at n_hermite.
 
 An explicit n_hermite or m_max is a starting size that is only ever
-raised; n_hermite above 500 is a configuration error.
+raised.  An n_hermite above 500, or a window M above MAX_M_MAX = 64 (the
+kinematic cover of a large ceiling included), is a configuration error.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ import scipy.linalg
 from .channel import ChannelParams, Potential, SeparableFourierPotential, ZeroPotential, derive_params
 from .fiber import (
     FiberBlock,
-    FiberMatrix,
     assemble_fiber,
     eigenvalues_fiber,
     fiber_at,
@@ -58,9 +63,9 @@ from .fiber import (
     landau_block,
     landau_residuals,
 )
-from .hermite import ProjectedPotential, project_potential
+from .hermite import project_potential
 from .hill import h00_gaps, hill_bands
-from .numutil import GapReport, bloch_bands, gap_report, golden_section_minimize, merge_intervals, theta_grid
+from .numutil import GapReport, bloch_bands, gap_report, golden_section_minimize, theta_grid
 from .schema import ConfigError
 
 __all__ = [
@@ -71,7 +76,6 @@ __all__ = [
     "compute_bands",
     "detect_gaps",
     "gap_persistence_sweep",
-    "dominant_hermite_index",
     "landau_error_estimates",
 ]
 
@@ -80,6 +84,9 @@ DEFAULT_N_LANDAU = 4
 DEFAULT_M_MAX = 8
 # the Cauchy probe projects W up to Hermite degree 2N - 1 <= 999
 MAX_N_HERMITE = 500
+# a wider Fourier window makes dense fibers too large to solve: the Hermite
+# probe at the default N = 40 would already have dimension 80 (2 M + 9)
+MAX_M_MAX = 64
 _GROWTH_STEPS = 4
 _PROBES = (0.0, 1.0 / 3.0, -0.5)
 
@@ -107,9 +114,6 @@ class BandStructure:
     def spectrum_bottom(self) -> float:
         return float(np.min(self.band_intervals[:, 0]))
 
-    def union_intervals(self) -> list[tuple[float, float]]:
-        return merge_intervals([tuple(row) for row in self.band_intervals])
-
 
 def _kinematic_m_cover(params: ChannelParams, ceiling: float) -> int:
     """Fourier window needed for the free dispersion to clear the ceiling."""
@@ -117,44 +121,27 @@ def _kinematic_m_cover(params: ChannelParams, ceiling: float) -> int:
     return int(math.ceil(math.sqrt(span / params.beta) + 0.5)) + 3
 
 
-def _probe_eigs(params, proj, theta, n_hermite, m_max) -> np.ndarray:
-    # the probe solves each truncation at three phases only, so it assembles
-    # one-off fibers instead of holding a block
-    return eigenvalues_fiber(assemble_fiber(params, proj, theta, n_hermite, m_max))
+def _hermite_basis(params, spec, ceiling, tol):
+    """Build and judge for the Hermite basis: the Cauchy probe compares the
+    eigenvalues below the ceiling at (N, M) and at (2N, M+4)."""
 
+    def projection(n, m):  # covers the larger pair; the kept block comes from it too
+        return project_potential(spec, params, nmax=2 * n - 1, mfourier=max(16, 2 * (m + 4)))
 
-def _cauchy_probe(params, spec, ceiling, n_hermite, m_max, tol) -> tuple[bool, ProjectedPotential]:
-    """Compare eigenvalues below the ceiling at (N, M) and (2N, M+4)."""
-    big_n, big_m = 2 * n_hermite, m_max + 4
-    proj = project_potential(
-        spec, params, nmax=big_n - 1, mfourier=max(16, 2 * big_m)
-    )
-    for theta in _PROBES:
-        small = _probe_eigs(params, proj, theta, n_hermite, m_max)
-        big = _probe_eigs(params, proj, theta, big_n, big_m)
-        small = small[small <= ceiling]
-        big = big[big <= ceiling]
-        common = min(small.size, big.size)
-        if big.size - small.size > 2:
-            return False, proj
-        if common and float(np.max(np.abs(small[:common] - big[:common]))) > tol:
-            return False, proj
-    return True, proj
+    def judge(block):
+        n, m = block.n_hermite, block.m_max
+        proj = projection(n, m)
+        for theta in _PROBES:
+            small = eigenvalues_fiber(fiber_at(block, theta))
+            # three phases only, so the larger pair is assembled one-off
+            big = eigenvalues_fiber(assemble_fiber(params, proj, theta, 2 * n, m + 4))
+            small, big = small[small <= ceiling], big[big <= ceiling]
+            common = min(small.size, big.size)
+            if big.size - small.size > 2 or (common and np.max(np.abs(small[:common] - big[:common])) > tol):
+                return True, True
+        return None
 
-
-def _hermite_truncation(params, spec, ceiling, n_h, m_m, tol, notes) -> tuple[FiberBlock, bool]:
-    converged = False
-    for _ in range(_GROWTH_STEPS):
-        converged, proj = _cauchy_probe(params, spec, ceiling, n_h, m_m, tol)
-        if converged:
-            break
-        if 2 * n_h > MAX_N_HERMITE:
-            notes.append(f"truncation growth stopped at N={n_h} by the Hermite degree cap")
-            break
-        # the probe's larger pair is covered by its projection
-        n_h, m_m = 2 * n_h, m_m + 4
-        notes.append(f"truncation raised to (N={n_h}, M={m_m})")
-    return fiber_block(params, proj, n_h, m_m), converged
+    return (lambda n, m: fiber_block(params, projection(n, m), n, m)), judge
 
 
 def _x_only_coeffs(spec: Potential):
@@ -197,26 +184,47 @@ def _floors(block: FiberBlock, w0: float) -> tuple[float, float]:
     return p.alpha * (2 * block.n_hermite + 1) - w0, p.alpha + p.beta * (block.m_max + 0.5) ** 2 - w0
 
 
-def _landau_truncation(params, coeffs, w0, ceiling, n_l, m_m, tol, notes) -> tuple[FiberBlock, bool]:
-    for step in range(_GROWTH_STEPS):
-        block = landau_block(params, coeffs, n_l, m_m)
+def _landau_basis(params, coeffs, w0, ceiling, tol):
+    """Build and judge for the Landau basis: the residual estimate of the
+    module docstring."""
+
+    def judge(block):
         estimates = [landau_error_estimates(block, coeffs, w0, ceiling, t) for t in _PROBES]
         worst = max(float(np.max(lv + wn, initial=0.0)) + r for _, lv, wn, r in estimates)
         low_levels, low_window = (floor <= ceiling for floor in _floors(block, w0))
         if worst <= tol and not (low_levels or low_window):
-            return block, True
-        if step + 1 == _GROWTH_STEPS:
-            break
+            return None
         # grow each direction whose share takes more than half of what the
         # rounding leaves of the tolerance, or whose floor is below the ceiling
         half = 0.5 * (tol - max(r for *_, r in estimates))
-        grow_levels = low_levels or any(np.any(lv > half) for _, lv, _, _ in estimates)
-        grow_window = low_window or any(np.any(wn > half) for _, _, wn, _ in estimates)
-        if grow_levels and 2 * n_l > MAX_N_HERMITE:
-            notes.append(f"truncation growth stopped at N={n_l} by the Hermite degree cap")
+        return (
+            low_levels or any(np.any(lv > half) for _, lv, _, _ in estimates),
+            low_window or any(np.any(wn > half) for _, _, wn, _ in estimates),
+        )
+
+    return (lambda n, m: landau_block(params, coeffs, n, m)), judge
+
+
+def _grow(build, judge, n_h, m_m, notes) -> tuple[FiberBlock, bool]:
+    """Check at most _GROWTH_STEPS truncations, from (n_h, m_m) upwards.
+
+    ``build(N, M)`` makes a truncation's block, and ``judge(block)`` gives
+    None when it passes, else whether to grow the levels (N doubles) and
+    the Fourier window (M grows by 4).  Returns the last block checked.
+    """
+    for step in range(_GROWTH_STEPS):
+        block = build(n_h, m_m)
+        grow = judge(block)
+        if grow is None:
+            return block, True
+        if step + 1 == _GROWTH_STEPS:
             break
-        n_l, m_m = (2 * n_l if grow_levels else n_l), (m_m + 4 if grow_window else m_m)
-        notes.append(f"truncation raised to (N={n_l}, M={m_m})")
+        grow_levels, grow_window = grow
+        if grow_levels and 2 * n_h > MAX_N_HERMITE:
+            notes.append(f"truncation growth stopped at N={n_h} by the Hermite degree cap")
+            break
+        n_h, m_m = (2 * n_h if grow_levels else n_h), (m_m + 4 if grow_window else m_m)
+        notes.append(f"truncation raised to (N={n_h}, M={m_m})")
     return block, False
 
 
@@ -237,16 +245,16 @@ def compute_bands(
     both +-1/2 endpoints), and cauchy_tol > 0.  Bands are reported when
     their grid minimum lies at or below the ceiling; eigenvalues above the
     ceiling are not trusted.  The basis and the truncation follow the
-    module's truncation policy; n_hermite above MAX_N_HERMITE raises
-    ConfigError.
+    module's truncation policy; n_hermite above MAX_N_HERMITE, or a Fourier
+    window above MAX_M_MAX, raises ConfigError.
     """
     grid = theta_grid(theta_count)
     if not cauchy_tol > 0.0:
         raise ValueError("need cauchy_tol > 0")
     if n_hermite is not None and n_hermite > MAX_N_HERMITE:
         raise ConfigError(f"n_hermite = {n_hermite} exceeds the Hermite degree cap of {MAX_N_HERMITE}")
+    w0 = spec.norm_estimates().w0
     if energy_ceiling is None:
-        w0 = spec.norm_estimates().w0
         energy_ceiling = 3.0 * params.alpha + (w0 if math.isfinite(w0) else 0.0)
     notes: list[str] = []
     coeffs = _x_only_coeffs(spec)
@@ -257,15 +265,18 @@ def compute_bands(
         m_m = cover
         notes.append(f"m_max raised to {m_m} to cover the energy ceiling")
 
+    if m_m > MAX_M_MAX:
+        raise ConfigError(
+            f"Fourier window M = {m_m} for ceiling {energy_ceiling:.6g} exceeds the cap of {MAX_M_MAX}"
+        )
+
     if coeffs is None:
         n_h = DEFAULT_N_HERMITE if n_hermite is None else int(n_hermite)
-        block, converged = _hermite_truncation(params, spec, energy_ceiling, n_h, m_m, cauchy_tol, notes)
+        build, judge = _hermite_basis(params, spec, energy_ceiling, cauchy_tol)
     else:
         n_h = DEFAULT_N_LANDAU if n_hermite is None else int(n_hermite)
-        w0 = spec.norm_estimates().w0
-        block, converged = _landau_truncation(
-            params, coeffs, w0, energy_ceiling, n_h, m_m, cauchy_tol, notes
-        )
+        build, judge = _landau_basis(params, coeffs, w0, energy_ceiling, cauchy_tol)
+    block, converged = _grow(build, judge, n_h, m_m, notes)
     if not converged:
         warnings.warn(
             f"truncation did not meet the Cauchy tolerance {cauchy_tol:.1e} at "
@@ -437,10 +448,3 @@ def gap_persistence_sweep(
             )
         )
     return GapPersistenceReport(B=float(B), entries=tuple(entries), target_gap_count=target_gap_count)
-
-
-def dominant_hermite_index(mat: FiberMatrix, vector: np.ndarray) -> int:
-    """Hermite level carrying the most weight in a fiber eigenvector."""
-    comps = np.asarray(vector).reshape(2 * mat.m_max + 1, mat.n_hermite)
-    weights = np.sum(np.abs(comps) ** 2, axis=0)
-    return int(np.argmax(weights))

@@ -9,13 +9,14 @@ with matrix elements
 
     <n,m| H(theta) |n',m'> = delta_{nn'} delta_{mm'} [alpha (2n+1) + (m+theta)^2]
                            + delta_{|n-n'|,1} delta_{mm'} B sqrt(2 max(n,n') / alpha) (m+theta)
-                           + c^{(n,n')}_{m-m'}
+                           + c_{m-m'} G_{nn'}
 
 where the middle line is the cross term 2 B (m+theta) y of the squared
-magnetic momentum expanded through the ladder identity, and the c's are the
-projected potential coefficients.  For W = 0 the exact eigenvalues are
-alpha (2n+1) + beta (m+theta)^2: the magnetic ladder coupling is what bends
-the bare (m+theta)^2 dispersion down to beta (m+theta)^2.
+magnetic momentum expanded through the ladder identity, and c_k and G are
+the two factors of the projected potential W = f(x) g(y) (``hermite``).
+For W = 0 the exact eigenvalues are alpha (2n+1) + beta (m+theta)^2: the
+magnetic ladder coupling is what bends the bare (m+theta)^2 dispersion
+down to beta (m+theta)^2.
 
 For a potential of x alone, W = sum_k W_k e^{ikx}, the displaced Landau
 basis phi_n(s - s_m) e^{imx} / sqrt(2 pi), s_m = -B (m+theta) / alpha^{3/2},
@@ -78,14 +79,6 @@ class FiberMatrix:
     m_offset: int
     entries: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.n_hermite * (2 * self.m_max + 1)
-
-    @property
-    def m_window(self) -> np.ndarray:
-        return np.arange(-self.m_max, self.m_max + 1) + self.m_offset
-
 
 @dataclass(eq=False)
 class FiberBlock:
@@ -110,6 +103,22 @@ class FiberBlock:
     ladder_cols: np.ndarray
     ladder_weight: np.ndarray
     kinetic: float
+
+
+def _potential_blocks(terms, n: int, size: int) -> np.ndarray:
+    """sum_k c_k S^k (x) M_k, with S the shift of the Fourier index, in both bases.
+
+    ``terms`` are triples (k, c_k, M_k) with |k| < size and M_k of shape
+    (n, n): M_k = G (Hermite) or D(B k / alpha^{3/2}) (Landau).  Block
+    (mu, mu - k) of the dense (size n, size n) result is c_k M_k, and the
+    result is real whenever every c_k is.
+    """
+    real = all(c.imag == 0.0 for _, c, _ in terms)
+    h = np.zeros((size, n, size, n), dtype=float if real else complex)
+    for k, c, block in terms:
+        rows = np.arange(max(k, 0), size + min(k, 0))
+        h[rows, :, rows - k, :] = (c.real if real else c) * block
+    return h.reshape(size * n, size * n)
 
 
 def fiber_block(
@@ -139,19 +148,14 @@ def fiber_block(
 
     N = n_hermite
     ms = np.arange(-m_max, m_max + 1) + m_offset
-    dim = N * ms.size
     alpha = params.alpha
 
-    # potential part: block (mu, nu) of the Toeplitz structure in m
-    kdiff = ms[:, None] - ms[None, :]
-    pot = proj.coeffs[:N, :N, kdiff + proj.mfourier]  # (n, n', mu, nu)
-    if not pot.imag.any():
-        pot = pot.real
-    h = np.transpose(pot, (2, 0, 3, 1)).reshape(dim, dim)
+    overlap = proj.overlap[:N, :N]
+    h = _potential_blocks([(k, c, overlap) for k, c in proj.fourier if abs(k) < ms.size], N, ms.size)
     # the quadrature leaves the projection Hermitian only up to rounding
     base = h + h.conj().T
     base *= 0.5
-    base.flat[:: dim + 1] += np.tile(alpha * (2.0 * np.arange(N) + 1.0), ms.size)
+    base.flat[:: base.shape[0] + 1] += np.tile(alpha * (2.0 * np.arange(N) + 1.0), ms.size)
 
     # magnetic ladder coupling B sqrt(2(n+1)/alpha) (m+theta) between n and n+1
     lower = (np.arange(ms.size)[:, None] * N + np.arange(N - 1)[None, :]).ravel()
@@ -203,21 +207,15 @@ def landau_block(params: ChannelParams, coeffs, n_levels: int, m_max: int) -> Fi
     if n_levels < 1 or m_max < 0:
         raise ValueError("need n_levels >= 1 and m_max >= 0")
     N, size = n_levels, 2 * m_max + 1
-    dim = N * size
     harmonics = [(k, c) for k, c in _harmonics(coeffs) if abs(k) < size]
-    real = all(c.imag == 0.0 for _, c in harmonics)
-    h = np.zeros((size, N, size, N), dtype=float if real else complex)
     scale = params.B / params.alpha**1.5
-    overlaps: dict[int, np.ndarray] = {}
-    for k, c in harmonics:
-        if abs(k) not in overlaps:
-            overlaps[abs(k)] = np.eye(N) if k == 0 else displacement_overlaps(N, N, scale * abs(k))
-        # D(-d) = D(d)^T, so the blocks of k and -k are exactly adjoint
-        block = overlaps[abs(k)] if k >= 0 else overlaps[-k].T
-        rows = np.arange(max(k, 0), size + min(k, 0))
-        h[rows, :, rows - k, :] = (c.real if real else c) * block
-    base = h.reshape(dim, dim)
-    base.flat[:: dim + 1] += np.tile(params.alpha * (2.0 * np.arange(N) + 1.0), size)
+    overlaps = {k: displacement_overlaps(N, N, scale * k) for k in {abs(k) for k, _ in harmonics} - {0}}
+    overlaps[0] = np.eye(N)  # D(0), exactly
+    # D(-d) = D(d)^T, so the blocks of k and -k are exactly adjoint
+    base = _potential_blocks(
+        [(k, c, overlaps[k] if k >= 0 else overlaps[-k].T) for k, c in harmonics], N, size
+    )
+    base.flat[:: base.shape[0] + 1] += np.tile(params.alpha * (2.0 * np.arange(N) + 1.0), size)
     no_ladder = np.empty(0, dtype=int)
     return FiberBlock(
         params=params,

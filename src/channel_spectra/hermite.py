@@ -9,13 +9,16 @@ orthonormal in L^2(ds).  Ladder identities used throughout:
     s   phi_n = sqrt((n+1)/2) phi_{n+1} + sqrt(n/2) phi_{n-1}
     d_s phi_n = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}
 
-A potential W enters the fiber operators only through its projections
+Every x-periodic potential is separable, W = f(x) g(y) with
+f(x) = sum_k c_k e^{ikx}, so it enters the fiber operators only through two
+factors: the Fourier pairs (k, c_k) with |k| <= mfourier, and the overlap
 
-    W_{n,m}(x)   = int phi_n(s) phi_m(s) W(x, s/sqrt(alpha)) ds
-    c^{(n,m)}_k  = (2 pi)^{-1} int_0^{2 pi} exp(-i k x) W_{n,m}(x) dx,
+    G_{nm} = int phi_n(s) g(s/sqrt(alpha)) phi_m(s) ds,   n, m <= nmax,
 
-computed with Gauss-Hermite quadrature in s and a uniform trapezoid (DFT)
-in x.  Projections are theta-independent and cached per (spec, alpha, Nmax).
+by Gauss-Hermite quadrature (exactly g * I for a constant g).  The
+coefficient of e^{ikx} between the levels n and m is c_k G_{nm}.  The
+factors are theta-independent and cached per (spec, alpha, nmax, mfourier,
+order).
 """
 
 from __future__ import annotations
@@ -96,21 +99,21 @@ class HermiteBasis:
 
 @dataclass(eq=False)
 class ProjectedPotential:
-    """Fourier coefficients c^{(n,m)}_k of the Hermite-projected potential.
-
-    coeffs has shape (nmax+1, nmax+1, 2*mfourier+1) indexed [n, m, k+mfourier].
-    Hermitian symmetry c^{(n,m)}_k = conj(c^{(m,n)}_{-k}) holds by
-    construction for real W.
-    """
+    """The two factors of W = f(x) g(y) (module docstring): the pairs (k, c_k)
+    with |k| <= mfourier, and the (nmax+1, nmax+1) overlap G of g."""
 
     alpha: float
     nmax: int
     mfourier: int
-    coeffs: np.ndarray
+    fourier: tuple[tuple[int, complex], ...]
+    overlap: np.ndarray
 
     def diag_coeffs(self, n: int) -> np.ndarray:
-        """c^{(n,n)}_k for k = -mfourier..mfourier."""
-        return self.coeffs[n, n]
+        """c_k G_{nn} for k = -mfourier..mfourier."""
+        out = np.zeros(2 * self.mfourier + 1, dtype=complex)
+        for k, c in self.fourier:
+            out[k + self.mfourier] = c * self.overlap[n, n]
+        return out
 
 
 _ALIASING_RTOL = 1e-8
@@ -128,12 +131,10 @@ def project_potential(
     """Project W onto the scaled Hermite basis and the x-Fourier modes.
 
     Requires an x-periodic kind: W = 0, or the separable W = f(x) g(y)
-    that every other periodic config kind builds.  Its projection factors
-    into the Fourier coefficients of f times the overlap matrix
-    <phi_n| g |phi_m>, by Gauss-Hermite quadrature, or exactly g * I for a
-    constant g (the tests cross-check it against a tensor-grid projection).
-    Warns when Fourier coefficients beyond |k| = mfourier are dropped that
-    exceed 1e-8 of the largest one kept.
+    that every other periodic config kind builds.  Returns its two factors
+    (see the module docstring); the tests cross-check their products against
+    a tensor-grid projection.  Warns when Fourier coefficients beyond
+    |k| = mfourier are dropped that exceed 1e-8 of the largest one kept.
     """
     if not 0 <= nmax <= _MAX_DEGREE:
         raise ValueError(f"nmax must be in [0, {_MAX_DEGREE}], got {nmax}")
@@ -150,11 +151,14 @@ def project_potential(
         return hit
 
     if isinstance(spec, ZeroPotential):
-        coeffs = np.zeros((nmax + 1, nmax + 1, 2 * mfourier + 1), dtype=complex)
+        fourier, overlap = (), np.zeros((nmax + 1, nmax + 1))
     else:
-        coeffs = _project_separable(spec.coeffs, spec.profile, params, nmax, mfourier, order)
-    coeffs.setflags(write=False)
-    proj = ProjectedPotential(alpha=params.alpha, nmax=nmax, mfourier=mfourier, coeffs=coeffs)
+        fourier = _kept_harmonics(spec.coeffs, mfourier)
+        overlap = _profile_overlap(spec.profile, params, nmax, order)
+    overlap.setflags(write=False)
+    proj = ProjectedPotential(
+        alpha=params.alpha, nmax=nmax, mfourier=mfourier, fourier=fourier, overlap=overlap
+    )
     if len(_CACHE) >= _CACHE_LIMIT:
         _CACHE.pop(next(iter(_CACHE)))
     _CACHE[key] = proj
@@ -170,22 +174,17 @@ def _profile_overlap(profile, params: ChannelParams, nmax: int, order: int | Non
     return basis.overlap(gvals)
 
 
-def _project_separable(coeffs, profile, params, nmax, mfourier, order) -> np.ndarray:
-    overlap = _profile_overlap(profile, params, nmax, order)
-    out = np.zeros((nmax + 1, nmax + 1, 2 * mfourier + 1), dtype=complex)
-    dropped = 0.0
-    kept = 0.0
-    for k, c in coeffs:
-        if abs(k) <= mfourier:
-            out[:, :, k + mfourier] = c * overlap
-            kept = max(kept, abs(c))
-        else:
-            dropped = max(dropped, abs(c))
-    if dropped > 0.0 and (kept == 0.0 or dropped > _ALIASING_RTOL * kept):
-        rel = dropped / kept if kept > 0.0 else math.inf
+def _kept_harmonics(coeffs, mfourier: int) -> tuple[tuple[int, complex], ...]:
+    """The pairs with |k| <= mfourier; warns when a dropped one exceeds
+    _ALIASING_RTOL of the largest one kept."""
+    kept = tuple((k, c) for k, c in coeffs if abs(k) <= mfourier)
+    top = max((abs(c) for _, c in kept), default=0.0)
+    dropped = max((abs(c) for k, c in coeffs if abs(k) > mfourier), default=0.0)
+    if dropped > _ALIASING_RTOL * top:
+        rel = dropped / top if top > 0.0 else math.inf
         warnings.warn(
             f"Fourier cutoff mfourier={mfourier} drops coefficients of relative size "
             f"{rel:.2e}; raise mfourier",
             stacklevel=2,
         )
-    return out
+    return kept

@@ -28,7 +28,7 @@ import scipy.sparse.linalg
 
 from .channel import ChannelParams, Potential
 from .hermite import project_potential
-from .numutil import GapReport, bloch_bands, gap_report, golden_section_minimize, merge_intervals, theta_grid
+from .numutil import GapReport, bloch_bands, gap_report, golden_section_minimize, theta_grid
 
 __all__ = [
     "hill_matrix",
@@ -151,9 +151,6 @@ class HillBands:
     bands: np.ndarray  # (theta_count, band_count)
     band_intervals: np.ndarray  # (band_count, 2), refined
     m_max: int
-
-    def union_intervals(self) -> list[tuple[float, float]]:
-        return merge_intervals([tuple(row) for row in self.band_intervals])
 
 
 def hill_bands(

@@ -21,7 +21,6 @@ from channel_spectra import (
     compute_bands,
     derive_params,
     detect_gaps,
-    dominant_hermite_index,
     eigenvalues_fiber,
     gap_persistence_sweep,
     project_potential,
@@ -122,6 +121,13 @@ def test_bounded_potential_moves_eigenvalues_by_at_most_its_sup():
             assemble_fiber(_P34, proj_0, theta, n_hermite=16, m_max=4).entries
         )
         assert np.max(np.abs(ev_w - ev_0)) <= w0 + 1e-9
+
+
+def dominant_hermite_index(mat, vector) -> int:
+    """Hermite level carrying the most weight in a fiber eigenvector."""
+    comps = np.asarray(vector).reshape(2 * mat.m_max + 1, mat.n_hermite)
+    weights = np.sum(np.abs(comps) ** 2, axis=0)
+    return int(np.argmax(weights))
 
 
 def test_dominant_hermite_index_identifies_landau_stripe():
@@ -267,6 +273,29 @@ def test_x_only_potentials_take_the_landau_basis():
     assert (free.n_hermite, coupled.n_hermite) == (4, 8)
 
 
+def test_hermite_probe_builds_one_block_and_three_one_off_fibers(monkeypatch):
+    from channel_spectra import bands
+
+    blocks, fibers = [], []
+    block, fiber = bands.fiber_block, bands.assemble_fiber
+
+    def counted_block(params, proj, n_hermite, m_max, *args):
+        blocks.append((n_hermite, m_max))
+        return block(params, proj, n_hermite, m_max, *args)
+
+    def counted_fiber(params, proj, theta, n_hermite, m_max, *args):
+        fibers.append((n_hermite, m_max))
+        return fiber(params, proj, theta, n_hermite, m_max, *args)
+
+    monkeypatch.setattr(bands, "fiber_block", counted_block)
+    monkeypatch.setattr(bands, "assemble_fiber", counted_fiber)
+    bs = compute_bands(_P34, _GAUSSIAN_COS, theta_count=9, energy_ceiling=6.0, n_hermite=8, refine=False)
+    # converged at the first size: the kept pair is the one block built
+    assert bs.converged and not any("truncation raised" in note for note in bs.notes)
+    assert blocks == [(8, bs.m_max)]
+    assert fibers == [(16, bs.m_max + 4)] * 3
+
+
 @pytest.mark.parametrize("tol", [1e-7, 1e-10])
 def test_landau_bands_match_the_hermite_basis_to_the_tolerance(tol):
     spec = SeparableFourierPotential({1: 0.4, -1: 0.4, 2: 0.1j, -2: -0.1j})
@@ -308,3 +337,16 @@ def test_growth_stops_at_the_hermite_degree_cap(monkeypatch, spec):
     assert not bs.converged
     assert bs.n_hermite == 8
     assert any("Hermite degree cap" in note for note in bs.notes)
+
+
+@pytest.mark.parametrize("spec", [_TWO_COS, _GAUSSIAN_COS], ids=["landau", "hermite"])
+def test_non_convergence_keeps_the_last_truncation_checked(spec):
+    with pytest.warns(UserWarning, match="did not meet"):
+        bs = compute_bands(
+            _P34, spec, theta_count=9, energy_ceiling=6.0, n_hermite=1, cauchy_tol=1e-18, refine=False
+        )
+    assert not bs.converged
+    # four truncations checked, N = 1, 2, 4, 8, and no fifth one raised to
+    raised = [note for note in bs.notes if note.startswith("truncation raised")]
+    assert len(raised) == 3 and bs.n_hermite == 8
+    assert raised[-1] == f"truncation raised to (N={bs.n_hermite}, M={bs.m_max})"

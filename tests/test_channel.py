@@ -22,6 +22,14 @@ from channel_spectra import (
 from channel_spectra import hermite
 
 
+def _dense(proj):
+    """c_k G_{nm} as one (nmax+1, nmax+1, 2 mfourier+1) array indexed [n, m, k + mfourier]."""
+    out = np.zeros((proj.nmax + 1, proj.nmax + 1, 2 * proj.mfourier + 1), dtype=complex)
+    for k, c in proj.fourier:
+        out[:, :, k + proj.mfourier] = c * proj.overlap
+    return out
+
+
 def test_derive_params_reference_values():
     p = derive_params(3.0, 4.0)
     assert p.alpha == 5.0
@@ -161,7 +169,7 @@ def test_spellings_of_one_separable_potential_agree(name):
     projections = []
     for spec in (a, b):
         hermite._CACHE.clear()  # equal specs would get one cached projection
-        projections.append(project_potential(spec, p, nmax=5, mfourier=4).coeffs)
+        projections.append(_dense(project_potential(spec, p, nmax=5, mfourier=4)))
     assert np.array_equal(*projections)
 
 

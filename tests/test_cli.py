@@ -524,8 +524,10 @@ def test_invalid_single_key_exits_one_before_any_output(tmp_path, capsys, argv):
     [
         ["classical", "--set", "t_end=1e9"],
         ["bands", "--set", 'potential={"kind": "zero"}', "--set", "n_hermite=600"],
+        ["bands", "--set", "ceiling=1e6"],
+        ["bands", "--set", "m_max=100000"],
     ],
-    ids=["classical-step-cap", "zero-potential-hermite-cap"],
+    ids=["classical-step-cap", "zero-potential-hermite-cap", "ceiling-fourier-window", "m-max-fourier-window"],
 )
 def test_oversized_run_is_refused_promptly(tmp_path, argv):
     # in a child process, so that a regression to allocating first and

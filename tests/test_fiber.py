@@ -9,6 +9,8 @@ import scipy.linalg
 
 from channel_spectra import (
     EigensolverError,
+    GaussianProfile,
+    PolynomialProfile,
     SeparableFourierPotential,
     ZeroPotential,
     assemble_fiber,
@@ -167,6 +169,48 @@ def test_block_reused_across_phases_matches_fresh_assembly(spec, real):
     assert np.iscomplexobj(block.base) != real
     with pytest.raises(ValueError):
         fiber_at(block, 0.75)
+
+
+def _gathered_base(params, proj, n_hermite, m_max, m_offset):
+    """Oracle for ``fiber_block(...).base``: a gather from the dense tensor
+    of the coefficients c_k G_{nn'}, symmetrised, plus alpha (2n+1)."""
+    N = n_hermite
+    ms = np.arange(-m_max, m_max + 1) + m_offset
+    dim = N * ms.size
+    coeffs = np.zeros((proj.nmax + 1, proj.nmax + 1, 2 * proj.mfourier + 1), dtype=complex)
+    for k, c in proj.fourier:
+        coeffs[:, :, k + proj.mfourier] = c * proj.overlap
+    kdiff = ms[:, None] - ms[None, :]
+    pot = coeffs[:N, :N, kdiff + proj.mfourier]  # (n, n', mu, nu)
+    if not pot.imag.any():
+        pot = pot.real
+    h = np.transpose(pot, (2, 0, 3, 1)).reshape(dim, dim)
+    base = h + h.conj().T
+    base *= 0.5
+    base.flat[:: dim + 1] += np.tile(params.alpha * (2.0 * np.arange(N) + 1.0), ms.size)
+    return base
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SeparableFourierPotential.from_cosines({1: 2.0, 2: 0.5}),
+        SeparableFourierPotential({1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: -0.05j, -2: 0.05j}, GaussianProfile(0.8)),
+        ZeroPotential(),
+        SeparableFourierPotential({1: 0.5, -1: 0.5, 0: -0.2}, PolynomialProfile([1.0, 0.5, 0.05])),
+    ],
+    ids=["real", "complex", "zero", "polynomial-profile"],
+)
+@pytest.mark.parametrize("m_offset", [0, 3])
+@pytest.mark.parametrize("B, omega", [(3.0, 4.0), (1.3, 6.2)])
+def test_block_assembly_matches_the_dense_gather(spec, m_offset, B, omega):
+    p = derive_params(B, omega)
+    for n_hermite, m_max in ((8, 9), (16, 3)):
+        proj = project_potential(spec, p, nmax=2 * n_hermite - 1, mfourier=2 * m_max + 8)
+        base = fiber_block(p, proj, n_hermite, m_max, m_offset).base
+        oracle = _gathered_base(p, proj, n_hermite, m_max, m_offset)
+        assert base.dtype == oracle.dtype
+        assert base.tobytes() == oracle.tobytes()
 
 
 def test_resolvent_bound_reference_value():

@@ -19,9 +19,17 @@ from channel_spectra import (
 )
 
 
+def _dense(proj):
+    """c_k G_{nm} as one (nmax+1, nmax+1, 2 mfourier+1) array indexed [n, m, k + mfourier]."""
+    out = np.zeros((proj.nmax + 1, proj.nmax + 1, 2 * proj.mfourier + 1), dtype=complex)
+    for k, c in proj.fourier:
+        out[:, :, k + proj.mfourier] = c * proj.overlap
+    return out
+
+
 def _coeff(proj, n, m, k):
     """c^{(n,m)}_k of a projection."""
-    return proj.coeffs[n, m, k + proj.mfourier]
+    return _dense(proj)[n, m, k + proj.mfourier]
 
 
 def _toeplitz_block(proj, n, m, m_window):
@@ -29,11 +37,11 @@ def _toeplitz_block(proj, n, m, m_window):
     kdiff = m_window[:, None] - m_window[None, :]
     if np.max(np.abs(kdiff)) > proj.mfourier:
         raise ValueError("Fourier cutoff of the projection is too small for this window")
-    return proj.coeffs[n, m, kdiff + proj.mfourier]
+    return _dense(proj)[n, m, kdiff + proj.mfourier]
 
 
 def _max_abs_coeff(proj):
-    return float(np.max(np.abs(proj.coeffs)))
+    return float(np.max(np.abs(_dense(proj))))
 
 
 def _project_generic(spec, params, nmax, mfourier):
@@ -93,15 +101,14 @@ def test_zero_potential_projects_to_zero():
 
 
 def test_projection_degree_cap_applies_to_every_kind():
-    # checked before the cache lookup and the allocation: the W = 0 array
-    # at nmax = 1199 and mfourier = 16 alone would be about 0.8 GB
+    # checked before the cache lookup and the allocation
     p = derive_params(3.0, 4.0)
     for spec in (ZeroPotential(), SeparableFourierPotential.from_cosines({1: 2.0})):
         with pytest.raises(ValueError, match="nmax"):
             project_potential(spec, p, nmax=1199)
         with pytest.raises(ValueError, match="nmax"):
             project_potential(spec, p, nmax=-1)
-    assert project_potential(ZeroPotential(), p, nmax=1000, mfourier=0).coeffs.shape == (1001, 1001, 1)
+    assert project_potential(ZeroPotential(), p, nmax=1000, mfourier=0).overlap.shape == (1001, 1001)
 
 
 def test_pure_cosine_projection_is_diagonal():
@@ -132,7 +139,7 @@ def test_profile_only_potential_has_constant_fourier_slot():
     p = derive_params(1.0, 2.0)
     spec = SeparableFourierPotential({0: 0.4}, GaussianProfile(0.7))
     proj = project_potential(spec, p, nmax=4, mfourier=3)
-    coeffs = proj.coeffs
+    coeffs = _dense(proj)
     nonzero = np.abs(coeffs) > 1e-15
     # only the k = 0 slot may be populated
     assert not np.any(np.delete(nonzero, proj.mfourier, axis=2))
@@ -148,7 +155,7 @@ def test_generic_fft_path_agrees_with_separable():
     )
     fast = project_potential(spec, p, nmax=5, mfourier=6)
     slow = _project_generic(spec, p, nmax=5, mfourier=6)
-    assert np.max(np.abs(fast.coeffs - slow)) < 1e-10
+    assert np.max(np.abs(_dense(fast) - slow)) < 1e-10
 
 
 def test_generic_fft_path_agrees_for_pure_profile():
@@ -156,7 +163,7 @@ def test_generic_fft_path_agrees_for_pure_profile():
     spec = SeparableFourierPotential({0: -0.6}, GaussianProfile(0.8))
     fast = project_potential(spec, p, nmax=4, mfourier=4)
     slow = _project_generic(spec, p, nmax=4, mfourier=4)
-    assert np.max(np.abs(fast.coeffs - slow)) < 1e-10
+    assert np.max(np.abs(_dense(fast) - slow)) < 1e-10
 
 
 def test_projection_cache_hits():
@@ -219,9 +226,9 @@ def test_projection_of_one_cosine_has_only_its_harmonics():
     p = derive_params(1.0, 1.0)
     spec = SeparableFourierPotential.from_cosines({1: 1.0})
     proj = project_potential(spec, p, nmax=1, mfourier=1)
-    nonzero = {(n, m, k - proj.mfourier) for n, m, k in zip(*np.nonzero(proj.coeffs))}
+    nonzero = {(n, m, k - proj.mfourier) for n, m, k in zip(*np.nonzero(_dense(proj)))}
     assert nonzero == {(0, 0, 1), (0, 0, -1), (1, 1, 1), (1, 1, -1)}
-    assert abs(proj.coeffs[0, 0, 1 + proj.mfourier] - 0.5) < 1e-13
+    assert abs(_dense(proj)[0, 0, 1 + proj.mfourier] - 0.5) < 1e-13
 
 
 def test_quadrature_weights_do_not_overflow():

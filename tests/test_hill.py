@@ -17,6 +17,7 @@ from channel_spectra import (
     hill_matrix,
     hill_spectrum,
 )
+from channel_spectra.numutil import merge_intervals
 
 # -d^2/dx^2 + 2 cos x maps onto the Mathieu equation with q = 4 under
 # x = 2z: v'' + (4E - 8 cos 2z) v = 0, so E = (characteristic value)/4.
@@ -136,7 +137,7 @@ def test_hill_bands_validation():
 def test_union_intervals_merges_overlaps():
     hb = hill_bands({}, m_max=8, theta_count=9, band_count=4, refine=False)
     # free bands [j^2/4-ish] touch; the union collapses to one interval from 0
-    merged = hb.union_intervals()
+    merged = merge_intervals(hb.band_intervals)
     assert merged[0][0] < 1e-10
     assert len(merged) == 1
 

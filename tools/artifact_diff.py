@@ -9,7 +9,9 @@ Both run the same requests:
   ``perfbench.workloads.requests`` of this repository lists them (the module
   is imported, never changed);
 - each command once at cheap settings, with the options the workloads do
-  not set (a grid potential, a commutator without ``--gen-nogo``, ...).
+  not set (a grid potential, a commutator without ``--gen-nogo``, ...),
+  and a ``gaps`` and a ``bands`` run whose truncation search grows the
+  starting size.
 
 Each checkout runs all of them back to back in one child process, with
 OPENBLAS_NUM_THREADS=1 so that BLAS reduces in the same order in both.
@@ -50,6 +52,11 @@ _PROFILE = (
     '{"kind": "fourier_x_profile", "coeffs": {"1": [0.3, 0.1], "-1": [0.3, -0.1]},'
     ' "profile": {"shape": "polynomial", "coeffs": [1.0, 0.0, 0.05]}}'
 )
+_GAUSSIAN_COS = (
+    '{"kind": "fourier_x_profile", "coeffs": {"1": [0.3, 0.0], "-1": [0.3, 0.0]},'
+    ' "profile": {"shape": "gaussian", "sigma": 1.5}}'
+)
+_TWO_COS = '{"kind": "fourier_x", "coeffs": {"1": [1.0, 0.0], "-1": [1.0, 0.0]}}'
 
 # each command once, at settings far below its defaults where those are slow
 CHEAP = {
@@ -61,6 +68,16 @@ CHEAP = {
     "sweep-omega": [
         "sweep-omega", "--set", "omega_list=[4.0, 10.0]", "--set", "n_hermite=8",
         "--set", "theta_count=9", "--set", "hill_m_max=5",
+    ],
+    # small starting sizes that the truncation search raises: once to N = 8
+    # in the Hermite basis, twice to N = 4 in the Landau basis
+    "gaps-growth": [
+        "gaps", "--set", f"potential={_GAUSSIAN_COS}", "--set", "n_hermite=4",
+        "--set", "theta_count=9", "--set", "ceiling=6.5", "--set", "xtol=1e-6",
+    ],
+    "bands-growth": [
+        "bands", "--set", f"potential={_TWO_COS}", "--set", "n_hermite=1",
+        "--set", "theta_count=9", "--set", "ceiling=6.5",
     ],
     "hill": ["hill"],
     "classical": ["classical", "--set", f"potential={_GRID}", "--set", "t_end=0.5"],
