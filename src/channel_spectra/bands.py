@@ -10,12 +10,13 @@ alpha + spec(K_0) as the confinement omega grows at fixed field B.
 
 Truncation policy.  The Fourier window must cover the ceiling
 kinematically, beta (M - 1/2)^2 + alpha > ceiling with margin.  One growth
-loop serves both bases: each hands it how to build the block of a
-truncation (N, M) and how to judge it, and a failed judgement doubles N,
-widens M by 4, or both.  At most four truncations are checked, and a step
-that would take N past 500 (the Hermite degree cap) stops the growth; a
-truncation that never passes is reported with converged = False and a
-warning, and the last truncation checked is the one used.
+loop serves both bases: each hands it how to build and judge the block of
+a truncation (N, M), and a failed judgement doubles N, widens M by 4, or
+both.  At most four truncations are checked, and a step that would take N
+past 500 (the Hermite degree cap), or need a dense fiber of dimension above
+MAX_FIBER_DIM = 4096, stops the growth; a truncation that never passes is
+reported with converged = False and a warning, and the last truncation
+checked is the one used.
 
 - W = W(x) (W = 0, or a separable potential with a constant profile): the
   fiber is built in the displaced Landau basis, where the free part is
@@ -40,8 +41,10 @@ warning, and the last truncation checked is the one used.
   phases as one-off fibers.  N starts at 40, or at n_hermite.
 
 An explicit n_hermite or m_max is a starting size that is only ever
-raised.  An n_hermite above 500, or a window M above MAX_M_MAX = 64 (the
-kinematic cover of a large ceiling included), is a configuration error.
+raised.  An n_hermite above 500, or a starting truncation whose check
+needs a dense fiber above MAX_FIBER_DIM (N (2M + 1) for the Landau block,
+2N (2M + 9) for the Hermite probe; a large ceiling widens M), is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -84,9 +87,9 @@ DEFAULT_N_LANDAU = 4
 DEFAULT_M_MAX = 8
 # the Cauchy probe projects W up to Hermite degree 2N - 1 <= 999
 MAX_N_HERMITE = 500
-# a wider Fourier window makes dense fibers too large to solve: the Hermite
-# probe at the default N = 40 would already have dimension 80 (2 M + 9)
-MAX_M_MAX = 64
+# the largest dense fiber a truncation search assembles: a complex fiber of
+# dimension 4096 holds 256 MiB, and the eigensolver's working copy as much again
+MAX_FIBER_DIM = 4096
 _GROWTH_STEPS = 4
 _PROBES = (0.0, 1.0 / 3.0, -0.5)
 
@@ -122,15 +125,13 @@ def _kinematic_m_cover(params: ChannelParams, ceiling: float) -> int:
 
 
 def _hermite_basis(params, spec, ceiling, tol):
-    """Build and judge for the Hermite basis: the Cauchy probe compares the
-    eigenvalues below the ceiling at (N, M) and at (2N, M+4)."""
+    """The Hermite basis: the Cauchy probe compares the eigenvalues below the
+    ceiling at (N, M) and at (2N, M+4), its largest dense fiber."""
 
-    def projection(n, m):  # covers the larger pair; the kept block comes from it too
-        return project_potential(spec, params, nmax=2 * n - 1, mfourier=max(16, 2 * (m + 4)))
-
-    def judge(block):
-        n, m = block.n_hermite, block.m_max
-        proj = projection(n, m)
+    def check(n, m):
+        # the projection covers the larger pair, and the kept block comes from it too
+        proj = project_potential(spec, params, nmax=2 * n - 1, mfourier=max(16, 2 * (m + 4)))
+        block = fiber_block(params, proj, n, m)
         for theta in _PROBES:
             small = eigenvalues_fiber(fiber_at(block, theta))
             # three phases only, so the larger pair is assembled one-off
@@ -138,10 +139,10 @@ def _hermite_basis(params, spec, ceiling, tol):
             small, big = small[small <= ceiling], big[big <= ceiling]
             common = min(small.size, big.size)
             if big.size - small.size > 2 or (common and np.max(np.abs(small[:common] - big[:common])) > tol):
-                return True, True
-        return None
+                return block, (True, True)
+        return block, None
 
-    return (lambda n, m: fiber_block(params, projection(n, m), n, m)), judge
+    return check, lambda n, m: 2 * n * (2 * (m + 4) + 1)
 
 
 def _x_only_coeffs(spec: Potential):
@@ -185,45 +186,47 @@ def _floors(block: FiberBlock, w0: float) -> tuple[float, float]:
 
 
 def _landau_basis(params, coeffs, w0, ceiling, tol):
-    """Build and judge for the Landau basis: the residual estimate of the
-    module docstring."""
+    """The Landau basis: the residual estimate of the module docstring, on
+    the block of (N, M) itself."""
 
-    def judge(block):
+    def check(n, m):
+        block = landau_block(params, coeffs, n, m)
         estimates = [landau_error_estimates(block, coeffs, w0, ceiling, t) for t in _PROBES]
         worst = max(float(np.max(lv + wn, initial=0.0)) + r for _, lv, wn, r in estimates)
         low_levels, low_window = (floor <= ceiling for floor in _floors(block, w0))
         if worst <= tol and not (low_levels or low_window):
-            return None
+            return block, None
         # grow each direction whose share takes more than half of what the
         # rounding leaves of the tolerance, or whose floor is below the ceiling
         half = 0.5 * (tol - max(r for *_, r in estimates))
-        return (
+        return block, (
             low_levels or any(np.any(lv > half) for _, lv, _, _ in estimates),
             low_window or any(np.any(wn > half) for _, _, wn, _ in estimates),
         )
 
-    return (lambda n, m: landau_block(params, coeffs, n, m)), judge
+    return check, lambda n, m: n * (2 * m + 1)
 
 
-def _grow(build, judge, n_h, m_m, notes) -> tuple[FiberBlock, bool]:
+def _grow(check, size, n_h, m_m, notes) -> tuple[FiberBlock, bool]:
     """Check at most _GROWTH_STEPS truncations, from (n_h, m_m) upwards.
 
-    ``build(N, M)`` makes a truncation's block, and ``judge(block)`` gives
-    None when it passes, else whether to grow the levels (N doubles) and
-    the Fourier window (M grows by 4).  Returns the last block checked.
+    ``check(N, M)`` builds a truncation's block and judges it: None when it
+    passes, else whether to grow the levels (N doubles) and the Fourier
+    window (M grows by 4).  ``size(N, M)`` is the largest dense fiber that
+    checking (N, M) assembles.  Returns the last block checked.
     """
     for step in range(_GROWTH_STEPS):
-        block = build(n_h, m_m)
-        grow = judge(block)
+        block, grow = check(n_h, m_m)
         if grow is None:
             return block, True
         if step + 1 == _GROWTH_STEPS:
             break
-        grow_levels, grow_window = grow
-        if grow_levels and 2 * n_h > MAX_N_HERMITE:
-            notes.append(f"truncation growth stopped at N={n_h} by the Hermite degree cap")
+        n_next, m_next = (2 * n_h if grow[0] else n_h), (m_m + 4 if grow[1] else m_m)
+        if n_next > MAX_N_HERMITE or size(n_next, m_next) > MAX_FIBER_DIM:
+            cap = "Hermite degree" if n_next > MAX_N_HERMITE else "fiber dimension"
+            notes.append(f"truncation growth stopped at (N={n_h}, M={m_m}) by the {cap} cap")
             break
-        n_h, m_m = (2 * n_h if grow_levels else n_h), (m_m + 4 if grow_window else m_m)
+        n_h, m_m = n_next, m_next
         notes.append(f"truncation raised to (N={n_h}, M={m_m})")
     return block, False
 
@@ -245,8 +248,9 @@ def compute_bands(
     both +-1/2 endpoints), and cauchy_tol > 0.  Bands are reported when
     their grid minimum lies at or below the ceiling; eigenvalues above the
     ceiling are not trusted.  The basis and the truncation follow the
-    module's truncation policy; n_hermite above MAX_N_HERMITE, or a Fourier
-    window above MAX_M_MAX, raises ConfigError.
+    module's truncation policy; n_hermite above MAX_N_HERMITE, or a starting
+    truncation whose check needs a fiber above MAX_FIBER_DIM, raises
+    ConfigError.
     """
     grid = theta_grid(theta_count)
     if not cauchy_tol > 0.0:
@@ -265,18 +269,18 @@ def compute_bands(
         m_m = cover
         notes.append(f"m_max raised to {m_m} to cover the energy ceiling")
 
-    if m_m > MAX_M_MAX:
-        raise ConfigError(
-            f"Fourier window M = {m_m} for ceiling {energy_ceiling:.6g} exceeds the cap of {MAX_M_MAX}"
-        )
-
     if coeffs is None:
         n_h = DEFAULT_N_HERMITE if n_hermite is None else int(n_hermite)
-        build, judge = _hermite_basis(params, spec, energy_ceiling, cauchy_tol)
+        check, size = _hermite_basis(params, spec, energy_ceiling, cauchy_tol)
     else:
         n_h = DEFAULT_N_LANDAU if n_hermite is None else int(n_hermite)
-        build, judge = _landau_basis(params, coeffs, w0, energy_ceiling, cauchy_tol)
-    block, converged = _grow(build, judge, n_h, m_m, notes)
+        check, size = _landau_basis(params, coeffs, w0, energy_ceiling, cauchy_tol)
+    if size(n_h, m_m) > MAX_FIBER_DIM:
+        raise ConfigError(
+            f"truncation (N={n_h}, M={m_m}) for ceiling {energy_ceiling:.6g} needs a dense fiber of "
+            f"dimension {size(n_h, m_m)}, above the cap of {MAX_FIBER_DIM}"
+        )
+    block, converged = _grow(check, size, n_h, m_m, notes)
     if not converged:
         warnings.warn(
             f"truncation did not meet the Cauchy tolerance {cauchy_tol:.1e} at "

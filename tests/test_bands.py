@@ -340,6 +340,31 @@ def test_growth_stops_at_the_hermite_degree_cap(monkeypatch, spec):
 
 
 @pytest.mark.parametrize("spec", [_TWO_COS, _GAUSSIAN_COS], ids=["landau", "hermite"])
+def test_growth_stops_at_the_fiber_dimension_cap(monkeypatch, spec):
+    from channel_spectra import bands
+
+    # the cap is the size of the start (N=4, M=8), so the first raise stops
+    size = 4 * 17 if spec is _TWO_COS else 8 * 25
+    monkeypatch.setattr(bands, "MAX_FIBER_DIM", size)
+    with pytest.warns(UserWarning, match="did not meet"):
+        bs = compute_bands(
+            _P34, spec, theta_count=9, energy_ceiling=6.0, n_hermite=4, cauchy_tol=1e-18, refine=False
+        )
+    assert not bs.converged
+    assert (bs.n_hermite, bs.m_max) == (4, 8)
+    assert bs.notes[-1] == "truncation growth stopped at (N=4, M=8) by the fiber dimension cap"
+
+
+@pytest.mark.parametrize("B,omega,m_max", [(3.0, 0.1, 78), (40.0, 4.0, 94)])
+def test_wide_window_in_a_small_fiber_still_runs(B, omega, m_max):
+    # the default ceiling needs M near 100 here, but the Landau fiber at
+    # N = 4 has dimension below 800
+    bs = compute_bands(derive_params(B, omega), ZeroPotential(), theta_count=9, refine=False)
+    assert bs.converged and bs.basis == "landau"
+    assert (bs.n_hermite, bs.m_max) == (4, m_max)
+
+
+@pytest.mark.parametrize("spec", [_TWO_COS, _GAUSSIAN_COS], ids=["landau", "hermite"])
 def test_non_convergence_keeps_the_last_truncation_checked(spec):
     with pytest.warns(UserWarning, match="did not meet"):
         bs = compute_bands(

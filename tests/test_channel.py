@@ -21,13 +21,7 @@ from channel_spectra import (
 )
 from channel_spectra import hermite
 
-
-def _dense(proj):
-    """c_k G_{nm} as one (nmax+1, nmax+1, 2 mfourier+1) array indexed [n, m, k + mfourier]."""
-    out = np.zeros((proj.nmax + 1, proj.nmax + 1, 2 * proj.mfourier + 1), dtype=complex)
-    for k, c in proj.fourier:
-        out[:, :, k + proj.mfourier] = c * proj.overlap
-    return out
+from projection_oracle import dense_coefficients
 
 
 def test_derive_params_reference_values():
@@ -169,7 +163,7 @@ def test_spellings_of_one_separable_potential_agree(name):
     projections = []
     for spec in (a, b):
         hermite._CACHE.clear()  # equal specs would get one cached projection
-        projections.append(_dense(project_potential(spec, p, nmax=5, mfourier=4)))
+        projections.append(dense_coefficients(project_potential(spec, p, nmax=5, mfourier=4)))
     assert np.array_equal(*projections)
 
 

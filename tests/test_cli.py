@@ -22,6 +22,11 @@ from channel_spectra.schema import Key, OneOf
 
 
 _TWO_COS_CFG = {"kind": "fourier_x", "coeffs": {"1": [1.0, 0.0], "-1": [1.0, 0.0]}}
+_GAUSSIAN_COS_CFG = {
+    "kind": "fourier_x_profile",
+    "coeffs": {"1": [0.3, 0.0], "-1": [0.3, 0.0]},
+    "profile": {"shape": "gaussian", "sigma": 1.5},
+}
 
 
 def _read_csv(path):
@@ -526,8 +531,19 @@ def test_invalid_single_key_exits_one_before_any_output(tmp_path, capsys, argv):
         ["bands", "--set", 'potential={"kind": "zero"}', "--set", "n_hermite=600"],
         ["bands", "--set", "ceiling=1e6"],
         ["bands", "--set", "m_max=100000"],
+        ["bands", "--set", "n_hermite=300"],
+        ["gaps", "--set", "ceiling=2000", "--set", f"potential={json.dumps(_GAUSSIAN_COS_CFG)}"],
+        ["gaps", "--set", "n_hermite=500", "--set", f"potential={json.dumps(_GAUSSIAN_COS_CFG)}"],
     ],
-    ids=["classical-step-cap", "zero-potential-hermite-cap", "ceiling-fourier-window", "m-max-fourier-window"],
+    ids=[
+        "classical-step-cap",
+        "zero-potential-hermite-cap",
+        "ceiling-fourier-window",
+        "m-max-fourier-window",
+        "n-hermite-landau-dimension",
+        "ceiling-hermite-probe",
+        "n-hermite-hermite-probe",
+    ],
 )
 def test_oversized_run_is_refused_promptly(tmp_path, argv):
     # in a child process, so that a regression to allocating first and

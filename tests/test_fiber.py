@@ -21,6 +21,8 @@ from channel_spectra import (
 )
 from channel_spectra.fiber import fiber_at, fiber_block
 
+from projection_oracle import dense_coefficients
+
 
 def _entry(mat, n, m, n2, m2):
     """Matrix element between the basis functions (Hermite n, Fourier m) and (n2, m2)."""
@@ -177,9 +179,7 @@ def _gathered_base(params, proj, n_hermite, m_max, m_offset):
     N = n_hermite
     ms = np.arange(-m_max, m_max + 1) + m_offset
     dim = N * ms.size
-    coeffs = np.zeros((proj.nmax + 1, proj.nmax + 1, 2 * proj.mfourier + 1), dtype=complex)
-    for k, c in proj.fourier:
-        coeffs[:, :, k + proj.mfourier] = c * proj.overlap
+    coeffs = dense_coefficients(proj)
     kdiff = ms[:, None] - ms[None, :]
     pot = coeffs[:N, :N, kdiff + proj.mfourier]  # (n, n', mu, nu)
     if not pot.imag.any():

@@ -18,18 +18,12 @@ from channel_spectra import (
     project_potential,
 )
 
-
-def _dense(proj):
-    """c_k G_{nm} as one (nmax+1, nmax+1, 2 mfourier+1) array indexed [n, m, k + mfourier]."""
-    out = np.zeros((proj.nmax + 1, proj.nmax + 1, 2 * proj.mfourier + 1), dtype=complex)
-    for k, c in proj.fourier:
-        out[:, :, k + proj.mfourier] = c * proj.overlap
-    return out
+from projection_oracle import dense_coefficients
 
 
 def _coeff(proj, n, m, k):
     """c^{(n,m)}_k of a projection."""
-    return _dense(proj)[n, m, k + proj.mfourier]
+    return dense_coefficients(proj)[n, m, k + proj.mfourier]
 
 
 def _toeplitz_block(proj, n, m, m_window):
@@ -37,11 +31,11 @@ def _toeplitz_block(proj, n, m, m_window):
     kdiff = m_window[:, None] - m_window[None, :]
     if np.max(np.abs(kdiff)) > proj.mfourier:
         raise ValueError("Fourier cutoff of the projection is too small for this window")
-    return _dense(proj)[n, m, kdiff + proj.mfourier]
+    return dense_coefficients(proj)[n, m, kdiff + proj.mfourier]
 
 
 def _max_abs_coeff(proj):
-    return float(np.max(np.abs(_dense(proj))))
+    return float(np.max(np.abs(dense_coefficients(proj))))
 
 
 def _project_generic(spec, params, nmax, mfourier):
@@ -139,7 +133,7 @@ def test_profile_only_potential_has_constant_fourier_slot():
     p = derive_params(1.0, 2.0)
     spec = SeparableFourierPotential({0: 0.4}, GaussianProfile(0.7))
     proj = project_potential(spec, p, nmax=4, mfourier=3)
-    coeffs = _dense(proj)
+    coeffs = dense_coefficients(proj)
     nonzero = np.abs(coeffs) > 1e-15
     # only the k = 0 slot may be populated
     assert not np.any(np.delete(nonzero, proj.mfourier, axis=2))
@@ -155,7 +149,7 @@ def test_generic_fft_path_agrees_with_separable():
     )
     fast = project_potential(spec, p, nmax=5, mfourier=6)
     slow = _project_generic(spec, p, nmax=5, mfourier=6)
-    assert np.max(np.abs(_dense(fast) - slow)) < 1e-10
+    assert np.max(np.abs(dense_coefficients(fast) - slow)) < 1e-10
 
 
 def test_generic_fft_path_agrees_for_pure_profile():
@@ -163,7 +157,7 @@ def test_generic_fft_path_agrees_for_pure_profile():
     spec = SeparableFourierPotential({0: -0.6}, GaussianProfile(0.8))
     fast = project_potential(spec, p, nmax=4, mfourier=4)
     slow = _project_generic(spec, p, nmax=4, mfourier=4)
-    assert np.max(np.abs(_dense(fast) - slow)) < 1e-10
+    assert np.max(np.abs(dense_coefficients(fast) - slow)) < 1e-10
 
 
 def test_projection_cache_hits():
@@ -226,9 +220,9 @@ def test_projection_of_one_cosine_has_only_its_harmonics():
     p = derive_params(1.0, 1.0)
     spec = SeparableFourierPotential.from_cosines({1: 1.0})
     proj = project_potential(spec, p, nmax=1, mfourier=1)
-    nonzero = {(n, m, k - proj.mfourier) for n, m, k in zip(*np.nonzero(_dense(proj)))}
+    nonzero = {(n, m, k - proj.mfourier) for n, m, k in zip(*np.nonzero(dense_coefficients(proj)))}
     assert nonzero == {(0, 0, 1), (0, 0, -1), (1, 1, 1), (1, 1, -1)}
-    assert abs(_dense(proj)[0, 0, 1 + proj.mfourier] - 0.5) < 1e-13
+    assert abs(dense_coefficients(proj)[0, 0, 1 + proj.mfourier] - 0.5) < 1e-13
 
 
 def test_quadrature_weights_do_not_overflow():
