@@ -14,7 +14,6 @@ calculus for quadratic observables (:mod:`quadratic`).
 
 from .channel import (
     ChannelParams,
-    ConstantProfile,
     GaussianBumpPotential,
     GaussianProfile,
     GridSampledPotential,
@@ -24,10 +23,9 @@ from .channel import (
     SeparableFourierPotential,
     ZeroPotential,
     derive_params,
-    grid_potential_from_csv,
     potential_from_dict,
 )
-from .hermite import HermiteBasis, ProjectedPotential, hermite_eval, project_potential
+from .hermite import HermiteBasis, ProjectedPotential, project_potential
 from .fiber import (
     EigensolverError,
     FiberMatrix,

@@ -24,9 +24,11 @@ checked is the one used.
   (lambda, v) below the ceiling has the residual r = ||H_QP v|| into the
   discarded space Q (levels n >= N or Fourier indices |m| > M), on which
   H >= c_Q = min(alpha (2N+1), alpha + beta (M + 1/2)^2) - sup |W|.  The
-  first-order Temple/Kato estimate r^2 / (c_Q - lambda) of the truncation
-  error (Parlett, The Symmetric Eigenvalue Problem, ch. 10-11) is sharp,
-  so the truncation passes when 2 max r^2 / (c_Q - lambda) plus the
+  block form of the Temple/Kato estimate, sum r^2 / min (c_Q - lambda)
+  over all pairs below the ceiling, bounds the truncation error of each
+  of them (Parlett, The Symmetric Eigenvalue Problem, ch. 10-11); a
+  per-pair r^2 / (c_Q - lambda) undershoots when two Ritz values nearly
+  coincide.  The truncation passes when twice the block estimate plus the
   eigensolver's rounding eps ||H|| is at most cauchy_tol, and c_Q clears
   the ceiling (no discarded state can then sit below it).  Otherwise N
   doubles when the levels' share of the estimate exceeds half of what the
@@ -161,19 +163,20 @@ def landau_error_estimates(
     """Eigenvalues below the ceiling at theta and their truncation error estimates.
 
     ``block`` is a ``landau_block`` for the Fourier pairs ``coeffs`` of W,
-    and w0 bounds sup |W|.  Returns the eigenvalues, the shares of
-    2 r^2 / (c_Q - lambda) from the discarded levels and from the discarded
-    Fourier indices (see the module docstring), and the eigensolver's
-    rounding eps ||H||.  The shares are infinite when c_Q does not clear the
-    ceiling.
+    and w0 bounds sup |W|.  Returns the eigenvalues, the shares of the block
+    estimate 2 sum r^2 / min (c_Q - lambda) from the discarded levels and
+    from the discarded Fourier indices (see the module docstring), each the
+    same for every eigenvalue, and the eigensolver's rounding eps ||H||.
+    The shares are infinite when c_Q does not clear the ceiling.
     """
     h = fiber_at(block, theta).entries  # real whenever the coefficients are
     vals, vecs = scipy.linalg.eigh(h, subset_by_value=(-np.inf, ceiling))
     c_q = min(_floors(block, w0))
-    gap = c_q - vals if c_q > ceiling else np.zeros_like(vals)
-    r2_levels, r2_window = landau_residuals(block, coeffs, vecs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        levels, window = (np.where(gap > 0.0, 2.0 * r2 / gap, np.inf) for r2 in (r2_levels, r2_window))
+    gap = c_q - np.max(vals, initial=-np.inf)
+    levels, window = (
+        np.full_like(vals, 2.0 * np.sum(r2) / gap if c_q > ceiling else np.inf)
+        for r2 in landau_residuals(block, coeffs, vecs)
+    )
     rounding = np.finfo(float).eps * float(np.max(np.sum(np.abs(h), axis=1)))
     return vals, levels, window, rounding
 

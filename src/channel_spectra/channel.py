@@ -31,10 +31,9 @@ share across threads or worker processes.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,14 +47,12 @@ __all__ = [
     "SeparableFourierPotential",
     "GaussianBumpPotential",
     "GridSampledPotential",
-    "ConstantProfile",
     "GaussianProfile",
     "PolynomialProfile",
     "PotentialBounds",
     "POTENTIAL",
     "PERIODIC_POTENTIAL",
     "potential_from_dict",
-    "grid_potential_from_csv",
 ]
 
 
@@ -100,31 +97,6 @@ def derive_params(B: float, omega: float) -> ChannelParams:
 
 
 @dataclass(frozen=True)
-class ConstantProfile:
-    value: float = 1.0
-
-    def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.full_like(y, self.value)
-
-    @property
-    def is_constant(self) -> bool:
-        return True
-
-    def sup_abs(self) -> float:
-        return abs(self.value)
-
-    def sup_abs_derivative(self) -> float:
-        return 0.0
-
-    def sup_abs_second(self) -> float:
-        return 0.0
-
-    def to_dict(self) -> dict:
-        return {"shape": "constant", "value": self.value}
-
-
-@dataclass(frozen=True)
 class GaussianProfile:
     """g(y) = exp(-y^2 / (2 sigma^2))."""
 
@@ -156,13 +128,14 @@ class GaussianProfile:
         # |g''| peaks at y = 0 with value 1/sigma^2
         return 1.0 / self.sigma**2
 
-    def to_dict(self) -> dict:
-        return {"shape": "gaussian", "sigma": self.sigma}
-
 
 @dataclass(frozen=True)
 class PolynomialProfile:
-    """g(y) = sum_j coeffs[j] * y^j.  Unbounded in y unless constant."""
+    """g(y) = sum_j coeffs[j] * y^j.  Unbounded in y unless constant.
+
+    The config shape ``constant`` with value v is the one-coefficient
+    profile (v,).
+    """
 
     coeffs: tuple[float, ...]
 
@@ -195,9 +168,6 @@ class PolynomialProfile:
         if all(c == 0.0 for c in self.coeffs[3:]):
             return 2.0 * abs(self.coeffs[2]) if len(self.coeffs) > 2 else 0.0
         return math.inf
-
-    def to_dict(self) -> dict:
-        return {"shape": "polynomial", "coeffs": list(self.coeffs)}
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +216,8 @@ class Potential:
     """Base class for potential descriptors.
 
     Subclasses provide vectorized ``evaluate``, an analytic or
-    finite-difference ``gradient``, certified ``norm_estimates`` and a
-    JSON-compatible ``to_dict``.  Instances are immutable.
+    finite-difference ``gradient`` and certified ``norm_estimates``.
+    Instances are immutable.
     """
 
     kind: ClassVar[str] = ""
@@ -264,9 +234,6 @@ class Potential:
         raise NotImplementedError
 
     def norm_estimates(self) -> PotentialBounds:
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
         raise NotImplementedError
 
 
@@ -309,9 +276,6 @@ class ZeroPotential(Potential):
 
     def norm_estimates(self) -> PotentialBounds:
         return PotentialBounds(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind}
 
 
 def _canonical_coeffs(coeffs: Mapping[int, complex]) -> tuple[tuple[int, complex], ...]:
@@ -381,10 +345,6 @@ def _fourier_sup(coeffs) -> tuple[float, bool]:
     return _certified_grid_sup(_fourier_eval(coeffs, x), 2.0 * math.pi / n), False
 
 
-def _coeffs_to_dict(coeffs) -> dict:
-    return {str(k): [c.real, c.imag] for k, c in coeffs}
-
-
 def _times(a: float, b: float) -> float:
     """a * b for a product of sup bounds: 0 when either factor is 0.
 
@@ -404,11 +364,11 @@ class SeparableFourierPotential(Potential):
     """
 
     coeffs: tuple[tuple[int, complex], ...]
-    profile: ConstantProfile | GaussianProfile | PolynomialProfile
+    profile: GaussianProfile | PolynomialProfile
     kind: ClassVar[str] = "fourier_x_profile"
     periodic_in_x: ClassVar[bool] = True
 
-    def __init__(self, coeffs: Mapping[int, complex], profile=ConstantProfile()) -> None:
+    def __init__(self, coeffs: Mapping[int, complex], profile=PolynomialProfile((1.0,))) -> None:
         object.__setattr__(self, "coeffs", _canonical_coeffs(coeffs))
         object.__setattr__(self, "profile", profile)
         # g itself when g is constant: the gradient then skips g and g' = 0
@@ -459,13 +419,6 @@ class SeparableFourierPotential(Potential):
             x2_dxx=math.inf if nonconst_x and dxx > 0 else 0.0,
             method="analytic" if exact else "grid",
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "coeffs": _coeffs_to_dict(self.coeffs),
-            "profile": self.profile.to_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -562,12 +515,6 @@ class GaussianBumpPotential(Potential):
             method="grid",
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "bumps": [[b.amplitude, b.x0, b.y0, b.width] for b in self.bumps],
-        }
-
 
 def _grid_sup_weighted(pot: GaussianBumpPotential, weight, first: str | None = None, second: str | None = None) -> float:
     """Padded grid sup of |weight(x) * D W| over a box containing all bumps.
@@ -602,8 +549,7 @@ def _grid_sup_weighted(pot: GaussianBumpPotential, weight, first: str | None = N
 class GridSampledPotential(Potential):
     """Bilinear interpolation of tabulated samples on a rectangular grid.
 
-    Outside the covered rectangle the potential is 0 (localized convention);
-    ``clipped_mask`` reports which evaluation points fell outside.
+    Outside the covered rectangle the potential is 0 (localized convention).
     """
 
     kind: ClassVar[str] = "grid"
@@ -636,14 +582,6 @@ class GridSampledPotential(Potential):
         out = self._interp(pts).reshape(xb.shape)
         return _ret(out, scalar)
 
-    def clipped_mask(self, x, y):
-        """True where (x, y) lies outside the tabulated rectangle."""
-        xb, yb, scalar = _as_xy(x, y)
-        m = (
-            (xb < self.x[0]) | (xb > self.x[-1]) | (yb < self.y[0]) | (yb > self.y[-1])
-        )
-        return bool(m) if scalar else m
-
     def gradient(self, x, y):
         xb, yb, _ = _as_xy(x, y)
         hx = float(np.min(np.diff(self.x))) * 0.5
@@ -670,48 +608,12 @@ class GridSampledPotential(Potential):
             method="grid",
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "x": list(self.x),
-            "y": list(self.y),
-            "values": [list(row) for row in self.values],
-        }
-
     def __repr__(self) -> str:
         return f"GridSampledPotential(nx={self.x.size}, ny={self.y.size})"
 
 
-def grid_potential_from_csv(path) -> GridSampledPotential:
-    """Read (x, y, W) triples covering a full rectangular grid."""
-    samples: dict[tuple[float, float], float] = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"expected 3 columns (x, y, W), got {len(row)}")
-            try:
-                x, y, w = (float(c) for c in row)
-            except ValueError:
-                if samples:
-                    raise ValueError(f"non-numeric row {row!r}")
-                continue  # header line
-            samples[(x, y)] = w
-    if not samples:
-        raise ValueError("no samples in grid CSV")
-    xs = np.array(sorted({p[0] for p in samples}))
-    ys = np.array(sorted({p[1] for p in samples}))
-    if len(samples) != xs.size * ys.size:
-        raise ValueError("grid CSV does not cover a full rectangle")
-    values = np.empty((xs.size, ys.size))
-    for (x, y), w in samples.items():
-        values[np.searchsorted(xs, x), np.searchsorted(ys, y)] = w
-    return GridSampledPotential(xs, ys, values)
-
-
 # ---------------------------------------------------------------------------
-# serialization: the schema of a potential dict, one constructor argument
+# config: the schema of a potential dict, one constructor argument
 # per key (see schema.py)
 
 
@@ -733,8 +635,8 @@ def _fourier_coeffs(value, where: str) -> dict[str, list[float]]:
 
 
 _COEFFS = Key(_fourier_coeffs)
-_SHAPES: dict[str, tuple[type, dict]] = {
-    "constant": (ConstantProfile, {"value": Key(float, 1.0)}),
+_SHAPES: dict[str, tuple[Callable, dict]] = {
+    "constant": (lambda value: PolynomialProfile((value,)), {"value": Key(float, 1.0)}),
     "gaussian": (GaussianProfile, {"sigma": Key(float, 1.0, gt=0.0)}),
     "polynomial": (PolynomialProfile, {"coeffs": Key(list[float])}),
 }
@@ -757,7 +659,7 @@ PERIODIC_POTENTIAL = OneOf(
 
 
 def potential_from_dict(d: Mapping) -> Potential:
-    """Build a potential from its dict form (``to_dict`` or a config value).
+    """Build a potential from its config dict.
 
     The dict is checked against POTENTIAL first: an unknown kind or key, a
     value of the wrong type or a non-finite number raises ConfigError.

@@ -17,8 +17,7 @@ factors: the Fourier pairs (k, c_k) with |k| <= mfourier, and the overlap
 
 by Gauss-Hermite quadrature (exactly g * I for a constant g).  The
 coefficient of e^{ikx} between the levels n and m is c_k G_{nm}.  The
-factors are theta-independent and cached per (spec, alpha, nmax, mfourier,
-order).
+factors are theta-independent.
 """
 
 from __future__ import annotations
@@ -32,25 +31,18 @@ from numpy.polynomial.hermite import hermgauss
 
 from .channel import ChannelParams, Potential, SeparableFourierPotential, ZeroPotential
 
-__all__ = ["hermite_eval", "HermiteBasis", "ProjectedPotential", "project_potential"]
+__all__ = ["HermiteBasis", "ProjectedPotential", "project_potential"]
 
 _MAX_DEGREE = 1000
 
 
-def hermite_eval(n: int, s) -> np.ndarray:
-    """phi_n(s) by the stable normalized three-term recurrence.
-
-    Degrees up to 1000 are supported; beyond |s| ~ 37 the Gaussian factor
-    underflows for low n, which is harmless for the quadrature sizes used.
-    """
-    if not 0 <= n <= _MAX_DEGREE:
-        raise ValueError(f"degree must be in [0, {_MAX_DEGREE}]")
-    s = np.asarray(s, dtype=float)
-    return _hermite_table(n, s)[n]
-
-
 def _hermite_table(nmax: int, s: np.ndarray) -> np.ndarray:
-    """Rows 0..nmax of phi_n evaluated at s (shape (nmax+1,) + s.shape)."""
+    """Rows 0..nmax of phi_n evaluated at s (shape (nmax+1,) + s.shape), by
+    the stable normalized three-term recurrence.
+
+    Beyond |s| ~ 37 the Gaussian factor underflows for low n, which is
+    harmless for the quadrature sizes used.
+    """
     out = np.empty((nmax + 1,) + s.shape, dtype=float)
     out[0] = math.pi ** (-0.25) * np.exp(-0.5 * s * s)
     if nmax >= 1:
@@ -117,8 +109,6 @@ class ProjectedPotential:
 
 
 _ALIASING_RTOL = 1e-8
-_CACHE: dict[tuple, ProjectedPotential] = {}
-_CACHE_LIMIT = 32
 
 
 def project_potential(
@@ -126,7 +116,6 @@ def project_potential(
     params: ChannelParams,
     nmax: int,
     mfourier: int = 16,
-    order: int | None = None,
 ) -> ProjectedPotential:
     """Project W onto the scaled Hermite basis and the x-Fourier modes.
 
@@ -144,32 +133,22 @@ def project_potential(
         raise ValueError("mfourier must be >= 0")
     if not isinstance(spec, (ZeroPotential, SeparableFourierPotential)):
         raise ValueError(f"no Hermite projection for potential kind {spec.kind!r}")
-    # both kinds are frozen dataclasses: equal and hashed on their fields
-    key = (spec, params.alpha, nmax, mfourier, order)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-
     if isinstance(spec, ZeroPotential):
         fourier, overlap = (), np.zeros((nmax + 1, nmax + 1))
     else:
         fourier = _kept_harmonics(spec.coeffs, mfourier)
-        overlap = _profile_overlap(spec.profile, params, nmax, order)
+        overlap = _profile_overlap(spec.profile, params, nmax)
     overlap.setflags(write=False)
-    proj = ProjectedPotential(
+    return ProjectedPotential(
         alpha=params.alpha, nmax=nmax, mfourier=mfourier, fourier=fourier, overlap=overlap
     )
-    if len(_CACHE) >= _CACHE_LIMIT:
-        _CACHE.pop(next(iter(_CACHE)))
-    _CACHE[key] = proj
-    return proj
 
 
-def _profile_overlap(profile, params: ChannelParams, nmax: int, order: int | None) -> np.ndarray:
+def _profile_overlap(profile, params: ChannelParams, nmax: int) -> np.ndarray:
     """<phi_n| g(s/sqrt(alpha)) |phi_m> for a transverse profile g."""
     if profile.is_constant:
         return profile(0.0) * np.eye(nmax + 1)
-    basis = HermiteBasis.build(nmax, order)
+    basis = HermiteBasis.build(nmax)
     gvals = profile(basis.nodes / math.sqrt(params.alpha))
     return basis.overlap(gvals)
 

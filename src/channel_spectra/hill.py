@@ -29,6 +29,7 @@ import scipy.sparse.linalg
 from .channel import ChannelParams, Potential
 from .hermite import project_potential
 from .numutil import GapReport, bloch_bands, gap_report, golden_section_minimize, theta_grid
+from .schema import ConfigError
 
 __all__ = [
     "hill_matrix",
@@ -191,14 +192,35 @@ def h00_gaps(
     """Spectral gaps of the decoupled block H_{0,0} = alpha + spec(K_0) below the ceiling.
 
     K_0 = -d_x^2 + W_0(x) with W_0 the lowest diagonal Hermite projection
-    of the potential.
+    of the potential.  Every band whose grid minimum lies at or below
+    ceiling - alpha is kept, and at least the free count 2 sqrt(ceiling -
+    alpha) + 4.  The top three eigenvalues of the Fourier window m_max are
+    not trusted, so a ceiling that needs more than 2 m_max - 2 bands raises
+    ConfigError.
     """
     if gap_tolerance is None:
         gap_tolerance = 1e-6 * params.alpha
-    proj = project_potential(spec, params, nmax=0, mfourier=2 * m_max)
-    # generous band count: free bands reach (k/2)^2, need alpha + eps <= ceiling
-    span = max(ceiling - params.alpha, 1.0)
-    band_count = min(2 * m_max - 2, int(2.0 * math.sqrt(span)) + 4)
-    hb = hill_bands(proj.diag_coeffs(0), m_max=m_max, theta_count=theta_count, band_count=band_count)
-    shifted = [(params.alpha + lo, params.alpha + hi) for lo, hi in hb.band_intervals]
+    coeffs = project_potential(spec, params, nmax=0, mfourier=2 * m_max).diag_coeffs(0)
+    trusted = 2 * m_max - 2
+    # free bands reach (k/2)^2, so the free count is a floor; W_0 shifts bands down
+    free = min(trusted, int(2.0 * math.sqrt(max(ceiling - params.alpha, 1.0))) + 4)
+
+    def keep(table):
+        below = int(np.searchsorted(table.min(axis=0), ceiling - params.alpha, side="right"))
+        if below > trusted:
+            raise ConfigError(
+                f"ceiling {ceiling:.6g} needs at least {below} Hill bands, more than the "
+                f"{trusted} that the Fourier window m_max = {m_max} resolves"
+            )
+        return max(free, below)
+
+    _, intervals = bloch_bands(
+        lambda t: hill_spectrum(coeffs, t, m_max),
+        theta_grid(theta_count),
+        keep,
+        True,
+        1e-8,
+        minimize=golden_section_minimize,
+    )
+    shifted = [(params.alpha + lo, params.alpha + hi) for lo, hi in intervals]
     return gap_report(shifted, params.alpha, ceiling, gap_tolerance)

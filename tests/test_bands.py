@@ -13,8 +13,8 @@ import scipy.linalg
 import channel_spectra
 from channel_spectra import (
     BandStructure,
-    ConstantProfile,
     GaussianProfile,
+    PolynomialProfile,
     SeparableFourierPotential,
     ZeroPotential,
     assemble_fiber,
@@ -180,7 +180,7 @@ def test_sweep_without_gaps_reports_unmatched():
 
 
 def test_sweep_constant_potential_shifts_bottom():
-    spec = SeparableFourierPotential({0: 1.0}, ConstantProfile(1.0))
+    spec = SeparableFourierPotential({0: 1.0}, PolynomialProfile([1.0]))
     report = gap_persistence_sweep(
         3.0, [4.0], spec, theta_count=9, n_hermite=16, refine=False
     )

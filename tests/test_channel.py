@@ -7,7 +7,6 @@ import pytest
 
 from channel_spectra import (
     ChannelParams,
-    ConstantProfile,
     GaussianBumpPotential,
     GaussianProfile,
     GridSampledPotential,
@@ -15,11 +14,9 @@ from channel_spectra import (
     SeparableFourierPotential,
     ZeroPotential,
     derive_params,
-    grid_potential_from_csv,
     potential_from_dict,
     project_potential,
 )
-from channel_spectra import hermite
 
 from projection_oracle import dense_coefficients
 
@@ -160,10 +157,7 @@ def test_spellings_of_one_separable_potential_agree(name):
     assert a.norm_estimates() == b.norm_estimates()
     assert a == b
     p = derive_params(3.0, 4.0)
-    projections = []
-    for spec in (a, b):
-        hermite._CACHE.clear()  # equal specs would get one cached projection
-        projections.append(dense_coefficients(project_potential(spec, p, nmax=5, mfourier=4)))
+    projections = [dense_coefficients(project_potential(spec, p, nmax=5, mfourier=4)) for spec in (a, b)]
     assert np.array_equal(*projections)
 
 
@@ -238,8 +232,6 @@ def test_grid_sampled_bilinear_and_clipping():
     assert abs(spec(0.5, 1.0) - 4.0) < 1e-12  # bilinear mean of the corners
     assert abs(spec(0.0, 2.0) - 4.0) < 1e-12
     assert spec(0.5, 5.0) == 0.0  # outside the covered strip
-    assert spec.clipped_mask(np.array([0.5]), np.array([5.0]))[0]
-    assert not spec.clipped_mask(np.array([0.5]), np.array([1.0]))[0]
     b = spec.norm_estimates()
     assert b.w0 == 10.0
     assert math.isinf(b.dxx)  # piecewise linear: second derivatives unbounded
@@ -263,56 +255,14 @@ def test_grid_sampled_w0_prime_covers_fine_sampling():
     assert brute <= b.w0_prime + 1e-5
 
 
-def test_grid_csv_roundtrip(tmp_path):
-    path = tmp_path / "pot.csv"
-    rows = ["x,y,w"]
-    xs, ys = [0.0, 0.5, 1.0], [-1.0, 1.0]
-    rng = np.random.default_rng(11)
-    table = {(x, y): float(rng.normal()) for x in xs for y in ys}
-    items = list(table.items())
-    rng.shuffle(items)
-    for (x, y), w in items:
-        rows.append(f"{x},{y},{w}")
-    path.write_text("\n".join(rows) + "\n")
-    spec = grid_potential_from_csv(path)
-    for (x, y), w in table.items():
-        assert abs(spec(x, y) - w) < 1e-12
-
-
-def test_grid_csv_incomplete_rectangle_rejected(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("0,0,1\n0,1,2\n1,0,3\n")  # (1,1) missing
-    with pytest.raises(ValueError):
-        grid_potential_from_csv(path)
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        ZeroPotential(),
-        SeparableFourierPotential.from_cosines({0: 0.2, 2: 1.0}),
-        SeparableFourierPotential({1: 0.5, -1: 0.5}, GaussianProfile(0.9)),
-        SeparableFourierPotential({0: 2.0}, PolynomialProfile([0.0, 1.0])),
-        SeparableFourierPotential({0: 1.0}, ConstantProfile(1.5)),
-        GaussianBumpPotential([(0.3, 0.0, 0.0, 1.0), (0.1, 2.0, 1.0, 0.5)]),
-    ],
-)
-def test_to_dict_roundtrip(spec):
-    clone = potential_from_dict(spec.to_dict())
-    x = np.linspace(-3.0, 3.0, 17)
-    y = np.linspace(-2.0, 2.0, 17)
-    assert np.max(np.abs(clone(x, y) - spec(x, y))) < 1e-14
-    assert clone == spec
-
-
 def test_grid_roundtrip_through_dict():
-    x = np.array([0.0, 1.0, 2.0])
-    y = np.array([0.0, 1.0])
+    x = [0.0, 1.0, 2.0]
+    y = [0.0, 1.0]
     vals = np.arange(6.0).reshape(3, 2)
     spec = GridSampledPotential(x, y, vals)
-    clone = potential_from_dict(spec.to_dict())
+    clone = potential_from_dict({"kind": "grid", "x": x, "y": y, "values": vals.tolist()})
     pts = np.linspace(0.0, 2.0, 9)
-    assert np.max(np.abs(clone(pts, 0.5 + 0 * pts) - spec(pts, 0.5 + 0 * pts))) < 1e-14
+    assert np.array_equal(clone(pts, 0.5 + 0 * pts), spec(pts, 0.5 + 0 * pts))
 
 
 def test_unknown_kind_rejected():

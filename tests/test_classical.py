@@ -8,7 +8,6 @@ import pytest
 
 from channel_spectra import (
     ClassicalState,
-    ConstantProfile,
     GaussianBumpPotential,
     GaussianProfile,
     GridSampledPotential,
@@ -98,10 +97,10 @@ _ANALYTIC = {
     "fourier_x_profile-polynomial": SeparableFourierPotential(
         {2: 0.5j, -2: -0.5j}, PolynomialProfile([0.1, 0.3, -0.7])
     ),
-    "fourier_x_profile-constant": SeparableFourierPotential(_COMPLEX_COS, ConstantProfile(-1.5)),
+    "fourier_x_profile-constant": SeparableFourierPotential(_COMPLEX_COS, PolynomialProfile([-1.5])),
     "profile_y": SeparableFourierPotential({0: -1.3}, GaussianProfile(0.7)),
     "profile_y-polynomial": SeparableFourierPotential({0: 0.6}, PolynomialProfile([0.0, 0.4, 0.9])),
-    "profile_y-constant": SeparableFourierPotential({0: -1.3}, ConstantProfile(2.0)),
+    "profile_y-constant": SeparableFourierPotential({0: -1.3}, PolynomialProfile([2.0])),
 }
 
 

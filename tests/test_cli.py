@@ -399,6 +399,40 @@ def test_hill_command_with_fd_check(tmp_path):
     assert abs(min(float(r["band_1"]) for r in curves) - (5.0 - 1.0701297045756306)) < 1e-6
 
 
+_DEEP_WELL_CFG = {"kind": "fourier_x", "coeffs": {"0": -30, "1": 0.5, "-1": 0.5}}
+
+
+def test_hill_gaps_keep_every_band_a_deep_well_moves_below_the_ceiling(tmp_path):
+    # W_0 = -30 + cos x puts 13 bands below the ceiling 3 alpha = 15, more
+    # than the free count 2 sqrt(ceiling - alpha) + 4 = 10; the dropped
+    # bands used to leave a false gap (0.005, 15)
+    out = tmp_path / "o"
+    assert main(["hill", "--set", f"potential={json.dumps(_DEEP_WELL_CFG)}", "--out", str(out)]) == 0
+    gaps = _read_csv(out / "hill_gaps.csv")
+    assert len(gaps) == 5
+    assert all(float(g["upper"]) < -18.0 for g in gaps)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hill", "--set", f"potential={json.dumps(_DEEP_WELL_CFG)}", "--set", "m_max=1"],
+        ["hill", "--set", f"potential={json.dumps(_DEEP_WELL_CFG)}", "--set", "m_max=2"],
+        ["sweep-omega", "--set", "hill_m_max=1", "--set", "theta_count=9", "--set", "n_hermite=8"],
+    ],
+    ids=["hill-m-max-1", "hill-m-max-2", "sweep-hill-m-max-1"],
+)
+def test_hill_window_below_the_ceiling_exits_one(tmp_path, capsys, argv):
+    # the window holds 2 m_max + 1 eigenvalues, of which 2 m_max - 2 are
+    # trusted; these ceilings need more, and used to report gaps up to them
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ceiling ") and "Fourier window m_max" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1 and manifest["error"] == err.strip()
+
+
 def test_diagnostics_command(tmp_path):
     out = tmp_path / "run"
     assert main(["diagnostics", "--out", str(out)]) == 0

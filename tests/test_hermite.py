@@ -14,9 +14,9 @@ from channel_spectra import (
     SeparableFourierPotential,
     ZeroPotential,
     derive_params,
-    hermite_eval,
     project_potential,
 )
+from channel_spectra.hermite import _hermite_table
 
 from projection_oracle import dense_coefficients
 
@@ -60,15 +60,8 @@ def test_hermite_eval_matches_polynomial_formula():
     for n in range(15):
         norm = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
         expected = eval_hermite(n, s) * np.exp(-0.5 * s * s) / norm
-        got = hermite_eval(n, s)
+        got = _hermite_table(n, s)[n]
         assert np.max(np.abs(got - expected)) < 1e-12
-
-
-def test_hermite_eval_degree_guard():
-    with pytest.raises(ValueError):
-        hermite_eval(1001, np.array([0.0]))
-    with pytest.raises(ValueError):
-        hermite_eval(-1, np.array([0.0]))
 
 
 def test_basis_orthonormality():
@@ -95,7 +88,7 @@ def test_zero_potential_projects_to_zero():
 
 
 def test_projection_degree_cap_applies_to_every_kind():
-    # checked before the cache lookup and the allocation
+    # checked before the allocation
     p = derive_params(3.0, 4.0)
     for spec in (ZeroPotential(), SeparableFourierPotential.from_cosines({1: 2.0})):
         with pytest.raises(ValueError, match="nmax"):
@@ -158,20 +151,6 @@ def test_generic_fft_path_agrees_for_pure_profile():
     fast = project_potential(spec, p, nmax=4, mfourier=4)
     slow = _project_generic(spec, p, nmax=4, mfourier=4)
     assert np.max(np.abs(dense_coefficients(fast) - slow)) < 1e-10
-
-
-def test_projection_cache_hits():
-    p = derive_params(3.0, 4.0)
-    spec = SeparableFourierPotential.from_cosines({1: 2.0})
-    a = project_potential(spec, p, nmax=4, mfourier=4)
-    b = project_potential(spec, p, nmax=4, mfourier=4)
-    assert a is b
-    # the cache is keyed on the spec's value, not on the object
-    twin = SeparableFourierPotential({1: 1.0, -1: 1.0})
-    assert twin is not spec and twin == spec
-    assert project_potential(twin, p, nmax=4, mfourier=4) is a
-    c = project_potential(spec, derive_params(3.0, 5.0), nmax=4, mfourier=4)
-    assert c is not a
 
 
 def test_unknown_periodic_kind_rejected_before_the_cache():

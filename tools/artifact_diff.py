@@ -9,9 +9,9 @@ Both run the same requests:
   ``perfbench.workloads.requests`` of this repository lists them (the module
   is imported, never changed);
 - each command once at cheap settings, with the options the workloads do
-  not set (a grid potential, a commutator without ``--gen-nogo``, ...),
-  and a ``gaps`` and a ``bands`` run whose truncation search grows the
-  starting size.
+  not set (a grid potential, a constant profile, a commutator without
+  ``--gen-nogo``, ...), and a ``gaps`` and a ``bands`` run whose truncation
+  search grows the starting size.
 
 Each checkout runs all of them back to back in one child process, with
 OPENBLAS_NUM_THREADS=1 so that BLAS reduces in the same order in both.
@@ -57,6 +57,10 @@ _GAUSSIAN_COS = (
     ' "profile": {"shape": "gaussian", "sigma": 1.5}}'
 )
 _TWO_COS = '{"kind": "fourier_x", "coeffs": {"1": [1.0, 0.0], "-1": [1.0, 0.0]}}'
+_CONSTANT_COS = (
+    '{"kind": "fourier_x_profile", "coeffs": {"1": [0.3, 0.1], "-1": [0.3, -0.1]},'
+    ' "profile": {"shape": "constant", "value": 2.0}}'
+)
 
 # each command once, at settings far below its defaults where those are slow
 CHEAP = {
@@ -64,6 +68,10 @@ CHEAP = {
     "gaps": [
         "gaps", "--set", f"potential={_PROFILE}", "--set", "n_hermite=8",
         "--set", "theta_count=9", "--set", "ceiling=6.5", "--set", "xtol=1e-6",
+    ],
+    # the constant shape: the Landau basis with the coefficients scaled by g
+    "gaps-constant": [
+        "gaps", "--set", f"potential={_CONSTANT_COS}", "--set", "theta_count=9", "--set", "ceiling=6.5",
     ],
     "sweep-omega": [
         "sweep-omega", "--set", "omega_list=[4.0, 10.0]", "--set", "n_hermite=8",
