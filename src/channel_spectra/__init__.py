@@ -54,7 +54,6 @@ from .hill import (
 from .classical import (
     ClassicalState,
     Trajectory,
-    closed_form_state,
     closed_form_trajectory,
     integrate,
     mourre_observable,

@@ -406,15 +406,13 @@ def gap_persistence_sweep(
         ceiling = 3.0 * params.alpha
         w0 = spec.norm_estimates().w0
         proj0 = project_potential(spec, params, nmax=0, mfourier=2 * hill_m_max)
-        k0 = hill_bands(
-            proj0.diag_coeffs(0),
-            m_max=hill_m_max,
-            theta_count=theta_count,
-            band_count=target_gap_count + 2,
-        )
+        k0 = hill_bands(proj0.diag_coeffs(0), hill_m_max, theta_count, band_count=target_gap_count + 1)
         if math.isfinite(w0) and len(k0.band_intervals) > target_gap_count:
             cover = params.alpha + k0.band_intervals[target_gap_count][1] + 2.0 * w0 + 1.0
             ceiling = min(ceiling, cover)
+        # the reference first: a Hill window too small for the ceiling is a
+        # config error that needs none of the 2-D band work
+        reference = h00_gaps(params, k0, ceiling, gap_tolerance)
         bs = compute_bands(
             params,
             spec,
@@ -424,26 +422,11 @@ def gap_persistence_sweep(
             refine=refine,
         )
         full = detect_gaps(bs, gap_tolerance)
-        reference = h00_gaps(
-            params,
-            spec,
-            ceiling,
-            m_max=hill_m_max,
-            theta_count=theta_count,
-            gap_tolerance=gap_tolerance,
-        )
-        discrepancies = []
-        for g in range(target_gap_count):
-            if g >= len(reference.gaps):
-                discrepancies.append(math.inf)
-                continue
-            match = _match_gap(reference.gaps[g], full.gaps)
-            if match is None:
-                discrepancies.append(math.inf)
-            else:
-                discrepancies.append(
-                    max(abs(match[0] - reference.gaps[g][0]), abs(match[1] - reference.gaps[g][1]))
-                )
+        discrepancies = [math.inf] * target_gap_count
+        for g, (rlo, rhi) in enumerate(reference.gaps[:target_gap_count]):
+            match = _match_gap((rlo, rhi), full.gaps)
+            if match is not None:
+                discrepancies[g] = max(abs(match[0] - rlo), abs(match[1] - rhi))
         entries.append(
             SweepEntry(
                 omega=float(omega),

@@ -36,10 +36,8 @@ from .schema import ConfigError
 __all__ = [
     "ClassicalState",
     "Trajectory",
-    "closed_form_state",
     "closed_form_trajectory",
     "integrate",
-    "guiding_center",
     "mourre_observable",
     "MourreSeries",
 ]
@@ -71,15 +69,6 @@ def _hamiltonian(params: ChannelParams, x, y, px, py, spec: Potential | None = N
     """H_cl at one phase-space point or elementwise over arrays of them."""
     h = (px + params.B * y) ** 2 + py**2 + params.omega**2 * y**2
     return h if spec is None else h + spec.evaluate(x, y)
-
-
-def energy(params: ChannelParams, state: ClassicalState, spec: Potential | None = None) -> float:
-    return float(_hamiltonian(params, state.x, state.y, state.px, state.py, spec))
-
-
-def guiding_center(params: ChannelParams, state: ClassicalState) -> tuple[float, float]:
-    """(S_x, S_y) = (x + mu p_y, -mu p_x)."""
-    return state.x + params.mu * state.py, -params.mu * state.px
 
 
 @dataclass(eq=False)
@@ -128,10 +117,6 @@ class Trajectory:
         e0 = self.energies[0]
         return float(np.max(np.abs(self.energies - e0)) / max(abs(e0), 1.0))
 
-    def state(self, i: int) -> ClassicalState:
-        x, y, px, py = self.states[i]
-        return ClassicalState(t=float(self.times[i]), x=x, y=y, px=px, py=py)
-
 
 def _free_orbit(params: ChannelParams, initial: ClassicalState, elapsed: np.ndarray) -> np.ndarray:
     """Exact W = 0 states (x, y, px, py), one row per elapsed time since initial.t."""
@@ -149,12 +134,6 @@ def _free_orbit(params: ChannelParams, initial: ClassicalState, elapsed: np.ndar
     )
     px = np.full_like(elapsed, initial.px)
     return np.column_stack([x, y, px, py])
-
-
-def closed_form_state(params: ChannelParams, initial: ClassicalState, t: float) -> ClassicalState:
-    """Exact W = 0 orbit at time t (initial.t is the reference time)."""
-    x, y, px, py = _free_orbit(params, initial, np.array([t - initial.t]))[0].tolist()
-    return ClassicalState(t=t, x=x, y=y, px=px, py=py)
 
 
 def _trajectory_arrays(params, method, source, times, states, spec=None, aborted=False) -> Trajectory:

@@ -333,30 +333,36 @@ def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
     spec = potential_from_dict(cfg["potential"])
     m_max = cfg["m_max"]
     proj = project_potential(spec, params, nmax=0, mfourier=2 * m_max)
-    coeffs = proj.diag_coeffs(0)
-    hb = hill_bands(coeffs, m_max=m_max, theta_count=cfg["theta_count"], band_count=cfg["band_count"])
+    hb = hill_bands(proj.diag_coeffs(0), m_max, cfg["theta_count"], cfg["band_count"])
+    ceiling = 3.0 * params.alpha if cfg["ceiling"] is None else cfg["ceiling"]
+    # both checks come before the first artifact, so a config error writes none
+    gaps = h00_gaps(params, hb, ceiling)
+    if cfg["band_count"] > 2 * m_max - 2:
+        raise ConfigError(
+            f"band_count {cfg['band_count']} exceeds the {2 * m_max - 2} bands that the "
+            f"Fourier window m_max = {m_max} resolves"
+        )
     n_bands = hb.bands.shape[1]
     header = ["theta"] + [f"band_{j + 1}" for j in range(n_bands)]
     curves = np.column_stack([hb.theta_grid, params.alpha + hb.bands])
     art.write(write_csv, "hill_curves.csv", header, curves.tolist())
     intervals = _numbered((params.alpha + hb.band_intervals).tolist())
     art.write(write_csv, "hill_intervals.csv", ["band", "min", "max"], intervals)
-    ceiling = 3.0 * params.alpha if cfg["ceiling"] is None else cfg["ceiling"]
-    gaps = h00_gaps(params, spec, ceiling, m_max=m_max, theta_count=cfg["theta_count"])
     art.write(write_csv, "hill_gaps.csv", _GAP_HEADER, _gap_rows(gaps.gaps))
     print(f"{n_bands} band(s); {gaps.count} gap(s) below {ceiling:.6g}")
     if cfg["fd_check"]:
-        coeff_map = {k - m_max * 2: coeffs[k] for k in range(coeffs.size)}
+        # V(x) from the projection's own nonzero pairs, which ascend in k
+        pairs = [(k, c * proj.overlap[0, 0]) for k, c in proj.fourier]
 
         def v_of_x(x):
             acc = np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
-            for k, c in coeff_map.items():
+            for k, c in pairs:
                 acc = acc + c * np.exp(1j * k * np.asarray(x, dtype=float))
             return acc.real
 
         checks = []
         for theta in (0.0, 0.25, 0.5):
-            fourier = hill_spectrum(coeffs, theta, m_max=m_max, count=5)
+            fourier = hill_spectrum(hb.coeffs, theta, m_max=m_max, count=5)
             fd = fd_hill_richardson(v_of_x, theta, count=5, n_points=cfg["fd_points"])
             checks.append(
                 {

@@ -8,6 +8,8 @@ coefficients of V.  The decoupled reference operator of the channel is
     H_{n,n} = alpha (2n+1) + K_n(theta),   V_n = W_n(x) = <phi_n| W |phi_n>,
 
 whose n = 0 gaps the full band computation is compared against.
+hill_bands solves K_0 once per grid phase and refines its lowest bands;
+h00_gaps reads that HillBands and refines only the bands beyond them.
 
 An independent oracle discretizes K(theta) by central finite differences on
 a uniform grid with the phase-wrapped corner entries and Richardson
@@ -18,7 +20,7 @@ but the potential values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -26,9 +28,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .channel import ChannelParams, Potential
-from .hermite import project_potential
-from .numutil import GapReport, bloch_bands, gap_report, golden_section_minimize, theta_grid
+from .channel import ChannelParams
+from .numutil import GapReport, gap_report, golden_section_minimize, refine_band_edge, theta_grid
 from .schema import ConfigError
 
 __all__ = [
@@ -144,83 +145,90 @@ def fd_hill_richardson(
 # band structure of a Hill operator
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HillBands:
-    """Sorted eigenvalue curves epsilon_j(theta) with refined extrema."""
+    """The Hill operator -d^2 + V on a theta grid, solved once.
 
-    theta_grid: np.ndarray
-    bands: np.ndarray  # (theta_count, band_count)
-    band_intervals: np.ndarray  # (band_count, 2), refined
+    ``table`` holds all 2 m_max + 1 ascending eigenvalues at each grid
+    phase; ``band_intervals`` the [min, max] of the lowest bands, refined
+    around their grid extrema.  h00_gaps reads both and refines only the
+    bands beyond them.  The arrays are read-only.
+    """
+
+    coeffs: np.ndarray  # c_k for k = -2 m_max..2 m_max
     m_max: int
+    theta_grid: np.ndarray
+    table: np.ndarray  # (theta_count, 2 m_max + 1)
+    band_intervals: np.ndarray  # (band_count, 2), refined
+
+    @property
+    def bands(self) -> np.ndarray:
+        """The grid curves of the refined bands, (theta_count, band_count)."""
+        return self.table[:, : len(self.band_intervals)]
 
 
-def hill_bands(
-    coeffs,
-    m_max: int = 32,
-    theta_count: int = 17,
-    band_count: int = 8,
-    refine: bool = True,
-    xtol: float = 1e-8,
-) -> HillBands:
+def _refined(hill: HillBands, count: int) -> HillBands:
+    """hill with the [min, max] of its lowest count bands (fewer when the
+    window holds fewer), reusing the refined bands it holds.  Each new edge
+    is sharpened by refine_band_edge around its grid extremum, minimum
+    before maximum; the name golden_section_minimize is read here at call
+    time, so a wrapper installed on it sees every Hill search."""
+
+    def edge(j: int, sign: float) -> float:
+        return refine_band_edge(
+            lambda t: float(hill_spectrum(hill.coeffs, t, hill.m_max)[j]),
+            hill.theta_grid, hill.table[:, j], sign, 1e-8, minimize=golden_section_minimize,
+        )
+
+    known = hill.band_intervals[:count]
+    new = [[edge(j, 1.0), edge(j, -1.0)] for j in range(len(known), min(count, hill.table.shape[1]))]
+    intervals = np.vstack([known, np.array(new, dtype=float).reshape(-1, 2)])
+    intervals.setflags(write=False)
+    return replace(hill, band_intervals=intervals)
+
+
+def hill_bands(coeffs, m_max: int = 32, theta_count: int = 17, band_count: int = 8) -> HillBands:
     """Band structure of -d^2 + V over a uniform theta grid.
 
-    theta_count must be odd and >= 9 so the grid contains theta = 0 and the
-    +-1/2 endpoints, where band edges of real potentials sit; the Brent
+    One solve per grid phase gives the whole table; the lowest band_count
+    bands (fewer when the window holds fewer) are refined.  theta_count
+    must be odd and >= 9 so the grid contains theta = 0 and the +-1/2
+    endpoints, where band edges of real potentials sit; the Brent
     refinement around each grid extremum verifies that numerically instead
     of assuming it.
     """
     grid = theta_grid(theta_count)
-    bands, intervals = bloch_bands(
-        lambda t: hill_spectrum(coeffs, t, m_max, band_count),
-        grid,
-        lambda table: band_count,
-        refine,
-        xtol,
-        minimize=golden_section_minimize,
-    )
-    return HillBands(theta_grid=grid, bands=bands, band_intervals=intervals, m_max=m_max)
+    c = _coeff_array(coeffs, 2 * m_max)
+    table = np.vstack([hill_spectrum(c, float(t), m_max) for t in grid])
+    for arr in (c, grid, table):
+        arr.setflags(write=False)
+    return _refined(HillBands(c, m_max, grid, table, np.empty((0, 2))), band_count)
 
 
 def h00_gaps(
-    params: ChannelParams,
-    spec: Potential,
-    ceiling: float,
-    m_max: int = 32,
-    theta_count: int = 17,
-    gap_tolerance: float | None = None,
+    params: ChannelParams, hill: HillBands, ceiling: float, gap_tolerance: float | None = None
 ) -> GapReport:
     """Spectral gaps of the decoupled block H_{0,0} = alpha + spec(K_0) below the ceiling.
 
-    K_0 = -d_x^2 + W_0(x) with W_0 the lowest diagonal Hermite projection
-    of the potential.  Every band whose grid minimum lies at or below
-    ceiling - alpha is kept, and at least the free count 2 sqrt(ceiling -
-    alpha) + 4.  The top three eigenvalues of the Fourier window m_max are
-    not trusted, so a ceiling that needs more than 2 m_max - 2 bands raises
-    ConfigError.
+    ``hill`` is the band structure of K_0 = -d_x^2 + W_0(x), W_0 the lowest
+    diagonal Hermite projection of the potential.  Every band whose grid
+    minimum lies at or below ceiling - alpha is kept, and at least the free
+    count 2 sqrt(ceiling - alpha) + 4.  The top three eigenvalues of the
+    Fourier window m_max are not trusted, so a ceiling that needs more than
+    2 m_max - 2 bands raises ConfigError.  The kept bands reuse hill's
+    refined intervals; only those beyond them are refined here.
     """
     if gap_tolerance is None:
         gap_tolerance = 1e-6 * params.alpha
-    coeffs = project_potential(spec, params, nmax=0, mfourier=2 * m_max).diag_coeffs(0)
-    trusted = 2 * m_max - 2
+    trusted = 2 * hill.m_max - 2
     # free bands reach (k/2)^2, so the free count is a floor; W_0 shifts bands down
     free = min(trusted, int(2.0 * math.sqrt(max(ceiling - params.alpha, 1.0))) + 4)
-
-    def keep(table):
-        below = int(np.searchsorted(table.min(axis=0), ceiling - params.alpha, side="right"))
-        if below > trusted:
-            raise ConfigError(
-                f"ceiling {ceiling:.6g} needs at least {below} Hill bands, more than the "
-                f"{trusted} that the Fourier window m_max = {m_max} resolves"
-            )
-        return max(free, below)
-
-    _, intervals = bloch_bands(
-        lambda t: hill_spectrum(coeffs, t, m_max),
-        theta_grid(theta_count),
-        keep,
-        True,
-        1e-8,
-        minimize=golden_section_minimize,
-    )
+    below = int(np.searchsorted(hill.table.min(axis=0), ceiling - params.alpha, side="right"))
+    if below > trusted:
+        raise ConfigError(
+            f"ceiling {ceiling:.6g} needs at least {below} Hill bands, more than the "
+            f"{trusted} that the Fourier window m_max = {hill.m_max} resolves"
+        )
+    intervals = _refined(hill, max(free, below)).band_intervals
     shifted = [(params.alpha + lo, params.alpha + hi) for lo, hi in intervals]
     return gap_report(shifted, params.alpha, ceiling, gap_tolerance)

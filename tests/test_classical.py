@@ -14,17 +14,37 @@ from channel_spectra import (
     PolynomialProfile,
     SeparableFourierPotential,
     ZeroPotential,
-    closed_form_state,
     closed_form_trajectory,
     derive_params,
     integrate,
     mourre_observable,
 )
 from channel_spectra.channel import Potential
-from channel_spectra.classical import _BLOWUP_LIMIT, _trajectory_arrays, energy, guiding_center
+from channel_spectra.classical import _BLOWUP_LIMIT, _free_orbit, _hamiltonian, _trajectory_arrays
 
 _P34 = derive_params(3.0, 4.0)
 _INIT = ClassicalState(t=0.0, x=0.0, y=0.0, px=1.0, py=0.0)
+
+
+def closed_form_state(params, initial, t):
+    """Exact W = 0 orbit at time t (initial.t is the reference time)."""
+    x, y, px, py = _free_orbit(params, initial, np.array([t - initial.t]))[0].tolist()
+    return ClassicalState(t=t, x=x, y=y, px=px, py=py)
+
+
+def _sample(traj, i):
+    """The state of a trajectory at its i-th sample time."""
+    x, y, px, py = traj.states[i]
+    return ClassicalState(t=float(traj.times[i]), x=x, y=y, px=px, py=py)
+
+
+def energy(params, state):
+    return float(_hamiltonian(params, state.x, state.y, state.px, state.py))
+
+
+def guiding_center(params, state):
+    """(S_x, S_y) = (x + mu p_y, -mu p_x)."""
+    return state.x + params.mu * state.py, -params.mu * state.px
 
 
 def _reference_rhs(params, spec, state):
@@ -120,7 +140,7 @@ def test_trajectory_matches_pointwise_closed_form():
     assert traj.times.shape == (51,)
     for i in (0, 7, 50):
         s = closed_form_state(_P34, _INIT, float(traj.times[i]))
-        got = traj.state(i)
+        got = _sample(traj, i)
         assert abs(got.x - s.x) < 1e-12
         assert abs(got.y - s.y) < 1e-12
         assert abs(got.py - s.py) < 1e-12

@@ -433,6 +433,62 @@ def test_hill_window_below_the_ceiling_exits_one(tmp_path, capsys, argv):
     assert manifest["exit_status"] == 1 and manifest["error"] == err.strip()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # band 8 would come from the window's untrusted top: off by 0.12 against m_max = 32
+        (["hill", "--set", "m_max=4", "--set", "band_count=8", "--set", "ceiling=8"], "band_count 8 exceeds"),
+        # the gaps used to be checked after the curves and intervals were written
+        (["hill", "--set", "m_max=2", "--set", "band_count=2", "--set", "ceiling=8"], "ceiling 8 needs"),
+    ],
+    ids=["band-count-above-window", "ceiling-above-window"],
+)
+def test_hill_config_error_writes_only_the_manifest(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1 and manifest["artifacts"] == []
+
+
+_HARMONIC = st.tuples(
+    st.integers(1, 4),
+    st.floats(-2.0, 2.0),
+    st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m_max=st.integers(1, 12),
+    band_count=st.integers(1, 30),
+    theta_count=st.sampled_from([9, 17]),
+    ceiling_above_alpha=st.floats(-3.0, 40.0),
+    harmonics=st.lists(_HARMONIC, min_size=1, max_size=3, unique_by=lambda h: h[0]),
+)
+def test_hill_command_exits_cleanly_without_nan(
+    tmp_path_factory, m_max, band_count, theta_count, ceiling_above_alpha, harmonics
+):
+    coeffs = {}
+    for k, re, im in harmonics:
+        coeffs[str(k)], coeffs[str(-k)] = [re, im], [re, -im]
+    potential = {"kind": "fourier_x", "coeffs": coeffs}
+    out = tmp_path_factory.mktemp("hill")
+    argv = [
+        "hill", "--set", f"potential={json.dumps(potential)}", "--set", f"m_max={m_max}",
+        "--set", f"band_count={band_count}", "--set", f"theta_count={theta_count}",
+        "--set", f"ceiling={5.0 + ceiling_above_alpha!r}", "--out", str(out),
+    ]
+    code = main(argv)
+    assert code in (0, 1)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == code
+    for name in manifest["artifacts"]:
+        if name.endswith(".csv"):
+            assert "nan" not in (out / name).read_text().lower()
+
+
 def test_diagnostics_command(tmp_path):
     out = tmp_path / "run"
     assert main(["diagnostics", "--out", str(out)]) == 0

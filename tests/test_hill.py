@@ -17,6 +17,7 @@ from channel_spectra import (
     hill_matrix,
     hill_spectrum,
 )
+from channel_spectra.hermite import project_potential
 from channel_spectra.numutil import merge_intervals
 
 # -d^2/dx^2 + 2 cos x maps onto the Mathieu equation with q = 4 under
@@ -135,7 +136,7 @@ def test_hill_bands_validation():
 
 
 def test_union_intervals_merges_overlaps():
-    hb = hill_bands({}, m_max=8, theta_count=9, band_count=4, refine=False)
+    hb = hill_bands({}, m_max=8, theta_count=9, band_count=4)
     # free bands [j^2/4-ish] touch; the union collapses to one interval from 0
     merged = merge_intervals(hb.band_intervals)
     assert merged[0][0] < 1e-10
@@ -145,7 +146,8 @@ def test_union_intervals_merges_overlaps():
 def test_h00_gaps_match_mathieu_gap_edges():
     p = derive_params(3.0, 4.0)
     spec = SeparableFourierPotential.from_cosines({1: 2.0})
-    report = h00_gaps(p, spec, ceiling=p.alpha + 5.0, m_max=32, theta_count=17)
+    k0 = hill_bands(project_potential(spec, p, nmax=0, mfourier=64).diag_coeffs(0), m_max=32, theta_count=17)
+    report = h00_gaps(p, k0, ceiling=p.alpha + 5.0)
     eps0 = _mathieu_periodic()
     epsh = _mathieu_antiperiodic()
     expected = []
@@ -210,3 +212,58 @@ def test_refinement_solves_per_extremum(monkeypatch, coeffs):
     assert hb.band_intervals.shape == (5, 2)
     assert counts["searches"] == 2 * 5
     assert counts["solves"] <= 16 * counts["searches"]
+
+
+def _count_hill_work(monkeypatch):
+    """Counts Hill solves outside a search, and records each search by its
+    bracket and the first value it reads, which name one band extremum."""
+    from channel_spectra import hill
+
+    work = {"grid_solves": 0, "searches": []}
+    inside = []
+    solve, search = hill.hill_spectrum, hill.golden_section_minimize
+
+    def counted_solve(*args, **kwargs):
+        work["grid_solves"] += not inside
+        return solve(*args, **kwargs)
+
+    def counted_search(f, a, b, *args):
+        first = []
+
+        def recorded(t):
+            first.append(f(t))
+            return first[-1]
+
+        inside.append(True)
+        try:
+            return search(recorded, a, b, *args)
+        finally:
+            inside.pop()
+            work["searches"].append((a, b, first[0]))
+
+    monkeypatch.setattr(hill, "hill_spectrum", counted_solve)
+    monkeypatch.setattr(hill, "golden_section_minimize", counted_search)
+    return work
+
+
+def test_hill_command_solves_each_phase_and_searches_each_extremum_once(monkeypatch, tmp_path):
+    from channel_spectra.cli import main
+
+    work = _count_hill_work(monkeypatch)
+    assert main(["hill", "--set", "theta_count=9", "--out", str(tmp_path)]) == 0
+    assert work["grid_solves"] == 9
+    # band_count = 8 refined bands, and the bands below 3 alpha beyond them
+    assert len(work["searches"]) >= 2 * 8
+    assert len(set(work["searches"])) == len(work["searches"])
+
+
+def test_sweep_omega_solves_each_phase_and_searches_each_extremum_once(monkeypatch):
+    from channel_spectra import gap_persistence_sweep
+
+    work = _count_hill_work(monkeypatch)
+    spec = SeparableFourierPotential.from_cosines({1: 1.0})
+    report = gap_persistence_sweep(3.0, [4.0], spec, target_gap_count=2, theta_count=9, hill_m_max=8)
+    assert report.entries[0].reference.count >= 2
+    assert work["grid_solves"] == 9
+    assert len(work["searches"]) >= 2 * 3
+    assert len(set(work["searches"])) == len(work["searches"])

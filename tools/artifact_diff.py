@@ -87,7 +87,14 @@ CHEAP = {
         "bands", "--set", f"potential={_TWO_COS}", "--set", "n_hermite=1",
         "--set", "theta_count=9", "--set", "ceiling=6.5",
     ],
+    # two tracked gaps, so the working ceiling reads a higher refined Hill band
+    "sweep-two-gaps": [
+        "sweep-omega", "--set", "omega_list=[4.0, 10.0]", "--set", "n_hermite=8",
+        "--set", "theta_count=9", "--set", "hill_m_max=8", "--set", "target_gap_count=2",
+    ],
     "hill": ["hill"],
+    # fewer refined bands than hill_gaps.csv needs, so the gaps refine past them
+    "hill-extend": ["hill", "--set", "band_count=2"],
     "classical": ["classical", "--set", f"potential={_GRID}", "--set", "t_end=0.5"],
     "classical-bumps": ["classical", "--set", f"potential={_TWO_BUMPS}", "--set", "t_end=0.5"],
     "mourre": ["mourre"],
