@@ -2,11 +2,14 @@
 
 Bands are sorted-eigenvalue curves theta -> E_j(theta) of the fiber
 matrices on a uniform odd grid over [-1/2, 1/2] (both endpoints sampled;
-they are identified by 1-periodicity).  Band intervals are sharpened by
-Brent's method around the grid extrema, gaps are the complement
-of the interval union below a trusted energy ceiling, and the persistence
-sweep compares those gaps against the decoupled reference H_{0,0} =
-alpha + spec(K_0) as the confinement omega grows at fixed field B.
+they are identified by 1-periodicity).  BandStructure is a record of
+numutil's one Bloch band driver, which also gives the Hill bands of the
+H_{0,0} reference: one solve per grid phase, then the interval of each
+band below the ceiling sharpened by Brent's method around its grid
+extrema.  Gaps are the complement of the interval union below a trusted
+energy ceiling, and the persistence sweep compares those gaps against the
+decoupled reference H_{0,0} = alpha + spec(K_0) as the confinement omega
+grows at fixed field B.
 
 Truncation policy.  The Fourier window must cover the ceiling
 kinematically, beta (M - 1/2)^2 + alpha > ceiling with margin.  One growth
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -70,7 +73,7 @@ from .fiber import (
 )
 from .hermite import project_potential
 from .hill import h00_gaps, hill_bands
-from .numutil import GapReport, bloch_bands, gap_report, golden_section_minimize, theta_grid
+from .numutil import BlochBands, GapReport, gap_report, golden_section_minimize, theta_grid
 from .schema import ConfigError
 
 __all__ = [
@@ -96,24 +99,18 @@ _GROWTH_STEPS = 4
 _PROBES = (0.0, 1.0 / 3.0, -0.5)
 
 
-@dataclass(eq=False)
-class BandStructure:
-    """Sorted band curves with refined extrema below an energy ceiling."""
+@dataclass(frozen=True, eq=False)
+class BandStructure(BlochBands):
+    """The BlochBands record of the fiber H(theta): sorted band curves with
+    refined extrema below an energy ceiling."""
 
     params: ChannelParams
-    theta_grid: np.ndarray
-    bands: np.ndarray  # (theta_count, band_count) grid eigenvalues
-    band_intervals: np.ndarray  # (band_count, 2) refined [min, max]
     energy_ceiling: float
     n_hermite: int
     m_max: int
     converged: bool
     notes: tuple[str, ...] = ()
     basis: str = "hermite"  # or "landau": see the module's truncation policy
-
-    @property
-    def band_count(self) -> int:
-        return self.bands.shape[1]
 
     @property
     def spectrum_bottom(self) -> float:
@@ -291,22 +288,13 @@ def compute_bands(
             stacklevel=2,
         )
 
-    bands, intervals = bloch_bands(
-        lambda t: eigenvalues_fiber(fiber_at(block, t)),
-        grid,
-        lambda table: int(np.searchsorted(table.min(axis=0), energy_ceiling, side="right")),
-        refine,
-        xtol,
-        minimize=golden_section_minimize,
-    )
+    def spectrum(theta):
+        return eigenvalues_fiber(fiber_at(block, theta))
 
-    for arr in (grid, bands, intervals):
-        arr.setflags(write=False)
-    return BandStructure(
+    bs = BandStructure.on_grid(
+        spectrum,
+        grid,
         params=params,
-        theta_grid=grid,
-        bands=bands,
-        band_intervals=intervals,
         energy_ceiling=float(energy_ceiling),
         n_hermite=block.n_hermite,
         m_max=block.m_max,
@@ -314,12 +302,15 @@ def compute_bands(
         notes=tuple(notes),
         basis="hermite" if coeffs is None else "landau",
     )
+    count = bs.count_below(energy_ceiling)
+    if refine:
+        return bs.extended(spectrum, count, xtol, minimize=golden_section_minimize)
+    curves = bs.table[:, :count]
+    return replace(bs, band_intervals=np.column_stack([curves.min(axis=0), curves.max(axis=0)]))
 
 
 def detect_gaps(band_structure: BandStructure, gap_tolerance: float | None = None) -> GapReport:
     """Maximal intervals below the ceiling not covered by any band."""
-    if gap_tolerance is None:
-        gap_tolerance = 1e-6 * band_structure.params.alpha
     return gap_report(
         band_structure.band_intervals,
         band_structure.params.alpha,
@@ -400,14 +391,14 @@ def gap_persistence_sweep(
     """
     if target_gap_count < 1:
         raise ValueError("target_gap_count must be >= 1")
+    w0 = spec.norm_estimates().w0
     entries = []
     for omega in omega_list:
         params = derive_params(B, omega)
         ceiling = 3.0 * params.alpha
-        w0 = spec.norm_estimates().w0
         proj0 = project_potential(spec, params, nmax=0, mfourier=2 * hill_m_max)
         k0 = hill_bands(proj0.diag_coeffs(0), hill_m_max, theta_count, band_count=target_gap_count + 1)
-        if math.isfinite(w0) and len(k0.band_intervals) > target_gap_count:
+        if math.isfinite(w0) and k0.band_count > target_gap_count:
             cover = params.alpha + k0.band_intervals[target_gap_count][1] + 2.0 * w0 + 1.0
             ceiling = min(ceiling, cover)
         # the reference first: a Hill window too small for the ceiling is a

@@ -234,18 +234,11 @@ def _gap_rows(gaps) -> list[list]:
     return _numbered([lo, hi, hi - lo] for lo, hi in gaps)
 
 
-def _emit_bands(bs, art: _Artifacts, gaps=None):
-    header = ["theta"] + [f"band_{j + 1}" for j in range(bs.band_count)]
-    art.write(write_csv, "bands.csv", header, np.column_stack([bs.theta_grid, bs.bands]).tolist())
-    art.write(write_csv, "band_intervals.csv", ["band", "min", "max"], _numbered(bs.band_intervals.tolist()))
-    art.write(
-        write_band_svg,
-        "bands.svg",
-        bs.theta_grid,
-        bs.bands.T,
-        ceiling=bs.energy_ceiling,
-        gaps=gaps or (),
-    )
+def _emit_curves(art: _Artifacts, names, grid, bands, intervals):
+    """Band curves over the grid and their [min, max] intervals, as the two CSVs ``names``."""
+    header = ["theta"] + [f"band_{j + 1}" for j in range(len(intervals))]
+    art.write(write_csv, names[0], header, np.column_stack([grid, bands]).tolist())
+    art.write(write_csv, names[1], ["band", "min", "max"], _numbered(intervals.tolist()))
 
 
 def _cmd_bands(cfg: dict, art: _Artifacts, with_gaps: bool) -> int:
@@ -266,7 +259,15 @@ def _cmd_bands(cfg: dict, art: _Artifacts, with_gaps: bool) -> int:
         report = detect_gaps(bs, gap_tolerance=cfg["gap_tolerance"])
         gap_pairs = report.gaps
         art.write(write_csv, "gaps.csv", _GAP_HEADER, _gap_rows(gap_pairs))
-    _emit_bands(bs, art, gaps=gap_pairs)
+    _emit_curves(art, ("bands.csv", "band_intervals.csv"), bs.theta_grid, bs.bands, bs.band_intervals)
+    art.write(
+        write_band_svg,
+        "bands.svg",
+        bs.theta_grid,
+        bs.bands.T,
+        ceiling=bs.energy_ceiling,
+        gaps=gap_pairs,
+    )
     art.write(
         write_json,
         "bands_summary.json",
@@ -329,27 +330,23 @@ def _cmd_sweep(cfg: dict, art: _Artifacts) -> int:
 
 
 def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
-    params = derive_params(cfg["B"], cfg["omega"])
-    spec = potential_from_dict(cfg["potential"])
     m_max = cfg["m_max"]
-    proj = project_potential(spec, params, nmax=0, mfourier=2 * m_max)
-    hb = hill_bands(proj.diag_coeffs(0), m_max, cfg["theta_count"], cfg["band_count"])
-    ceiling = 3.0 * params.alpha if cfg["ceiling"] is None else cfg["ceiling"]
-    # both checks come before the first artifact, so a config error writes none
-    gaps = h00_gaps(params, hb, ceiling)
+    # refused before any solve; h00_gaps's own check also precedes every artifact
     if cfg["band_count"] > 2 * m_max - 2:
         raise ConfigError(
             f"band_count {cfg['band_count']} exceeds the {2 * m_max - 2} bands that the "
             f"Fourier window m_max = {m_max} resolves"
         )
-    n_bands = hb.bands.shape[1]
-    header = ["theta"] + [f"band_{j + 1}" for j in range(n_bands)]
-    curves = np.column_stack([hb.theta_grid, params.alpha + hb.bands])
-    art.write(write_csv, "hill_curves.csv", header, curves.tolist())
-    intervals = _numbered((params.alpha + hb.band_intervals).tolist())
-    art.write(write_csv, "hill_intervals.csv", ["band", "min", "max"], intervals)
+    params = derive_params(cfg["B"], cfg["omega"])
+    spec = potential_from_dict(cfg["potential"])
+    proj = project_potential(spec, params, nmax=0, mfourier=2 * m_max)
+    hb = hill_bands(proj.diag_coeffs(0), m_max, cfg["theta_count"], cfg["band_count"])
+    ceiling = 3.0 * params.alpha if cfg["ceiling"] is None else cfg["ceiling"]
+    gaps = h00_gaps(params, hb, ceiling)
+    names = ("hill_curves.csv", "hill_intervals.csv")
+    _emit_curves(art, names, hb.theta_grid, params.alpha + hb.bands, params.alpha + hb.band_intervals)
     art.write(write_csv, "hill_gaps.csv", _GAP_HEADER, _gap_rows(gaps.gaps))
-    print(f"{n_bands} band(s); {gaps.count} gap(s) below {ceiling:.6g}")
+    print(f"{hb.band_count} band(s); {gaps.count} gap(s) below {ceiling:.6g}")
     if cfg["fd_check"]:
         # V(x) from the projection's own nonzero pairs, which ascend in k
         pairs = [(k, c * proj.overlap[0, 0]) for k, c in proj.fourier]

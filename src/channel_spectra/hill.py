@@ -8,8 +8,9 @@ coefficients of V.  The decoupled reference operator of the channel is
     H_{n,n} = alpha (2n+1) + K_n(theta),   V_n = W_n(x) = <phi_n| W |phi_n>,
 
 whose n = 0 gaps the full band computation is compared against.
-hill_bands solves K_0 once per grid phase and refines its lowest bands;
-h00_gaps reads that HillBands and refines only the bands beyond them.
+hill_bands runs the channel fiber's Bloch band driver (numutil.BlochBands)
+on K_0: one solve per grid phase, then its lowest bands refined; h00_gaps
+extends that HillBands record, refining only the bands beyond them.
 
 An independent oracle discretizes K(theta) by central finite differences on
 a uniform grid with the phase-wrapped corner entries and Richardson
@@ -20,7 +21,7 @@ but the potential values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -29,7 +30,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .channel import ChannelParams
-from .numutil import GapReport, gap_report, golden_section_minimize, refine_band_edge, theta_grid
+from .numutil import BlochBands, GapReport, gap_report, golden_section_minimize, theta_grid
 from .schema import ConfigError
 
 __all__ = [
@@ -146,45 +147,19 @@ def fd_hill_richardson(
 
 
 @dataclass(frozen=True, eq=False)
-class HillBands:
-    """The Hill operator -d^2 + V on a theta grid, solved once.
-
-    ``table`` holds all 2 m_max + 1 ascending eigenvalues at each grid
-    phase; ``band_intervals`` the [min, max] of the lowest bands, refined
-    around their grid extrema.  h00_gaps reads both and refines only the
-    bands beyond them.  The arrays are read-only.
-    """
+class HillBands(BlochBands):
+    """The Hill operator -d^2 + V on a theta grid, solved once: its table
+    holds all 2 m_max + 1 eigenvalues at each grid phase.  h00_gaps reads
+    the refined bands and refines only those beyond them."""
 
     coeffs: np.ndarray  # c_k for k = -2 m_max..2 m_max
     m_max: int
-    theta_grid: np.ndarray
-    table: np.ndarray  # (theta_count, 2 m_max + 1)
-    band_intervals: np.ndarray  # (band_count, 2), refined
 
-    @property
-    def bands(self) -> np.ndarray:
-        """The grid curves of the refined bands, (theta_count, band_count)."""
-        return self.table[:, : len(self.band_intervals)]
-
-
-def _refined(hill: HillBands, count: int) -> HillBands:
-    """hill with the [min, max] of its lowest count bands (fewer when the
-    window holds fewer), reusing the refined bands it holds.  Each new edge
-    is sharpened by refine_band_edge around its grid extremum, minimum
-    before maximum; the name golden_section_minimize is read here at call
-    time, so a wrapper installed on it sees every Hill search."""
-
-    def edge(j: int, sign: float) -> float:
-        return refine_band_edge(
-            lambda t: float(hill_spectrum(hill.coeffs, t, hill.m_max)[j]),
-            hill.theta_grid, hill.table[:, j], sign, 1e-8, minimize=golden_section_minimize,
-        )
-
-    known = hill.band_intervals[:count]
-    new = [[edge(j, 1.0), edge(j, -1.0)] for j in range(len(known), min(count, hill.table.shape[1]))]
-    intervals = np.vstack([known, np.array(new, dtype=float).reshape(-1, 2)])
-    intervals.setflags(write=False)
-    return replace(hill, band_intervals=intervals)
+    def spectrum(self, theta: float) -> np.ndarray:
+        """All eigenvalues at theta; hill_spectrum and golden_section_minimize
+        are read at call time, so wrappers installed on them see every Hill
+        solve and search."""
+        return hill_spectrum(self.coeffs, theta, self.m_max)
 
 
 def hill_bands(coeffs, m_max: int = 32, theta_count: int = 17, band_count: int = 8) -> HillBands:
@@ -199,10 +174,9 @@ def hill_bands(coeffs, m_max: int = 32, theta_count: int = 17, band_count: int =
     """
     grid = theta_grid(theta_count)
     c = _coeff_array(coeffs, 2 * m_max)
-    table = np.vstack([hill_spectrum(c, float(t), m_max) for t in grid])
-    for arr in (c, grid, table):
-        arr.setflags(write=False)
-    return _refined(HillBands(c, m_max, grid, table, np.empty((0, 2))), band_count)
+    c.setflags(write=False)
+    hill = HillBands.on_grid(lambda t: hill_spectrum(c, t, m_max), grid, coeffs=c, m_max=m_max)
+    return hill.extended(hill.spectrum, band_count, 1e-8, minimize=golden_section_minimize)
 
 
 def h00_gaps(
@@ -218,17 +192,15 @@ def h00_gaps(
     2 m_max - 2 bands raises ConfigError.  The kept bands reuse hill's
     refined intervals; only those beyond them are refined here.
     """
-    if gap_tolerance is None:
-        gap_tolerance = 1e-6 * params.alpha
     trusted = 2 * hill.m_max - 2
     # free bands reach (k/2)^2, so the free count is a floor; W_0 shifts bands down
     free = min(trusted, int(2.0 * math.sqrt(max(ceiling - params.alpha, 1.0))) + 4)
-    below = int(np.searchsorted(hill.table.min(axis=0), ceiling - params.alpha, side="right"))
+    below = hill.count_below(ceiling - params.alpha)
     if below > trusted:
         raise ConfigError(
             f"ceiling {ceiling:.6g} needs at least {below} Hill bands, more than the "
             f"{trusted} that the Fourier window m_max = {hill.m_max} resolves"
         )
-    intervals = _refined(hill, max(free, below)).band_intervals
-    shifted = [(params.alpha + lo, params.alpha + hi) for lo, hi in intervals]
+    kept = hill.extended(hill.spectrum, max(free, below), 1e-8, minimize=golden_section_minimize)
+    shifted = [(params.alpha + lo, params.alpha + hi) for lo, hi in kept.band_intervals]
     return gap_report(shifted, params.alpha, ceiling, gap_tolerance)

@@ -1,21 +1,21 @@
 """Small numeric helpers shared across modules: interval arithmetic,
-Brent's one-dimensional minimisation, Bloch band computation and gap
-reports."""
+Brent's one-dimensional minimisation, gap reports and BlochBands, the one
+Bloch band driver of both the channel fiber H(theta) (bands) and the Hill
+operator K_0(theta) behind the H_{0,0} reference (hill)."""
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "golden_section_minimize",
-    "refine_band_edge",
     "theta_grid",
-    "bloch_bands",
+    "BlochBands",
     "GapReport",
     "gap_report",
     "merge_intervals",
@@ -115,34 +115,6 @@ def golden_section_minimize(
                 v, fv = u, fu
 
 
-def refine_band_edge(
-    value: Callable[[float], float],
-    grid: np.ndarray,
-    column: np.ndarray,
-    sign: float,
-    xtol: float,
-    *,
-    minimize: Callable,
-) -> float:
-    """Minimum (sign = +1) or maximum (sign = -1) of a 1-periodic band.
-
-    ``column`` holds the band on the uniform ``grid``; the search brackets
-    the grid extremum by one grid step on each side, wrapping around the
-    period, so ``value`` only ever sees phases in [-1/2, 1/2].  The grid
-    value is kept when the search does not beat it.  ``minimize`` is
-    golden_section_minimize as bound in the calling module, so that a
-    wrapper installed on that name (the benchmark's per-module refine
-    spans) sees which module refines.
-    """
-    signed = sign * np.asarray(column)
-    idx = int(np.argmin(signed))
-    step = grid[1] - grid[0]
-    _, found = minimize(
-        lambda t: sign * value(t - round(t)), grid[idx] - step, grid[idx] + step, xtol
-    )
-    return sign * min(found, float(signed[idx]))
-
-
 def theta_grid(theta_count: int) -> np.ndarray:
     """Uniform Bloch-phase grid over [-1/2, 1/2], both endpoints included.
 
@@ -154,34 +126,69 @@ def theta_grid(theta_count: int) -> np.ndarray:
     return np.linspace(-0.5, 0.5, theta_count)
 
 
-def bloch_bands(
-    spectrum: Callable[[float], np.ndarray],
-    grid: np.ndarray,
-    keep: Callable[[np.ndarray], int],
-    refine: bool,
-    xtol: float,
-    *,
-    minimize: Callable,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Band curves on the grid and their [min, max] intervals.
+@dataclass(frozen=True, eq=False)
+class BlochBands:
+    """Bands of a 1-periodic Hermitian family read off a theta grid.
 
-    ``spectrum(theta)`` returns the ascending eigenvalues at one phase; the
-    grid pass solves each phase once for all bands.  ``keep`` maps the
-    (theta, eigenvalue) table to the number of lowest bands kept.  With
-    ``refine``, every band edge is sharpened by refine_band_edge around its
-    grid extremum, band by band, minimum before maximum; ``minimize`` is
-    passed through to it.
+    ``table`` holds the ascending eigenvalues at each grid phase, one solve
+    per phase (``on_grid``); ``band_intervals`` the [min, max] of the lowest
+    bands, refined by ``extended``.  The arrays are read-only.
     """
-    table = np.vstack([spectrum(float(t)) for t in grid])
-    bands = table[:, : keep(table)].copy()
-    intervals = np.column_stack([bands.min(axis=0), bands.max(axis=0)])
-    if refine:
-        for j in range(bands.shape[1]):
-            for col, sign in enumerate((1.0, -1.0)):
-                intervals[j, col] = refine_band_edge(
-                    lambda t: float(spectrum(t)[j]), grid, bands[:, j], sign, xtol, minimize=minimize
-                )
-    return bands, intervals
+
+    theta_grid: np.ndarray
+    table: np.ndarray  # (theta_count, eigenvalues per phase)
+    band_intervals: np.ndarray  # (band_count, 2)
+
+    def __post_init__(self):
+        for arr in (self.theta_grid, self.table, self.band_intervals):
+            arr.setflags(write=False)
+
+    @classmethod
+    def on_grid(cls, spectrum: Callable[[float], np.ndarray], grid: np.ndarray, **fields):
+        """The record of ``spectrum(theta)`` over the grid, with no band
+        intervals yet; ``fields`` are those of a subclass."""
+        table = np.vstack([spectrum(float(t)) for t in grid])
+        return cls(theta_grid=grid, table=table, band_intervals=np.empty((0, 2)), **fields)
+
+    @property
+    def band_count(self) -> int:
+        return len(self.band_intervals)
+
+    @property
+    def bands(self) -> np.ndarray:
+        """The grid curves of the bands with intervals, (theta_count, band_count)."""
+        return self.table[:, : self.band_count]
+
+    def count_below(self, level: float) -> int:
+        """Number of bands whose grid minimum lies at or below level."""
+        return int(np.searchsorted(self.table.min(axis=0), level, side="right"))
+
+    def extended(self, spectrum: Callable[[float], np.ndarray], count: int, xtol: float, *, minimize: Callable):
+        """This record with the [min, max] of its lowest count bands (fewer
+        when the table holds fewer), keeping the intervals it already holds.
+
+        Each new edge is searched band by band, minimum before maximum, by
+        ``minimize`` on a bracket of one grid step on each side of the grid
+        extremum, wrapping around the period, so ``spectrum`` only ever sees
+        phases in [-1/2, 1/2].  The grid value is kept when the search does
+        not beat it.  ``minimize`` is golden_section_minimize as bound in the
+        calling module, so that a wrapper installed on that name (the
+        benchmark's per-module refine spans) sees which module refines.
+        """
+        grid = self.theta_grid
+        step = grid[1] - grid[0]
+
+        def edge(j: int, sign: float) -> float:
+            signed = sign * self.table[:, j]
+            idx = int(np.argmin(signed))
+            _, found = minimize(
+                lambda t: sign * float(spectrum(t - round(t))[j]), grid[idx] - step, grid[idx] + step, xtol
+            )
+            return sign * min(found, float(signed[idx]))
+
+        known = self.band_intervals[:count]
+        new = [[edge(j, 1.0), edge(j, -1.0)] for j in range(len(known), min(count, self.table.shape[1]))]
+        return replace(self, band_intervals=np.vstack([known, np.array(new, dtype=float).reshape(-1, 2)]))
 
 
 @dataclass(frozen=True)
@@ -199,12 +206,15 @@ class GapReport:
         return len(self.gaps)
 
 
-def gap_report(band_intervals, floor: float, ceiling: float, tolerance: float) -> GapReport:
+def gap_report(band_intervals, floor: float, ceiling: float, tolerance: float | None = None) -> GapReport:
     """Gaps between the lowest band edge and the ceiling wider than tolerance.
 
     The gaps are measured from the bottom of the band union, or from
-    ``floor`` when there are no bands.
+    ``floor`` when there are no bands.  ``floor`` is alpha, the bottom of
+    the free spectrum, and the tolerance defaults to 1e-6 alpha.
     """
+    if tolerance is None:
+        tolerance = 1e-6 * floor
     intervals = tuple((float(lo), float(hi)) for lo, hi in band_intervals)
     covered = merge_intervals(intervals)
     lower = covered[0][0] if covered else floor

@@ -72,7 +72,7 @@ def _synthetic_structure(intervals, ceiling):
     return BandStructure(
         params=derive_params(0.0, 1.0),
         theta_grid=grid,
-        bands=bands,
+        table=bands,
         band_intervals=intervals,
         energy_ceiling=ceiling,
         n_hermite=4,
@@ -196,6 +196,23 @@ def test_sweep_constant_potential_shifts_bottom():
 def test_sweep_validates_target_gap_count():
     with pytest.raises(ValueError):
         gap_persistence_sweep(3.0, [4.0], ZeroPotential(), target_gap_count=0)
+
+
+def test_sweep_estimates_the_potential_norms_once(monkeypatch):
+    calls = []
+    estimate = ZeroPotential.norm_estimates
+
+    def counted(self):
+        calls.append(self)
+        return estimate(self)
+
+    monkeypatch.setattr(ZeroPotential, "norm_estimates", counted)
+    report = gap_persistence_sweep(
+        3.0, [4.0, 10.0, 40.0], ZeroPotential(), theta_count=9, n_hermite=16, refine=False
+    )
+    assert len(report.entries) == 3
+    # once for the sweep, and once in each omega's compute_bands
+    assert len(calls) == 4
 
 
 _WEAK_COS = SeparableFourierPotential.from_cosines({1: 0.3, 2: 0.1})

@@ -414,39 +414,56 @@ def test_hill_gaps_keep_every_band_a_deep_well_moves_below_the_ceiling(tmp_path)
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, refused",
     [
-        ["hill", "--set", f"potential={json.dumps(_DEEP_WELL_CFG)}", "--set", "m_max=1"],
-        ["hill", "--set", f"potential={json.dumps(_DEEP_WELL_CFG)}", "--set", "m_max=2"],
-        ["sweep-omega", "--set", "hill_m_max=1", "--set", "theta_count=9", "--set", "n_hermite=8"],
+        # m_max = 1 trusts no band, so hill refuses every band_count before the ceiling
+        (["hill", "--set", f"potential={json.dumps(_DEEP_WELL_CFG)}", "--set", "m_max=1"], "band_count 8"),
+        (
+            ["hill", "--set", f"potential={json.dumps(_DEEP_WELL_CFG)}", "--set", "m_max=2", "--set", "band_count=2"],
+            "ceiling ",
+        ),
+        (["sweep-omega", "--set", "hill_m_max=1", "--set", "theta_count=9", "--set", "n_hermite=8"], "ceiling "),
     ],
     ids=["hill-m-max-1", "hill-m-max-2", "sweep-hill-m-max-1"],
 )
-def test_hill_window_below_the_ceiling_exits_one(tmp_path, capsys, argv):
+def test_hill_window_below_the_ceiling_exits_one(tmp_path, capsys, argv, refused):
     # the window holds 2 m_max + 1 eigenvalues, of which 2 m_max - 2 are
     # trusted; these ceilings need more, and used to report gaps up to them
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ceiling ") and "Fourier window m_max" in err
+    assert err.startswith("config error: " + refused) and "Fourier window m_max" in err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_status"] == 1 and manifest["error"] == err.strip()
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, message, solves",
     [
-        # band 8 would come from the window's untrusted top: off by 0.12 against m_max = 32
-        (["hill", "--set", "m_max=4", "--set", "band_count=8", "--set", "ceiling=8"], "band_count 8 exceeds"),
+        # band 8 would come from the window's untrusted top: off by 0.12 against
+        # m_max = 32; the band count alone shows it, so nothing is solved
+        (["hill", "--set", "m_max=4", "--set", "band_count=8", "--set", "ceiling=8"], "band_count 8 exceeds", 0),
         # the gaps used to be checked after the curves and intervals were written
-        (["hill", "--set", "m_max=2", "--set", "band_count=2", "--set", "ceiling=8"], "ceiling 8 needs"),
+        (["hill", "--set", "m_max=2", "--set", "band_count=2", "--set", "ceiling=8"], "ceiling 8 needs", None),
     ],
     ids=["band-count-above-window", "ceiling-above-window"],
 )
-def test_hill_config_error_writes_only_the_manifest(tmp_path, capsys, argv, message):
+def test_hill_config_error_writes_only_the_manifest(tmp_path, capsys, monkeypatch, argv, message, solves):
+    from channel_spectra import hill
+
+    calls = []
+    solve = hill.hill_spectrum
+
+    def counted_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(hill, "hill_spectrum", counted_solve)
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 1
     assert message in capsys.readouterr().err
+    if solves is not None:
+        assert len(calls) == solves
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_status"] == 1 and manifest["artifacts"] == []

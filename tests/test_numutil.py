@@ -1,4 +1,4 @@
-"""Brent's bounded minimisation, the shared Bloch band computation and gap reports."""
+"""Brent's bounded minimisation, the shared Bloch band driver and gap reports."""
 
 import math
 
@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from channel_spectra.numutil import (
-    bloch_bands,
+    BlochBands,
     gap_report,
     golden_section_minimize,
-    refine_band_edge,
     theta_grid,
 )
 
@@ -78,25 +77,28 @@ def test_argument_validation():
         golden_section_minimize(lambda x: x, 0.0, 1.0, xtol=0.0)
 
 
+def _edges(record, spectrum, count, minimize=golden_section_minimize):
+    return record.extended(spectrum, count, 1e-9, minimize=minimize).band_intervals
+
+
 def test_refine_band_edge_wraps_the_period_and_keeps_the_grid_value():
     # maximum just past the +1/2 endpoint (theta = 0.51, i.e. -0.49), minimum at 0.01
     def band(t):
         assert -0.5 <= t <= 0.5
-        return math.cos(2.0 * math.pi * (t - 0.51))
+        return np.array([math.cos(2.0 * math.pi * (t - 0.51))])
 
-    grid = np.linspace(-0.5, 0.5, 17)
-    column = np.array([band(t) for t in grid])
-    lo = refine_band_edge(band, grid, column, 1.0, 1e-9, minimize=golden_section_minimize)
+    record = BlochBands.on_grid(band, theta_grid(17))
+    column = record.table[:, 0]
+    lo, hi = _edges(record, band, 1)[0]
     assert abs(lo - (-1.0)) < 1e-14
-    hi = refine_band_edge(band, grid, column, -1.0, 1e-9, minimize=golden_section_minimize)
     assert abs(hi - 1.0) < 1e-14
     # a search that finds nothing better leaves the grid extremum
-    flat = refine_band_edge(lambda t: 5.0, grid, column, 1.0, 1e-9, minimize=golden_section_minimize)
+    flat = _edges(record, lambda t: np.array([5.0]), 1)[0, 0]
     assert flat == float(column.min())
 
 
 def test_bloch_bands_solves_each_phase_once_and_refines_every_edge():
-    # two bands with off-grid extrema; a third eigenvalue is dropped by keep
+    # two bands with off-grid extrema; a third eigenvalue is left out by the count
     def spectrum(t):
         solves.append(t)
         c = math.cos(2.0 * math.pi * (t - 0.1))
@@ -104,14 +106,51 @@ def test_bloch_bands_solves_each_phase_once_and_refines_every_edge():
 
     solves = []
     grid = theta_grid(9)
-    bands, intervals = bloch_bands(spectrum, grid, lambda table: 2, False, 1e-9, minimize=golden_section_minimize)
-    assert solves == list(grid) and bands.shape == (9, 2)
-    assert np.array_equal(intervals, np.column_stack([bands.min(axis=0), bands.max(axis=0)]))
-    _, refined = bloch_bands(spectrum, grid, lambda table: 2, True, 1e-9, minimize=golden_section_minimize)
+    record = BlochBands.on_grid(spectrum, grid)
+    assert solves == list(grid) and record.count_below(5.0) == 2
+    # a search that never beats the grid value leaves the grid extrema
+    unrefined = record.extended(spectrum, 2, 1e-9, minimize=lambda f, a, b, xtol: (a, math.inf))
+    bands = unrefined.bands
+    assert bands.shape == (9, 2)
+    assert np.array_equal(unrefined.band_intervals, np.column_stack([bands.min(axis=0), bands.max(axis=0)]))
+    refined = _edges(record, spectrum, 2)
     assert np.max(np.abs(refined - [[-1.0, 1.0], [2.0, 4.0]])) < 1e-14
     for count in (7, 8, 10):
         with pytest.raises(ValueError):
             theta_grid(count)
+
+
+def test_extending_a_record_solves_only_the_edges_it_lacks():
+    work = {"grid_solves": 0, "searches": 0}
+    inside = []
+
+    def spectrum(t):
+        work["grid_solves"] += not inside
+        c = math.cos(2.0 * math.pi * (t - 0.1))
+        return np.array([-c, 3.0 + c, 6.0 - c])
+
+    def search(*args):
+        work["searches"] += 1
+        inside.append(True)
+        try:
+            return golden_section_minimize(*args)
+        finally:
+            inside.pop()
+
+    record = BlochBands.on_grid(spectrum, theta_grid(9))
+    assert work == {"grid_solves": 9, "searches": 0}
+    one = record.extended(spectrum, 1, 1e-9, minimize=search)
+    assert work == {"grid_solves": 9, "searches": 2}
+    # the held band is kept as it is; only the two new bands are searched
+    three = one.extended(spectrum, 5, 1e-9, minimize=search)
+    assert work == {"grid_solves": 9, "searches": 6}
+    assert three.band_count == 3 and np.array_equal(three.band_intervals[:1], one.band_intervals)
+    # a count the record already holds solves nothing
+    two = three.extended(spectrum, 2, 1e-9, minimize=search)
+    assert work == {"grid_solves": 9, "searches": 6}
+    assert np.array_equal(two.band_intervals, three.band_intervals[:2])
+    assert two.table is record.table and two.theta_grid is record.theta_grid
+    assert not any(a.flags.writeable for a in (two.theta_grid, two.table, two.band_intervals))
 
 
 def test_gap_report_measures_from_the_band_bottom():

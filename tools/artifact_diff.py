@@ -92,6 +92,14 @@ CHEAP = {
         "sweep-omega", "--set", "omega_list=[4.0, 10.0]", "--set", "n_hermite=8",
         "--set", "theta_count=9", "--set", "hill_m_max=8", "--set", "target_gap_count=2",
     ],
+    # the grid extrema instead of refined edges, a path no workload takes
+    "bands-unrefined": [
+        "bands", "--set", "n_hermite=8", "--set", "theta_count=9", "--set", "ceiling=6.5", "--set", "refine=false",
+    ],
+    "sweep-unrefined": [
+        "sweep-omega", "--set", "omega_list=[4.0, 10.0]", "--set", "n_hermite=8",
+        "--set", "theta_count=9", "--set", "hill_m_max=5", "--set", "refine=false",
+    ],
     "hill": ["hill"],
     # fewer refined bands than hill_gaps.csv needs, so the gaps refine past them
     "hill-extend": ["hill", "--set", "band_count=2"],
