@@ -4,9 +4,16 @@ Bands are sorted-eigenvalue curves theta -> E_j(theta) of the fiber
 matrices on a uniform odd grid over [-1/2, 1/2] (both endpoints sampled;
 they are identified by 1-periodicity).  BandStructure is a record of
 numutil's one Bloch band driver, which also gives the Hill bands of the
-H_{0,0} reference: one solve per grid phase, then the interval of each
-band below the ceiling sharpened by Brent's method around its grid
-extrema.  Gaps are the complement of the interval union below a trusted
+H_{0,0} reference.  The fiber is a quadratic pencil in theta,
+H(theta + h) = H(theta) + h H'(theta) + kinetic h^2 I, and the driver
+works on it.  One solve per grid phase keeps the eigenvectors of the bands
+below the ceiling and numutil.RITZ_PAD more; only the phases theta >= 0
+are solved when W is real and even in y, since E_j(-theta) = E_j(theta)
+then.  The eigenvectors at the two ends of each grid interval reduce the
+fiber to a small pencil there, which gives the bands between the grid
+phases; each band edge is searched on those pencils, guided by the
+Hellmann-Feynman slopes at the grid phases, and certified by one full
+solve.  Gaps are the complement of the interval union below a trusted
 energy ceiling, and the persistence sweep compares those gaps against the
 decoupled reference H_{0,0} = alpha + spec(K_0) as the confinement omega
 grows at fixed field B.
@@ -73,7 +80,7 @@ from .fiber import (
 )
 from .hermite import project_potential
 from .hill import h00_gaps, hill_bands
-from .numutil import BlochBands, GapReport, gap_report, golden_section_minimize, theta_grid
+from .numutil import RITZ_PAD, BlochBands, GapReport, ThetaPencil, gap_report, golden_section_minimize, theta_grid
 from .schema import ConfigError
 
 __all__ = [
@@ -131,17 +138,32 @@ def _hermite_basis(params, spec, ceiling, tol):
         # the projection covers the larger pair, and the kept block comes from it too
         proj = project_potential(spec, params, nmax=2 * n - 1, mfourier=max(16, 2 * (m + 4)))
         block = fiber_block(params, proj, n, m)
+        below = 0
         for theta in _PROBES:
             small = eigenvalues_fiber(fiber_at(block, theta))
             # three phases only, so the larger pair is assembled one-off
             big = eigenvalues_fiber(assemble_fiber(params, proj, theta, 2 * n, m + 4))
             small, big = small[small <= ceiling], big[big <= ceiling]
+            below = max(below, small.size)
             common = min(small.size, big.size)
             if big.size - small.size > 2 or (common and np.max(np.abs(small[:common] - big[:common])) > tol):
-                return block, (True, True)
-        return block, None
+                return block, (True, True), below
+        return block, None, below
 
     return check, lambda n, m: 2 * n * (2 * (m + 4) + 1)
+
+
+def _t_symmetric(spec: Potential) -> bool:
+    """Whether E_j(-theta) = E_j(theta) for every band.
+
+    Complex conjugation composed with y -> -y commutes with the magnetic
+    Hamiltonian when W is real and even in y, and it maps the fiber at theta
+    onto the fiber at -theta; both bases' truncations are mapped onto
+    themselves.
+    """
+    return isinstance(spec, ZeroPotential) or (
+        isinstance(spec, SeparableFourierPotential) and spec.profile.is_even
+    )
 
 
 def _x_only_coeffs(spec: Potential):
@@ -192,33 +214,36 @@ def _landau_basis(params, coeffs, w0, ceiling, tol):
     def check(n, m):
         block = landau_block(params, coeffs, n, m)
         estimates = [landau_error_estimates(block, coeffs, w0, ceiling, t) for t in _PROBES]
+        below = max(vals.size for vals, *_ in estimates)
         worst = max(float(np.max(lv + wn, initial=0.0)) + r for _, lv, wn, r in estimates)
         low_levels, low_window = (floor <= ceiling for floor in _floors(block, w0))
         if worst <= tol and not (low_levels or low_window):
-            return block, None
+            return block, None, below
         # grow each direction whose share takes more than half of what the
         # rounding leaves of the tolerance, or whose floor is below the ceiling
         half = 0.5 * (tol - max(r for *_, r in estimates))
         return block, (
             low_levels or any(np.any(lv > half) for _, lv, _, _ in estimates),
             low_window or any(np.any(wn > half) for _, _, wn, _ in estimates),
-        )
+        ), below
 
     return check, lambda n, m: n * (2 * m + 1)
 
 
-def _grow(check, size, n_h, m_m, notes) -> tuple[FiberBlock, bool]:
+def _grow(check, size, n_h, m_m, notes) -> tuple[FiberBlock, bool, int]:
     """Check at most _GROWTH_STEPS truncations, from (n_h, m_m) upwards.
 
     ``check(N, M)`` builds a truncation's block and judges it: None when it
     passes, else whether to grow the levels (N doubles) and the Fourier
-    window (M grows by 4).  ``size(N, M)`` is the largest dense fiber that
-    checking (N, M) assembles.  Returns the last block checked.
+    window (M grows by 4); and it counts the block's eigenvalues below the
+    ceiling, at most over its probe phases.  ``size(N, M)`` is the largest
+    dense fiber that checking (N, M) assembles.  Returns the last block
+    checked, whether it passed, and its count.
     """
     for step in range(_GROWTH_STEPS):
-        block, grow = check(n_h, m_m)
+        block, grow, below = check(n_h, m_m)
         if grow is None:
-            return block, True
+            return block, True, below
         if step + 1 == _GROWTH_STEPS:
             break
         n_next, m_next = (2 * n_h if grow[0] else n_h), (m_m + 4 if grow[1] else m_m)
@@ -228,7 +253,7 @@ def _grow(check, size, n_h, m_m, notes) -> tuple[FiberBlock, bool]:
             break
         n_h, m_m = n_next, m_next
         notes.append(f"truncation raised to (N={n_h}, M={m_m})")
-    return block, False
+    return block, False, below
 
 
 def compute_bands(
@@ -250,7 +275,9 @@ def compute_bands(
     ceiling are not trusted.  The basis and the truncation follow the
     module's truncation policy; n_hermite above MAX_N_HERMITE, or a starting
     truncation whose check needs a fiber above MAX_FIBER_DIM, raises
-    ConfigError.
+    ConfigError.  With refine, xtol bounds the phase theta* of each searched
+    edge on its reduced pencil, and the edge value is a full solve at
+    theta*; without it, the intervals are the grid extrema.
     """
     grid = theta_grid(theta_count)
     if not cauchy_tol > 0.0:
@@ -280,7 +307,7 @@ def compute_bands(
             f"truncation (N={n_h}, M={m_m}) for ceiling {energy_ceiling:.6g} needs a dense fiber of "
             f"dimension {size(n_h, m_m)}, above the cap of {MAX_FIBER_DIM}"
         )
-    block, converged = _grow(check, size, n_h, m_m, notes)
+    block, converged, below = _grow(check, size, n_h, m_m, notes)
     if not converged:
         warnings.warn(
             f"truncation did not meet the Cauchy tolerance {cauchy_tol:.1e} at "
@@ -288,12 +315,14 @@ def compute_bands(
             stacklevel=2,
         )
 
-    def spectrum(theta):
-        return eigenvalues_fiber(fiber_at(block, theta))
-
-    bs = BandStructure.on_grid(
-        spectrum,
-        grid,
+    pencil = ThetaPencil(
+        solve=lambda t, count=None, vectors=False: eigenvalues_fiber(fiber_at(block, t), count, vectors=vectors),
+        matrix=lambda t: fiber_at(block, t).entries,
+        slope=block.slope,
+        kinetic=block.kinetic,
+        folds=_t_symmetric(spec),
+    )
+    fields = dict(
         params=params,
         energy_ceiling=float(energy_ceiling),
         n_hermite=block.n_hermite,
@@ -302,9 +331,19 @@ def compute_bands(
         notes=tuple(notes),
         basis="hermite" if coeffs is None else "landau",
     )
-    count = bs.count_below(energy_ceiling)
+    # the grid keeps the eigenpairs of the bands below the ceiling and RITZ_PAD
+    # more, which the reduced pencils need; a band that dips below the
+    # ceiling only between the probe phases can leave too few
+    dim = block.base.shape[0]
+    keep = min(below + RITZ_PAD, dim)
+    while True:
+        bs = BandStructure.on_grid(pencil, grid, keep, **fields)
+        count = bs.count_below(energy_ceiling)
+        if count + RITZ_PAD <= keep or keep == dim:
+            break
+        keep = min(2 * keep, dim)
     if refine:
-        return bs.extended(spectrum, count, xtol, minimize=golden_section_minimize)
+        return bs.extended(pencil, count, xtol, minimize=golden_section_minimize)
     curves = bs.table[:, :count]
     return replace(bs, band_intervals=np.column_stack([curves.min(axis=0), curves.max(axis=0)]))
 

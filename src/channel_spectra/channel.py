@@ -117,6 +117,10 @@ class GaussianProfile:
     def is_constant(self) -> bool:
         return False
 
+    @property
+    def is_even(self) -> bool:
+        return True
+
     def sup_abs(self) -> float:
         return 1.0
 
@@ -155,6 +159,10 @@ class PolynomialProfile:
     @property
     def is_constant(self) -> bool:
         return all(c == 0.0 for c in self.coeffs[1:])
+
+    @property
+    def is_even(self) -> bool:
+        return all(c == 0.0 for c in self.coeffs[1::2])
 
     def sup_abs(self) -> float:
         return abs(self.coeffs[0]) if self.is_constant else math.inf

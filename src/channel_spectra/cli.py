@@ -127,7 +127,7 @@ _SCHEMAS: dict[str, dict] = {
         "B": _B,
         "omega": _OMEGA,
         "potential": _potential(_TWO_COS),
-        "m_max": Key(int, 32, ge=1),
+        "m_max": Key(int, 32, ge=2),
         "theta_count": Key(int, 17, check=theta_grid),
         "band_count": Key(int, 8, ge=1),
         "ceiling": Key(float, None),

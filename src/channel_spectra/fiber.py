@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from numpy.polynomial.hermite import hermgauss
 
 from .channel import ChannelParams
@@ -103,6 +104,19 @@ class FiberBlock:
     ladder_cols: np.ndarray
     ladder_weight: np.ndarray
     kinetic: float
+
+    def slope(self, theta: float) -> scipy.sparse.dia_array:
+        """H'(theta), the derivative of ``fiber_at`` in theta: 2 ``kinetic``
+        (m + theta) on the diagonal and ``ladder_weight`` at the ladder
+        entries.  The fiber is quadratic in theta, H(theta + h) = H(theta) +
+        h H'(theta) + kinetic h^2 I.  The ladder couples the levels n and
+        n + 1 of one Fourier index, which are neighbouring rows, so H' is
+        tridiagonal."""
+        dim = self.row_m.size
+        diagonals = np.zeros((3, dim))  # offsets 0, 1, -1; entry (i, j) at [., j]
+        diagonals[0] = 2.0 * self.kinetic * (self.row_m + theta)
+        diagonals[np.where(self.ladder_cols > self.ladder_rows, 1, 2), self.ladder_cols] = self.ladder_weight
+        return scipy.sparse.dia_array((diagonals, (0, 1, -1)), shape=(dim, dim))
 
 
 def _potential_blocks(terms, n: int, size: int) -> np.ndarray:
@@ -307,14 +321,21 @@ def assemble_fiber(
     return fiber_at(fiber_block(params, proj, n_hermite, m_max, m_offset), theta)
 
 
-def eigenvalues_fiber(mat: FiberMatrix, count: int | None = None) -> np.ndarray:
-    """Ascending eigenvalues of the fiber (the lowest ``count`` if given)."""
+def eigenvalues_fiber(mat: FiberMatrix, count: int | None = None, vectors: bool = False):
+    """Ascending eigenvalues of the fiber (the lowest ``count`` if given).
+
+    With ``vectors``, the pair (eigenvalues, eigenvectors as columns); only
+    the lowest ``count`` pairs are computed then.
+    """
     entries = mat.entries
     if np.iscomplexobj(entries) and not entries.imag.any():
         # real-coefficient potentials give exactly real symmetric fibers;
         # the real solver is about four times faster than the Hermitian one
         entries = np.ascontiguousarray(entries.real)
     try:
+        if vectors:
+            subset = None if count is None else (0, min(count, entries.shape[0]) - 1)
+            return scipy.linalg.eigh(entries, subset_by_index=subset)
         vals = scipy.linalg.eigh(entries, eigvals_only=True)
     except scipy.linalg.LinAlgError as exc:
         path = _dump_matrix(mat.entries)

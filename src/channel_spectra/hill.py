@@ -9,8 +9,10 @@ coefficients of V.  The decoupled reference operator of the channel is
 
 whose n = 0 gaps the full band computation is compared against.
 hill_bands runs the channel fiber's Bloch band driver (numutil.BlochBands)
-on K_0: one solve per grid phase, then its lowest bands refined; h00_gaps
-extends that HillBands record, refining only the bands beyond them.
+on K_0, a quadratic pencil in theta with H'(theta) = 2 diag(m + theta)
+(hill_slope): one solve per grid phase theta >= 0, since V is real and
+E_j(-theta) = E_j(theta), then the edges of its lowest bands; h00_gaps
+extends that HillBands record to the bands beyond them.
 
 An independent oracle discretizes K(theta) by central finite differences on
 a uniform grid with the phase-wrapped corner entries and Richardson
@@ -30,11 +32,12 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .channel import ChannelParams
-from .numutil import BlochBands, GapReport, gap_report, golden_section_minimize, theta_grid
+from .numutil import BlochBands, GapReport, ThetaPencil, gap_report, golden_section_minimize, theta_grid
 from .schema import ConfigError
 
 __all__ = [
     "hill_matrix",
+    "hill_slope",
     "hill_spectrum",
     "fd_hill_eigenvalues",
     "fd_hill_richardson",
@@ -79,8 +82,19 @@ def hill_matrix(coeffs, theta: float, m_max: int = 32) -> np.ndarray:
     return 0.5 * (h + h.conj().T)
 
 
-def hill_spectrum(coeffs, theta: float, m_max: int = 32, count: int | None = None) -> np.ndarray:
-    """Ascending eigenvalues of the Fourier-discretized Hill operator."""
+def hill_slope(theta: float, m_max: int = 32) -> scipy.sparse.dia_array:
+    """d/dtheta of hill_matrix, 2 diag(m + theta): the Hill matrix is
+    quadratic in theta, H(theta + h) = H(theta) + h H'(theta) + h^2 I."""
+    return scipy.sparse.dia_array((2.0 * (np.arange(-m_max, m_max + 1) + theta), 0), shape=(2 * m_max + 1,) * 2)
+
+
+def hill_spectrum(coeffs, theta: float, m_max: int = 32, count: int | None = None, vectors: bool = False):
+    """Ascending eigenvalues of the Fourier-discretized Hill operator (the
+    lowest ``count`` if given); with ``vectors``, the pair (eigenvalues,
+    eigenvectors as columns)."""
+    if vectors:
+        vals, vecs = scipy.linalg.eigh(hill_matrix(coeffs, theta, m_max))
+        return vals[:count], vecs[:, :count]
     vals = scipy.linalg.eigh(hill_matrix(coeffs, theta, m_max), eigvals_only=True)
     return vals[:count] if count is not None else vals
 
@@ -149,34 +163,43 @@ def fd_hill_richardson(
 @dataclass(frozen=True, eq=False)
 class HillBands(BlochBands):
     """The Hill operator -d^2 + V on a theta grid, solved once: its table
-    holds all 2 m_max + 1 eigenvalues at each grid phase.  h00_gaps reads
-    the refined bands and refines only those beyond them."""
+    holds all 2 m_max + 1 eigenvalues at each solved phase, with their
+    eigenvectors.  h00_gaps reads the bands with intervals and extends the
+    record to those beyond them."""
 
     coeffs: np.ndarray  # c_k for k = -2 m_max..2 m_max
     m_max: int
 
-    def spectrum(self, theta: float) -> np.ndarray:
-        """All eigenvalues at theta; hill_spectrum and golden_section_minimize
-        are read at call time, so wrappers installed on them see every Hill
-        solve and search."""
-        return hill_spectrum(self.coeffs, theta, self.m_max)
+
+def _hill_pencil(c: np.ndarray, m_max: int) -> ThetaPencil:
+    """K(theta) as a theta-pencil.  V is real, so E_j(-theta) = E_j(theta)
+    and the grid folds.  hill_spectrum is read at call time, so a wrapper
+    installed on it sees every Hill solve."""
+    return ThetaPencil(
+        solve=lambda t, count=None, vectors=False: hill_spectrum(c, t, m_max, count, vectors=vectors),
+        matrix=lambda t: hill_matrix(c, t, m_max),
+        slope=lambda t: hill_slope(t, m_max),
+        kinetic=1.0,
+        folds=True,
+    )
 
 
 def hill_bands(coeffs, m_max: int = 32, theta_count: int = 17, band_count: int = 8) -> HillBands:
     """Band structure of -d^2 + V over a uniform theta grid.
 
-    One solve per grid phase gives the whole table; the lowest band_count
-    bands (fewer when the window holds fewer) are refined.  theta_count
-    must be odd and >= 9 so the grid contains theta = 0 and the +-1/2
-    endpoints, where band edges of real potentials sit; the Brent
-    refinement around each grid extremum verifies that numerically instead
-    of assuming it.
+    One solve per phase theta >= 0 gives the whole table, mirrored to
+    -theta; the intervals of the lowest band_count bands (fewer when the
+    window holds fewer) follow from BlochBands.extended.  theta_count must
+    be odd and >= 9 so the grid contains theta = 0 and the +-1/2 endpoints,
+    where band edges of real potentials sit; the zero slopes and Ritz
+    curvatures there verify that numerically instead of assuming it.
     """
     grid = theta_grid(theta_count)
     c = _coeff_array(coeffs, 2 * m_max)
     c.setflags(write=False)
-    hill = HillBands.on_grid(lambda t: hill_spectrum(c, t, m_max), grid, coeffs=c, m_max=m_max)
-    return hill.extended(hill.spectrum, band_count, 1e-8, minimize=golden_section_minimize)
+    pencil = _hill_pencil(c, m_max)
+    hill = HillBands.on_grid(pencil, grid, coeffs=c, m_max=m_max)
+    return hill.extended(pencil, band_count, 1e-8, minimize=golden_section_minimize)
 
 
 def h00_gaps(
@@ -201,6 +224,7 @@ def h00_gaps(
             f"ceiling {ceiling:.6g} needs at least {below} Hill bands, more than the "
             f"{trusted} that the Fourier window m_max = {hill.m_max} resolves"
         )
-    kept = hill.extended(hill.spectrum, max(free, below), 1e-8, minimize=golden_section_minimize)
+    pencil = _hill_pencil(hill.coeffs, hill.m_max)
+    kept = hill.extended(pencil, max(free, below), 1e-8, minimize=golden_section_minimize)
     shifted = [(params.alpha + lo, params.alpha + hi) for lo, hi in kept.band_intervals]
     return gap_report(shifted, params.alpha, ceiling, gap_tolerance)

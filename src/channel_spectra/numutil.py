@@ -1,20 +1,31 @@
 """Small numeric helpers shared across modules: interval arithmetic,
 Brent's one-dimensional minimisation, gap reports and BlochBands, the one
 Bloch band driver of both the channel fiber H(theta) (bands) and the Hill
-operator K_0(theta) behind the H_{0,0} reference (hill)."""
+operator K_0(theta) behind the H_{0,0} reference (hill).
+
+Both families are quadratic pencils in theta (ThetaPencil), and the driver
+finds band edges the k.p way (Luttinger and Kohn, Phys. Rev. 97, 869,
+1955), in its reduced-basis form (Machiels, Maday, Oliveira, Patera and
+Rovas, C. R. Acad. Sci. Paris 331, 153, 2000): the eigenvectors at two
+neighbouring grid phases span the eigenvectors in between to high
+accuracy, so a small Rayleigh-Ritz pencil reproduces every band there.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "golden_section_minimize",
     "theta_grid",
+    "ThetaPencil",
     "BlochBands",
     "GapReport",
     "gap_report",
@@ -22,6 +33,11 @@ __all__ = [
     "complement_within",
 ]
 
+# eigenpairs beyond a band that its reduced pencil spans, and that the grid
+# therefore keeps above the bands it searches
+RITZ_PAD = 4
+# Ritz phases per grid interval at which band edges are looked for
+_SUBSTEPS = 8
 _CGOLD = 0.5 * (3.0 - math.sqrt(5.0))  # golden-section step as a fraction of the bracket
 _EPS = sys.float_info.epsilon
 
@@ -126,29 +142,67 @@ def theta_grid(theta_count: int) -> np.ndarray:
     return np.linspace(-0.5, 0.5, theta_count)
 
 
+@dataclass(frozen=True)
+class ThetaPencil:
+    """A 1-periodic Hermitian family that is a quadratic pencil in theta,
+
+        H(theta + h) = H(theta) + h H'(theta) + kinetic h^2 I.
+
+    ``solve(theta, count=None, vectors=False)`` is the family's eigensolver:
+    the ascending eigenvalues (the lowest ``count`` if given), and with
+    ``vectors`` the pair (values, eigenvectors as columns).  ``matrix`` is
+    the dense H(theta) and ``slope`` the sparse H'(theta).  ``folds`` holds
+    when E_j(-theta) = E_j(theta), so that the phases theta >= 0 carry
+    every band.
+    """
+
+    solve: Callable
+    matrix: Callable[[float], np.ndarray]
+    slope: Callable[[float], object]
+    kinetic: float
+    folds: bool
+
+
 @dataclass(frozen=True, eq=False)
 class BlochBands:
-    """Bands of a 1-periodic Hermitian family read off a theta grid.
+    """Bands of a ThetaPencil read off a theta grid.
 
-    ``table`` holds the ascending eigenvalues at each grid phase, one solve
-    per phase (``on_grid``); ``band_intervals`` the [min, max] of the lowest
-    bands, refined by ``extended``.  The arrays are read-only.
+    ``table`` holds the ascending eigenvalues at each grid phase (``on_grid``)
+    and ``vectors`` their eigenvectors at the solved phases: every phase, or
+    only theta >= 0 when ``folded``, whose rows are mirrored to -theta.
+    ``band_intervals`` holds the [min, max] of the lowest bands, found by
+    ``extended``.  The arrays are read-only.
     """
 
     theta_grid: np.ndarray
-    table: np.ndarray  # (theta_count, eigenvalues per phase)
+    table: np.ndarray  # (theta_count, eigenvalues kept per phase)
     band_intervals: np.ndarray  # (band_count, 2)
+    # (dim, eigenvalues kept) per solved phase; a record built without them
+    # holds its intervals but cannot be extended
+    vectors: tuple[np.ndarray, ...] = field(default=(), kw_only=True)
+    folded: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
-        for arr in (self.theta_grid, self.table, self.band_intervals):
+        for arr in (self.theta_grid, self.table, self.band_intervals, *self.vectors):
             arr.setflags(write=False)
 
     @classmethod
-    def on_grid(cls, spectrum: Callable[[float], np.ndarray], grid: np.ndarray, **fields):
-        """The record of ``spectrum(theta)`` over the grid, with no band
-        intervals yet; ``fields`` are those of a subclass."""
-        table = np.vstack([spectrum(float(t)) for t in grid])
-        return cls(theta_grid=grid, table=table, band_intervals=np.empty((0, 2)), **fields)
+    def on_grid(cls, pencil: ThetaPencil, grid: np.ndarray, keep: int | None = None, **fields):
+        """The record of ``pencil`` over the grid, with no band intervals yet:
+        one solve of the lowest ``keep`` eigenpairs (all when None) per
+        solved phase.  ``fields`` are those of a subclass."""
+        pairs = [pencil.solve(float(t), keep, vectors=True) for t in grid[_first_solved(grid, pencil.folds) :]]
+        table = np.vstack([vals for vals, _ in pairs])
+        if pencil.folds:
+            table = np.vstack([table[:0:-1], table])
+        return cls(
+            theta_grid=grid,
+            table=table,
+            band_intervals=np.empty((0, 2)),
+            vectors=tuple(vecs for _, vecs in pairs),
+            folded=pencil.folds,
+            **fields,
+        )
 
     @property
     def band_count(self) -> int:
@@ -163,32 +217,206 @@ class BlochBands:
         """Number of bands whose grid minimum lies at or below level."""
         return int(np.searchsorted(self.table.min(axis=0), level, side="right"))
 
-    def extended(self, spectrum: Callable[[float], np.ndarray], count: int, xtol: float, *, minimize: Callable):
+    def extended(self, pencil: ThetaPencil, count: int, xtol: float, *, minimize: Callable):
         """This record with the [min, max] of its lowest count bands (fewer
         when the table holds fewer), keeping the intervals it already holds.
 
-        Each new edge is searched band by band, minimum before maximum, by
-        ``minimize`` on a bracket of one grid step on each side of the grid
-        extremum, wrapping around the period, so ``spectrum`` only ever sees
-        phases in [-1/2, 1/2].  The grid value is kept when the search does
-        not beat it.  ``minimize`` is golden_section_minimize as bound in the
-        calling module, so that a wrapper installed on that name (the
-        benchmark's per-module refine spans) sees which module refines.
+        Every grid interval gets one reduced pencil from the eigenvectors at
+        its two ends, shared by all bands (``_ReducedPencil``).  Its Ritz
+        values at _SUBSTEPS - 1 phases inside the interval refine the grid
+        table.  An edge is searched from each local minimum of that finer
+        table (of the band, or of its negative for a maximum) that the band
+        could take below the best value within one substep, at the largest
+        slope it shows on the grid.  From a phase inside an interval,
+        ``minimize`` searches the band's Ritz value between the neighbouring
+        phases to within xtol in theta.  From a grid phase, the one-sided
+        slopes and the curvature there (``_derivatives``) say on which sides
+        the band goes further, and the search covers one substep on each of
+        them; where it goes nowhere (a turning point at a zero slope, or a
+        kink), the grid value stands.  One full solve at the best theta*
+        certifies the edge, which is the better of that eigenvalue and the
+        grid value.
+
+        ``minimize`` is golden_section_minimize as bound in the calling
+        module, so that a wrapper installed on that name (the benchmark's
+        per-module refine spans) sees which module refines and counts the
+        certifying solves inside it.
         """
-        grid = self.theta_grid
-        step = grid[1] - grid[0]
+        known = self.band_intervals[:count]
+        new = range(len(known), min(count, self.table.shape[1]))
+        if not len(new):
+            return replace(self, band_intervals=known)
+        first = _first_solved(self.theta_grid, self.folded)
+        # the bands searched and RITZ_PAD more are all that the slopes and
+        # the reduced pencils need of the eigenpairs kept
+        width = min(new[-1] + 1 + RITZ_PAD, self.table.shape[1])
+        thetas, rows = self.theta_grid[first:], self.table[first:, :width]
+        vectors = [vecs[:, :width] for vecs in self.vectors]
+        right, left, curvature = np.stack(
+            [_derivatives(pencil, float(t), vals, vecs) for t, vals, vecs in zip(thetas, rows, vectors)], axis=1
+        )
+        # a slope this small moves an extremum off its grid phase by a negligible
+        # amount, and it is about the rounding of the slope of a nearly degenerate pair
+        flat = 1e-6 * (1.0 + float(np.max(np.abs(right))))
+        reduced = [
+            _ReducedPencil(pencil, float(a), float(b), va, vb)
+            for a, b, va, vb in zip(thetas, thetas[1:], vectors, vectors[1:])
+        ]
+        fine_thetas = np.append(
+            [a + (b - a) * k / _SUBSTEPS for a, b in zip(thetas, thetas[1:]) for k in range(_SUBSTEPS)], thetas[-1]
+        )
+        fine = np.array(
+            [
+                rows[i // _SUBSTEPS] if i % _SUBSTEPS == 0 else reduced[i // _SUBSTEPS].values(t)[:width]
+                for i, t in enumerate(fine_thetas)
+            ]
+        )
+        step = (thetas[1] - thetas[0]) / _SUBSTEPS
+        period = not self.folded
+
+        def ritz(j: int, t: float) -> float:
+            # the phase t of a bracket, mapped into the solved phases
+            u = t - round(t)
+            u = abs(u) if self.folded else u
+            p = min(max(int(np.searchsorted(thetas, u, side="right")) - 1, 0), len(reduced) - 1)
+            return reduced[p].ritz(j, u)
+
+        def bracket(i: int, j: int, sign: float) -> tuple[float, float] | None:
+            """The bracket searched from fine phase i, None when there is none."""
+            t = float(fine_thetas[i])
+            if i % _SUBSTEPS:
+                return t - step, t + step
+            # at a grid phase: only the sides on which the band goes further;
+            # on a folded grid neither end has an outer side
+            p = i // _SUBSTEPS
+            down_right, down_left = _descents(sign * right[p, j], sign * left[p, j], sign * curvature[p, j], flat)
+            a = t - step if down_left and (p > 0 or period) else t
+            b = t + step if down_right and (p < len(thetas) - 1 or period) else t
+            return (a, b) if a < b else None
 
         def edge(j: int, sign: float) -> float:
-            signed = sign * self.table[:, j]
-            idx = int(np.argmin(signed))
+            grid_value = float(np.min(sign * self.table[:, j]))
+            f = sign * fine[:, j]
+            if period:  # the two ends of the grid are one phase
+                f = f[:-1]
+                lower, upper = np.roll(f, 1), np.roll(f, -1)
+            else:
+                lower, upper = np.append(np.inf, f[:-1]), np.append(f[1:], np.inf)
+            # the local minima of the fine table that the band, at the largest
+            # slope seen on the grid, could take below its best value within
+            # one substep
+            reach = step * float(np.max(np.abs([right[:, j], left[:, j]])))
+            best = (math.inf, 0.0)
+            for i in np.flatnonzero((f <= lower) & (f <= upper) & (f <= f.min() + reach)):
+                ab = bracket(int(i), j, sign)
+                if ab is not None:
+                    t, value = minimize(lambda u: sign * ritz(j, u), *ab, xtol)
+                    best = min(best, (value, t))
+            if best[0] == math.inf:
+                return grid_value * sign
+            t = best[1]
+            # the certifying full solve at theta*: the search on the bracket of
+            # width xtol that the reduced search left ends at its first evaluation
             _, found = minimize(
-                lambda t: sign * float(spectrum(t - round(t))[j]), grid[idx] - step, grid[idx] + step, xtol
+                lambda u: sign * float(pencil.solve(u - round(u))[j]), t - 0.5 * xtol, t + 0.5 * xtol, xtol
             )
-            return sign * min(found, float(signed[idx]))
+            return sign * min(found, grid_value)
 
-        known = self.band_intervals[:count]
-        new = [[edge(j, 1.0), edge(j, -1.0)] for j in range(len(known), min(count, self.table.shape[1]))]
-        return replace(self, band_intervals=np.vstack([known, np.array(new, dtype=float).reshape(-1, 2)]))
+        intervals = [[edge(j, 1.0), edge(j, -1.0)] for j in new]
+        return replace(self, band_intervals=np.vstack([known, np.array(intervals, dtype=float).reshape(-1, 2)]))
+
+
+def _first_solved(grid: np.ndarray, folded: bool) -> int:
+    """Index of the first solved phase: theta = 0 on a folded grid, else -1/2."""
+    return len(grid) // 2 if folded else 0
+
+
+def _derivatives(pencil: ThetaPencil, theta: float, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """One-sided slopes (to the right and to the left) and curvatures of the
+    kept bands at theta, as the rows of a (3, kept) array.
+
+    Hellmann-Feynman: E_j' = v_j* H' v_j.  Bands that meet at theta cross
+    there, and the one-sided slopes of such a cluster are the eigenvalues of
+    H' on its span: ascending to the right of theta, descending to its left.
+    The Ritz curvature E_j'' = 2 kinetic + 2 sum_k |v_k* H' v_j|^2 / (E_j - E_k)
+    sums over the kept bands apart from E_j; it is nan in a cluster.
+    """
+    p = vecs.conj().T @ (pencil.slope(theta) @ vecs)
+    out = np.empty((3, vals.size))
+    out[0] = out[1] = p.diagonal().real
+    # pairs closer than this cross at the scale of the grid; their vectors, and
+    # so their own slopes, are too ill-conditioned to tell a turning point
+    tol = 1e-7 * max(1.0, float(np.max(np.abs(vals))))
+    gaps = vals[:, None] - vals[None, :]
+    out[2] = 2.0 * pencil.kinetic + 2.0 * np.sum(np.abs(p) ** 2 / np.where(np.abs(gaps) > tol, gaps, np.inf), axis=1)
+    for cluster in np.split(np.arange(vals.size), np.flatnonzero(np.diff(vals) > tol) + 1):
+        if cluster.size > 1:
+            mu = scipy.linalg.eigvalsh(p[np.ix_(cluster, cluster)])
+            out[0, cluster], out[1, cluster], out[2, cluster] = mu, mu[::-1], np.nan
+    return out
+
+
+def _descents(right: float, left: float, curvature: float, flat: float) -> tuple[bool, bool]:
+    """Whether f falls to the right and to the left of a phase, from its
+    one-sided slopes and its curvature there.
+
+    f falls on each side where its slope points down.  Where the slope is
+    below ``flat``, it falls on both sides if its curvature is negative,
+    and on neither at a degenerate cluster (a kink, curvature nan).
+    """
+    turning = bool(curvature < 0.0)  # nan compares False
+    return (
+        turning if abs(right) <= flat else right < 0.0,
+        turning if abs(left) <= flat else left > 0.0,
+    )
+
+
+class _ReducedPencil:
+    """H(theta) reduced to the span of va and vb, the eigenvectors at the ends
+    of the grid interval [start, end].
+
+    Q, an orthonormal basis of that span, reduces H(start + h) to the pencil
+    R0 + h R1 + kinetic h^2 I, with R0 = Q* H(start) Q and R1 = Q* H'(start) Q,
+    built once for all bands.  ``values`` gives all its Ritz values.  A
+    search of band j runs on the span of the Ritz vectors of the lowest
+    j + 1 + RITZ_PAD bands at both ends (``ritz``): it holds every band up to
+    j with RITZ_PAD to spare, which keeps the Ritz value accurate, and it is
+    smaller than Q for all but the top bands.
+    """
+
+    def __init__(self, pencil: ThetaPencil, start: float, end: float, va: np.ndarray, vb: np.ndarray):
+        q = _span(va, vb)
+        qh = q.conj().T
+        self.start, self.end, self.kinetic = start, end, pencil.kinetic
+        self.r0 = qh @ (pencil.matrix(start) @ q)
+        self.r1 = qh @ (pencil.slope(start) @ q)
+        self._bands: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # j -> its pencil
+
+    def values(self, theta: float) -> np.ndarray:
+        h = theta - self.start
+        return scipy.linalg.eigvalsh(self.r0 + h * self.r1, check_finite=False) + self.kinetic * h * h
+
+    @functools.cached_property
+    def _ends(self) -> list[np.ndarray]:
+        return [scipy.linalg.eigh(self.r0 + h * self.r1, check_finite=False)[1] for h in (0.0, self.end - self.start)]
+
+    def ritz(self, j: int, theta: float) -> float:
+        """The Ritz value of band j at theta, on the smaller span of its own."""
+        if j not in self._bands:
+            z = _span(*(y[:, : j + 1 + RITZ_PAD] for y in self._ends))
+            zh = z.conj().T
+            self._bands[j] = zh @ self.r0 @ z, zh @ self.r1 @ z
+        a0, a1 = self._bands[j]
+        h = theta - self.start
+        [value] = scipy.linalg.eigvalsh(a0 + h * a1, subset_by_index=(j, j), check_finite=False)
+        return float(value) + self.kinetic * h * h
+
+
+def _span(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the span of the columns of a and b, from their
+    SVD, without its numerically dependent directions."""
+    u, s, _ = scipy.linalg.svd(np.hstack([a, b]), full_matrices=False, check_finite=False)
+    return u[:, s > 1e-8 * s[0]]
 
 
 @dataclass(frozen=True)

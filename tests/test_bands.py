@@ -244,8 +244,12 @@ def test_refinement_solves_per_extremum(monkeypatch, spec):
     bs = compute_bands(
         _P34, spec, theta_count=17, energy_ceiling=_P34.alpha + 1.6 * _P34.beta, n_hermite=8
     )
-    assert counts["searches"] == 2 * bs.band_count == 6
+    assert bs.band_count == 3
+    # the searches run on reduced pencils; the one full solve of a searched
+    # edge certifies its best phase
+    assert counts["solves"] <= 2 * bs.band_count
     assert counts["solves"] <= 16 * counts["searches"]
+    assert counts["solves"] <= counts["searches"]
 
 
 def test_free_band_edges_match_closed_form_at_coarse_xtol():
@@ -392,3 +396,80 @@ def test_non_convergence_keeps_the_last_truncation_checked(spec):
     raised = [note for note in bs.notes if note.startswith("truncation raised")]
     assert len(raised) == 3 and bs.n_hermite == 8
     assert raised[-1] == f"truncation raised to (N={bs.n_hermite}, M={bs.m_max})"
+
+
+def _fiber_block_of(bs, spec):
+    """The fiber block behind a band structure, built as compute_bands builds it."""
+    from channel_spectra.fiber import fiber_block, landau_block
+
+    if bs.basis == "landau":
+        g = 0.0 if isinstance(spec, ZeroPotential) else float(spec.profile(0.0))
+        coeffs = () if isinstance(spec, ZeroPotential) else [(k, c * g) for k, c in spec.coeffs]
+        return landau_block(bs.params, coeffs, bs.n_hermite, bs.m_max)
+    proj = project_potential(spec, bs.params, nmax=2 * bs.n_hermite - 1, mfourier=max(16, 2 * (bs.m_max + 4)))
+    return fiber_block(bs.params, proj, bs.n_hermite, bs.m_max)
+
+
+def _scan(block, thetas, count):
+    from channel_spectra.fiber import fiber_at
+
+    return np.array([eigenvalues_fiber(fiber_at(block, t))[:count] for t in thetas])
+
+
+def test_a_narrow_peak_between_grid_phases_is_found():
+    # band 41 at ceiling 40 peaks near theta = 0.305, between the grid phases
+    # 0.28125 and 0.3125, while its grid maximum sits at theta = 1/2; a search
+    # of one grid step around the grid maximum reported it 0.041 too low
+    bs = compute_bands(_P34, _TWO_COS, theta_count=33, energy_ceiling=40.0)
+    assert bs.band_count >= 41
+    scan = _scan(_fiber_block_of(bs, _TWO_COS), np.linspace(0.25, 0.35, 1001), 41)[:, 40]
+    assert scan.max() > 39.135
+    assert bs.band_intervals[40, 1] >= scan.max() - 1e-10
+
+
+_SCANNED = {
+    # Landau basis, folded
+    "landau": (_P34, _TWO_COS, dict(energy_ceiling=17.0)),
+    # Hermite basis, whose fiber carries the magnetic ladder in H'(theta)
+    "hermite": (_P34, _GAUSSIAN_COS, dict(energy_ceiling=_P34.alpha + 3.0, n_hermite=8)),
+    # complex fibers
+    "complex": (derive_params(1.3, 6.2), _NON_EVEN, dict()),
+    # a profile odd in y: the grid is not folded
+    "odd-profile": (
+        _P34,
+        SeparableFourierPotential({1: 0.3, -1: 0.3}, PolynomialProfile((1.0, 0.5))),
+        dict(energy_ceiling=_P34.alpha + 3.0, n_hermite=8),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCANNED))
+def test_every_edge_reaches_a_dense_scan(case):
+    params, spec, kwargs = _SCANNED[case]
+    bs = compute_bands(params, spec, theta_count=17, **kwargs)
+    assert bs.band_count >= 3 and bs.folded == (case != "odd-profile")
+    thetas = np.linspace(0.0 if bs.folded else -0.5, 0.5, 1001 if bs.folded else 2001)
+    scan = _scan(_fiber_block_of(bs, spec), thetas, bs.band_count)
+    lo, hi = bs.band_intervals.T
+    assert np.all(lo <= scan.min(axis=0) + 1e-10)
+    assert np.all(hi >= scan.max(axis=0) - 1e-10)
+
+
+def test_the_grid_folds_only_for_potentials_even_in_y():
+    from channel_spectra.fiber import fiber_at
+
+    # W real and even in y: E_j(-theta) = E_j(theta), so theta >= 0 is solved
+    # and mirrored; direct solves at the mirrored phases agree
+    even = compute_bands(_P34, _GAUSSIAN_COS, theta_count=9, energy_ceiling=_P34.alpha + 3.0, n_hermite=8)
+    assert even.folded and len(even.vectors) == 5
+    block = _fiber_block_of(even, _GAUSSIAN_COS)
+    for theta, row in zip(even.theta_grid[:4], even.table[:4]):
+        direct = eigenvalues_fiber(fiber_at(block, theta))[: row.size]
+        assert np.max(np.abs(direct - row)) < 1e-12
+    # W = 1 + 0.5 y is not even in y: its spectra at +-0.27 differ
+    odd_spec = SeparableFourierPotential({0: 1.0}, PolynomialProfile((1.0, 0.5)))
+    odd = compute_bands(_P34, odd_spec, theta_count=9, energy_ceiling=_P34.alpha + 3.0, n_hermite=8)
+    assert not odd.folded and len(odd.vectors) == 9
+    block = _fiber_block_of(odd, odd_spec)
+    plus, minus = (eigenvalues_fiber(fiber_at(block, t))[:4] for t in (0.27, -0.27))
+    assert np.min(np.abs(plus - minus)) > 0.02

@@ -109,6 +109,14 @@ def test_gaussian_profile_derivatives_match_finite_differences():
     assert _sup_second_difference(cubic, 100.0) > 9.0 * _sup_second_difference(cubic, 10.0)
 
 
+def test_profiles_know_whether_they_are_even():
+    assert GaussianProfile(0.7).is_even
+    assert PolynomialProfile((2.0,)).is_even
+    assert PolynomialProfile((1.0, 0.0, -0.3, 0.0, 0.05)).is_even
+    assert not PolynomialProfile((1.0, 0.5)).is_even
+    assert not PolynomialProfile((0.0, 0.0, 0.0, 1e-3)).is_even
+
+
 def test_transverse_profile_potential_is_x_independent():
     spec = SeparableFourierPotential({0: 0.5}, GaussianProfile(1.0))
     y = np.linspace(-2.0, 2.0, 11)

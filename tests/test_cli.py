@@ -414,27 +414,32 @@ def test_hill_gaps_keep_every_band_a_deep_well_moves_below_the_ceiling(tmp_path)
 
 
 @pytest.mark.parametrize(
-    "argv, refused",
+    "argv, refused, manifest",
     [
-        # m_max = 1 trusts no band, so hill refuses every band_count before the ceiling
-        (["hill", "--set", f"potential={json.dumps(_DEEP_WELL_CFG)}", "--set", "m_max=1"], "band_count 8"),
+        # m_max = 1 trusts no band, so the schema refuses it, before any output
+        (["hill", "--set", f"potential={json.dumps(_DEEP_WELL_CFG)}", "--set", "m_max=1"], "m_max must be >= 2", False),
         (
             ["hill", "--set", f"potential={json.dumps(_DEEP_WELL_CFG)}", "--set", "m_max=2", "--set", "band_count=2"],
             "ceiling ",
+            True,
         ),
-        (["sweep-omega", "--set", "hill_m_max=1", "--set", "theta_count=9", "--set", "n_hermite=8"], "ceiling "),
+        (["sweep-omega", "--set", "hill_m_max=1", "--set", "theta_count=9", "--set", "n_hermite=8"], "ceiling ", True),
     ],
     ids=["hill-m-max-1", "hill-m-max-2", "sweep-hill-m-max-1"],
 )
-def test_hill_window_below_the_ceiling_exits_one(tmp_path, capsys, argv, refused):
+def test_hill_window_below_the_ceiling_exits_one(tmp_path, capsys, argv, refused, manifest):
     # the window holds 2 m_max + 1 eigenvalues, of which 2 m_max - 2 are
     # trusted; these ceilings need more, and used to report gaps up to them
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: " + refused) and "Fourier window m_max" in err
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["exit_status"] == 1 and manifest["error"] == err.strip()
+    assert err.startswith("config error: " + refused)
+    if not manifest:
+        assert not out.exists()
+        return
+    assert "Fourier window m_max" in err
+    written = json.loads((out / "manifest.json").read_text())
+    assert written["exit_status"] == 1 and written["error"] == err.strip()
 
 
 @pytest.mark.parametrize(
@@ -478,7 +483,8 @@ _HARMONIC = st.tuples(
 
 @settings(max_examples=100, deadline=None)
 @given(
-    m_max=st.integers(1, 12),
+    # m_max = 1 is refused by the schema before any output (hill-m-max-1 above)
+    m_max=st.integers(2, 12),
     band_count=st.integers(1, 30),
     theta_count=st.sampled_from([9, 17]),
     ceiling_above_alpha=st.floats(-3.0, 40.0),

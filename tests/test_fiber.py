@@ -237,3 +237,34 @@ def test_resolvent_bound_sup_value_formula():
     n, m = check.argmax
     denom = p.alpha * (2 * n + 1) + p.beta * (m + 0.5 + 10.0j) ** 2 + 1.0
     assert math.isclose(check.sup_value, 1.0 / abs(denom) ** 2, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("basis", ["hermite", "landau"])
+def test_fiber_is_a_quadratic_pencil_in_theta(basis):
+    from channel_spectra.fiber import landau_block
+
+    params = derive_params(2.0, 3.0)
+    if basis == "hermite":
+        spec = SeparableFourierPotential({1: 0.3 + 0.1j, -1: 0.3 - 0.1j}, GaussianProfile(1.2))
+        block = fiber_block(params, project_potential(spec, params, nmax=7, mfourier=16), 6, 3)
+        assert block.ladder_rows.size  # the magnetic ladder enters H'(theta)
+    else:
+        block = landau_block(params, [(1, 0.3 + 0.1j), (-1, 0.3 - 0.1j)], 4, 3)
+    theta, h = 0.13, 0.21
+    slope = block.slope(theta).toarray()
+    step = fiber_at(block, theta + h).entries - fiber_at(block, theta).entries
+    assert np.max(np.abs(step - h * slope - block.kinetic * h * h * np.eye(len(slope)))) < 1e-12
+    assert np.array_equal(slope, slope.conj().T)
+
+
+def test_vectors_mode_returns_the_lowest_eigenpairs():
+    params = derive_params(2.0, 3.0)
+    spec = SeparableFourierPotential({1: 0.2, -1: 0.2, 2: 0.1j, -2: -0.1j})
+    mat = assemble_fiber(params, project_potential(spec, params, nmax=7, mfourier=16), 0.2, 6, 3)
+    vals, vecs = eigenvalues_fiber(mat, 5, vectors=True)
+    assert vals.shape == (5,) and vecs.shape == (mat.entries.shape[0], 5)
+    assert np.max(np.abs(vals - eigenvalues_fiber(mat, 5))) < 1e-12
+    assert np.max(np.abs(mat.entries @ vecs - vecs * vals)) < 1e-12
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(5))) < 1e-12
+    # without a count every pair is returned
+    assert eigenvalues_fiber(mat, vectors=True)[1].shape == mat.entries.shape

@@ -18,6 +18,7 @@ from channel_spectra import (
     hill_spectrum,
 )
 from channel_spectra.hermite import project_potential
+from channel_spectra.hill import hill_slope
 from channel_spectra.numutil import merge_intervals
 
 # -d^2/dx^2 + 2 cos x maps onto the Mathieu equation with q = 4 under
@@ -210,8 +211,13 @@ def test_refinement_solves_per_extremum(monkeypatch, coeffs):
     monkeypatch.setattr(hill, "golden_section_minimize", counted_search)
     hb = hill.hill_bands(coeffs, m_max=8, theta_count=17, band_count=5)
     assert hb.band_intervals.shape == (5, 2)
-    assert counts["searches"] == 2 * 5
+    # V is real, so each band is monotone in |theta| on [0, 1/2] (Reed-Simon
+    # IV, Thm XIII.89): zero slopes with curvatures of the right sign, or a
+    # degenerate kink, at both ends, and no grid interval is searched
+    assert counts["searches"] == 0
     assert counts["solves"] <= 16 * counts["searches"]
+    ends = hb.table[[8, 16], :5]
+    assert np.array_equal(hb.band_intervals, np.column_stack([ends.min(axis=0), ends.max(axis=0)]))
 
 
 def _count_hill_work(monkeypatch):
@@ -251,10 +257,11 @@ def test_hill_command_solves_each_phase_and_searches_each_extremum_once(monkeypa
 
     work = _count_hill_work(monkeypatch)
     assert main(["hill", "--set", "theta_count=9", "--out", str(tmp_path)]) == 0
-    assert work["grid_solves"] == 9
-    # band_count = 8 refined bands, and the bands below 3 alpha beyond them
-    assert len(work["searches"]) >= 2 * 8
-    assert len(set(work["searches"])) == len(work["searches"])
+    # the grid folds: the five phases theta >= 0 are solved once each
+    assert work["grid_solves"] == 5
+    # band_count = 8 bands, and the bands below 3 alpha beyond them, all with
+    # their edges at theta = 0 and 1/2: nothing is searched
+    assert work["searches"] == []
 
 
 def test_sweep_omega_solves_each_phase_and_searches_each_extremum_once(monkeypatch):
@@ -264,6 +271,13 @@ def test_sweep_omega_solves_each_phase_and_searches_each_extremum_once(monkeypat
     spec = SeparableFourierPotential.from_cosines({1: 1.0})
     report = gap_persistence_sweep(3.0, [4.0], spec, target_gap_count=2, theta_count=9, hill_m_max=8)
     assert report.entries[0].reference.count >= 2
-    assert work["grid_solves"] == 9
-    assert len(work["searches"]) >= 2 * 3
+    assert work["grid_solves"] == 5
     assert len(set(work["searches"])) == len(work["searches"])
+
+
+def test_hill_matrix_is_a_quadratic_pencil_in_theta():
+    coeffs = {1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: 0.1, -2: 0.1}
+    theta, h = -0.31, 0.57
+    step = hill_matrix(coeffs, theta + h, 6) - hill_matrix(coeffs, theta, 6)
+    slope = hill_slope(theta, 6).toarray()
+    assert np.max(np.abs(step - h * slope - h * h * np.eye(13))) < 1e-13

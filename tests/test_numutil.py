@@ -7,6 +7,7 @@ import pytest
 
 from channel_spectra.numutil import (
     BlochBands,
+    ThetaPencil,
     gap_report,
     golden_section_minimize,
     theta_grid,
@@ -77,80 +78,127 @@ def test_argument_validation():
         golden_section_minimize(lambda x: x, 0.0, 1.0, xtol=0.0)
 
 
-def _edges(record, spectrum, count, minimize=golden_section_minimize):
-    return record.extended(spectrum, count, 1e-9, minimize=minimize).band_intervals
+def _shifted_hill(delta, coupling=0.0, m_max=3):
+    """The Fourier matrix of -d^2 + 2 coupling cos x with its Bloch phase
+    shifted by delta, as the theta-pencil (A0, A1) of A0 + theta A1 + theta^2:
+    diag (m + theta - delta)^2 plus coupling on the first off-diagonals.  Its
+    bands are not even in theta unless delta is in Z/2."""
+    m = np.arange(-m_max, m_max + 1) - delta
+    a0 = np.diag(m**2) + coupling * (np.eye(m.size, k=1) + np.eye(m.size, k=-1))
+    return a0, np.diag(2.0 * m)
+
+
+def _pencil(a0, a1, folds=False, solves=None):
+    """The ThetaPencil a0 + theta a1 + theta^2 I, which records the phase of
+    every full solve in ``solves``."""
+
+    def matrix(t):
+        assert -0.5 <= t <= 0.5
+        return a0 + t * a1 + t * t * np.eye(len(a0))
+
+    def solve(t, count=None, vectors=False):
+        if solves is not None:
+            solves.append(t)
+        vals, vecs = np.linalg.eigh(matrix(t))
+        return (vals[:count], vecs[:, :count]) if vectors else vals[:count]
+
+    return ThetaPencil(
+        solve=solve, matrix=matrix, slope=lambda t: a1 + 2.0 * t * np.eye(len(a0)), kinetic=1.0, folds=folds
+    )
+
+
+def _assert_matches_a_scan(intervals, pencil, points=20001):
+    """The band intervals reach at least as far as a dense theta scan, and
+    a kink between two scan phases takes the scan at most slope / points
+    further."""
+    table = np.array([pencil.solve(t)[: len(intervals)] for t in np.linspace(-0.5, 0.5, points)])
+    lo, hi = intervals.T
+    assert np.all(lo <= table.min(axis=0) + 1e-10) and np.all(hi >= table.max(axis=0) - 1e-10)
+    assert np.all(table.min(axis=0) - lo < 1e-3) and np.all(hi - table.max(axis=0) < 1e-3)
 
 
 def test_refine_band_edge_wraps_the_period_and_keeps_the_grid_value():
-    # maximum just past the +1/2 endpoint (theta = 0.51, i.e. -0.49), minimum at 0.01
-    def band(t):
-        assert -0.5 <= t <= 0.5
-        return np.array([math.cos(2.0 * math.pi * (t - 0.51))])
-
-    record = BlochBands.on_grid(band, theta_grid(17))
+    # band 0 of the uncoupled pencil is min_m (m + theta - 0.51)^2: its minimum
+    # 0 sits just past the +1/2 endpoint (theta = -0.49), and its maximum 1/4
+    # is the crossing at theta = 0.01, a kink between two grid phases
+    pencil = _pencil(*_shifted_hill(0.51))
+    record = BlochBands.on_grid(pencil, theta_grid(17))
+    lo, hi = record.extended(pencil, 1, 1e-9, minimize=golden_section_minimize).band_intervals[0]
+    assert abs(lo) < 1e-14
+    # a kink is located to within xtol, at slope 1
+    assert abs(hi - 0.25) <= 2e-9
+    # a search that finds nothing better leaves the grid extrema
     column = record.table[:, 0]
-    lo, hi = _edges(record, band, 1)[0]
-    assert abs(lo - (-1.0)) < 1e-14
-    assert abs(hi - 1.0) < 1e-14
-    # a search that finds nothing better leaves the grid extremum
-    flat = _edges(record, lambda t: np.array([5.0]), 1)[0, 0]
-    assert flat == float(column.min())
+    kept = record.extended(pencil, 1, 1e-9, minimize=lambda f, a, b, xtol: (a, math.inf)).band_intervals[0]
+    assert kept.tolist() == [column.min(), column.max()]
 
 
 def test_bloch_bands_solves_each_phase_once_and_refines_every_edge():
-    # two bands with off-grid extrema; a third eigenvalue is left out by the count
-    def spectrum(t):
-        solves.append(t)
-        c = math.cos(2.0 * math.pi * (t - 0.1))
-        return np.array([-c, 3.0 + c, 10.0])
-
+    # two coupled bands with off-grid extrema (delta = 0.1 moves them off the
+    # symmetric phases); a third band is left out by the count
     solves = []
+    pencil = _pencil(*_shifted_hill(0.1, coupling=0.2), solves=solves)
     grid = theta_grid(9)
-    record = BlochBands.on_grid(spectrum, grid)
-    assert solves == list(grid) and record.count_below(5.0) == 2
-    # a search that never beats the grid value leaves the grid extrema
-    unrefined = record.extended(spectrum, 2, 1e-9, minimize=lambda f, a, b, xtol: (a, math.inf))
-    bands = unrefined.bands
-    assert bands.shape == (9, 2)
-    assert np.array_equal(unrefined.band_intervals, np.column_stack([bands.min(axis=0), bands.max(axis=0)]))
-    refined = _edges(record, spectrum, 2)
-    assert np.max(np.abs(refined - [[-1.0, 1.0], [2.0, 4.0]])) < 1e-14
+    record = BlochBands.on_grid(pencil, grid)
+    assert solves == list(grid)
+    assert record.table.shape == (9, 7) and record.count_below(1.0) == 2
+    refined = record.extended(pencil, 2, 1e-9, minimize=golden_section_minimize)
+    assert refined.bands.shape == (9, 2)
+    # one full solve at most per edge, to certify it
+    assert len(solves) - len(grid) <= 4
+    _assert_matches_a_scan(refined.band_intervals, pencil)
     for count in (7, 8, 10):
         with pytest.raises(ValueError):
             theta_grid(count)
 
 
+def test_a_folded_grid_solves_only_the_phases_from_zero():
+    # the unshifted pencil is even in theta: its bands' edges sit at 0 and 1/2
+    solves, searched = [], []
+    pencil = _pencil(*_shifted_hill(0.0, coupling=0.2), folds=True, solves=solves)
+    grid = theta_grid(9)
+    record = BlochBands.on_grid(pencil, grid)
+    assert solves == list(grid[4:]) and len(record.vectors) == 5
+    assert np.array_equal(record.table, record.table[::-1])
+
+    def search(f, a, b, xtol):
+        searched.append((a, b))
+        return golden_section_minimize(f, a, b, xtol)
+
+    refined = record.extended(pencil, 5, 1e-9, minimize=search)
+    # zero slopes with curvatures of the right sign, or kinks, at both ends
+    assert searched == [] and len(solves) == 5
+    ends = record.table[[4, 8], :5]
+    assert np.array_equal(refined.band_intervals, np.column_stack([ends.min(axis=0), ends.max(axis=0)]))
+    _assert_matches_a_scan(refined.band_intervals, pencil)
+
+
 def test_extending_a_record_solves_only_the_edges_it_lacks():
-    work = {"grid_solves": 0, "searches": 0}
-    inside = []
+    solves, searched = [], []
+    pencil = _pencil(*_shifted_hill(0.1, coupling=0.2), solves=solves)
 
-    def spectrum(t):
-        work["grid_solves"] += not inside
-        c = math.cos(2.0 * math.pi * (t - 0.1))
-        return np.array([-c, 3.0 + c, 6.0 - c])
+    def search(f, a, b, xtol):
+        searched.append((a, b))
+        return golden_section_minimize(f, a, b, xtol)
 
-    def search(*args):
-        work["searches"] += 1
-        inside.append(True)
-        try:
-            return golden_section_minimize(*args)
-        finally:
-            inside.pop()
-
-    record = BlochBands.on_grid(spectrum, theta_grid(9))
-    assert work == {"grid_solves": 9, "searches": 0}
-    one = record.extended(spectrum, 1, 1e-9, minimize=search)
-    assert work == {"grid_solves": 9, "searches": 2}
+    record = BlochBands.on_grid(pencil, theta_grid(9))
+    assert (len(solves), searched) == (9, [])
+    one = record.extended(pencil, 1, 1e-9, minimize=search)
+    work = (len(solves), len(searched))
+    assert work[1] > 0
     # the held band is kept as it is; only the two new bands are searched
-    three = one.extended(spectrum, 5, 1e-9, minimize=search)
-    assert work == {"grid_solves": 9, "searches": 6}
-    assert three.band_count == 3 and np.array_equal(three.band_intervals[:1], one.band_intervals)
-    # a count the record already holds solves nothing
-    two = three.extended(spectrum, 2, 1e-9, minimize=search)
-    assert work == {"grid_solves": 9, "searches": 6}
+    three = one.extended(pencil, 5, 1e-9, minimize=search)
+    assert len(searched) > work[1]
+    assert three.band_count == 5 and np.array_equal(three.band_intervals[:1], one.band_intervals)
+    _assert_matches_a_scan(three.band_intervals, pencil)
+    # a count the record already holds solves and searches nothing
+    work = (len(solves), len(searched))
+    two = three.extended(pencil, 2, 1e-9, minimize=search)
+    assert (len(solves), len(searched)) == work
     assert np.array_equal(two.band_intervals, three.band_intervals[:2])
     assert two.table is record.table and two.theta_grid is record.theta_grid
-    assert not any(a.flags.writeable for a in (two.theta_grid, two.table, two.band_intervals))
+    arrays = (two.theta_grid, two.table, two.band_intervals, *two.vectors)
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_gap_report_measures_from_the_band_bottom():
