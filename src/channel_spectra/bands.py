@@ -4,10 +4,12 @@ Bands are sorted-eigenvalue curves theta -> E_j(theta) of the fiber
 matrices on a uniform odd grid over [-1/2, 1/2] (both endpoints sampled;
 they are identified by 1-periodicity).  BandStructure is a record of
 numutil's one Bloch band driver, which also gives the Hill bands of the
-H_{0,0} reference.  The fiber is a quadratic pencil in theta,
+H_{0,0} reference; both run on the pencil that fiber.fiber_pencil makes of
+a FiberBlock.  The fiber is a quadratic pencil in theta,
 H(theta + h) = H(theta) + h H'(theta) + kinetic h^2 I, and the driver
 works on it.  One solve per grid phase keeps the eigenvectors of the bands
-below the ceiling and numutil.RITZ_PAD more; only the phases theta >= 0
+below the ceiling and numutil.RITZ_PAD more (the eigenvalues alone without
+refinement, which reads none); only the phases theta >= 0
 are solved when W is real and even in y, since E_j(-theta) = E_j(theta)
 then.  The eigenvectors at the two ends of each grid interval reduce the
 fiber to a small pencil there, which gives the bands between the grid
@@ -75,12 +77,13 @@ from .fiber import (
     eigenvalues_fiber,
     fiber_at,
     fiber_block,
+    fiber_pencil,
     landau_block,
     landau_residuals,
 )
 from .hermite import project_potential
 from .hill import h00_gaps, hill_bands
-from .numutil import RITZ_PAD, BlochBands, GapReport, ThetaPencil, gap_report, golden_section_minimize, theta_grid
+from .numutil import RITZ_PAD, BlochBands, GapReport, gap_report, golden_section_minimize, theta_grid
 from .schema import ConfigError
 
 __all__ = [
@@ -315,13 +318,7 @@ def compute_bands(
             stacklevel=2,
         )
 
-    pencil = ThetaPencil(
-        solve=lambda t, count=None, vectors=False: eigenvalues_fiber(fiber_at(block, t), count, vectors=vectors),
-        matrix=lambda t: fiber_at(block, t).entries,
-        slope=block.slope,
-        kinetic=block.kinetic,
-        folds=_t_symmetric(spec),
-    )
+    pencil = fiber_pencil(block, _t_symmetric(spec))
     fields = dict(
         params=params,
         energy_ceiling=float(energy_ceiling),
@@ -333,11 +330,12 @@ def compute_bands(
     )
     # the grid keeps the eigenpairs of the bands below the ceiling and RITZ_PAD
     # more, which the reduced pencils need; a band that dips below the
-    # ceiling only between the probe phases can leave too few
+    # ceiling only between the probe phases can leave too few.  Without
+    # refinement nothing reads the eigenvectors, so none are computed
     dim = block.base.shape[0]
     keep = min(below + RITZ_PAD, dim)
     while True:
-        bs = BandStructure.on_grid(pencil, grid, keep, **fields)
+        bs = BandStructure.on_grid(pencil, grid, keep, eigenvectors=refine, **fields)
         count = bs.count_below(energy_ceiling)
         if count + RITZ_PAD <= keep or keep == dim:
             break

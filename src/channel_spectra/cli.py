@@ -117,7 +117,7 @@ _SCHEMAS: dict[str, dict] = {
         "omega_list": Key(list[float], [4.0, 10.0, 40.0], gt=0.0),
         "potential": _potential(_TWO_COS),
         "theta_count": Key(int, 17, check=theta_grid),
-        "hill_m_max": Key(int, 32, ge=1),
+        "hill_m_max": Key(int, 32, ge=2),
         "target_gap_count": Key(int, 1, ge=1),
         "gap_tolerance": _GAP_TOLERANCE,
         "n_hermite": Key(int, None, ge=1),

@@ -1,4 +1,5 @@
-"""Bloch fiber matrices H(theta) in two product bases.
+"""Bloch fiber matrices of three families: H(theta) in two product bases,
+and the Hill operator K(theta) as a fiber of one level.
 
 After the Bloch-Floquet decomposition over theta in [-1/2, 1/2) and the
 substitution s = sqrt(alpha) y, the Hermite-Fourier fiber acts on the basis
@@ -28,6 +29,11 @@ diagonalises the free part instead:
 with D the displaced-Hermite overlap of ``displacement_overlaps``.  The
 coupling does not depend on theta, which enters through the diagonal only.
 
+The Hill operator K(theta) = -d^2 + V(x) is the same form with one level,
+no level energy and no ladder: <m| K(theta) |m'> = delta_{mm'} (m+theta)^2
++ c_{m-m'}.  One builder makes the FiberBlock of all three families, and
+``fiber_at``, ``eigenvalues_fiber`` and ``fiber_pencil`` serve all three.
+
 Storage is dense; the basis ordering is row = (m - off + M) * N + n so that
 each Fourier index m owns a contiguous block of levels.
 """
@@ -36,25 +42,29 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 from numpy.polynomial.hermite import hermgauss
 
-from .channel import ChannelParams
+from .channel import ChannelParams, _canonical_coeffs
 from .hermite import _MAX_DEGREE, ProjectedPotential, _hermite_table
+from .numutil import ThetaPencil
 
 __all__ = [
     "FiberMatrix",
     "FiberBlock",
     "fiber_block",
     "landau_block",
+    "hill_block",
     "landau_residuals",
     "displacement_overlaps",
     "fiber_at",
     "assemble_fiber",
     "eigenvalues_fiber",
+    "fiber_pencil",
     "EigensolverError",
     "ResolventBoundCheck",
     "complex_theta_resolvent_bound",
@@ -73,7 +83,6 @@ class EigensolverError(RuntimeError):
 class FiberMatrix:
     """Assembled fiber with its index bookkeeping."""
 
-    params: ChannelParams
     theta: float
     n_hermite: int
     m_max: int
@@ -85,16 +94,17 @@ class FiberMatrix:
 class FiberBlock:
     """The theta-independent part of the fiber at one truncation.
 
-    ``base`` is the potential's Toeplitz block plus alpha (2n+1) on the
-    diagonal, Hermitian and real whenever the potential's coefficients are.
-    The remaining terms depend on theta only through m + theta: ``row_m``
-    gives m for every row, the diagonal gains ``kinetic`` * (m + theta)^2
-    (1 in the Hermite basis, beta in the Landau basis), and the ladder
-    entries sit at (``ladder_rows``, ``ladder_cols``) with value
-    ``ladder_weight`` * (m + theta); the Landau basis has none.
+    ``base`` is the potential's Toeplitz block plus the level energies on
+    the diagonal (alpha (2n+1), or 0 for the Hill operator), Hermitian and
+    real whenever the potential's coefficients are.  The remaining terms
+    depend on theta only through m + theta: ``row_m`` gives m for every row,
+    the diagonal gains ``kinetic`` * (m + theta)^2 (beta in the Landau
+    basis, else 1), and the ladder entries sit at (``ladder_rows``,
+    ``ladder_cols``) with value ``ladder_weight`` * (m + theta); only the
+    Hermite basis has them.  ``params`` is None for the Hill operator.
     """
 
-    params: ChannelParams
+    params: ChannelParams | None
     n_hermite: int
     m_max: int
     m_offset: int
@@ -119,20 +129,41 @@ class FiberBlock:
         return scipy.sparse.dia_array((diagonals, (0, 1, -1)), shape=(dim, dim))
 
 
-def _potential_blocks(terms, n: int, size: int) -> np.ndarray:
-    """sum_k c_k S^k (x) M_k, with S the shift of the Fourier index, in both bases.
+def _build_block(params, terms, levels, m_max: int, kinetic: float, ladder=(), m_offset: int = 0) -> FiberBlock:
+    """The FiberBlock of any family: ``base`` is sum_k c_k S^k (x) M_k, S the
+    shift of the Fourier index, plus ``levels`` on the diagonal of each
+    Fourier block; ``ladder`` couples the levels n and n + 1.
 
-    ``terms`` are triples (k, c_k, M_k) with |k| < size and M_k of shape
-    (n, n): M_k = G (Hermite) or D(B k / alpha^{3/2}) (Landau).  Block
-    (mu, mu - k) of the dense (size n, size n) result is c_k M_k, and the
-    result is real whenever every c_k is.
+    ``terms`` are triples (k, c_k, M_k) with |k| <= 2 m_max and M_k of shape
+    (N, N), N = levels.size: G (Hermite), D(B k / alpha^{3/2}) (Landau) or
+    the 1 x 1 identity (Hill).  ``base`` is real whenever every c_k is.
     """
+    n, size = levels.size, 2 * m_max + 1
     real = all(c.imag == 0.0 for _, c, _ in terms)
     h = np.zeros((size, n, size, n), dtype=float if real else complex)
     for k, c, block in terms:
         rows = np.arange(max(k, 0), size + min(k, 0))
         h[rows, :, rows - k, :] = (c.real if real else c) * block
-    return h.reshape(size * n, size * n)
+    h = h.reshape(size * n, size * n)
+    # the quadrature leaves the Hermite projection Hermitian only up to
+    # rounding; the Landau and Hill blocks are exactly Hermitian, so this keeps them
+    base = h + h.conj().T
+    base *= 0.5
+    base.flat[:: base.shape[0] + 1] += np.tile(levels, size)
+    lower = (np.arange(size)[:, None] * n + np.arange(len(ladder))[None, :]).ravel()
+    weight = np.tile(np.asarray(ladder, dtype=float), size)
+    return FiberBlock(
+        params=params,
+        n_hermite=n,
+        m_max=m_max,
+        m_offset=m_offset,
+        base=base,
+        row_m=np.repeat(np.arange(-m_max, m_max + 1) + m_offset, n).astype(float),
+        ladder_rows=np.concatenate([lower, lower + 1]),
+        ladder_cols=np.concatenate([lower + 1, lower]),
+        ladder_weight=np.concatenate([weight, weight]),
+        kinetic=kinetic,
+    )
 
 
 def fiber_block(
@@ -160,32 +191,12 @@ def fiber_block(
     if abs(proj.alpha - params.alpha) > 1e-12 * max(1.0, params.alpha):
         raise ValueError("projection was computed for a different alpha")
 
-    N = n_hermite
-    ms = np.arange(-m_max, m_max + 1) + m_offset
-    alpha = params.alpha
-
-    overlap = proj.overlap[:N, :N]
-    h = _potential_blocks([(k, c, overlap) for k, c in proj.fourier if abs(k) < ms.size], N, ms.size)
-    # the quadrature leaves the projection Hermitian only up to rounding
-    base = h + h.conj().T
-    base *= 0.5
-    base.flat[:: base.shape[0] + 1] += np.tile(alpha * (2.0 * np.arange(N) + 1.0), ms.size)
-
+    N, alpha = n_hermite, params.alpha
+    terms = [(k, c, proj.overlap[:N, :N]) for k, c in proj.fourier if abs(k) <= 2 * m_max]
     # magnetic ladder coupling B sqrt(2(n+1)/alpha) (m+theta) between n and n+1
-    lower = (np.arange(ms.size)[:, None] * N + np.arange(N - 1)[None, :]).ravel()
-    weight = np.tile(params.B * np.sqrt(2.0 * np.arange(1, N) / alpha), ms.size)
-    return FiberBlock(
-        params=params,
-        n_hermite=N,
-        m_max=m_max,
-        m_offset=m_offset,
-        base=base,
-        row_m=np.repeat(ms, N).astype(float),
-        ladder_rows=np.concatenate([lower, lower + 1]),
-        ladder_cols=np.concatenate([lower + 1, lower]),
-        ladder_weight=np.concatenate([weight, weight]),
-        kinetic=1.0,
-    )
+    ladder = params.B * np.sqrt(2.0 * np.arange(1, N) / alpha)
+    levels = alpha * (2.0 * np.arange(N) + 1.0)
+    return _build_block(params, terms, levels, m_max, kinetic=1.0, ladder=ladder, m_offset=m_offset)
 
 
 def displacement_overlaps(n_rows: int, n_cols: int, d: float) -> np.ndarray:
@@ -206,10 +217,6 @@ def displacement_overlaps(n_rows: int, n_cols: int, d: float) -> np.ndarray:
     return (left * weights) @ right.T
 
 
-def _harmonics(coeffs) -> list[tuple[int, complex]]:
-    return [(int(k), complex(c)) for k, c in coeffs if c != 0]
-
-
 def landau_block(params: ChannelParams, coeffs, n_levels: int, m_max: int) -> FiberBlock:
     """The theta-independent part of the fiber in the displaced Landau basis.
 
@@ -221,28 +228,26 @@ def landau_block(params: ChannelParams, coeffs, n_levels: int, m_max: int) -> Fi
     if n_levels < 1 or m_max < 0:
         raise ValueError("need n_levels >= 1 and m_max >= 0")
     N, size = n_levels, 2 * m_max + 1
-    harmonics = [(k, c) for k, c in _harmonics(coeffs) if abs(k) < size]
+    harmonics = [(k, c) for k, c in _canonical_coeffs(dict(coeffs)) if abs(k) < size]
     scale = params.B / params.alpha**1.5
     overlaps = {k: displacement_overlaps(N, N, scale * k) for k in {abs(k) for k, _ in harmonics} - {0}}
     overlaps[0] = np.eye(N)  # D(0), exactly
     # D(-d) = D(d)^T, so the blocks of k and -k are exactly adjoint
-    base = _potential_blocks(
-        [(k, c, overlaps[k] if k >= 0 else overlaps[-k].T) for k, c in harmonics], N, size
-    )
-    base.flat[:: base.shape[0] + 1] += np.tile(params.alpha * (2.0 * np.arange(N) + 1.0), size)
-    no_ladder = np.empty(0, dtype=int)
-    return FiberBlock(
-        params=params,
-        n_hermite=N,
-        m_max=m_max,
-        m_offset=0,
-        base=base,
-        row_m=np.repeat(np.arange(-m_max, m_max + 1), N).astype(float),
-        ladder_rows=no_ladder,
-        ladder_cols=no_ladder,
-        ladder_weight=np.empty(0),
-        kinetic=params.beta,
-    )
+    terms = [(k, c, overlaps[k] if k >= 0 else overlaps[-k].T) for k, c in harmonics]
+    return _build_block(params, terms, params.alpha * (2.0 * np.arange(N) + 1.0), m_max, kinetic=params.beta)
+
+
+def hill_block(pairs, m_max: int) -> FiberBlock:
+    """The Hill operator K(theta) = -d^2 + V as a one-level FiberBlock.
+
+    V = sum_k c_k e^{ikx} is given by its (k, c_k) ``pairs`` (or a mapping
+    k -> c_k), which must satisfy c_{-k} = conj(c_k); the Fourier window is
+    |m| <= m_max.  ``base`` is the Toeplitz matrix of the c_k, ``fiber_at``
+    adds (m + theta)^2, and the block has no params.
+    """
+    one = np.ones((1, 1))
+    terms = [(k, c, one) for k, c in _canonical_coeffs(dict(pairs)) if abs(k) < 2 * m_max + 1]
+    return _build_block(None, terms, np.zeros(1), m_max, kinetic=1.0)
 
 
 def landau_residuals(block: FiberBlock, coeffs, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +263,7 @@ def landau_residuals(block: FiberBlock, coeffs, vectors: np.ndarray) -> tuple[np
     formed.
     """
     N, size = block.n_hermite, 2 * block.m_max + 1
-    harmonics = [(k, c) for k, c in _harmonics(coeffs) if k != 0]
+    harmonics = [(k, c) for k, c in _canonical_coeffs(dict(coeffs)) if k != 0]
     vecs = vectors.reshape(size, N, vectors.shape[1])
     if not harmonics:
         zero = np.zeros(vecs.shape[2])
@@ -295,7 +300,6 @@ def fiber_at(block: FiberBlock, theta: float) -> FiberMatrix:
     rows = block.ladder_rows
     h[rows, block.ladder_cols] += block.ladder_weight * (block.row_m[rows] + theta)
     return FiberMatrix(
-        params=block.params,
         theta=float(theta),
         n_hermite=block.n_hermite,
         m_max=block.m_max,
@@ -341,6 +345,21 @@ def eigenvalues_fiber(mat: FiberMatrix, count: int | None = None, vectors: bool 
         path = _dump_matrix(mat.entries)
         raise EigensolverError(f"fiber eigensolver failed at theta={mat.theta}", path) from exc
     return vals[:count] if count is not None else vals
+
+
+def fiber_pencil(block: FiberBlock, folds: bool, solve: Callable | None = None) -> ThetaPencil:
+    """``block`` as the ThetaPencil of numutil's Bloch band driver.
+
+    ``folds`` holds when E_j(-theta) = E_j(theta).  ``solve`` replaces the
+    pencil's eigensolver, eigenvalues_fiber of ``fiber_at``.
+    """
+    return ThetaPencil(
+        solve=solve or (lambda t, count=None, vectors=False: eigenvalues_fiber(fiber_at(block, t), count, vectors)),
+        matrix=lambda theta: fiber_at(block, theta).entries,
+        slope=block.slope,
+        kinetic=block.kinetic,
+        folds=folds,
+    )
 
 
 def _dump_matrix(entries: np.ndarray) -> str:

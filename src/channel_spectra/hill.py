@@ -1,16 +1,17 @@
 """One-dimensional periodic (Hill) operators on [0, 2*pi].
 
 K(theta) = -d_x^2 + V(x) with the twisted boundary condition
-f(2 pi) = e^{2 pi i theta} f(0).  In the Fourier basis e^{i(m+theta)x} the
-matrix is diag (m+theta)^2 plus the Toeplitz matrix of the Fourier
-coefficients of V.  The decoupled reference operator of the channel is
+f(2 pi) = e^{2 pi i theta} f(0).  In the Fourier basis e^{i(m+theta)x} it
+is a fiber of one level (fiber.hill_block): diag (m+theta)^2 plus the
+Toeplitz matrix of the Fourier coefficients of V, assembled and solved as
+the channel fiber is.  The decoupled reference operator of the channel is
 
     H_{n,n} = alpha (2n+1) + K_n(theta),   V_n = W_n(x) = <phi_n| W |phi_n>,
 
 whose n = 0 gaps the full band computation is compared against.
 hill_bands runs the channel fiber's Bloch band driver (numutil.BlochBands)
-on K_0, a quadratic pencil in theta with H'(theta) = 2 diag(m + theta)
-(hill_slope): one solve per grid phase theta >= 0, since V is real and
+on K_0, a quadratic pencil in theta with K'(theta) = 2 diag(m + theta)
+(FiberBlock.slope): one solve per grid phase theta >= 0, since V is real and
 E_j(-theta) = E_j(theta), then the edges of its lowest bands; h00_gaps
 extends that HillBands record to the bands beyond them.
 
@@ -27,17 +28,16 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .channel import ChannelParams
+from .fiber import FiberMatrix, eigenvalues_fiber, fiber_at, fiber_pencil, hill_block
 from .numutil import BlochBands, GapReport, ThetaPencil, gap_report, golden_section_minimize, theta_grid
 from .schema import ConfigError
 
 __all__ = [
     "hill_matrix",
-    "hill_slope",
     "hill_spectrum",
     "fd_hill_eigenvalues",
     "fd_hill_richardson",
@@ -47,56 +47,32 @@ __all__ = [
 ]
 
 
-def _coeff_array(coeffs, kmax: int) -> np.ndarray:
-    """c_k for k = -kmax..kmax as a complex array, zero where not given."""
-    out = np.zeros(2 * kmax + 1, dtype=complex)
+def _coeff_pairs(coeffs):
+    """The (k, c_k) of a mapping k -> c_k or of an odd-length array centred at k = 0."""
     if isinstance(coeffs, Mapping):
-        for k, v in coeffs.items():
-            if abs(int(k)) <= kmax:
-                out[int(k) + kmax] = complex(v)
-        return out
+        return coeffs.items()
     arr = np.asarray(coeffs)
     if arr.ndim != 1 or arr.size % 2 == 0:
         raise ValueError("coefficient array must have odd length 2*K+1 for k in [-K, K]")
-    half = arr.size // 2
-    keep = min(half, kmax)
-    out[kmax - keep : kmax + keep + 1] = arr[half - keep : half + keep + 1]
-    return out
+    return zip(range(-(arr.size // 2), arr.size // 2 + 1), arr)
 
 
-def hill_matrix(coeffs, theta: float, m_max: int = 32) -> np.ndarray:
-    """Fourier matrix of -d^2 + V at Bloch phase theta.
+def hill_matrix(coeffs, theta: float, m_max: int = 32) -> FiberMatrix:
+    """The fiber matrix of -d^2 + V at Bloch phase theta, ``fiber_at`` of its
+    one-level ``hill_block``.
 
     coeffs: mapping k -> c_k or odd-length array centered at k = 0, with
     V(x) = sum_k c_k e^{ikx} and c_{-k} = conj(c_k).
     """
-    if abs(theta) > 0.5 + 1e-12:
-        raise ValueError("theta must lie in [-1/2, 1/2]")
-    c = _coeff_array(coeffs, 2 * m_max)
-    ms = np.arange(-m_max, m_max + 1)
-    h = c[ms[:, None] - ms[None, :] + 2 * m_max]
-    h[np.arange(ms.size), np.arange(ms.size)] += (ms + theta) ** 2
-    dev = float(np.max(np.abs(h - h.conj().T)))
-    if dev > 1e-12 * max(1.0, float(np.max(np.abs(h)))):
-        raise ValueError("coefficients violate c_-k = conj(c_k); matrix not Hermitian")
-    return 0.5 * (h + h.conj().T)
-
-
-def hill_slope(theta: float, m_max: int = 32) -> scipy.sparse.dia_array:
-    """d/dtheta of hill_matrix, 2 diag(m + theta): the Hill matrix is
-    quadratic in theta, H(theta + h) = H(theta) + h H'(theta) + h^2 I."""
-    return scipy.sparse.dia_array((2.0 * (np.arange(-m_max, m_max + 1) + theta), 0), shape=(2 * m_max + 1,) * 2)
+    return fiber_at(hill_block(_coeff_pairs(coeffs), m_max), theta)
 
 
 def hill_spectrum(coeffs, theta: float, m_max: int = 32, count: int | None = None, vectors: bool = False):
     """Ascending eigenvalues of the Fourier-discretized Hill operator (the
     lowest ``count`` if given); with ``vectors``, the pair (eigenvalues,
-    eigenvectors as columns)."""
-    if vectors:
-        vals, vecs = scipy.linalg.eigh(hill_matrix(coeffs, theta, m_max))
-        return vals[:count], vecs[:, :count]
-    vals = scipy.linalg.eigh(hill_matrix(coeffs, theta, m_max), eigvals_only=True)
-    return vals[:count] if count is not None else vals
+    eigenvectors as columns).  The channel fiber's eigensolver,
+    eigenvalues_fiber, solves it."""
+    return eigenvalues_fiber(hill_matrix(coeffs, theta, m_max), count, vectors=vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +143,18 @@ class HillBands(BlochBands):
     eigenvectors.  h00_gaps reads the bands with intervals and extends the
     record to those beyond them."""
 
-    coeffs: np.ndarray  # c_k for k = -2 m_max..2 m_max
+    coeffs: dict  # k -> c_k, as given
     m_max: int
 
 
-def _hill_pencil(c: np.ndarray, m_max: int) -> ThetaPencil:
+def _hill_pencil(coeffs, m_max: int) -> ThetaPencil:
     """K(theta) as a theta-pencil.  V is real, so E_j(-theta) = E_j(theta)
     and the grid folds.  hill_spectrum is read at call time, so a wrapper
     installed on it sees every Hill solve."""
-    return ThetaPencil(
-        solve=lambda t, count=None, vectors=False: hill_spectrum(c, t, m_max, count, vectors=vectors),
-        matrix=lambda t: hill_matrix(c, t, m_max),
-        slope=lambda t: hill_slope(t, m_max),
-        kinetic=1.0,
+    return fiber_pencil(
+        hill_block(coeffs.items(), m_max),
         folds=True,
+        solve=lambda t, count=None, vectors=False: hill_spectrum(coeffs, t, m_max, count, vectors=vectors),
     )
 
 
@@ -195,8 +169,7 @@ def hill_bands(coeffs, m_max: int = 32, theta_count: int = 17, band_count: int =
     curvatures there verify that numerically instead of assuming it.
     """
     grid = theta_grid(theta_count)
-    c = _coeff_array(coeffs, 2 * m_max)
-    c.setflags(write=False)
+    c = dict(_coeff_pairs(coeffs))
     pencil = _hill_pencil(c, m_max)
     hill = HillBands.on_grid(pencil, grid, coeffs=c, m_max=m_max)
     return hill.extended(pencil, band_count, 1e-8, minimize=golden_section_minimize)

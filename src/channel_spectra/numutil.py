@@ -187,11 +187,15 @@ class BlochBands:
             arr.setflags(write=False)
 
     @classmethod
-    def on_grid(cls, pencil: ThetaPencil, grid: np.ndarray, keep: int | None = None, **fields):
+    def on_grid(
+        cls, pencil: ThetaPencil, grid: np.ndarray, keep: int | None = None, *, eigenvectors: bool = True, **fields
+    ):
         """The record of ``pencil`` over the grid, with no band intervals yet:
         one solve of the lowest ``keep`` eigenpairs (all when None) per
-        solved phase.  ``fields`` are those of a subclass."""
-        pairs = [pencil.solve(float(t), keep, vectors=True) for t in grid[_first_solved(grid, pencil.folds) :]]
+        solved phase, or of its eigenvalues alone without ``eigenvectors``;
+        such a record cannot be extended.  ``fields`` are those of a subclass."""
+        solves = [pencil.solve(float(t), keep, vectors=eigenvectors) for t in grid[_first_solved(grid, pencil.folds) :]]
+        pairs = solves if eigenvectors else [(vals, None) for vals in solves]
         table = np.vstack([vals for vals, _ in pairs])
         if pencil.folds:
             table = np.vstack([table[:0:-1], table])
@@ -199,7 +203,7 @@ class BlochBands:
             theta_grid=grid,
             table=table,
             band_intervals=np.empty((0, 2)),
-            vectors=tuple(vecs for _, vecs in pairs),
+            vectors=tuple(vecs for _, vecs in pairs) if eigenvectors else (),
             folded=pencil.folds,
             **fields,
         )

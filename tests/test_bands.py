@@ -317,6 +317,25 @@ def test_hermite_probe_builds_one_block_and_three_one_off_fibers(monkeypatch):
     assert fibers == [(16, bs.m_max + 4)] * 3
 
 
+@pytest.mark.parametrize("spec", [_TWO_COS, _GAUSSIAN_COS], ids=["landau", "hermite"])
+def test_unrefined_bands_solve_no_eigenvectors(monkeypatch, spec):
+    from channel_spectra import bands, fiber
+
+    vector_solves = []
+    solve = fiber.eigenvalues_fiber
+
+    def counted_solve(mat, count=None, vectors=False):
+        vector_solves.append(vectors)
+        return solve(mat, count, vectors=vectors)
+
+    # every binding of the fiber eigensolver that the band driver may call
+    monkeypatch.setattr(fiber, "eigenvalues_fiber", counted_solve)
+    monkeypatch.setattr(bands, "eigenvalues_fiber", counted_solve)
+    bs = compute_bands(_P34, spec, theta_count=9, energy_ceiling=6.0, n_hermite=8, refine=False)
+    assert bs.band_count > 0 and bs.vectors == ()
+    assert len(vector_solves) >= 5 and not any(vector_solves)
+
+
 @pytest.mark.parametrize("tol", [1e-7, 1e-10])
 def test_landau_bands_match_the_hermite_basis_to_the_tolerance(tol):
     spec = SeparableFourierPotential({1: 0.4, -1: 0.4, 2: 0.1j, -2: -0.1j})

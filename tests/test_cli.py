@@ -6,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -416,14 +418,19 @@ def test_hill_gaps_keep_every_band_a_deep_well_moves_below_the_ceiling(tmp_path)
 @pytest.mark.parametrize(
     "argv, refused, manifest",
     [
-        # m_max = 1 trusts no band, so the schema refuses it, before any output
+        # m_max = 1 trusts no band, so the schema refuses it, before any output,
+        # in both commands
         (["hill", "--set", f"potential={json.dumps(_DEEP_WELL_CFG)}", "--set", "m_max=1"], "m_max must be >= 2", False),
         (
             ["hill", "--set", f"potential={json.dumps(_DEEP_WELL_CFG)}", "--set", "m_max=2", "--set", "band_count=2"],
             "ceiling ",
             True,
         ),
-        (["sweep-omega", "--set", "hill_m_max=1", "--set", "theta_count=9", "--set", "n_hermite=8"], "ceiling ", True),
+        (
+            ["sweep-omega", "--set", "hill_m_max=1", "--set", "theta_count=9", "--set", "n_hermite=8"],
+            "hill_m_max must be >= 2",
+            False,
+        ),
     ],
     ids=["hill-m-max-1", "hill-m-max-2", "sweep-hill-m-max-1"],
 )
@@ -700,6 +707,23 @@ def test_numerical_failure_leaves_a_manifest(tmp_path, capsys, monkeypatch):
     assert manifest["exit_status"] == 2
     assert "no convergence" in manifest["error"]
     assert manifest["config"]["theta_count"] == 33
+
+
+def test_hill_solver_failure_dumps_the_matrix(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    out = tmp_path / "o"
+    assert main(["hill", "--set", "theta_count=9", "--out", str(out)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 2
+    # the Hill solve goes through the fiber eigensolver, which dumps its matrix
+    [dump] = tmp_path.glob("fiber_matrix_*.npy")
+    assert f"(matrix dumped to {dump})" in manifest["error"]
+    assert np.load(dump).shape == (65, 65)
 
 
 def test_library_value_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):

@@ -17,8 +17,8 @@ from channel_spectra import (
     hill_matrix,
     hill_spectrum,
 )
+from channel_spectra.fiber import hill_block
 from channel_spectra.hermite import project_potential
-from channel_spectra.hill import hill_slope
 from channel_spectra.numutil import merge_intervals
 
 # -d^2/dx^2 + 2 cos x maps onto the Mathieu equation with q = 4 under
@@ -94,7 +94,7 @@ def test_constant_shift():
 
 
 def test_hill_matrix_layout_and_theta_validation():
-    mat = hill_matrix({1: 0.5, -1: 0.5}, 0.1, m_max=2)
+    mat = hill_matrix({1: 0.5, -1: 0.5}, 0.1, m_max=2).entries
     assert mat.shape == (5, 5)
     assert abs(mat[0, 0] - (-2 + 0.1) ** 2) < 1e-14
     assert abs(mat[0, 1] - 0.5) < 1e-14
@@ -112,8 +112,8 @@ def test_hill_matrix_rejects_non_hermitian_coeffs():
 
 def test_hill_matrix_accepts_array_coeffs():
     arr = np.array([1.0, 0.0, 1.0])  # k in [-1, 1]
-    a = hill_matrix(arr, 0.2, m_max=4)
-    b = hill_matrix(_TWO_COS, 0.2, m_max=4)
+    a = hill_matrix(arr, 0.2, m_max=4).entries
+    b = hill_matrix(_TWO_COS, 0.2, m_max=4).entries
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         hill_matrix(np.array([1.0, 2.0]), 0.0)  # even length has no center
@@ -178,9 +178,9 @@ def _loop_hill_matrix(coeffs, theta, m_max):
 )
 def test_hill_matrix_matches_entrywise_reference(coeffs):
     for theta in (0.0, 0.2, -0.5):
-        assert np.array_equal(hill_matrix(coeffs, theta, m_max=4), _loop_hill_matrix(coeffs, theta, 4))
+        assert np.array_equal(hill_matrix(coeffs, theta, m_max=4).entries, _loop_hill_matrix(coeffs, theta, 4))
     arr = np.array([coeffs.get(k, 0.0) for k in range(-12, 13)], dtype=complex)
-    assert np.array_equal(hill_matrix(arr, 0.2, m_max=4), hill_matrix(coeffs, 0.2, m_max=4))
+    assert np.array_equal(hill_matrix(arr, 0.2, m_max=4).entries, hill_matrix(coeffs, 0.2, m_max=4).entries)
 
 
 @pytest.mark.parametrize(
@@ -278,6 +278,6 @@ def test_sweep_omega_solves_each_phase_and_searches_each_extremum_once(monkeypat
 def test_hill_matrix_is_a_quadratic_pencil_in_theta():
     coeffs = {1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: 0.1, -2: 0.1}
     theta, h = -0.31, 0.57
-    step = hill_matrix(coeffs, theta + h, 6) - hill_matrix(coeffs, theta, 6)
-    slope = hill_slope(theta, 6).toarray()
+    step = hill_matrix(coeffs, theta + h, 6).entries - hill_matrix(coeffs, theta, 6).entries
+    slope = hill_block(coeffs, 6).slope(theta).toarray()
     assert np.max(np.abs(step - h * slope - h * h * np.eye(13))) < 1e-13

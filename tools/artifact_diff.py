@@ -57,6 +57,7 @@ _GAUSSIAN_COS = (
     ' "profile": {"shape": "gaussian", "sigma": 1.5}}'
 )
 _TWO_COS = '{"kind": "fourier_x", "coeffs": {"1": [1.0, 0.0], "-1": [1.0, 0.0]}}'
+_COMPLEX_COS = '{"kind": "fourier_x", "coeffs": {"1": [0.3, 0.2], "-1": [0.3, -0.2]}}'
 _CONSTANT_COS = (
     '{"kind": "fourier_x_profile", "coeffs": {"1": [0.3, 0.1], "-1": [0.3, -0.1]},'
     ' "profile": {"shape": "constant", "value": 2.0}}'
@@ -101,6 +102,8 @@ CHEAP = {
         "--set", "theta_count=9", "--set", "hill_m_max=5", "--set", "refine=false",
     ],
     "hill": ["hill"],
+    # complex Fourier coefficients: the complex Hill solve, which no workload runs
+    "hill-complex": ["hill", "--set", f"potential={_COMPLEX_COS}"],
     # fewer refined bands than hill_gaps.csv needs, so the gaps refine past them
     "hill-extend": ["hill", "--set", "band_count=2"],
     "classical": ["classical", "--set", f"potential={_GRID}", "--set", "t_end=0.5"],
