@@ -2,23 +2,21 @@
 
 Bands are sorted-eigenvalue curves theta -> E_j(theta) of the fiber
 matrices on a uniform odd grid over [-1/2, 1/2] (both endpoints sampled;
-they are identified by 1-periodicity).  BandStructure is a record of
-numutil's one Bloch band driver, which also gives the Hill bands of the
-H_{0,0} reference; both run on the pencil that fiber.fiber_pencil makes of
-a FiberBlock.  The fiber is a quadratic pencil in theta,
-H(theta + h) = H(theta) + h H'(theta) + kinetic h^2 I, and the driver
-works on it.  One solve per grid phase keeps the eigenvectors of the bands
-below the ceiling and numutil.RITZ_PAD more (the eigenvalues alone without
-refinement, which reads none); only the phases theta >= 0
-are solved when W is real and even in y, since E_j(-theta) = E_j(theta)
-then.  The eigenvectors at the two ends of each grid interval reduce the
-fiber to a small pencil there, which gives the bands between the grid
-phases; each band edge is searched on those pencils, guided by the
-Hellmann-Feynman slopes at the grid phases, and certified by one full
-solve.  Gaps are the complement of the interval union below a trusted
-energy ceiling, and the persistence sweep compares those gaps against the
-decoupled reference H_{0,0} = alpha + spec(K_0) as the confinement omega
-grows at fixed field B.
+they are identified by 1-periodicity).  BandStructure is a
+numutil.BlochBands record, as the Hill bands of the H_{0,0} reference are,
+of the pencil that fiber.fiber_pencil makes of a FiberBlock,
+H(theta + h) = H(theta) + h H'(theta) + kinetic h^2 I.  One solve per grid
+phase keeps the eigenvectors of the bands below the ceiling and
+numutil.RITZ_PAD more (the eigenvalues alone without refinement, which
+reads none); only the phases theta >= 0 are solved when W is real and even
+in y, since E_j(-theta) = E_j(theta) then.  The eigenvectors at the two
+ends of each grid interval reduce the fiber to a small pencil there, which
+gives the bands between the grid phases; each band edge is searched on
+those pencils, guided by the Hellmann-Feynman slopes at the grid phases,
+and certified by one full solve.  Gaps are the complement of the interval
+union below a trusted energy ceiling, and the persistence sweep compares
+those gaps against the decoupled reference H_{0,0} = alpha + spec(K_0) as
+the confinement omega grows at fixed field B.
 
 Truncation policy.  The Fourier window must cover the ceiling
 kinematically, beta (M - 1/2)^2 + alpha > ceiling with margin.  One growth
@@ -65,7 +63,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -278,9 +276,9 @@ def compute_bands(
     ceiling are not trusted.  The basis and the truncation follow the
     module's truncation policy; n_hermite above MAX_N_HERMITE, or a starting
     truncation whose check needs a fiber above MAX_FIBER_DIM, raises
-    ConfigError.  With refine, xtol bounds the phase theta* of each searched
-    edge on its reduced pencil, and the edge value is a full solve at
-    theta*; without it, the intervals are the grid extrema.
+    ConfigError, as does a ceiling below the spectrum.  With refine, xtol
+    bounds the phase theta* of each searched edge on its reduced pencil, and
+    the edge value is a full solve at theta*; else the grid extrema stand.
     """
     grid = theta_grid(theta_count)
     if not cauchy_tol > 0.0:
@@ -340,10 +338,13 @@ def compute_bands(
         if count + RITZ_PAD <= keep or keep == dim:
             break
         keep = min(2 * keep, dim)
+    if count == 0:
+        raise ConfigError(
+            f"ceiling {energy_ceiling:.6g} lies below the spectrum (lowest grid eigenvalue {bs.table.min():.6g})"
+        )
     if refine:
         return bs.extended(pencil, count, xtol, minimize=golden_section_minimize)
-    curves = bs.table[:, :count]
-    return replace(bs, band_intervals=np.column_stack([curves.min(axis=0), curves.max(axis=0)]))
+    return bs.with_grid_extrema(count)
 
 
 def detect_gaps(band_structure: BandStructure, gap_tolerance: float | None = None) -> GapReport:

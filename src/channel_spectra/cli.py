@@ -62,6 +62,7 @@ from .channel import (
     ChannelParams,
     SeparableFourierPotential,
     ZeroPotential,
+    _fourier_eval,
     derive_params,
     potential_from_dict,
 )
@@ -149,7 +150,7 @@ _SCHEMAS: dict[str, dict] = {
         "B": _B,
         "omega": _OMEGA,
         "potential": _potential(_ZERO_W, POTENTIAL),
-        "E": Key(float, 8.0),
+        "E": Key(float, 8.0, gt=0.0),
         "delta": Key(float, 1.0, gt=0.0),
         "eps": Key(float, 1.0, gt=0.0),
         "scaling": Key(
@@ -348,14 +349,11 @@ def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
     art.write(write_csv, "hill_gaps.csv", _GAP_HEADER, _gap_rows(gaps.gaps))
     print(f"{hb.band_count} band(s); {gaps.count} gap(s) below {ceiling:.6g}")
     if cfg["fd_check"]:
-        # V(x) from the projection's own nonzero pairs, which ascend in k
+        # V(x) from the projection's own nonzero pairs, conjugate-symmetric as W is real
         pairs = [(k, c * proj.overlap[0, 0]) for k, c in proj.fourier]
 
         def v_of_x(x):
-            acc = np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
-            for k, c in pairs:
-                acc = acc + c * np.exp(1j * k * np.asarray(x, dtype=float))
-            return acc.real
+            return _fourier_eval(pairs, x, np.zeros_like(x))
 
         checks = []
         for theta in (0.0, 0.25, 0.5):

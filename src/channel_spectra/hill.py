@@ -9,11 +9,11 @@ the channel fiber is.  The decoupled reference operator of the channel is
     H_{n,n} = alpha (2n+1) + K_n(theta),   V_n = W_n(x) = <phi_n| W |phi_n>,
 
 whose n = 0 gaps the full band computation is compared against.
-hill_bands runs the channel fiber's Bloch band driver (numutil.BlochBands)
-on K_0, a quadratic pencil in theta with K'(theta) = 2 diag(m + theta)
-(FiberBlock.slope): one solve per grid phase theta >= 0, since V is real and
-E_j(-theta) = E_j(theta), then the edges of its lowest bands; h00_gaps
-extends that HillBands record to the bands beyond them.
+hill_bands tabulates K_0 on a theta grid (numutil.BlochBands), one
+eigenvalues-only solve per phase theta >= 0, since V is real and
+E_j(-theta) = E_j(theta).  Each band is then monotone in |theta| on
+[0, 1/2] (Reed-Simon IV, Thm XIII.89; Magnus-Winkler 1966), so its edges
+sit at the grid phases 0 and 1/2: the band intervals are grid extrema.
 
 An independent oracle discretizes K(theta) by central finite differences on
 a uniform grid with the phase-wrapped corner entries and Richardson
@@ -33,7 +33,8 @@ import scipy.sparse.linalg
 
 from .channel import ChannelParams
 from .fiber import FiberMatrix, eigenvalues_fiber, fiber_at, fiber_pencil, hill_block
-from .numutil import BlochBands, GapReport, ThetaPencil, gap_report, golden_section_minimize, theta_grid
+# golden_section_minimize is unused here; perfbench's self-test still wraps this binding
+from .numutil import BlochBands, GapReport, ThetaPencil, gap_report, golden_section_minimize, theta_grid  # noqa: F401
 from .schema import ConfigError
 
 __all__ = [
@@ -138,10 +139,8 @@ def fd_hill_richardson(
 
 @dataclass(frozen=True, eq=False)
 class HillBands(BlochBands):
-    """The Hill operator -d^2 + V on a theta grid, solved once: its table
-    holds all 2 m_max + 1 eigenvalues at each solved phase, with their
-    eigenvectors.  h00_gaps reads the bands with intervals and extends the
-    record to those beyond them."""
+    """The Hill operator -d^2 + V on a theta grid, solved once for the
+    eigenvalues alone: all 2 m_max + 1 of them at each phase."""
 
     coeffs: dict  # k -> c_k, as given
     m_max: int
@@ -161,18 +160,17 @@ def _hill_pencil(coeffs, m_max: int) -> ThetaPencil:
 def hill_bands(coeffs, m_max: int = 32, theta_count: int = 17, band_count: int = 8) -> HillBands:
     """Band structure of -d^2 + V over a uniform theta grid.
 
-    One solve per phase theta >= 0 gives the whole table, mirrored to
-    -theta; the intervals of the lowest band_count bands (fewer when the
-    window holds fewer) follow from BlochBands.extended.  theta_count must
-    be odd and >= 9 so the grid contains theta = 0 and the +-1/2 endpoints,
-    where band edges of real potentials sit; the zero slopes and Ritz
-    curvatures there verify that numerically instead of assuming it.
+    One eigenvalues-only solve per phase theta >= 0 gives the whole table,
+    mirrored to -theta.  theta_count must be odd and >= 9 so the grid
+    contains theta = 0 and +-1/2, where the band edges sit; the intervals of
+    the lowest band_count bands (fewer when the window holds fewer) are the
+    extrema over the whole grid, never narrower than the end rows near the
+    top of the Fourier window, where monotonicity is only approximate.
     """
     grid = theta_grid(theta_count)
     c = dict(_coeff_pairs(coeffs))
-    pencil = _hill_pencil(c, m_max)
-    hill = HillBands.on_grid(pencil, grid, coeffs=c, m_max=m_max)
-    return hill.extended(pencil, band_count, 1e-8, minimize=golden_section_minimize)
+    hill = HillBands.on_grid(_hill_pencil(c, m_max), grid, eigenvectors=False, coeffs=c, m_max=m_max)
+    return hill.with_grid_extrema(band_count)
 
 
 def h00_gaps(
@@ -185,8 +183,8 @@ def h00_gaps(
     minimum lies at or below ceiling - alpha is kept, and at least the free
     count 2 sqrt(ceiling - alpha) + 4.  The top three eigenvalues of the
     Fourier window m_max are not trusted, so a ceiling that needs more than
-    2 m_max - 2 bands raises ConfigError.  The kept bands reuse hill's
-    refined intervals; only those beyond them are refined here.
+    2 m_max - 2 bands raises ConfigError.  The kept bands' intervals are
+    their grid extrema in hill's table.
     """
     trusted = 2 * hill.m_max - 2
     # free bands reach (k/2)^2, so the free count is a floor; W_0 shifts bands down
@@ -197,7 +195,6 @@ def h00_gaps(
             f"ceiling {ceiling:.6g} needs at least {below} Hill bands, more than the "
             f"{trusted} that the Fourier window m_max = {hill.m_max} resolves"
         )
-    pencil = _hill_pencil(hill.coeffs, hill.m_max)
-    kept = hill.extended(pencil, max(free, below), 1e-8, minimize=golden_section_minimize)
+    kept = hill.with_grid_extrema(max(free, below))
     shifted = [(params.alpha + lo, params.alpha + hi) for lo, hi in kept.band_intervals]
     return gap_report(shifted, params.alpha, ceiling, gap_tolerance)

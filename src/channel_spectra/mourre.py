@@ -162,8 +162,9 @@ def evaluate_certificate(
     """Evaluate conditions (I) and (II); inadmissibility is a result, not an error."""
     if not all(math.isfinite(v) for v in (E, delta, eps)):
         raise ConfigError("E, delta and eps must be finite")
-    if delta <= 0.0 or eps <= 0.0:
-        raise ConfigError("need delta > 0 and eps > 0")
+    # condition (I) divides by 1 + E / eps; at E <= 0 nothing is certified
+    if E <= 0.0 or delta <= 0.0 or eps <= 0.0:
+        raise ConfigError("need E > 0, delta > 0 and eps > 0")
     if delta >= params.alpha:
         raise ConfigError("need delta < alpha")
     bounds = spec.norm_estimates()

@@ -1,14 +1,14 @@
 """Small numeric helpers shared across modules: interval arithmetic,
 Brent's one-dimensional minimisation, gap reports and BlochBands, the one
-Bloch band driver of both the channel fiber H(theta) (bands) and the Hill
+Bloch band record of both the channel fiber H(theta) (bands) and the Hill
 operator K_0(theta) behind the H_{0,0} reference (hill).
 
-Both families are quadratic pencils in theta (ThetaPencil), and the driver
-finds band edges the k.p way (Luttinger and Kohn, Phys. Rev. 97, 869,
-1955), in its reduced-basis form (Machiels, Maday, Oliveira, Patera and
-Rovas, C. R. Acad. Sci. Paris 331, 153, 2000): the eigenvectors at two
-neighbouring grid phases span the eigenvectors in between to high
-accuracy, so a small Rayleigh-Ritz pencil reproduces every band there.
+Both are quadratic pencils in theta (ThetaPencil).  The Hill edges are the
+grid extrema; the fiber's are searched the k.p way (Luttinger and Kohn,
+Phys. Rev. 97, 869, 1955), in its reduced-basis form (Machiels, Maday,
+Oliveira, Patera and Rovas, C. R. Acad. Sci. Paris 331, 153, 2000): the
+eigenvectors at two neighbouring grid phases span those in between to
+high accuracy, so a small Rayleigh-Ritz pencil reproduces every band there.
 """
 
 from __future__ import annotations
@@ -170,15 +170,15 @@ class BlochBands:
     ``table`` holds the ascending eigenvalues at each grid phase (``on_grid``)
     and ``vectors`` their eigenvectors at the solved phases: every phase, or
     only theta >= 0 when ``folded``, whose rows are mirrored to -theta.
-    ``band_intervals`` holds the [min, max] of the lowest bands, found by
-    ``extended``.  The arrays are read-only.
+    ``band_intervals`` holds the [min, max] of the lowest bands
+    (``with_grid_extrema`` or ``extended``).  The arrays are read-only.
     """
 
     theta_grid: np.ndarray
     table: np.ndarray  # (theta_count, eigenvalues kept per phase)
     band_intervals: np.ndarray  # (band_count, 2)
     # (dim, eigenvalues kept) per solved phase; a record built without them
-    # holds its intervals but cannot be extended
+    # cannot be extended
     vectors: tuple[np.ndarray, ...] = field(default=(), kw_only=True)
     folded: bool = field(default=False, kw_only=True)
 
@@ -221,9 +221,14 @@ class BlochBands:
         """Number of bands whose grid minimum lies at or below level."""
         return int(np.searchsorted(self.table.min(axis=0), level, side="right"))
 
+    def with_grid_extrema(self, count: int):
+        """This record with the [min, max] over the grid of its lowest count bands."""
+        curves = self.table[:, :count]
+        return replace(self, band_intervals=np.column_stack([curves.min(axis=0), curves.max(axis=0)]))
+
     def extended(self, pencil: ThetaPencil, count: int, xtol: float, *, minimize: Callable):
         """This record with the [min, max] of its lowest count bands (fewer
-        when the table holds fewer), keeping the intervals it already holds.
+        when the table holds fewer).
 
         Every grid interval gets one reduced pencil from the eigenvectors at
         its two ends, shared by all bands (``_ReducedPencil``).  Its Ritz
@@ -246,14 +251,10 @@ class BlochBands:
         per-module refine spans) sees which module refines and counts the
         certifying solves inside it.
         """
-        known = self.band_intervals[:count]
-        new = range(len(known), min(count, self.table.shape[1]))
-        if not len(new):
-            return replace(self, band_intervals=known)
         first = _first_solved(self.theta_grid, self.folded)
         # the bands searched and RITZ_PAD more are all that the slopes and
         # the reduced pencils need of the eigenpairs kept
-        width = min(new[-1] + 1 + RITZ_PAD, self.table.shape[1])
+        width = min(count + RITZ_PAD, self.table.shape[1])
         thetas, rows = self.theta_grid[first:], self.table[first:, :width]
         vectors = [vecs[:, :width] for vecs in self.vectors]
         right, left, curvature = np.stack(
@@ -326,8 +327,8 @@ class BlochBands:
             )
             return sign * min(found, grid_value)
 
-        intervals = [[edge(j, 1.0), edge(j, -1.0)] for j in new]
-        return replace(self, band_intervals=np.vstack([known, np.array(intervals, dtype=float).reshape(-1, 2)]))
+        intervals = [[edge(j, 1.0), edge(j, -1.0)] for j in range(min(count, self.table.shape[1]))]
+        return replace(self, band_intervals=np.array(intervals, dtype=float).reshape(-1, 2))
 
 
 def _first_solved(grid: np.ndarray, folded: bool) -> int:

@@ -614,6 +614,9 @@ _PROFILE_Y = '{"kind": "profile_y", "profile": {"shape": "constant"}, '
         ["gaps", "--set", "gap_tolerance=x"],
         ["hill", "--set", "ceiling=[1]"],
         ["bands", "--set", "cauchy_tol=-1", "--set", "n_hermite=8"],
+        # condition (I) divides by 1 + E / eps, zero at E = -eps
+        ["mourre", "--set", "E=-1"],
+        ["mourre", "--set", "E=0"],
         [
             "gaps",
             "--set",
@@ -632,6 +635,8 @@ _PROFILE_Y = '{"kind": "profile_y", "profile": {"shape": "constant"}, '
         "gap_tolerance-string",
         "hill-ceiling-list",
         "cauchy_tol-negative",
+        "mourre-E-negative",
+        "mourre-E-zero",
         "cosines-with-coeffs",
     ],
 )
@@ -683,6 +688,25 @@ def test_oversized_run_is_refused_promptly(tmp_path, argv):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_status"] == 1
     assert manifest["error"] == proc.stderr.strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    # the defaults put the spectrum bottom at 3.78 (gaps) and at alpha = 5 (bands)
+    [["gaps", "--set", "ceiling=3.5"], ["bands", "--set", "ceiling=-5"]],
+    ids=["gaps-ceiling-3.5", "bands-ceiling-minus-5"],
+)
+def test_ceiling_below_the_spectrum_writes_only_the_manifest(tmp_path, capsys, argv):
+    # no band reaches the ceiling: this used to exit 2 as a numerical failure
+    # in the spectrum bottom, after gaps had written three artifacts
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ceiling ") and "below the spectrum" in err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1 and manifest["artifacts"] == []
+    assert manifest["error"] == err.strip()
 
 
 def test_cross_key_error_leaves_a_manifest(tmp_path, capsys):

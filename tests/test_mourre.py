@@ -93,7 +93,7 @@ def test_energy_inside_window_is_flagged():
 
 
 def test_certificate_parameter_validation():
-    for bad in ({"delta": 0.0}, {"eps": -1.0}, {"delta": 5.0}):
+    for bad in ({"delta": 0.0}, {"eps": -1.0}, {"delta": 5.0}, {"E": 0.0}, {"E": -1.0}):
         kwargs = {"E": 8.0, "delta": 1.0, "eps": 1.0, **bad}
         with pytest.raises(ValueError):
             evaluate_certificate(_P34, ZeroPotential(), **kwargs)

@@ -144,9 +144,18 @@ def test_bloch_bands_solves_each_phase_once_and_refines_every_edge():
     assert record.table.shape == (9, 7) and record.count_below(1.0) == 2
     refined = record.extended(pencil, 2, 1e-9, minimize=golden_section_minimize)
     assert refined.bands.shape == (9, 2)
+    # the grid extrema lie within the refined edges, and off the symmetric
+    # phases they reach further than the rows at theta = 0 and +-1/2 alone
+    coarse = record.with_grid_extrema(2).band_intervals
+    ends = record.table[[0, 4, 8], :2]
+    assert np.all(refined.band_intervals[:, 0] <= coarse[:, 0])
+    assert np.all(coarse[:, 1] <= refined.band_intervals[:, 1])
+    assert np.any(coarse[:, 0] < ends.min(axis=0)) or np.any(coarse[:, 1] > ends.max(axis=0))
     # one full solve at most per edge, to certify it
     assert len(solves) - len(grid) <= 4
     _assert_matches_a_scan(refined.band_intervals, pencil)
+    arrays = (refined.theta_grid, refined.table, refined.band_intervals, *refined.vectors)
+    assert not any(a.flags.writeable for a in arrays)
     for count in (7, 8, 10):
         with pytest.raises(ValueError):
             theta_grid(count)
@@ -171,34 +180,6 @@ def test_a_folded_grid_solves_only_the_phases_from_zero():
     ends = record.table[[4, 8], :5]
     assert np.array_equal(refined.band_intervals, np.column_stack([ends.min(axis=0), ends.max(axis=0)]))
     _assert_matches_a_scan(refined.band_intervals, pencil)
-
-
-def test_extending_a_record_solves_only_the_edges_it_lacks():
-    solves, searched = [], []
-    pencil = _pencil(*_shifted_hill(0.1, coupling=0.2), solves=solves)
-
-    def search(f, a, b, xtol):
-        searched.append((a, b))
-        return golden_section_minimize(f, a, b, xtol)
-
-    record = BlochBands.on_grid(pencil, theta_grid(9))
-    assert (len(solves), searched) == (9, [])
-    one = record.extended(pencil, 1, 1e-9, minimize=search)
-    work = (len(solves), len(searched))
-    assert work[1] > 0
-    # the held band is kept as it is; only the two new bands are searched
-    three = one.extended(pencil, 5, 1e-9, minimize=search)
-    assert len(searched) > work[1]
-    assert three.band_count == 5 and np.array_equal(three.band_intervals[:1], one.band_intervals)
-    _assert_matches_a_scan(three.band_intervals, pencil)
-    # a count the record already holds solves and searches nothing
-    work = (len(solves), len(searched))
-    two = three.extended(pencil, 2, 1e-9, minimize=search)
-    assert (len(solves), len(searched)) == work
-    assert np.array_equal(two.band_intervals, three.band_intervals[:2])
-    assert two.table is record.table and two.theta_grid is record.theta_grid
-    arrays = (two.theta_grid, two.table, two.band_intervals, *two.vectors)
-    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_gap_report_measures_from_the_band_bottom():

@@ -58,6 +58,7 @@ _GAUSSIAN_COS = (
 )
 _TWO_COS = '{"kind": "fourier_x", "coeffs": {"1": [1.0, 0.0], "-1": [1.0, 0.0]}}'
 _COMPLEX_COS = '{"kind": "fourier_x", "coeffs": {"1": [0.3, 0.2], "-1": [0.3, -0.2]}}'
+_DEEP_WELL = '{"kind": "fourier_x", "coeffs": {"0": -30, "1": 0.5, "-1": 0.5}}'
 _CONSTANT_COS = (
     '{"kind": "fourier_x_profile", "coeffs": {"1": [0.3, 0.1], "-1": [0.3, -0.1]},'
     ' "profile": {"shape": "constant", "value": 2.0}}'
@@ -88,7 +89,7 @@ CHEAP = {
         "bands", "--set", f"potential={_TWO_COS}", "--set", "n_hermite=1",
         "--set", "theta_count=9", "--set", "ceiling=6.5",
     ],
-    # two tracked gaps, so the working ceiling reads a higher refined Hill band
+    # two tracked gaps, so the working ceiling reads a higher Hill band
     "sweep-two-gaps": [
         "sweep-omega", "--set", "omega_list=[4.0, 10.0]", "--set", "n_hermite=8",
         "--set", "theta_count=9", "--set", "hill_m_max=8", "--set", "target_gap_count=2",
@@ -104,8 +105,11 @@ CHEAP = {
     "hill": ["hill"],
     # complex Fourier coefficients: the complex Hill solve, which no workload runs
     "hill-complex": ["hill", "--set", f"potential={_COMPLEX_COS}"],
-    # fewer refined bands than hill_gaps.csv needs, so the gaps refine past them
+    # fewer bands than hill_gaps.csv needs, so the gaps read more of the table
     "hill-extend": ["hill", "--set", "band_count=2"],
+    # nearly flat Hill bands, whose grid extrema off theta = 0 and 1/2 could
+    # differ from the endpoint rows by rounding
+    "hill-deep-well": ["hill", "--set", f"potential={_DEEP_WELL}"],
     "classical": ["classical", "--set", f"potential={_GRID}", "--set", "t_end=0.5"],
     "classical-bumps": ["classical", "--set", f"potential={_TWO_BUMPS}", "--set", "t_end=0.5"],
     "mourre": ["mourre"],
