@@ -28,7 +28,6 @@ from .channel import (
 from .hermite import HermiteBasis, ProjectedPotential, project_potential
 from .fiber import (
     EigensolverError,
-    FiberMatrix,
     ResolventBoundCheck,
     assemble_fiber,
     complex_theta_resolvent_bound,

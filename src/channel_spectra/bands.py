@@ -3,11 +3,11 @@
 Bands are sorted-eigenvalue curves theta -> E_j(theta) of the fiber
 matrices on a uniform odd grid over [-1/2, 1/2] (both endpoints sampled;
 they are identified by 1-periodicity).  BandStructure is a
-numutil.BlochBands record, as the Hill bands of the H_{0,0} reference are,
-of the pencil that fiber.fiber_pencil makes of a FiberBlock,
-H(theta + h) = H(theta) + h H'(theta) + kinetic h^2 I.  One solve per grid
-phase keeps the eigenvectors of the bands below the ceiling and
-numutil.RITZ_PAD more (the eigenvalues alone without refinement, which
+numutil.BlochBands record, as the Hill bands of the H_{0,0} reference are;
+its edges are searched on the pencil that fiber.fiber_pencil makes of a
+FiberBlock, H(theta + h) = H(theta) + h H'(theta) + kinetic h^2 I.  One
+solve per grid phase keeps the eigenvectors of the bands below the ceiling
+and numutil.RITZ_PAD more (the eigenvalues alone without refinement, which
 reads none); only the phases theta >= 0 are solved when W is real and even
 in y, since E_j(-theta) = E_j(theta) then.  The eigenvectors at the two
 ends of each grid interval reduce the fiber to a small pencil there, which
@@ -189,7 +189,7 @@ def landau_error_estimates(
     same for every eigenvalue, and the eigensolver's rounding eps ||H||.
     The shares are infinite when c_Q does not clear the ceiling.
     """
-    h = fiber_at(block, theta).entries  # real whenever the coefficients are
+    h = fiber_at(block, theta)  # real whenever the coefficients are
     vals, vecs = scipy.linalg.eigh(h, subset_by_value=(-np.inf, ceiling))
     c_q = min(_floors(block, w0))
     gap = c_q - np.max(vals, initial=-np.inf)
@@ -316,7 +316,7 @@ def compute_bands(
             stacklevel=2,
         )
 
-    pencil = fiber_pencil(block, _t_symmetric(spec))
+    pencil = fiber_pencil(block)
     fields = dict(
         params=params,
         energy_ceiling=float(energy_ceiling),
@@ -333,7 +333,7 @@ def compute_bands(
     dim = block.base.shape[0]
     keep = min(below + RITZ_PAD, dim)
     while True:
-        bs = BandStructure.on_grid(pencil, grid, keep, eigenvectors=refine, **fields)
+        bs = BandStructure.on_grid(pencil.solve, grid, keep, folds=_t_symmetric(spec), eigenvectors=refine, **fields)
         count = bs.count_below(energy_ceiling)
         if count + RITZ_PAD <= keep or keep == dim:
             break
@@ -382,7 +382,7 @@ class GapPersistenceReport:
     @property
     def discrepancies_decreasing(self) -> bool:
         table = self.discrepancy_table()
-        if not table.size:
+        if len(table) < 2:  # one omega shows no trend
             return False
         ok = np.all(np.diff(table, axis=0) <= 1e-12 + 0.0 * table[1:], axis=0)
         return bool(np.all(ok) and np.all(np.isfinite(table)))

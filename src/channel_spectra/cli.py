@@ -323,6 +323,8 @@ def _cmd_sweep(cfg: dict, art: _Artifacts) -> int:
     art.write(write_csv, "full_gaps.csv", ["omega", *_GAP_HEADER], full_rows)
     art.write(write_json, "sweep_summary.json", report)
     trend = "decreasing" if report.discrepancies_decreasing else "not monotone"
+    if len(report.entries) < 2:
+        trend = "no trend from one omega"
     print(f"gap-edge discrepancy over omega list: {trend}")
     if not all(e.converged for e in report.entries):
         print("warning: truncation did not converge", file=sys.stderr)
@@ -341,7 +343,8 @@ def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
     params = derive_params(cfg["B"], cfg["omega"])
     spec = potential_from_dict(cfg["potential"])
     proj = project_potential(spec, params, nmax=0, mfourier=2 * m_max)
-    hb = hill_bands(proj.diag_coeffs(0), m_max, cfg["theta_count"], cfg["band_count"])
+    pairs = proj.diag_coeffs(0)
+    hb = hill_bands(pairs, m_max, cfg["theta_count"], cfg["band_count"])
     ceiling = 3.0 * params.alpha if cfg["ceiling"] is None else cfg["ceiling"]
     gaps = h00_gaps(params, hb, ceiling)
     names = ("hill_curves.csv", "hill_intervals.csv")
@@ -349,9 +352,7 @@ def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
     art.write(write_csv, "hill_gaps.csv", _GAP_HEADER, _gap_rows(gaps.gaps))
     print(f"{hb.band_count} band(s); {gaps.count} gap(s) below {ceiling:.6g}")
     if cfg["fd_check"]:
-        # V(x) from the projection's own nonzero pairs, conjugate-symmetric as W is real
-        pairs = [(k, c * proj.overlap[0, 0]) for k, c in proj.fourier]
-
+        # V(x) from the same pairs, conjugate-symmetric as W is real
         def v_of_x(x):
             return _fourier_eval(pairs, x, np.zeros_like(x))
 

@@ -32,7 +32,8 @@ coupling does not depend on theta, which enters through the diagonal only.
 The Hill operator K(theta) = -d^2 + V(x) is the same form with one level,
 no level energy and no ladder: <m| K(theta) |m'> = delta_{mm'} (m+theta)^2
 + c_{m-m'}.  One builder makes the FiberBlock of all three families, and
-``fiber_at``, ``eigenvalues_fiber`` and ``fiber_pencil`` serve all three.
+``fiber_at`` and ``eigenvalues_fiber`` serve all three; ``fiber_pencil``
+serves the two-dimensional fibers, whose band edges are searched.
 
 Storage is dense; the basis ordering is row = (m - off + M) * N + n so that
 each Fourier index m owns a contiguous block of levels.
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -54,7 +54,6 @@ from .hermite import _MAX_DEGREE, ProjectedPotential, _hermite_table
 from .numutil import ThetaPencil
 
 __all__ = [
-    "FiberMatrix",
     "FiberBlock",
     "fiber_block",
     "landau_block",
@@ -80,17 +79,6 @@ class EigensolverError(RuntimeError):
 
 
 @dataclass(eq=False)
-class FiberMatrix:
-    """Assembled fiber with its index bookkeeping."""
-
-    theta: float
-    n_hermite: int
-    m_max: int
-    m_offset: int
-    entries: np.ndarray
-
-
-@dataclass(eq=False)
 class FiberBlock:
     """The theta-independent part of the fiber at one truncation.
 
@@ -107,7 +95,6 @@ class FiberBlock:
     params: ChannelParams | None
     n_hermite: int
     m_max: int
-    m_offset: int
     base: np.ndarray
     row_m: np.ndarray
     ladder_rows: np.ndarray
@@ -156,7 +143,6 @@ def _build_block(params, terms, levels, m_max: int, kinetic: float, ladder=(), m
         params=params,
         n_hermite=n,
         m_max=m_max,
-        m_offset=m_offset,
         base=base,
         row_m=np.repeat(np.arange(-m_max, m_max + 1) + m_offset, n).astype(float),
         ladder_rows=np.concatenate([lower, lower + 1]),
@@ -287,8 +273,8 @@ def landau_residuals(block: FiberBlock, coeffs, vectors: np.ndarray) -> tuple[np
     return inside, r2.sum(axis=(0, 1)) - inside
 
 
-def fiber_at(block: FiberBlock, theta: float) -> FiberMatrix:
-    """The fiber matrix at Bloch phase theta from its theta-independent block.
+def fiber_at(block: FiberBlock, theta: float) -> np.ndarray:
+    """The dense fiber matrix at Bloch phase theta from its theta-independent block.
 
     theta is restricted to [-1/2, 1/2]; use the 1-periodicity of the
     spectrum for values outside.
@@ -299,13 +285,7 @@ def fiber_at(block: FiberBlock, theta: float) -> FiberMatrix:
     h.flat[:: h.shape[0] + 1] += block.kinetic * (block.row_m + theta) ** 2
     rows = block.ladder_rows
     h[rows, block.ladder_cols] += block.ladder_weight * (block.row_m[rows] + theta)
-    return FiberMatrix(
-        theta=float(theta),
-        n_hermite=block.n_hermite,
-        m_max=block.m_max,
-        m_offset=block.m_offset,
-        entries=h,
-    )
+    return h
 
 
 def assemble_fiber(
@@ -315,7 +295,7 @@ def assemble_fiber(
     n_hermite: int,
     m_max: int,
     m_offset: int = 0,
-) -> FiberMatrix:
+) -> np.ndarray:
     """Assemble the dense Hermitian fiber matrix at Bloch phase theta.
 
     One-off form of ``fiber_at(fiber_block(...), theta)``, with their
@@ -325,48 +305,38 @@ def assemble_fiber(
     return fiber_at(fiber_block(params, proj, n_hermite, m_max, m_offset), theta)
 
 
-def eigenvalues_fiber(mat: FiberMatrix, count: int | None = None, vectors: bool = False):
-    """Ascending eigenvalues of the fiber (the lowest ``count`` if given).
+def eigenvalues_fiber(mat: np.ndarray, count: int | None = None, vectors: bool = False):
+    """Ascending eigenvalues of the dense Hermitian fiber ``mat`` (the lowest ``count`` if given).
 
     With ``vectors``, the pair (eigenvalues, eigenvectors as columns); only
     the lowest ``count`` pairs are computed then.
     """
-    entries = mat.entries
-    if np.iscomplexobj(entries) and not entries.imag.any():
-        # real-coefficient potentials give exactly real symmetric fibers;
-        # the real solver is about four times faster than the Hermitian one
-        entries = np.ascontiguousarray(entries.real)
+    # real-coefficient potentials give exactly real symmetric fibers; the
+    # real solver is about four times faster than the Hermitian one
+    real = np.iscomplexobj(mat) and not mat.imag.any()
+    entries = np.ascontiguousarray(mat.real) if real else mat
     try:
         if vectors:
             subset = None if count is None else (0, min(count, entries.shape[0]) - 1)
             return scipy.linalg.eigh(entries, subset_by_index=subset)
         vals = scipy.linalg.eigh(entries, eigvals_only=True)
     except scipy.linalg.LinAlgError as exc:
-        path = _dump_matrix(mat.entries)
-        raise EigensolverError(f"fiber eigensolver failed at theta={mat.theta}", path) from exc
+        fd, path = tempfile.mkstemp(prefix="fiber_matrix_", suffix=".npy")
+        with open(fd, "wb") as fh:
+            np.save(fh, mat)
+        raise EigensolverError(f"fiber eigensolver failed at dimension {mat.shape[0]}", path) from exc
     return vals[:count] if count is not None else vals
 
 
-def fiber_pencil(block: FiberBlock, folds: bool, solve: Callable | None = None) -> ThetaPencil:
-    """``block`` as the ThetaPencil of numutil's Bloch band driver.
-
-    ``folds`` holds when E_j(-theta) = E_j(theta).  ``solve`` replaces the
-    pencil's eigensolver, eigenvalues_fiber of ``fiber_at``.
-    """
+def fiber_pencil(block: FiberBlock) -> ThetaPencil:
+    """``block`` as the ThetaPencil of numutil's Bloch band driver, solved by
+    eigenvalues_fiber of ``fiber_at``."""
     return ThetaPencil(
-        solve=solve or (lambda t, count=None, vectors=False: eigenvalues_fiber(fiber_at(block, t), count, vectors)),
-        matrix=lambda theta: fiber_at(block, theta).entries,
+        solve=lambda t, count=None, vectors=False: eigenvalues_fiber(fiber_at(block, t), count, vectors),
+        matrix=lambda theta: fiber_at(block, theta),
         slope=block.slope,
         kinetic=block.kinetic,
-        folds=folds,
     )
-
-
-def _dump_matrix(entries: np.ndarray) -> str:
-    fd, path = tempfile.mkstemp(prefix="fiber_matrix_", suffix=".npy")
-    with open(fd, "wb") as fh:
-        np.save(fh, entries)
-    return path
 
 
 @dataclass(frozen=True)

@@ -100,12 +100,9 @@ class ProjectedPotential:
     fourier: tuple[tuple[int, complex], ...]
     overlap: np.ndarray
 
-    def diag_coeffs(self, n: int) -> np.ndarray:
-        """c_k G_{nn} for k = -mfourier..mfourier."""
-        out = np.zeros(2 * self.mfourier + 1, dtype=complex)
-        for k, c in self.fourier:
-            out[k + self.mfourier] = c * self.overlap[n, n]
-        return out
+    def diag_coeffs(self, n: int) -> tuple[tuple[int, complex], ...]:
+        """The pairs (k, c_k G_nn) of W_n(x) = <phi_n| W |phi_n>, the potential of K_n."""
+        return tuple((k, c * self.overlap[n, n]) for k, c in self.fourier)
 
 
 _ALIASING_RTOL = 1e-8

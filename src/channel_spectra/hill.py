@@ -4,16 +4,19 @@ K(theta) = -d_x^2 + V(x) with the twisted boundary condition
 f(2 pi) = e^{2 pi i theta} f(0).  In the Fourier basis e^{i(m+theta)x} it
 is a fiber of one level (fiber.hill_block): diag (m+theta)^2 plus the
 Toeplitz matrix of the Fourier coefficients of V, assembled and solved as
-the channel fiber is.  The decoupled reference operator of the channel is
+the channel fiber is.  V is given by its pairs (k, c_k), or a mapping
+k -> c_k.  The decoupled reference operator of the channel is
 
     H_{n,n} = alpha (2n+1) + K_n(theta),   V_n = W_n(x) = <phi_n| W |phi_n>,
 
 whose n = 0 gaps the full band computation is compared against.
 hill_bands tabulates K_0 on a theta grid (numutil.BlochBands), one
-eigenvalues-only solve per phase theta >= 0, since V is real and
-E_j(-theta) = E_j(theta).  Each band is then monotone in |theta| on
+eigenvalues-only hill_spectrum solve per phase theta >= 0, since V is real
+and E_j(-theta) = E_j(theta).  Each band is then monotone in |theta| on
 [0, 1/2] (Reed-Simon IV, Thm XIII.89; Magnus-Winkler 1966), so its edges
 sit at the grid phases 0 and 1/2: the band intervals are grid extrema.
+h00_gaps refuses a Fourier window that does not resolve V below the
+ceiling.
 
 An independent oracle discretizes K(theta) by central finite differences on
 a uniform grid with the phase-wrapped corner entries and Richardson
@@ -25,16 +28,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .channel import ChannelParams
-from .fiber import FiberMatrix, eigenvalues_fiber, fiber_at, fiber_pencil, hill_block
+from .fiber import eigenvalues_fiber, fiber_at, hill_block
 # golden_section_minimize is unused here; perfbench's self-test still wraps this binding
-from .numutil import BlochBands, GapReport, ThetaPencil, gap_report, golden_section_minimize, theta_grid  # noqa: F401
+from .numutil import BlochBands, GapReport, gap_report, golden_section_minimize, theta_grid  # noqa: F401
 from .schema import ConfigError
 
 __all__ = [
@@ -48,24 +51,14 @@ __all__ = [
 ]
 
 
-def _coeff_pairs(coeffs):
-    """The (k, c_k) of a mapping k -> c_k or of an odd-length array centred at k = 0."""
-    if isinstance(coeffs, Mapping):
-        return coeffs.items()
-    arr = np.asarray(coeffs)
-    if arr.ndim != 1 or arr.size % 2 == 0:
-        raise ValueError("coefficient array must have odd length 2*K+1 for k in [-K, K]")
-    return zip(range(-(arr.size // 2), arr.size // 2 + 1), arr)
+def hill_matrix(coeffs, theta: float, m_max: int = 32) -> np.ndarray:
+    """The dense matrix of -d^2 + V at Bloch phase theta on the Fourier
+    window |m| <= m_max, ``fiber_at`` of its one-level ``hill_block``.
 
-
-def hill_matrix(coeffs, theta: float, m_max: int = 32) -> FiberMatrix:
-    """The fiber matrix of -d^2 + V at Bloch phase theta, ``fiber_at`` of its
-    one-level ``hill_block``.
-
-    coeffs: mapping k -> c_k or odd-length array centered at k = 0, with
+    coeffs: the pairs (k, c_k), or a mapping k -> c_k, with
     V(x) = sum_k c_k e^{ikx} and c_{-k} = conj(c_k).
     """
-    return fiber_at(hill_block(_coeff_pairs(coeffs), m_max), theta)
+    return fiber_at(hill_block(coeffs, m_max), theta)
 
 
 def hill_spectrum(coeffs, theta: float, m_max: int = 32, count: int | None = None, vectors: bool = False):
@@ -142,19 +135,8 @@ class HillBands(BlochBands):
     """The Hill operator -d^2 + V on a theta grid, solved once for the
     eigenvalues alone: all 2 m_max + 1 of them at each phase."""
 
-    coeffs: dict  # k -> c_k, as given
+    coeffs: dict  # k -> c_k
     m_max: int
-
-
-def _hill_pencil(coeffs, m_max: int) -> ThetaPencil:
-    """K(theta) as a theta-pencil.  V is real, so E_j(-theta) = E_j(theta)
-    and the grid folds.  hill_spectrum is read at call time, so a wrapper
-    installed on it sees every Hill solve."""
-    return fiber_pencil(
-        hill_block(coeffs.items(), m_max),
-        folds=True,
-        solve=lambda t, count=None, vectors=False: hill_spectrum(coeffs, t, m_max, count, vectors=vectors),
-    )
 
 
 def hill_bands(coeffs, m_max: int = 32, theta_count: int = 17, band_count: int = 8) -> HillBands:
@@ -168,8 +150,14 @@ def hill_bands(coeffs, m_max: int = 32, theta_count: int = 17, band_count: int =
     top of the Fourier window, where monotonicity is only approximate.
     """
     grid = theta_grid(theta_count)
-    c = dict(_coeff_pairs(coeffs))
-    hill = HillBands.on_grid(_hill_pencil(c, m_max), grid, eigenvectors=False, coeffs=c, m_max=m_max)
+    c = dict(coeffs)
+
+    def solve(t, count, vectors):
+        # read at call time, so that a wrapper installed on hill_spectrum sees every Hill solve
+        return hill_spectrum(c, t, m_max, count, vectors=vectors)
+
+    # V is real, so the grid folds
+    hill = HillBands.on_grid(solve, grid, folds=True, eigenvectors=False, coeffs=c, m_max=m_max)
     return hill.with_grid_extrema(band_count)
 
 
@@ -183,8 +171,11 @@ def h00_gaps(
     minimum lies at or below ceiling - alpha is kept, and at least the free
     count 2 sqrt(ceiling - alpha) + 4.  The top three eigenvalues of the
     Fourier window m_max are not trusted, so a ceiling that needs more than
-    2 m_max - 2 bands raises ConfigError.  The kept bands' intervals are
-    their grid extrema in hill's table.
+    2 m_max - 2 bands raises ConfigError.  So does a window too small for
+    V: one whose eigenvalues at or below ceiling - alpha move by more than
+    1e-6 alpha, the default gap tolerance, at theta = 0 or 1/2 when m_max
+    grows by 4.  The kept bands' intervals are their grid extrema in hill's
+    table.
     """
     trusted = 2 * hill.m_max - 2
     # free bands reach (k/2)^2, so the free count is a floor; W_0 shifts bands down
@@ -195,6 +186,16 @@ def h00_gaps(
             f"ceiling {ceiling:.6g} needs at least {below} Hill bands, more than the "
             f"{trusted} that the Fourier window m_max = {hill.m_max} resolves"
         )
+    tol = 1e-6 * params.alpha
+    for theta, row in ((0.0, hill.table[len(hill.table) // 2]), (0.5, hill.table[-1])):
+        low = row[row <= ceiling - params.alpha]
+        wider = hill_spectrum(hill.coeffs, theta, hill.m_max + 4, low.size)
+        shift = float(np.max(np.abs(low - wider), initial=0.0))
+        if shift > tol:
+            raise ConfigError(
+                f"Fourier window m_max = {hill.m_max} does not resolve V: widening it by 4 moves a Hill "
+                f"eigenvalue below the ceiling {ceiling:.6g} by {shift:.3g}, more than {tol:.3g}"
+            )
     kept = hill.with_grid_extrema(max(free, below))
     shifted = [(params.alpha + lo, params.alpha + hi) for lo, hi in kept.band_intervals]
     return gap_report(shifted, params.alpha, ceiling, gap_tolerance)

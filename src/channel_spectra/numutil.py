@@ -3,8 +3,9 @@ Brent's one-dimensional minimisation, gap reports and BlochBands, the one
 Bloch band record of both the channel fiber H(theta) (bands) and the Hill
 operator K_0(theta) behind the H_{0,0} reference (hill).
 
-Both are quadratic pencils in theta (ThetaPencil).  The Hill edges are the
-grid extrema; the fiber's are searched the k.p way (Luttinger and Kohn,
+The grid pass takes any eigensolver theta -> spectrum, and the Hill edges
+are the grid extrema.  The fiber is a quadratic pencil in theta
+(ThetaPencil), whose edges are searched the k.p way (Luttinger and Kohn,
 Phys. Rev. 97, 869, 1955), in its reduced-basis form (Machiels, Maday,
 Oliveira, Patera and Rovas, C. R. Acad. Sci. Paris 331, 153, 2000): the
 eigenvectors at two neighbouring grid phases span those in between to
@@ -151,21 +152,19 @@ class ThetaPencil:
     ``solve(theta, count=None, vectors=False)`` is the family's eigensolver:
     the ascending eigenvalues (the lowest ``count`` if given), and with
     ``vectors`` the pair (values, eigenvectors as columns).  ``matrix`` is
-    the dense H(theta) and ``slope`` the sparse H'(theta).  ``folds`` holds
-    when E_j(-theta) = E_j(theta), so that the phases theta >= 0 carry
-    every band.
+    the dense H(theta) and ``slope`` the sparse H'(theta), which the edge
+    search of ``BlochBands.extended`` reads.
     """
 
     solve: Callable
     matrix: Callable[[float], np.ndarray]
     slope: Callable[[float], object]
     kinetic: float
-    folds: bool
 
 
 @dataclass(frozen=True, eq=False)
 class BlochBands:
-    """Bands of a ThetaPencil read off a theta grid.
+    """Bands of a 1-periodic Hermitian family read off a theta grid.
 
     ``table`` holds the ascending eigenvalues at each grid phase (``on_grid``)
     and ``vectors`` their eigenvectors at the solved phases: every phase, or
@@ -188,24 +187,22 @@ class BlochBands:
 
     @classmethod
     def on_grid(
-        cls, pencil: ThetaPencil, grid: np.ndarray, keep: int | None = None, *, eigenvectors: bool = True, **fields
+        cls, solve: Callable, grid, keep: int | None = None, *, folds: bool, eigenvectors: bool = True, **fields
     ):
-        """The record of ``pencil`` over the grid, with no band intervals yet:
-        one solve of the lowest ``keep`` eigenpairs (all when None) per
-        solved phase, or of its eigenvalues alone without ``eigenvectors``;
-        such a record cannot be extended.  ``fields`` are those of a subclass."""
-        solves = [pencil.solve(float(t), keep, vectors=eigenvectors) for t in grid[_first_solved(grid, pencil.folds) :]]
-        pairs = solves if eigenvectors else [(vals, None) for vals in solves]
-        table = np.vstack([vals for vals, _ in pairs])
-        if pencil.folds:
+        """The record over the grid, with no band intervals yet: one call of
+        the eigensolver ``solve(theta, count, vectors=)`` (as in ThetaPencil)
+        per solved phase, for the lowest ``keep`` eigenpairs (all when None),
+        or for the eigenvalues alone without ``eigenvectors``; such a record
+        cannot be extended.  With ``folds``, which holds when E_j(-theta) =
+        E_j(theta), only the phases theta >= 0 are solved.  ``fields`` are
+        those of a subclass."""
+        solves = [solve(float(t), keep, vectors=eigenvectors) for t in grid[_first_solved(grid, folds) :]]
+        table = np.vstack([vals for vals, _ in solves] if eigenvectors else solves)
+        if folds:
             table = np.vstack([table[:0:-1], table])
+        vectors = tuple(vecs for _, vecs in solves) if eigenvectors else ()
         return cls(
-            theta_grid=grid,
-            table=table,
-            band_intervals=np.empty((0, 2)),
-            vectors=tuple(vecs for _, vecs in pairs) if eigenvectors else (),
-            folded=pencil.folds,
-            **fields,
+            theta_grid=grid, table=table, band_intervals=np.empty((0, 2)), vectors=vectors, folded=folds, **fields
         )
 
     @property

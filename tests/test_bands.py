@@ -115,17 +115,18 @@ def test_bounded_potential_moves_eigenvalues_by_at_most_its_sup():
     proj_0 = project_potential(ZeroPotential(), _P34, nmax=15, mfourier=16)
     for theta in (0.0, 0.3, -0.5):
         ev_w = scipy.linalg.eigvalsh(
-            assemble_fiber(_P34, proj_w, theta, n_hermite=16, m_max=4).entries
+            assemble_fiber(_P34, proj_w, theta, n_hermite=16, m_max=4)
         )
         ev_0 = scipy.linalg.eigvalsh(
-            assemble_fiber(_P34, proj_0, theta, n_hermite=16, m_max=4).entries
+            assemble_fiber(_P34, proj_0, theta, n_hermite=16, m_max=4)
         )
         assert np.max(np.abs(ev_w - ev_0)) <= w0 + 1e-9
 
 
-def dominant_hermite_index(mat, vector) -> int:
-    """Hermite level carrying the most weight in a fiber eigenvector."""
-    comps = np.asarray(vector).reshape(2 * mat.m_max + 1, mat.n_hermite)
+def dominant_hermite_index(vector, n_hermite, m_max) -> int:
+    """Hermite level carrying the most weight in an eigenvector of a fiber
+    truncated to n_hermite levels and |m| <= m_max."""
+    comps = np.asarray(vector).reshape(2 * m_max + 1, n_hermite)
     weights = np.sum(np.abs(comps) ** 2, axis=0)
     return int(np.argmax(weights))
 
@@ -134,12 +135,12 @@ def test_dominant_hermite_index_identifies_landau_stripe():
     p = derive_params(3.0, 10.0)
     proj = project_potential(_TWO_COS, p, nmax=19, mfourier=16)
     mat = assemble_fiber(p, proj, 0.2, n_hermite=20, m_max=4)
-    vals, vecs = scipy.linalg.eigh(mat.entries)
+    vals, vecs = scipy.linalg.eigh(mat)
     w0 = 2.0
     for j in np.nonzero(vals < 3.0 * p.alpha - w0)[0]:
-        assert dominant_hermite_index(mat, vecs[:, j]) == 0
+        assert dominant_hermite_index(vecs[:, j], 20, 4) == 0
     j1 = int(np.argmin(np.abs(vals - 3.0 * p.alpha)))
-    assert dominant_hermite_index(mat, vecs[:, j1]) == 1
+    assert dominant_hermite_index(vecs[:, j1], 20, 4) == 1
 
 
 def test_truncation_warning_when_cauchy_tolerance_unattainable():
@@ -179,6 +180,18 @@ def test_sweep_without_gaps_reports_unmatched():
     assert table.shape == (1, 1)
 
 
+def test_one_omega_shows_no_trend(tmp_path, capsys):
+    from channel_spectra.cli import main
+
+    report = gap_persistence_sweep(3.0, [4.0], _TWO_COS, theta_count=9, n_hermite=8, hill_m_max=8, refine=False)
+    # a finite discrepancy, but a trend needs a second omega
+    assert np.all(np.isfinite(report.discrepancy_table()))
+    assert not report.discrepancies_decreasing
+    argv = ["sweep-omega", "--set", "omega_list=[4.0]", "--set", "theta_count=9", "--set", "n_hermite=8"]
+    assert main(argv + ["--set", "hill_m_max=8", "--set", "refine=false", "--out", str(tmp_path)]) == 0
+    assert "over omega list: no trend from one omega" in capsys.readouterr().out
+
+
 def test_sweep_constant_potential_shifts_bottom():
     spec = SeparableFourierPotential({0: 1.0}, PolynomialProfile([1.0]))
     report = gap_persistence_sweep(
@@ -213,43 +226,6 @@ def test_sweep_estimates_the_potential_norms_once(monkeypatch):
     assert len(report.entries) == 3
     # once for the sweep, and once in each omega's compute_bands
     assert len(calls) == 4
-
-
-_WEAK_COS = SeparableFourierPotential.from_cosines({1: 0.3, 2: 0.1})
-_NON_EVEN = SeparableFourierPotential({1: 0.15, -1: 0.15, 2: -0.05j, -2: 0.05j})
-
-
-@pytest.mark.parametrize("spec", [_WEAK_COS, _NON_EVEN, ZeroPotential()], ids=["even", "complex", "zero"])
-def test_refinement_solves_per_extremum(monkeypatch, spec):
-    from channel_spectra import bands
-
-    counts = {"searches": 0, "solves": 0}
-    inside = []
-    solve, search = bands.eigenvalues_fiber, bands.golden_section_minimize
-
-    def counted_solve(*args, **kwargs):
-        counts["solves"] += bool(inside)
-        return solve(*args, **kwargs)
-
-    def counted_search(*args, **kwargs):
-        counts["searches"] += 1
-        inside.append(True)
-        try:
-            return search(*args, **kwargs)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(bands, "eigenvalues_fiber", counted_solve)
-    monkeypatch.setattr(bands, "golden_section_minimize", counted_search)
-    bs = compute_bands(
-        _P34, spec, theta_count=17, energy_ceiling=_P34.alpha + 1.6 * _P34.beta, n_hermite=8
-    )
-    assert bs.band_count == 3
-    # the searches run on reduced pencils; the one full solve of a searched
-    # edge certifies its best phase
-    assert counts["solves"] <= 2 * bs.band_count
-    assert counts["solves"] <= 16 * counts["searches"]
-    assert counts["solves"] <= counts["searches"]
 
 
 def test_free_band_edges_match_closed_form_at_coarse_xtol():
@@ -446,6 +422,7 @@ def test_a_narrow_peak_between_grid_phases_is_found():
     assert bs.band_intervals[40, 1] >= scan.max() - 1e-10
 
 
+_NON_EVEN = SeparableFourierPotential({1: 0.15, -1: 0.15, 2: -0.05j, -2: 0.05j})
 _SCANNED = {
     # Landau basis, folded
     "landau": (_P34, _TWO_COS, dict(energy_ceiling=17.0)),
@@ -472,6 +449,37 @@ def test_every_edge_reaches_a_dense_scan(case):
     lo, hi = bs.band_intervals.T
     assert np.all(lo <= scan.min(axis=0) + 1e-10)
     assert np.all(hi >= scan.max(axis=0) - 1e-10)
+
+
+@pytest.mark.parametrize("case", ["complex", "landau", "odd-profile"])
+def test_refinement_solves_per_extremum(monkeypatch, case):
+    from channel_spectra import bands, fiber
+
+    params, spec, settings = _SCANNED[case]
+    counts = {"searches": 0, "solves": 0}
+    inside = []
+    solve, search = fiber.eigenvalues_fiber, bands.golden_section_minimize
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += bool(inside)
+        return solve(*args, **kwargs)
+
+    def counted_search(*args, **kwargs):
+        counts["searches"] += 1
+        inside.append(True)
+        try:
+            return search(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    # the certifying solve goes through fiber_pencil to fiber.eigenvalues_fiber
+    monkeypatch.setattr(fiber, "eigenvalues_fiber", counted_solve)
+    monkeypatch.setattr(bands, "golden_section_minimize", counted_search)
+    bs = compute_bands(params, spec, theta_count=17, **settings)
+    # edges off the grid phases are searched on reduced pencils, and one full
+    # solve at most certifies each band edge
+    assert counts["searches"] >= 1
+    assert counts["solves"] <= 2 * bs.band_count
 
 
 def test_the_grid_folds_only_for_potentials_even_in_y():

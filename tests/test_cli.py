@@ -402,6 +402,11 @@ def test_hill_command_with_fd_check(tmp_path):
 
 
 _DEEP_WELL_CFG = {"kind": "fourier_x", "coeffs": {"0": -30, "1": 0.5, "-1": 0.5}}
+# c_1 = 2, c_2 = c_3 = i: too strong for the lowest bands of a window m_max = 6
+_STRONG_V_CFG = {
+    "kind": "fourier_x",
+    "coeffs": {"1": [2, 0], "-1": [2, 0], "2": [0, 1], "-2": [0, -1], "3": [0, 1], "-3": [0, -1]},
+}
 
 
 def test_hill_gaps_keep_every_band_a_deep_well_moves_below_the_ceiling(tmp_path):
@@ -431,8 +436,15 @@ def test_hill_gaps_keep_every_band_a_deep_well_moves_below_the_ceiling(tmp_path)
             "hill_m_max must be >= 2",
             False,
         ),
+        # a window that holds enough bands but is too small for V: band 6 is
+        # [12.4083, 14.1072] at m_max = 6 and [12.4061, 14.1050] at m_max = 40
+        (
+            ["hill", "--set", f"potential={json.dumps(_STRONG_V_CFG)}", "--set", "m_max=6"],
+            "Fourier window m_max = 6 does not resolve V",
+            True,
+        ),
     ],
-    ids=["hill-m-max-1", "hill-m-max-2", "sweep-hill-m-max-1"],
+    ids=["hill-m-max-1", "hill-m-max-2", "sweep-hill-m-max-1", "hill-window-too-small-for-v"],
 )
 def test_hill_window_below_the_ceiling_exits_one(tmp_path, capsys, argv, refused, manifest):
     # the window holds 2 m_max + 1 eigenvalues, of which 2 m_max - 2 are

@@ -24,13 +24,14 @@ from channel_spectra.fiber import fiber_at, fiber_block
 from projection_oracle import dense_coefficients
 
 
-def _entry(mat, n, m, n2, m2):
-    """Matrix element between the basis functions (Hermite n, Fourier m) and (n2, m2)."""
+def _entry(mat, n_hermite, m_max, n, m, n2, m2):
+    """Matrix element between the basis functions (Hermite n, Fourier m) and
+    (n2, m2) of a fiber truncated to n_hermite levels and |m| <= m_max."""
 
     def index(n, m):
-        return (m - mat.m_offset + mat.m_max) * mat.n_hermite + n
+        return (m + m_max) * n_hermite + n
 
-    return mat.entries[index(n, m), index(n2, m2)]
+    return mat[index(n, m), index(n2, m2)]
 
 
 def _free_proj(params, nmax=15, mfourier=16):
@@ -43,15 +44,15 @@ def test_entries_match_operator_blocks():
     proj = project_potential(spec, p, nmax=39, mfourier=16)
     mat = assemble_fiber(p, proj, 0.25, n_hermite=40, m_max=4)
     # diagonal: alpha (2n+1) + (m + theta)^2 plus the k=0 projection (zero here)
-    assert abs(_entry(mat, 0, 0, 0, 0) - (5.0 + 0.25**2)) < 1e-13
-    assert abs(_entry(mat, 2, -3, 2, -3) - (25.0 + 2.75**2)) < 1e-13
+    assert abs(_entry(mat, 40, 4, 0, 0, 0, 0) - (5.0 + 0.25**2)) < 1e-13
+    assert abs(_entry(mat, 40, 4, 2, -3, 2, -3) - (25.0 + 2.75**2)) < 1e-13
     # magnetic ladder: B sqrt(2 max(n, n') / alpha) (m + theta)
     expected = 3.0 * math.sqrt(2 * 5 / 5.0) * 0.25
-    assert abs(_entry(mat, 4, 0, 5, 0) - expected) < 1e-13
-    assert abs(_entry(mat, 5, 0, 4, 0) - expected) < 1e-13
+    assert abs(_entry(mat, 40, 4, 4, 0, 5, 0) - expected) < 1e-13
+    assert abs(_entry(mat, 40, 4, 5, 0, 4, 0) - expected) < 1e-13
     # potential couples m to m +- 1 diagonally in n
-    assert abs(_entry(mat, 1, 0, 1, 1) - 1.0) < 1e-13
-    assert abs(_entry(mat, 1, 0, 0, 1)) < 1e-13
+    assert abs(_entry(mat, 40, 4, 1, 0, 1, 1) - 1.0) < 1e-13
+    assert abs(_entry(mat, 40, 4, 1, 0, 0, 1)) < 1e-13
 
 
 def test_fiber_matrix_is_hermitian():
@@ -59,7 +60,7 @@ def test_fiber_matrix_is_hermitian():
     spec = SeparableFourierPotential({1: 0.3 + 0.2j, -1: 0.3 - 0.2j})
     proj = project_potential(spec, p, nmax=9, mfourier=8)
     mat = assemble_fiber(p, proj, 0.1, n_hermite=10, m_max=3)
-    assert np.max(np.abs(mat.entries - mat.entries.conj().T)) == 0.0
+    assert np.max(np.abs(mat - mat.conj().T)) == 0.0
 
 
 def test_free_spectrum_low_lying_levels():
@@ -148,7 +149,7 @@ def test_eigensolver_failure_dumps_matrix(monkeypatch, tmp_path):
         eigenvalues_fiber(mat)
     assert err.value.dump_path and os.path.exists(err.value.dump_path)
     assert err.value.dump_path.startswith(str(tmp_path))
-    assert np.array_equal(np.load(err.value.dump_path), mat.entries)
+    assert np.array_equal(np.load(err.value.dump_path), mat)
 
 
 @pytest.mark.parametrize(
@@ -165,7 +166,7 @@ def test_block_reused_across_phases_matches_fresh_assembly(spec, real):
     base = block.base.copy()
     for theta in (0.0, 0.1, -0.5, 0.5):
         fresh = assemble_fiber(p, proj, theta, n_hermite=10, m_max=3, m_offset=1)
-        assert np.array_equal(fiber_at(block, theta).entries, fresh.entries)
+        assert np.array_equal(fiber_at(block, theta), fresh)
     assert np.array_equal(block.base, base)  # each phase works on its own copy
     assert np.array_equal(block.base, block.base.conj().T)
     assert np.iscomplexobj(block.base) != real
@@ -252,7 +253,7 @@ def test_fiber_is_a_quadratic_pencil_in_theta(basis):
         block = landau_block(params, [(1, 0.3 + 0.1j), (-1, 0.3 - 0.1j)], 4, 3)
     theta, h = 0.13, 0.21
     slope = block.slope(theta).toarray()
-    step = fiber_at(block, theta + h).entries - fiber_at(block, theta).entries
+    step = fiber_at(block, theta + h) - fiber_at(block, theta)
     assert np.max(np.abs(step - h * slope - block.kinetic * h * h * np.eye(len(slope)))) < 1e-12
     assert np.array_equal(slope, slope.conj().T)
 
@@ -262,9 +263,9 @@ def test_vectors_mode_returns_the_lowest_eigenpairs():
     spec = SeparableFourierPotential({1: 0.2, -1: 0.2, 2: 0.1j, -2: -0.1j})
     mat = assemble_fiber(params, project_potential(spec, params, nmax=7, mfourier=16), 0.2, 6, 3)
     vals, vecs = eigenvalues_fiber(mat, 5, vectors=True)
-    assert vals.shape == (5,) and vecs.shape == (mat.entries.shape[0], 5)
+    assert vals.shape == (5,) and vecs.shape == (mat.shape[0], 5)
     assert np.max(np.abs(vals - eigenvalues_fiber(mat, 5))) < 1e-12
-    assert np.max(np.abs(mat.entries @ vecs - vecs * vals)) < 1e-12
+    assert np.max(np.abs(mat @ vecs - vecs * vals)) < 1e-12
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(5))) < 1e-12
     # without a count every pair is returned
-    assert eigenvalues_fiber(mat, vectors=True)[1].shape == mat.entries.shape
+    assert eigenvalues_fiber(mat, vectors=True)[1].shape == mat.shape

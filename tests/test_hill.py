@@ -96,7 +96,7 @@ def test_constant_shift():
 
 
 def test_hill_matrix_layout_and_theta_validation():
-    mat = hill_matrix({1: 0.5, -1: 0.5}, 0.1, m_max=2).entries
+    mat = hill_matrix({1: 0.5, -1: 0.5}, 0.1, m_max=2)
     assert mat.shape == (5, 5)
     assert abs(mat[0, 0] - (-2 + 0.1) ** 2) < 1e-14
     assert abs(mat[0, 1] - 0.5) < 1e-14
@@ -110,15 +110,6 @@ def test_hill_matrix_rejects_non_hermitian_coeffs():
         hill_matrix({1: 1.0}, 0.0)  # missing the conjugate partner at k = -1
     with pytest.raises(ValueError):
         hill_matrix({1: 1.0 + 0.5j, -1: 1.0 + 0.5j}, 0.0)
-
-
-def test_hill_matrix_accepts_array_coeffs():
-    arr = np.array([1.0, 0.0, 1.0])  # k in [-1, 1]
-    a = hill_matrix(arr, 0.2, m_max=4).entries
-    b = hill_matrix(_TWO_COS, 0.2, m_max=4).entries
-    assert np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        hill_matrix(np.array([1.0, 2.0]), 0.0)  # even length has no center
 
 
 def test_band_edges_sit_at_symmetric_phases():
@@ -180,9 +171,9 @@ def _loop_hill_matrix(coeffs, theta, m_max):
 )
 def test_hill_matrix_matches_entrywise_reference(coeffs):
     for theta in (0.0, 0.2, -0.5):
-        assert np.array_equal(hill_matrix(coeffs, theta, m_max=4).entries, _loop_hill_matrix(coeffs, theta, 4))
-    arr = np.array([coeffs.get(k, 0.0) for k in range(-12, 13)], dtype=complex)
-    assert np.array_equal(hill_matrix(arr, 0.2, m_max=4).entries, hill_matrix(coeffs, 0.2, m_max=4).entries)
+        assert np.array_equal(hill_matrix(coeffs, theta, m_max=4), _loop_hill_matrix(coeffs, theta, 4))
+    # the (k, c_k) pairs and the mapping k -> c_k are one potential
+    assert np.array_equal(hill_matrix(list(coeffs.items()), 0.2, m_max=4), hill_matrix(coeffs, 0.2, m_max=4))
 
 
 @pytest.mark.parametrize(
@@ -193,64 +184,30 @@ def test_hill_matrix_matches_entrywise_reference(coeffs):
 def test_refinement_solves_per_extremum(monkeypatch, coeffs):
     from channel_spectra import hill
 
-    counts = {"searches": 0, "solves": 0}
-    inside = []
-    solve, search = hill.hill_spectrum, hill.golden_section_minimize
-
-    def counted_solve(*args, **kwargs):
-        counts["solves"] += bool(inside)
-        return solve(*args, **kwargs)
-
-    def counted_search(*args, **kwargs):
-        counts["searches"] += 1
-        inside.append(True)
-        try:
-            return search(*args, **kwargs)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(hill, "hill_spectrum", counted_solve)
-    monkeypatch.setattr(hill, "golden_section_minimize", counted_search)
+    work = _count_hill_work(monkeypatch)
     hb = hill.hill_bands(coeffs, m_max=8, theta_count=17, band_count=5)
     assert hb.band_intervals.shape == (5, 2)
     # V is real, so each band is monotone in |theta| on [0, 1/2] (Reed-Simon
-    # IV, Thm XIII.89): its edges are the grid values at both ends, and
-    # nothing is searched
-    assert counts["searches"] == 0
-    assert counts["solves"] <= 16 * counts["searches"]
+    # IV, Thm XIII.89): its edges are the grid values at both ends, and the
+    # nine phases theta >= 0 of the folded grid are all that is solved
+    assert work["grid_solves"] == 9
     ends = hb.table[[8, 16], :5]
     assert np.array_equal(hb.band_intervals, np.column_stack([ends.min(axis=0), ends.max(axis=0)]))
 
 
 def _count_hill_work(monkeypatch):
-    """Counts Hill solves outside a search, and records each search by its
-    bracket and the first value it reads, which name one band extremum."""
+    """Counts Hill solves; no Hill path searches an edge, so every one of
+    them is a grid solve or a check of the Fourier window."""
     from channel_spectra import hill
 
-    work = {"grid_solves": 0, "searches": []}
-    inside = []
-    solve, search = hill.hill_spectrum, hill.golden_section_minimize
+    work = {"grid_solves": 0}
+    solve = hill.hill_spectrum
 
     def counted_solve(*args, **kwargs):
-        work["grid_solves"] += not inside
+        work["grid_solves"] += 1
         return solve(*args, **kwargs)
 
-    def counted_search(f, a, b, *args):
-        first = []
-
-        def recorded(t):
-            first.append(f(t))
-            return first[-1]
-
-        inside.append(True)
-        try:
-            return search(recorded, a, b, *args)
-        finally:
-            inside.pop()
-            work["searches"].append((a, b, first[0]))
-
     monkeypatch.setattr(hill, "hill_spectrum", counted_solve)
-    monkeypatch.setattr(hill, "golden_section_minimize", counted_search)
     return work
 
 
@@ -259,11 +216,11 @@ def test_hill_command_solves_each_phase_and_searches_each_extremum_once(monkeypa
 
     work = _count_hill_work(monkeypatch)
     assert main(["hill", "--set", "theta_count=9", "--out", str(tmp_path)]) == 0
-    # the grid folds: the five phases theta >= 0 are solved once each
-    assert work["grid_solves"] == 5
-    # band_count = 8 bands, and the bands below 3 alpha beyond them, all with
-    # their edges at theta = 0 and 1/2: nothing is searched
-    assert work["searches"] == []
+    # the grid folds: the five phases theta >= 0 are solved once each, and
+    # the window check solves theta = 0 and 1/2 once more in a wider window;
+    # band_count = 8 bands, and the bands below 3 alpha beyond them, all have
+    # their edges at theta = 0 and 1/2, so nothing is searched
+    assert work["grid_solves"] == 7
 
 
 def test_sweep_omega_solves_each_phase_and_searches_each_extremum_once(monkeypatch):
@@ -273,14 +230,13 @@ def test_sweep_omega_solves_each_phase_and_searches_each_extremum_once(monkeypat
     spec = SeparableFourierPotential.from_cosines({1: 1.0})
     report = gap_persistence_sweep(3.0, [4.0], spec, target_gap_count=2, theta_count=9, hill_m_max=8)
     assert report.entries[0].reference.count >= 2
-    assert work["grid_solves"] == 5
-    assert len(set(work["searches"])) == len(work["searches"])
+    assert work["grid_solves"] == 7
 
 
 def test_hill_matrix_is_a_quadratic_pencil_in_theta():
     coeffs = {1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: 0.1, -2: 0.1}
     theta, h = -0.31, 0.57
-    step = hill_matrix(coeffs, theta + h, 6).entries - hill_matrix(coeffs, theta, 6).entries
+    step = hill_matrix(coeffs, theta + h, 6) - hill_matrix(coeffs, theta, 6)
     slope = hill_block(coeffs, 6).slope(theta).toarray()
     assert np.max(np.abs(step - h * slope - h * h * np.eye(13))) < 1e-13
 
@@ -334,4 +290,5 @@ def test_no_hill_request_runs_a_reduced_pencil_or_an_eigenvector_solve(monkeypat
     # the unrefined 2-D bands search nothing either, so every pencil would be Hill's
     spec = SeparableFourierPotential.from_cosines({1: 1.0})
     gap_persistence_sweep(3.0, [4.0], spec, target_gap_count=2, theta_count=9, hill_m_max=8, refine=False)
-    assert len(vectors) == 10 and not any(vectors)
+    # five grid phases and two window checks per request
+    assert len(vectors) == 14 and not any(vectors)

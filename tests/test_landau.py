@@ -56,9 +56,9 @@ def test_landau_fiber_matches_hermite_fiber(spec, omega):
     block = landau_block(params, spec.coeffs, 20, m_max)
     for theta in (0.0, 0.27, 0.5):
         ref = scipy.linalg.eigvalsh(
-            assemble_fiber(params, proj, theta, 80, m_max).entries, subset_by_value=(-np.inf, ceiling)
+            assemble_fiber(params, proj, theta, 80, m_max), subset_by_value=(-np.inf, ceiling)
         )
-        got = scipy.linalg.eigvalsh(fiber_at(block, theta).entries)
+        got = scipy.linalg.eigvalsh(fiber_at(block, theta))
         assert ref.size >= 12
         assert np.max(np.abs(got[: ref.size] - ref)) < 1e-10
 
@@ -68,7 +68,7 @@ def test_free_landau_fiber_is_diagonal_and_exact(n_levels):
     params = derive_params(3.0, 4.0)
     block = landau_block(params, (), n_levels, 5)
     for theta in (0.0, 0.3, -0.5):
-        entries = fiber_at(block, theta).entries
+        entries = fiber_at(block, theta)
         assert not np.any(entries - np.diag(np.diag(entries)))
         exact = [
             params.alpha * (2 * n + 1) + params.beta * (m + theta) ** 2
@@ -92,7 +92,7 @@ def test_residual_vanishes_without_coupling_harmonics():
     params = derive_params(3.0, 4.0)
     for coeffs in ((), ((0, 1.5 + 0j),)):
         block = landau_block(params, coeffs, 4, 3)
-        _, vecs = scipy.linalg.eigh(fiber_at(block, 0.2).entries)
+        _, vecs = scipy.linalg.eigh(fiber_at(block, 0.2))
         levels, window = landau_residuals(block, coeffs, vecs)
         assert not levels.any() and not window.any()
 
@@ -129,7 +129,7 @@ def test_residual_estimate_bounds_the_truncation_error(spec, B, omega, n_levels,
     w0 = spec.norm_estimates().w0
     block = landau_block(params, spec.coeffs, n_levels, m_max)
     vals, levels, window, _ = landau_error_estimates(block, spec.coeffs, w0, ceiling, theta)
-    ref = scipy.linalg.eigvalsh(fiber_at(landau_block(params, spec.coeffs, 30, m_max + 8), theta).entries)
+    ref = scipy.linalg.eigvalsh(fiber_at(landau_block(params, spec.coeffs, 30, m_max + 8), theta))
     # min-max: a truncation only raises eigenvalues; the estimate bounds by
     # how much, up to the rounding of the reference solve (dim about 1000,
     # diagonal up to 60 alpha), which reaches 1e-12 relative to the ceiling

@@ -88,7 +88,7 @@ def _shifted_hill(delta, coupling=0.0, m_max=3):
     return a0, np.diag(2.0 * m)
 
 
-def _pencil(a0, a1, folds=False, solves=None):
+def _pencil(a0, a1, solves=None):
     """The ThetaPencil a0 + theta a1 + theta^2 I, which records the phase of
     every full solve in ``solves``."""
 
@@ -102,9 +102,7 @@ def _pencil(a0, a1, folds=False, solves=None):
         vals, vecs = np.linalg.eigh(matrix(t))
         return (vals[:count], vecs[:, :count]) if vectors else vals[:count]
 
-    return ThetaPencil(
-        solve=solve, matrix=matrix, slope=lambda t: a1 + 2.0 * t * np.eye(len(a0)), kinetic=1.0, folds=folds
-    )
+    return ThetaPencil(solve=solve, matrix=matrix, slope=lambda t: a1 + 2.0 * t * np.eye(len(a0)), kinetic=1.0)
 
 
 def _assert_matches_a_scan(intervals, pencil, points=20001):
@@ -122,7 +120,7 @@ def test_refine_band_edge_wraps_the_period_and_keeps_the_grid_value():
     # 0 sits just past the +1/2 endpoint (theta = -0.49), and its maximum 1/4
     # is the crossing at theta = 0.01, a kink between two grid phases
     pencil = _pencil(*_shifted_hill(0.51))
-    record = BlochBands.on_grid(pencil, theta_grid(17))
+    record = BlochBands.on_grid(pencil.solve, theta_grid(17), folds=False)
     lo, hi = record.extended(pencil, 1, 1e-9, minimize=golden_section_minimize).band_intervals[0]
     assert abs(lo) < 1e-14
     # a kink is located to within xtol, at slope 1
@@ -139,7 +137,7 @@ def test_bloch_bands_solves_each_phase_once_and_refines_every_edge():
     solves = []
     pencil = _pencil(*_shifted_hill(0.1, coupling=0.2), solves=solves)
     grid = theta_grid(9)
-    record = BlochBands.on_grid(pencil, grid)
+    record = BlochBands.on_grid(pencil.solve, grid, folds=False)
     assert solves == list(grid)
     assert record.table.shape == (9, 7) and record.count_below(1.0) == 2
     refined = record.extended(pencil, 2, 1e-9, minimize=golden_section_minimize)
@@ -164,9 +162,9 @@ def test_bloch_bands_solves_each_phase_once_and_refines_every_edge():
 def test_a_folded_grid_solves_only_the_phases_from_zero():
     # the unshifted pencil is even in theta: its bands' edges sit at 0 and 1/2
     solves, searched = [], []
-    pencil = _pencil(*_shifted_hill(0.0, coupling=0.2), folds=True, solves=solves)
+    pencil = _pencil(*_shifted_hill(0.0, coupling=0.2), solves=solves)
     grid = theta_grid(9)
-    record = BlochBands.on_grid(pencil, grid)
+    record = BlochBands.on_grid(pencil.solve, grid, folds=True)
     assert solves == list(grid[4:]) and len(record.vectors) == 5
     assert np.array_equal(record.table, record.table[::-1])
 

@@ -10,8 +10,9 @@ Both run the same requests:
   is imported, never changed);
 - each command once at cheap settings, with the options the workloads do
   not set (a grid potential, a constant profile, a commutator without
-  ``--gen-nogo``, ...), and a ``gaps`` and a ``bands`` run whose truncation
-  search grows the starting size.
+  ``--gen-nogo``, ...), a ``gaps`` and a ``bands`` run whose truncation
+  search grows the starting size, and two ``gaps`` runs that search band
+  edges off the grid phases, which no workload does.
 
 Each checkout runs all of them back to back in one child process, with
 OPENBLAS_NUM_THREADS=1 so that BLAS reduces in the same order in both.
@@ -56,6 +57,10 @@ _GAUSSIAN_COS = (
     '{"kind": "fourier_x_profile", "coeffs": {"1": [0.3, 0.0], "-1": [0.3, 0.0]},'
     ' "profile": {"shape": "gaussian", "sigma": 1.5}}'
 )
+_ODD_PROFILE = (
+    '{"kind": "fourier_x_profile", "coeffs": {"1": [0.3, 0.0], "-1": [0.3, 0.0]},'
+    ' "profile": {"shape": "polynomial", "coeffs": [1.0, 0.5]}}'
+)
 _TWO_COS = '{"kind": "fourier_x", "coeffs": {"1": [1.0, 0.0], "-1": [1.0, 0.0]}}'
 _COMPLEX_COS = '{"kind": "fourier_x", "coeffs": {"1": [0.3, 0.2], "-1": [0.3, -0.2]}}'
 _DEEP_WELL = '{"kind": "fourier_x", "coeffs": {"0": -30, "1": 0.5, "-1": 0.5}}'
@@ -93,6 +98,13 @@ CHEAP = {
     "sweep-two-gaps": [
         "sweep-omega", "--set", "omega_list=[4.0, 10.0]", "--set", "n_hermite=8",
         "--set", "theta_count=9", "--set", "hill_m_max=8", "--set", "target_gap_count=2",
+    ],
+    # band edges searched on reduced pencils: 72 searches on a folded Landau
+    # grid, and 20 on an unfolded Hermite grid (a profile odd in y)
+    "gaps-ceiling-40": ["gaps", "--set", "ceiling=40"],
+    "gaps-odd-profile": [
+        "gaps", "--set", f"potential={_ODD_PROFILE}", "--set", "n_hermite=8",
+        "--set", "theta_count=17", "--set", "ceiling=8",
     ],
     # the grid extrema instead of refined edges, a path no workload takes
     "bands-unrefined": [
