@@ -19,10 +19,12 @@ those gaps against the decoupled reference H_{0,0} = alpha + spec(K_0) as
 the confinement omega grows at fixed field B.
 
 Truncation policy.  The Fourier window must cover the ceiling
-kinematically, beta (M - 1/2)^2 + alpha > ceiling with margin.  One growth
-loop serves both bases: each hands it how to build and judge the block of
-a truncation (N, M), and a failed judgement doubles N, widens M by 4, or
-both.  At most four truncations are checked, and a step that would take N
+kinematically, beta (M - 1/2)^2 + alpha > ceiling with margin, and it
+starts at that cover (_kinematic_m_cover), the smallest such M plus 3.
+One growth loop serves both bases: each hands it how to build and judge
+the block of a truncation (N, M), and a failed judgement doubles N, widens
+M by 4, or both, so M grows past the cover only on the evidence of a
+check.  At most four truncations are checked, and a step that would take N
 past 500 (the Hermite degree cap), or need a dense fiber of dimension above
 MAX_FIBER_DIM = 4096, stops the growth; a truncation that never passes is
 reported with converged = False and a warning, and the last truncation
@@ -38,13 +40,14 @@ checked is the one used.
   over all pairs below the ceiling, bounds the truncation error of each
   of them (Parlett, The Symmetric Eigenvalue Problem, ch. 10-11); a
   per-pair r^2 / (c_Q - lambda) undershoots when two Ritz values nearly
-  coincide.  The truncation passes when twice the block estimate plus the
-  eigensolver's rounding eps ||H|| is at most cauchy_tol, and c_Q clears
-  the ceiling (no discarded state can then sit below it).  Otherwise N
-  doubles when the levels' share of the estimate exceeds half of what the
-  rounding leaves of cauchy_tol, or their floor alpha (2N+1) - sup |W| is
-  below the ceiling, and M grows by 4 on the same test for the window's
-  share and floor.  N starts at 4, or at n_hermite.
+  coincide.  The residuals of the three phases are formed together, once
+  per truncation.  The truncation passes when twice the block estimate
+  plus the eigensolver's rounding eps ||H|| is at most cauchy_tol, and c_Q
+  clears the ceiling (no discarded state can then sit below it).
+  Otherwise N doubles when the levels' share of the estimate exceeds half
+  of what the rounding leaves of cauchy_tol, or their floor alpha (2N+1) -
+  sup |W| is below the ceiling, and M grows by 4 on the same test for the
+  window's share and floor.  N starts at 4, or at n_hermite.
 - any other potential: the Hermite basis, validated by a Cauchy criterion
   (eigenvalues below the ceiling move by < cauchy_tol when the Hermite
   cutoff doubles and the Fourier window widens by 4), and raised to that
@@ -53,10 +56,11 @@ checked is the one used.
   phases as one-off fibers.  N starts at 40, or at n_hermite.
 
 An explicit n_hermite or m_max is a starting size that is only ever
-raised.  An n_hermite above 500, or a starting truncation whose check
-needs a dense fiber above MAX_FIBER_DIM (N (2M + 1) for the Landau block,
-2N (2M + 9) for the Hermite probe; a large ceiling widens M), is a
-configuration error.
+raised; an m_max below the cover is raised to it, with a note.  An
+n_hermite above 500, or a starting truncation whose check needs a dense
+fiber above MAX_FIBER_DIM (N (2M + 1) for the Landau block, 2N (2M + 9)
+for the Hermite probe; a large ceiling widens M), is a configuration
+error.
 """
 
 from __future__ import annotations
@@ -97,7 +101,6 @@ __all__ = [
 
 DEFAULT_N_HERMITE = 40
 DEFAULT_N_LANDAU = 4
-DEFAULT_M_MAX = 8
 # the Cauchy probe projects W up to Hermite degree 2N - 1 <= 999
 MAX_N_HERMITE = 500
 # the largest dense fiber a truncation search assembles: a complex fiber of
@@ -178,27 +181,38 @@ def _x_only_coeffs(spec: Potential):
 
 
 def landau_error_estimates(
-    block: FiberBlock, coeffs, w0: float, ceiling: float, theta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Eigenvalues below the ceiling at theta and their truncation error estimates.
+    block: FiberBlock, coeffs, w0: float, ceiling: float, thetas
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
+    """Eigenvalues below the ceiling at each of ``thetas`` and their truncation error estimates.
 
     ``block`` is a ``landau_block`` for the Fourier pairs ``coeffs`` of W,
-    and w0 bounds sup |W|.  Returns the eigenvalues, the shares of the block
-    estimate 2 sum r^2 / min (c_Q - lambda) from the discarded levels and
-    from the discarded Fourier indices (see the module docstring), each the
-    same for every eigenvalue, and the eigensolver's rounding eps ||H||.
-    The shares are infinite when c_Q does not clear the ceiling.
+    and w0 bounds sup |W|.  For each phase: the eigenvalues, the shares of
+    the block estimate 2 sum r^2 / min (c_Q - lambda) from the discarded
+    levels and from the discarded Fourier indices (see the module
+    docstring), each the same for every eigenvalue, and the eigensolver's
+    rounding eps ||H||.  The shares are infinite when c_Q does not clear the
+    ceiling.  The residuals of all phases come from one ``landau_residuals``
+    call on their eigenvectors side by side, so its overlaps are formed once
+    per truncation.
     """
-    h = fiber_at(block, theta)  # real whenever the coefficients are
-    vals, vecs = scipy.linalg.eigh(h, subset_by_value=(-np.inf, ceiling))
+    solved = []
+    for theta in thetas:
+        h = fiber_at(block, theta)  # real whenever the coefficients are
+        vals, vecs = scipy.linalg.eigh(h, subset_by_value=(-np.inf, ceiling))
+        rounding = np.finfo(float).eps * float(np.max(np.sum(np.abs(h), axis=1)))
+        solved.append((vals, vecs, rounding))
     c_q = min(_floors(block, w0))
-    gap = c_q - np.max(vals, initial=-np.inf)
-    levels, window = (
-        np.full_like(vals, 2.0 * np.sum(r2) / gap if c_q > ceiling else np.inf)
-        for r2 in landau_residuals(block, coeffs, vecs)
-    )
-    rounding = np.finfo(float).eps * float(np.max(np.sum(np.abs(h), axis=1)))
-    return vals, levels, window, rounding
+    stacked = landau_residuals(block, coeffs, np.hstack([vecs for _, vecs, _ in solved]))
+    cuts = np.cumsum([vals.size for vals, _, _ in solved])[:-1]
+    residuals = zip(*(np.split(r2, cuts) for r2 in stacked))
+    out = []
+    for (vals, _, rounding), shares in zip(solved, residuals):
+        gap = c_q - np.max(vals, initial=-np.inf)
+        levels, window = (
+            np.full_like(vals, 2.0 * np.sum(r2) / gap if c_q > ceiling else np.inf) for r2 in shares
+        )
+        out.append((vals, levels, window, rounding))
+    return out
 
 
 def _floors(block: FiberBlock, w0: float) -> tuple[float, float]:
@@ -214,7 +228,7 @@ def _landau_basis(params, coeffs, w0, ceiling, tol):
 
     def check(n, m):
         block = landau_block(params, coeffs, n, m)
-        estimates = [landau_error_estimates(block, coeffs, w0, ceiling, t) for t in _PROBES]
+        estimates = landau_error_estimates(block, coeffs, w0, ceiling, _PROBES)
         below = max(vals.size for vals, *_ in estimates)
         worst = max(float(np.max(lv + wn, initial=0.0)) + r for _, lv, wn, r in estimates)
         low_levels, low_window = (floor <= ceiling for floor in _floors(block, w0))
@@ -291,11 +305,13 @@ def compute_bands(
     notes: list[str] = []
     coeffs = _x_only_coeffs(spec)
 
-    m_m = DEFAULT_M_MAX if m_max is None else int(m_max)
-    cover = _kinematic_m_cover(params, energy_ceiling)
-    if m_m < cover:
-        m_m = cover
-        notes.append(f"m_max raised to {m_m} to cover the energy ceiling")
+    # the window starts at the ceiling's kinematic cover; a given m_max is
+    # a starting size that is only ever raised
+    m_m = _kinematic_m_cover(params, energy_ceiling)
+    if m_max is not None:
+        if m_max < m_m:
+            notes.append(f"m_max raised to {m_m} to cover the energy ceiling")
+        m_m = max(m_m, int(m_max))
 
     if coeffs is None:
         n_h = DEFAULT_N_HERMITE if n_hermite is None else int(n_hermite)
@@ -382,10 +398,10 @@ class GapPersistenceReport:
     @property
     def discrepancies_decreasing(self) -> bool:
         table = self.discrepancy_table()
-        if len(table) < 2:  # one omega shows no trend
+        # one omega shows no trend, and an unmatched gap (inf) none either
+        if len(table) < 2 or not np.all(np.isfinite(table)):
             return False
-        ok = np.all(np.diff(table, axis=0) <= 1e-12 + 0.0 * table[1:], axis=0)
-        return bool(np.all(ok) and np.all(np.isfinite(table)))
+        return bool(np.all(np.diff(table, axis=0) <= 1e-12))
 
 
 def _match_gap(reference: tuple[float, float], gaps) -> tuple[float, float] | None:

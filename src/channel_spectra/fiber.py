@@ -367,21 +367,17 @@ def complex_theta_resolvent_bound(
     if theta2 <= 0.0:
         raise ValueError("theta2 must be > 0")
     alpha, beta = params.alpha, params.beta
-    best = 0.0
-    arg = (0, 0)
-    for n in range(n_range + 1):
-        for m in range(-m_range, m_range + 1):
-            z = complex(m + 0.5, theta2)
-            denom = abs(alpha * (2 * n + 1) + beta * z * z + 1.0) ** 2
-            val = 1.0 / denom
-            if val > best:
-                best = val
-                arg = (n, m)
+    n = np.arange(n_range + 1)[:, None]
+    z = np.arange(-m_range, m_range + 1) + complex(0.5, theta2)
+    values = 1.0 / np.abs(alpha * (2 * n + 1) + beta * z * z + 1.0) ** 2
+    # the first maximum in n-major order
+    i, j = np.unravel_index(np.argmax(values), values.shape)
+    best = float(values[i, j])
     bound = 1.0 / (beta * theta2) ** 2
     return ResolventBoundCheck(
         theta2=float(theta2),
         sup_value=best,
         bound=bound,
         passed=bool(best <= bound * (1.0 + 1e-12)),
-        argmax=arg,
+        argmax=(int(i), int(j) - m_range),
     )

@@ -229,11 +229,11 @@ class BlochBands:
 
         Every grid interval gets one reduced pencil from the eigenvectors at
         its two ends, shared by all bands (``_ReducedPencil``).  Its Ritz
-        values at _SUBSTEPS - 1 phases inside the interval refine the grid
-        table.  An edge is searched from each local minimum of that finer
-        table (of the band, or of its negative for a maximum) that the band
-        could take below the best value within one substep, at the largest
-        slope it shows on the grid.  From a phase inside an interval,
+        values at _SUBSTEPS - 1 phases inside the interval, from one stacked
+        solve, refine the grid table.  An edge is searched from each local
+        minimum of that finer table (of the band, or of its negative for a
+        maximum) that the band could take below the best value within one
+        substep, at the largest slope it shows on the grid.  From a phase inside an interval,
         ``minimize`` searches the band's Ritz value between the neighbouring
         phases to within xtol in theta.  From a grid phase, the one-sided
         slopes and the curvature there (``_derivatives``) say on which sides
@@ -267,12 +267,11 @@ class BlochBands:
         fine_thetas = np.append(
             [a + (b - a) * k / _SUBSTEPS for a, b in zip(thetas, thetas[1:]) for k in range(_SUBSTEPS)], thetas[-1]
         )
-        fine = np.array(
-            [
-                rows[i // _SUBSTEPS] if i % _SUBSTEPS == 0 else reduced[i // _SUBSTEPS].values(t)[:width]
-                for i, t in enumerate(fine_thetas)
-            ]
-        )
+        fine = np.empty((fine_thetas.size, width))
+        fine[::_SUBSTEPS] = rows
+        for p, r in enumerate(reduced):
+            inner = slice(p * _SUBSTEPS + 1, (p + 1) * _SUBSTEPS)
+            fine[inner] = r.values(fine_thetas[inner])[:, :width]
         step = (thetas[1] - thetas[0]) / _SUBSTEPS
         period = not self.folded
 
@@ -379,7 +378,8 @@ class _ReducedPencil:
 
     Q, an orthonormal basis of that span, reduces H(start + h) to the pencil
     R0 + h R1 + kinetic h^2 I, with R0 = Q* H(start) Q and R1 = Q* H'(start) Q,
-    built once for all bands.  ``values`` gives all its Ritz values.  A
+    built once for all bands.  ``values`` gives all its Ritz values at
+    several phases, from one eigensolve of the stacked pencils.  A
     search of band j runs on the span of the Ritz vectors of the lowest
     j + 1 + RITZ_PAD bands at both ends (``ritz``): it holds every band up to
     j with RITZ_PAD to spare, which keeps the Ritz value accurate, and it is
@@ -394,9 +394,11 @@ class _ReducedPencil:
         self.r1 = qh @ (pencil.slope(start) @ q)
         self._bands: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # j -> its pencil
 
-    def values(self, theta: float) -> np.ndarray:
-        h = theta - self.start
-        return scipy.linalg.eigvalsh(self.r0 + h * self.r1, check_finite=False) + self.kinetic * h * h
+    def values(self, thetas: np.ndarray) -> np.ndarray:
+        """The ascending Ritz values at each of ``thetas``, one row per phase."""
+        h = thetas - self.start
+        pencils = self.r0 + h[:, None, None] * self.r1
+        return np.linalg.eigvalsh(pencils) + (self.kinetic * h * h)[:, None]
 
     @functools.cached_property
     def _ends(self) -> list[np.ndarray]:

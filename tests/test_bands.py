@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ import scipy.linalg
 import channel_spectra
 from channel_spectra import (
     BandStructure,
+    GapPersistenceReport,
+    GapReport,
     GaussianProfile,
     PolynomialProfile,
     SeparableFourierPotential,
@@ -25,6 +28,7 @@ from channel_spectra import (
     gap_persistence_sweep,
     project_potential,
 )
+from channel_spectra.bands import SweepEntry, _kinematic_m_cover
 from channel_spectra.schema import ConfigError
 
 _P34 = derive_params(3.0, 4.0)
@@ -192,6 +196,25 @@ def test_one_omega_shows_no_trend(tmp_path, capsys):
     assert "over omega list: no trend from one omega" in capsys.readouterr().out
 
 
+def _sweep_report(rows):
+    empty = GapReport(gaps=(), lower=0.0, ceiling=1.0, tolerance=0.0)
+    entries = tuple(
+        SweepEntry(omega=float(i + 1), alpha=1.0, full=empty, reference=empty, discrepancies=row, converged=True)
+        for i, row in enumerate(rows)
+    )
+    return GapPersistenceReport(B=1.0, entries=entries, target_gap_count=1)
+
+
+@pytest.mark.parametrize(
+    "rows", [[(0.1,), (math.inf,)], [(math.inf,), (math.inf,)]], ids=["matched-then-unmatched", "never-matched"]
+)
+def test_an_unmatched_gap_shows_no_trend_and_no_warning(rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not _sweep_report(rows).discrepancies_decreasing
+        assert _sweep_report([(0.2,), (0.1,)]).discrepancies_decreasing
+
+
 def test_sweep_constant_potential_shifts_bottom():
     spec = SeparableFourierPotential({0: 1.0}, PolynomialProfile([1.0]))
     report = gap_persistence_sweep(
@@ -320,7 +343,7 @@ def test_landau_bands_match_the_hermite_basis_to_the_tolerance(tol):
     )
     assert landau.basis == "landau" and landau.converged
     # Hermite fibers on the same Fourier window, converged to about 1e-12 at N = 60
-    proj = project_potential(spec, _P34, nmax=59, mfourier=16)
+    proj = project_potential(spec, _P34, nmax=59, mfourier=2 * landau.m_max)
     for theta, row in zip(landau.theta_grid, landau.bands):
         ref = eigenvalues_fiber(assemble_fiber(_P34, proj, theta, 60, landau.m_max))
         assert np.max(np.abs(row - ref[: row.size])) < tol
@@ -359,16 +382,17 @@ def test_growth_stops_at_the_hermite_degree_cap(monkeypatch, spec):
 def test_growth_stops_at_the_fiber_dimension_cap(monkeypatch, spec):
     from channel_spectra import bands
 
-    # the cap is the size of the start (N=4, M=8), so the first raise stops
-    size = 4 * 17 if spec is _TWO_COS else 8 * 25
+    # the cap is the size of the start (N=4, M at the ceiling's cover), so the first raise stops
+    m = _kinematic_m_cover(_P34, 6.0)
+    size = 4 * (2 * m + 1) if spec is _TWO_COS else 8 * (2 * (m + 4) + 1)
     monkeypatch.setattr(bands, "MAX_FIBER_DIM", size)
     with pytest.warns(UserWarning, match="did not meet"):
         bs = compute_bands(
             _P34, spec, theta_count=9, energy_ceiling=6.0, n_hermite=4, cauchy_tol=1e-18, refine=False
         )
     assert not bs.converged
-    assert (bs.n_hermite, bs.m_max) == (4, 8)
-    assert bs.notes[-1] == "truncation growth stopped at (N=4, M=8) by the fiber dimension cap"
+    assert (bs.n_hermite, bs.m_max) == (4, m)
+    assert bs.notes[-1] == f"truncation growth stopped at (N=4, M={m}) by the fiber dimension cap"
 
 
 @pytest.mark.parametrize("B,omega,m_max", [(3.0, 0.1, 78), (40.0, 4.0, 94)])
@@ -500,3 +524,52 @@ def test_the_grid_folds_only_for_potentials_even_in_y():
     block = _fiber_block_of(odd, odd_spec)
     plus, minus = (eigenvalues_fiber(fiber_at(block, t))[:4] for t in (0.27, -0.27))
     assert np.min(np.abs(plus - minus)) > 0.02
+
+
+def test_the_window_starts_at_the_kinematic_cover_of_the_ceiling():
+    # W = 0 (Landau basis) and a Gaussian profile (Hermite basis), both
+    # converged at the first truncation checked
+    free = compute_bands(_P34, ZeroPotential(), theta_count=9, energy_ceiling=2.0 * _P34.alpha, refine=False)
+    profiled = compute_bands(_P34, _GAUSSIAN_COS, theta_count=9, energy_ceiling=6.0, n_hermite=8, refine=False)
+    for bs in (free, profiled):
+        assert bs.converged and bs.notes == ()
+        assert bs.m_max == _kinematic_m_cover(_P34, bs.energy_ceiling)
+    # a given m_max below the cover is raised to it, with a note
+    raised = compute_bands(_P34, ZeroPotential(), theta_count=9, energy_ceiling=6.0, m_max=2, refine=False)
+    assert raised.m_max == _kinematic_m_cover(_P34, 6.0) > 2
+    assert raised.notes == (f"m_max raised to {raised.m_max} to cover the energy ceiling",)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(energy_ceiling=12.0), dict(energy_ceiling=6.5, n_hermite=1)],
+    ids=["first-size", "grown"],
+)
+def test_the_landau_check_forms_each_overlap_once(monkeypatch, kwargs):
+    from channel_spectra import fiber
+
+    calls = []
+    overlaps = fiber.displacement_overlaps
+
+    def counted(n_rows, n_cols, d):
+        calls.append((n_rows, n_cols, d))
+        return overlaps(n_rows, n_cols, d)
+
+    monkeypatch.setattr(fiber, "displacement_overlaps", counted)
+    bs = compute_bands(_P34, _TWO_COS, theta_count=9, refine=False, **kwargs)
+    assert bs.basis == "landau" and bs.converged
+    assert calls and len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize(
+    "B,omega,amplitude,sigma",
+    [(1.0, 3.0, 0.5, 1.0), (3.0, 4.0, 2.0, 1.5), (4.0, 3.0, -1.0, 0.7), (0.5, 8.0, 3.0, 2.0), (2.0, 2.0, 1.0, 1.0)],
+)
+def test_a_potential_of_y_alone_opens_no_gap(B, omega, amplitude, sigma):
+    # W = a g(y) makes H a direct integral over k = m + theta of 1-D
+    # operators (Reed-Simon IV, section XIII.16), whose lowest band covers
+    # [min_k eps_0(k), inf)
+    spec = SeparableFourierPotential({0: amplitude}, GaussianProfile(sigma))
+    bs = compute_bands(derive_params(B, omega), spec, theta_count=9, n_hermite=8)
+    assert bs.band_count >= 1
+    assert detect_gaps(bs).count == 0

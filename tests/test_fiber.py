@@ -240,6 +240,20 @@ def test_resolvent_bound_sup_value_formula():
     assert math.isclose(check.sup_value, 1.0 / abs(denom) ** 2, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("B,omega,theta2", [(3.0, 4.0, 10.0), (1.0, 8.0, 0.01), (4.0, 3.0, 0.3), (0.5, 2.0, 100.0)])
+def test_resolvent_bound_matches_the_loop_over_levels_and_indices(B, omega, theta2):
+    p = derive_params(B, omega)
+    best, arg = 0.0, None
+    for n in range(11):
+        for m in range(-10, 11):
+            val = 1.0 / abs(p.alpha * (2 * n + 1) + p.beta * complex(m + 0.5, theta2) ** 2 + 1.0) ** 2
+            if val > best:  # the first maximum in n-major order
+                best, arg = val, (n, m)
+    check = complex_theta_resolvent_bound(p, theta2, n_range=10, m_range=10)
+    assert check.argmax == arg
+    assert math.isclose(check.sup_value, best, rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("basis", ["hermite", "landau"])
 def test_fiber_is_a_quadratic_pencil_in_theta(basis):
     from channel_spectra.fiber import landau_block

@@ -128,7 +128,7 @@ def test_residual_estimate_bounds_the_truncation_error(spec, B, omega, n_levels,
     m_max = _kinematic_m_cover(params, ceiling) - narrower
     w0 = spec.norm_estimates().w0
     block = landau_block(params, spec.coeffs, n_levels, m_max)
-    vals, levels, window, _ = landau_error_estimates(block, spec.coeffs, w0, ceiling, theta)
+    [(vals, levels, window, _)] = landau_error_estimates(block, spec.coeffs, w0, ceiling, [theta])
     ref = scipy.linalg.eigvalsh(fiber_at(landau_block(params, spec.coeffs, 30, m_max + 8), theta))
     # min-max: a truncation only raises eigenvalues; the estimate bounds by
     # how much, up to the rounding of the reference solve (dim about 1000,

@@ -11,8 +11,9 @@ Both run the same requests:
 - each command once at cheap settings, with the options the workloads do
   not set (a grid potential, a constant profile, a commutator without
   ``--gen-nogo``, ...), a ``gaps`` and a ``bands`` run whose truncation
-  search grows the starting size, and two ``gaps`` runs that search band
-  edges off the grid phases, which no workload does.
+  search grows the starting size, a ``bands`` run whose ``m_max`` is raised
+  to cover the ceiling, and two ``gaps`` runs that search band edges off
+  the grid phases, which no workload does.
 
 Each checkout runs all of them back to back in one child process, with
 OPENBLAS_NUM_THREADS=1 so that BLAS reduces in the same order in both.
@@ -93,6 +94,11 @@ CHEAP = {
     "bands-growth": [
         "bands", "--set", f"potential={_TWO_COS}", "--set", "n_hermite=1",
         "--set", "theta_count=9", "--set", "ceiling=6.5",
+    ],
+    # an explicit m_max below the ceiling's kinematic cover, which is raised
+    # to it with a note in bands_summary.json
+    "bands-m-max-raised": [
+        "bands", "--set", "n_hermite=8", "--set", "theta_count=9", "--set", "ceiling=6.5", "--set", "m_max=2",
     ],
     # two tracked gaps, so the working ceiling reads a higher Hill band
     "sweep-two-gaps": [
