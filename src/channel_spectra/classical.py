@@ -169,11 +169,13 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step RK4 integration of Hamilton's equations.
 
-    The state is carried as four Python floats and the potential gradient is
-    taken at one float point per stage.  Every operation is the one the
-    length-4 state array would do, in the same order, so the trajectory is
-    the array form's bit for bit.  At most 10^7 steps are taken: t_end / dt
-    above 1e7 raises ValueError before anything is allocated.
+    The state is carried as four Python floats, the four stages are written
+    out in the loop, and the potential gradient is taken at one float point
+    per stage.  Every operation is the one the length-4 state array would
+    do, in the same order, so the trajectory is the array form's bit for
+    bit.  Accepted states go into a preallocated (n + 1, 4) array.  At most
+    10^7 steps are taken: t_end / dt above 1e7 raises ValueError before
+    anything is allocated.
 
     Aborts (returning the partial trajectory flagged ``aborted``) when any
     phase-space component exceeds 1e9 or is not finite, which only happens
@@ -183,12 +185,18 @@ def integrate(
     if isinstance(spec, ZeroPotential):
         spec = None
     B, w2 = params.B, 2.0 * params.omega**2
-    gradient = None if spec is None else spec.gradient
 
-    def rhs(x, y, px, py):
-        wx, wy = (0.0, 0.0) if gradient is None else map(float, gradient(x, y))
-        vx = 2.0 * (px + B * y)
-        return vx, 2.0 * py, -wx, -B * vx - w2 * y - wy
+    if spec is None:
+
+        def force(x, y):
+            return 0.0, 0.0
+
+    else:
+        gradient = spec.gradient
+
+        def force(x, y):
+            wx, wy = gradient(x, y)
+            return float(wx), float(wy)
 
     states = np.empty((n + 1, 4))
     states[0] = (initial.x, initial.y, initial.px, initial.py)
@@ -197,10 +205,22 @@ def integrate(
     aborted = False
     steps = 0
     for i in range(n):
-        dx1, dy1, dpx1, dpy1 = rhs(x, y, px, py)
-        dx2, dy2, dpx2, dpy2 = rhs(x + half * dx1, y + half * dy1, px + half * dpx1, py + half * dpy1)
-        dx3, dy3, dpx3, dpy3 = rhs(x + half * dx2, y + half * dy2, px + half * dpx2, py + half * dpy2)
-        dx4, dy4, dpx4, dpy4 = rhs(x + dt * dx3, y + dt * dy3, px + dt * dpx3, py + dt * dpy3)
+        # stage k: the derivative (dxk, dyk, dpxk, dpyk) at the stage point (xk, yk, pxk, pyk)
+        wx, wy = force(x, y)
+        dx1 = 2.0 * (px + B * y)
+        dy1, dpx1, dpy1 = 2.0 * py, -wx, -B * dx1 - w2 * y - wy
+        x2, y2, px2, py2 = x + half * dx1, y + half * dy1, px + half * dpx1, py + half * dpy1
+        wx, wy = force(x2, y2)
+        dx2 = 2.0 * (px2 + B * y2)
+        dy2, dpx2, dpy2 = 2.0 * py2, -wx, -B * dx2 - w2 * y2 - wy
+        x3, y3, px3, py3 = x + half * dx2, y + half * dy2, px + half * dpx2, py + half * dpy2
+        wx, wy = force(x3, y3)
+        dx3 = 2.0 * (px3 + B * y3)
+        dy3, dpx3, dpy3 = 2.0 * py3, -wx, -B * dx3 - w2 * y3 - wy
+        x4, y4, px4, py4 = x + dt * dx3, y + dt * dy3, px + dt * dpx3, py + dt * dpy3
+        wx, wy = force(x4, y4)
+        dx4 = 2.0 * (px4 + B * y4)
+        dy4, dpx4, dpy4 = 2.0 * py4, -wx, -B * dx4 - w2 * y4 - wy
         x = x + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
         y = y + sixth * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4)
         px = px + sixth * (dpx1 + 2.0 * dpx2 + 2.0 * dpx3 + dpx4)

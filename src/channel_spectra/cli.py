@@ -69,7 +69,7 @@ from .channel import (
 from .classical import ClassicalState, closed_form_trajectory, integrate, mourre_observable
 from .fiber import EigensolverError, assemble_fiber, complex_theta_resolvent_bound, eigenvalues_fiber
 from .hermite import project_potential
-from .hill import fd_hill_richardson, h00_gaps, hill_bands, hill_spectrum
+from .hill import _coarse_points, fd_hill_richardson, h00_gaps, hill_bands, hill_spectrum
 from .mourre import ScalingSweepRow, appendix_norm_checks, evaluate_certificate, scaling_sweep
 from .numutil import theta_grid
 from .output import write_band_svg, write_csv, write_json
@@ -133,7 +133,8 @@ _SCHEMAS: dict[str, dict] = {
         "band_count": Key(int, 8, ge=1),
         "ceiling": Key(float, None),
         "fd_check": Key(bool, False),
-        "fd_points": Key(int, 1024, ge=16),
+        # even: the Richardson step halves the grid
+        "fd_points": Key(int, 1024, ge=16, check=_coarse_points),
     },
     "classical": {
         "B": _B,
@@ -238,7 +239,7 @@ def _gap_rows(gaps) -> list[list]:
 def _emit_curves(art: _Artifacts, names, grid, bands, intervals):
     """Band curves over the grid and their [min, max] intervals, as the two CSVs ``names``."""
     header = ["theta"] + [f"band_{j + 1}" for j in range(len(intervals))]
-    art.write(write_csv, names[0], header, np.column_stack([grid, bands]).tolist())
+    art.write(write_csv, names[0], header, np.column_stack([grid, bands]))
     art.write(write_csv, names[1], ["band", "min", "max"], _numbered(intervals.tolist()))
 
 
@@ -381,10 +382,10 @@ def _cmd_classical(cfg: dict, art: _Artifacts) -> int:
     t_end, dt = cfg["t_end"], cfg["dt"]
     traj = integrate(params, spec, initial, t_end, dt=dt)
     orbit = np.column_stack([traj.times, traj.states, traj.energies])
-    art.write(write_csv, "trajectory.csv", ["t", "x", "y", "px", "py", "energy"], orbit.tolist())
+    art.write(write_csv, "trajectory.csv", ["t", "x", "y", "px", "py", "energy"], orbit)
     series = mourre_observable(traj)
     guiding = np.column_stack([traj.times, traj.guiding_center_x, traj.guiding_center_y, series.values])
-    art.write(write_csv, "guiding.csv", ["t", "sx", "sy", "px_sx"], guiding.tolist())
+    art.write(write_csv, "guiding.csv", ["t", "sx", "sy", "px_sx"], guiding)
     summary = {
         "params": params,
         "aborted": traj.aborted,

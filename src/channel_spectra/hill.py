@@ -92,15 +92,16 @@ def fd_hill_eigenvalues(
     v = np.asarray(potential(x), dtype=float)
     main = 2.0 / h**2 + v
     off = -np.ones(n_points - 1) / h**2
-    mat = scipy.sparse.diags(
-        [off, main, off], offsets=[-1, 0, 1], format="lil", dtype=complex
-    )
     phase = complex(math.cos(2.0 * math.pi * theta), math.sin(2.0 * math.pi * theta))
-    mat[n_points - 1, 0] += -phase / h**2
-    mat[0, n_points - 1] += -phase.conjugate() / h**2
+    last = n_points - 1
+    corners = scipy.sparse.csc_matrix(
+        ([-phase / h**2, -phase.conjugate() / h**2], ([last, 0], [0, last])),
+        shape=(n_points, n_points),
+    )
+    mat = scipy.sparse.diags([off, main, off], offsets=[-1, 0, 1], format="csc", dtype=complex) + corners
     sigma = float(np.min(v)) - 1.0
     vals = scipy.sparse.linalg.eigsh(
-        mat.tocsc(),
+        mat,
         k=count,
         sigma=sigma,
         which="LM",
@@ -108,6 +109,13 @@ def fd_hill_eigenvalues(
         return_eigenvectors=False,
     )
     return np.sort(vals.real)
+
+
+def _coarse_points(n_points: int) -> int:
+    """The Richardson coarse grid, n_points / 2: the step ratio must be exactly 2."""
+    if n_points % 2:
+        raise ValueError(f"Richardson extrapolation needs an even number of grid points, got {n_points}")
+    return n_points // 2
 
 
 def fd_hill_richardson(
@@ -119,9 +127,10 @@ def fd_hill_richardson(
     """Richardson-extrapolated finite-difference eigenvalues.
 
     The h^2 error term of the central difference cancels in
-    (4 E_{2h->h} - E_h) / 3, leaving O(h^4).
+    (4 E_h - E_{2h}) / 3, leaving O(h^4); E_{2h} is solved on n_points / 2
+    points, so an odd n_points raises ValueError.
     """
-    coarse = fd_hill_eigenvalues(potential, theta, n_points // 2, count)
+    coarse = fd_hill_eigenvalues(potential, theta, _coarse_points(n_points), count)
     fine = fd_hill_eigenvalues(potential, theta, n_points, count)
     return (4.0 * fine - coarse) / 3.0
 

@@ -2,8 +2,10 @@
 
 A CSV table is a header plus rows of plain values, formatted by the csv
 module: it writes a float, a NumPy float64 included, as repr(float(v)), so
-artifacts round-trip exactly.  JSON writes floats with repr too; infinities
-appear there as the strings "inf" / "-inf", as JSON has no literal for them.
+artifacts round-trip exactly.  A table of float64 alone is written by a row
+template of repr cells instead, with the bytes csv would write.  JSON
+writes floats with repr too; infinities appear there as the strings "inf" /
+"-inf", as JSON has no literal for them.
 """
 
 from __future__ import annotations
@@ -53,12 +55,24 @@ def jsonable(value):
 
 
 def write_csv(path, header, rows) -> Path:
+    r"""Write ``header`` and ``rows`` as CSV with \r\n line ends; return the path.
+
+    A 2-D float64 array is streamed through the row template "%r,...,%r\r\n"
+    over its ``tolist()`` rows: repr of each Python float, which is what csv
+    writes for it, at the cost of the repr calls alone.  Any other rows
+    (mixed cells, ints, strings) go through ``csv.writer``.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+            # tolist() first: %r of an np.float64 is "np.float64(...)" in NumPy 2
+            fmt = ",".join(["%r"] * rows.shape[1]) + "\r\n"
+            fh.writelines(map(fmt.__mod__, map(tuple, rows.tolist())))
+        else:
+            writer.writerows(rows)
     return path
 
 

@@ -197,6 +197,66 @@ def test_classical_blowup_returns_numerical_failure(tmp_path):
     assert manifest["exit_status"] == 2
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+_ORBIT_POTENTIALS = st.one_of(
+    st.just({"kind": "zero"}),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.floats(0.3, 1.5)).map(
+        lambda b: {"kind": "gaussian_bumps", "bumps": [[b[0], b[1], 0.0, b[2]]]}
+    ),
+    st.floats(-2.0, 2.0).map(lambda c: {"kind": "fourier_x", "coeffs": {"1": [c, 0.0], "-1": [c, 0.0]}}),
+    # -c y^2 overturns the confinement once c > omega^2; near c = 3000 the
+    # orbit leaves the trusted range within t_end
+    st.floats(0.0, 3000.0).map(
+        lambda c: {
+            "kind": "fourier_x_profile",
+            "coeffs": {"0": [1.0, 0.0]},
+            "profile": {"shape": "polynomial", "coeffs": [0.0, 0.0, -c]},
+        }
+    ),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    B=st.floats(0.0, 4.0),
+    omega=st.floats(0.5, 5.0),
+    potential=_ORBIT_POTENTIALS,
+    y0=st.floats(-0.5, 0.5),
+    px0=st.floats(-1.5, 1.5),
+    py0=st.floats(-0.5, 0.5),
+    t_end=st.floats(0.01, 0.5),
+)
+def test_classical_tables_are_the_integrated_orbit_bit_for_bit(
+    tmp_path_factory, B, omega, potential, y0, px0, py0, t_end
+):
+    out = tmp_path_factory.mktemp("orbit")
+    config = {"B": B, "omega": omega, "y0": y0, "px0": px0, "py0": py0, "t_end": t_end}
+    argv = ["classical", "--set", f"potential={json.dumps(potential)}", "--out", str(out)]
+    for key, value in config.items():
+        argv += ["--set", f"{key}={value!r}"]
+    code = main(argv)
+    assert code in (0, 2)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == code
+    traj = channel_spectra.integrate(
+        derive_params(B, omega),
+        potential_from_dict(potential),
+        channel_spectra.ClassicalState(t=0.0, x=0.0, y=y0, px=px0, py=py0),
+        t_end,
+        dt=1e-3,
+    )
+    assert code == (2 if traj.aborted else 0)
+    with open(out / "trajectory.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["t", "x", "y", "px", "py", "energy"]
+    assert len(rows) == traj.times.size
+    want = np.column_stack([traj.times, traj.states, traj.energies])
+    assert np.array_equal(_bits([[float(c) for c in row] for row in rows]), _bits(want))
+
+
 def test_mourre_command_zero_potential(tmp_path):
     out = tmp_path / "run"
     assert main(["mourre", "--out", str(out)]) == 0
@@ -399,6 +459,17 @@ def test_hill_command_with_fd_check(tmp_path):
     assert abs(float(gaps[0]["upper"]) - (5.0 + 0.5795020425271558)) < 1e-6
     curves = _read_csv(out / "hill_curves.csv")
     assert abs(min(float(r["band_1"]) for r in curves) - (5.0 - 1.0701297045756306)) < 1e-6
+
+
+def test_an_odd_fd_grid_exits_one_before_any_output(tmp_path, capsys):
+    # the Richardson step halves the grid; at 1025 points it ran on a step
+    # ratio of 1025/512, and its error at 2 cos x, theta = 0.25 was 2.2e-7
+    # against 1.2e-9 at 1024
+    out = tmp_path / "run"
+    assert main(["hill", "--set", "fd_check=true", "--set", "fd_points=1025", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: fd_points: ") and "even" in err
+    assert not out.exists()
 
 
 _DEEP_WELL_CFG = {"kind": "fourier_x", "coeffs": {"0": -30, "1": 0.5, "-1": 0.5}}

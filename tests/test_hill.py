@@ -74,6 +74,28 @@ def test_fd_oracle_is_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_fd_matrix_is_the_twisted_central_difference_matrix():
+    n, theta = 64, 0.3
+    h = 2.0 * math.pi / n
+    x = h * np.arange(n)
+    v = np.cos(x) + 0.5 * np.sin(2.0 * x)
+    dense = np.diag((2.0 / h**2 + v).astype(complex))
+    dense -= np.diag(np.ones(n - 1), 1) / h**2 + np.diag(np.ones(n - 1), -1) / h**2
+    dense[n - 1, 0] = -np.exp(2j * math.pi * theta) / h**2
+    dense[0, n - 1] = -np.exp(-2j * math.pi * theta) / h**2
+    want = np.linalg.eigvalsh(dense)[:4]
+    got = fd_hill_eigenvalues(lambda t: np.cos(t) + 0.5 * np.sin(2.0 * t), theta, n_points=n, count=4)
+    assert np.max(np.abs(got - want)) < 1e-10
+
+
+@pytest.mark.parametrize("n_points", [65, 1025])
+def test_richardson_refuses_an_odd_grid(n_points):
+    # (4 E_h - E_2h) / 3 needs a step ratio of exactly 2: at n = 1025 the
+    # error against the Fourier solve was 2.2e-7, against 1.2e-9 at n = 1024
+    with pytest.raises(ValueError, match="even"):
+        fd_hill_richardson(lambda x: 2.0 * np.cos(x), 0.25, count=3, n_points=n_points)
+
+
 def test_fd_oracle_rejects_tiny_grid():
     with pytest.raises(ValueError):
         fd_hill_eigenvalues(lambda x: 0.0 * x, 0.0, n_points=4, count=1)

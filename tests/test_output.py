@@ -30,6 +30,35 @@ def test_write_csv_writes_float_cells_as_repr(tmp_path):
     assert math.copysign(1.0, float(cells[4])) == -1.0
 
 
+def _csv_module_bytes(tmp_path, header, rows):
+    path = tmp_path / "reference.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.array(
+            [
+                [1.0 / 3.0, 0.1, 1.0, 5e-324, 1e16],
+                [1e-5, -0.0, math.nan, math.inf, -math.inf],
+            ]
+        ),
+        np.array([[1.0 / 3.0], [-0.0], [math.nan], [5e-324]]),
+        np.empty((0, 3)),
+    ],
+    ids=["specials", "one-column", "no-rows"],
+)
+def test_a_float_table_is_written_with_the_bytes_of_the_csv_module(tmp_path, table):
+    header = [f"c{j}" for j in range(table.shape[1])]
+    path = write_csv(tmp_path / "table.csv", header, table)
+    assert path.read_bytes() == _csv_module_bytes(tmp_path, header, table.tolist())
+
+
 def test_jsonable_scalars_and_specials():
     assert jsonable(True) is True
     assert jsonable(None) is None

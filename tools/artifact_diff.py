@@ -10,10 +10,10 @@ Both run the same requests:
   is imported, never changed);
 - each command once at cheap settings, with the options the workloads do
   not set (a grid potential, a constant profile, a commutator without
-  ``--gen-nogo``, ...), a ``gaps`` and a ``bands`` run whose truncation
-  search grows the starting size, a ``bands`` run whose ``m_max`` is raised
-  to cover the ceiling, and two ``gaps`` runs that search band edges off
-  the grid phases, which no workload does.
+  ``--gen-nogo``, an orbit that aborts, ...), a ``gaps`` and a ``bands``
+  run whose truncation search grows the starting size, a ``bands`` run
+  whose ``m_max`` is raised to cover the ceiling, and two ``gaps`` runs
+  that search band edges off the grid phases, which no workload does.
 
 Each checkout runs all of them back to back in one child process, with
 OPENBLAS_NUM_THREADS=1 so that BLAS reduces in the same order in both.
@@ -65,6 +65,12 @@ _ODD_PROFILE = (
 _TWO_COS = '{"kind": "fourier_x", "coeffs": {"1": [1.0, 0.0], "-1": [1.0, 0.0]}}'
 _COMPLEX_COS = '{"kind": "fourier_x", "coeffs": {"1": [0.3, 0.2], "-1": [0.3, -0.2]}}'
 _DEEP_WELL = '{"kind": "fourier_x", "coeffs": {"0": -30, "1": 0.5, "-1": 0.5}}'
+# W = -10 y^2 overturns the confinement at omega = 1: the orbit leaves the
+# trusted range at t ~ 3.77 and the run exits 2 with partial tables
+_OVERTURNED = (
+    '{"kind": "fourier_x_profile", "coeffs": {"0": [1, 0]},'
+    ' "profile": {"shape": "polynomial", "coeffs": [0, 0, -10]}}'
+)
 _CONSTANT_COS = (
     '{"kind": "fourier_x_profile", "coeffs": {"1": [0.3, 0.1], "-1": [0.3, -0.1]},'
     ' "profile": {"shape": "constant", "value": 2.0}}'
@@ -130,6 +136,10 @@ CHEAP = {
     "hill-deep-well": ["hill", "--set", f"potential={_DEEP_WELL}"],
     "classical": ["classical", "--set", f"potential={_GRID}", "--set", "t_end=0.5"],
     "classical-bumps": ["classical", "--set", f"potential={_TWO_BUMPS}", "--set", "t_end=0.5"],
+    "classical-abort": [
+        "classical", "--set", "B=0", "--set", "omega=1", "--set", f"potential={_OVERTURNED}",
+        "--set", "y0=0.1", "--set", "px0=0", "--set", "py0=0", "--set", "t_end=10",
+    ],
     "mourre": ["mourre"],
     "commutator": ["commutator"],
     "diagnostics": ["diagnostics"],
