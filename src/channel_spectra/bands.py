@@ -3,13 +3,14 @@
 Bands are sorted-eigenvalue curves theta -> E_j(theta) of the fiber
 matrices on a uniform odd grid over [-1/2, 1/2] (both endpoints sampled;
 they are identified by 1-periodicity).  BandStructure is a
-numutil.BlochBands record, as the Hill bands of the H_{0,0} reference are;
-its edges are searched on the pencil that fiber.fiber_pencil makes of a
-FiberBlock, H(theta + h) = H(theta) + h H'(theta) + kinetic h^2 I.  One
-solve per grid phase keeps the eigenvectors of the bands below the ceiling
-and numutil.RITZ_PAD more (the eigenvalues alone without refinement, which
-reads none); only the phases theta >= 0 are solved when W is real and even
-in y, since E_j(-theta) = E_j(theta) then.  The eigenvectors at the two
+numutil.BlochBands record, as the Hill bands of the H_{0,0} reference are,
+and the driver takes the truncation's fiber.FiberBlock, the pencil
+H(theta + h) = H(theta) + h H'(theta) + kinetic h^2 I, which it both
+solves and searches the edges on.  One solve per grid phase keeps the
+eigenvectors of the bands below the ceiling and numutil.RITZ_PAD more (the
+eigenvalues alone without refinement, which reads none); only the phases
+theta >= 0 are solved when W is real and even in y, since E_j(-theta) =
+E_j(theta) then.  The eigenvectors at the two
 ends of each grid interval reduce the fiber to a small pencil there, which
 gives the bands between the grid phases; each band edge is searched on
 those pencils, guided by the Hellmann-Feynman slopes at the grid phases,
@@ -79,7 +80,6 @@ from .fiber import (
     eigenvalues_fiber,
     fiber_at,
     fiber_block,
-    fiber_pencil,
     landau_block,
     landau_residuals,
 )
@@ -144,7 +144,7 @@ def _hermite_basis(params, spec, ceiling, tol):
         block = fiber_block(params, proj, n, m)
         below = 0
         for theta in _PROBES:
-            small = eigenvalues_fiber(fiber_at(block, theta))
+            small = block.solve(theta)
             # three phases only, so the larger pair is assembled one-off
             big = eigenvalues_fiber(assemble_fiber(params, proj, theta, 2 * n, m + 4))
             small, big = small[small <= ceiling], big[big <= ceiling]
@@ -332,7 +332,6 @@ def compute_bands(
             stacklevel=2,
         )
 
-    pencil = fiber_pencil(block)
     fields = dict(
         params=params,
         energy_ceiling=float(energy_ceiling),
@@ -349,7 +348,7 @@ def compute_bands(
     dim = block.base.shape[0]
     keep = min(below + RITZ_PAD, dim)
     while True:
-        bs = BandStructure.on_grid(pencil.solve, grid, keep, folds=_t_symmetric(spec), eigenvectors=refine, **fields)
+        bs = BandStructure.on_grid(block, grid, keep, folds=_t_symmetric(spec), eigenvectors=refine, **fields)
         count = bs.count_below(energy_ceiling)
         if count + RITZ_PAD <= keep or keep == dim:
             break
@@ -359,7 +358,7 @@ def compute_bands(
             f"ceiling {energy_ceiling:.6g} lies below the spectrum (lowest grid eigenvalue {bs.table.min():.6g})"
         )
     if refine:
-        return bs.extended(pencil, count, xtol, minimize=golden_section_minimize)
+        return bs.extended(block, count, xtol, minimize=golden_section_minimize)
     return bs.with_grid_extrema(count)
 
 

@@ -133,8 +133,9 @@ _SCHEMAS: dict[str, dict] = {
         "band_count": Key(int, 8, ge=1),
         "ceiling": Key(float, None),
         "fd_check": Key(bool, False),
-        # even: the Richardson step halves the grid
-        "fd_points": Key(int, 1024, ge=16, check=_coarse_points),
+        # even: the Richardson step halves the grid; at the 5 eigenvalues
+        # checked, the half grid must hold the oracle's 40 points
+        "fd_points": Key(int, 1024, ge=80, check=_coarse_points),
     },
     "classical": {
         "B": _B,

@@ -32,8 +32,9 @@ coupling does not depend on theta, which enters through the diagonal only.
 The Hill operator K(theta) = -d^2 + V(x) is the same form with one level,
 no level energy and no ladder: <m| K(theta) |m'> = delta_{mm'} (m+theta)^2
 + c_{m-m'}.  One builder makes the FiberBlock of all three families, and
-``fiber_at`` and ``eigenvalues_fiber`` serve all three; ``fiber_pencil``
-serves the two-dimensional fibers, whose band edges are searched.
+the block is what numutil's Bloch band driver solves (``FiberBlock.solve``,
+which is eigenvalues_fiber of ``fiber_at``) and differentiates
+(``FiberBlock.slope``).
 
 Storage is dense; the basis ordering is row = (m - off + M) * N + n so that
 each Fourier index m owns a contiguous block of levels.
@@ -51,7 +52,6 @@ from numpy.polynomial.hermite import hermgauss
 
 from .channel import ChannelParams, _canonical_coeffs
 from .hermite import _MAX_DEGREE, ProjectedPotential, _hermite_table
-from .numutil import ThetaPencil
 
 __all__ = [
     "FiberBlock",
@@ -63,7 +63,6 @@ __all__ = [
     "fiber_at",
     "assemble_fiber",
     "eigenvalues_fiber",
-    "fiber_pencil",
     "EigensolverError",
     "ResolventBoundCheck",
     "complex_theta_resolvent_bound",
@@ -87,9 +86,10 @@ class FiberBlock:
     real whenever the potential's coefficients are.  The remaining terms
     depend on theta only through m + theta: ``row_m`` gives m for every row,
     the diagonal gains ``kinetic`` * (m + theta)^2 (beta in the Landau
-    basis, else 1), and the ladder entries sit at (``ladder_rows``,
-    ``ladder_cols``) with value ``ladder_weight`` * (m + theta); only the
-    Hermite basis has them.  ``params`` is None for the Hill operator.
+    basis, else 1), and both first off-diagonals gain ``ladder`` * (m +
+    theta).  ``ladder`` holds the weights of the first superdiagonal, zero
+    where a Fourier block ends and everywhere outside the Hermite basis.
+    ``params`` is None for the Hill operator.
     """
 
     params: ChannelParams | None
@@ -97,22 +97,25 @@ class FiberBlock:
     m_max: int
     base: np.ndarray
     row_m: np.ndarray
-    ladder_rows: np.ndarray
-    ladder_cols: np.ndarray
-    ladder_weight: np.ndarray
+    ladder: np.ndarray  # (dim - 1,)
     kinetic: float
+
+    def solve(self, theta: float, count: int | None = None, vectors: bool = False):
+        """The family's eigensolver: ``eigenvalues_fiber`` of ``fiber_at``
+        at theta, with its ``count`` and ``vectors``."""
+        return eigenvalues_fiber(fiber_at(self, theta), count, vectors)
 
     def slope(self, theta: float) -> scipy.sparse.dia_array:
         """H'(theta), the derivative of ``fiber_at`` in theta: 2 ``kinetic``
-        (m + theta) on the diagonal and ``ladder_weight`` at the ladder
-        entries.  The fiber is quadratic in theta, H(theta + h) = H(theta) +
-        h H'(theta) + kinetic h^2 I.  The ladder couples the levels n and
-        n + 1 of one Fourier index, which are neighbouring rows, so H' is
-        tridiagonal."""
+        (m + theta) on the diagonal and ``ladder`` on both first
+        off-diagonals.  The fiber is quadratic in theta, H(theta + h) =
+        H(theta) + h H'(theta) + kinetic h^2 I.  The ladder couples the
+        levels n and n + 1 of one Fourier index, which are neighbouring rows,
+        so H' is tridiagonal."""
         dim = self.row_m.size
         diagonals = np.zeros((3, dim))  # offsets 0, 1, -1; entry (i, j) at [., j]
         diagonals[0] = 2.0 * self.kinetic * (self.row_m + theta)
-        diagonals[np.where(self.ladder_cols > self.ladder_rows, 1, 2), self.ladder_cols] = self.ladder_weight
+        diagonals[1, 1:] = diagonals[2, :-1] = self.ladder
         return scipy.sparse.dia_array((diagonals, (0, 1, -1)), shape=(dim, dim))
 
 
@@ -137,17 +140,16 @@ def _build_block(params, terms, levels, m_max: int, kinetic: float, ladder=(), m
     base = h + h.conj().T
     base *= 0.5
     base.flat[:: base.shape[0] + 1] += np.tile(levels, size)
-    lower = (np.arange(size)[:, None] * n + np.arange(len(ladder))[None, :]).ravel()
-    weight = np.tile(np.asarray(ladder, dtype=float), size)
+    # each Fourier block's ladder, then a zero to the next block
+    superdiagonal = np.zeros((size, n))
+    superdiagonal[:, : len(ladder)] = ladder
     return FiberBlock(
         params=params,
         n_hermite=n,
         m_max=m_max,
         base=base,
         row_m=np.repeat(np.arange(-m_max, m_max + 1) + m_offset, n).astype(float),
-        ladder_rows=np.concatenate([lower, lower + 1]),
-        ladder_cols=np.concatenate([lower + 1, lower]),
-        ladder_weight=np.concatenate([weight, weight]),
+        ladder=superdiagonal.ravel()[:-1],
         kinetic=kinetic,
     )
 
@@ -282,9 +284,12 @@ def fiber_at(block: FiberBlock, theta: float) -> np.ndarray:
     if abs(theta) > 0.5 + 1e-12:
         raise ValueError("theta must lie in [-1/2, 1/2]")
     h = block.base.copy()
-    h.flat[:: h.shape[0] + 1] += block.kinetic * (block.row_m + theta) ** 2
-    rows = block.ladder_rows
-    h[rows, block.ladder_cols] += block.ladder_weight * (block.row_m[rows] + theta)
+    dim = h.shape[0]
+    h.flat[:: dim + 1] += block.kinetic * (block.row_m + theta) ** 2
+    # a ladder pair shares its m; the zero weights leave every other value as it is
+    coupling = block.ladder * (block.row_m[:-1] + theta)
+    h.flat[1 :: dim + 1] += coupling
+    h.flat[dim :: dim + 1] += coupling
     return h
 
 
@@ -326,17 +331,6 @@ def eigenvalues_fiber(mat: np.ndarray, count: int | None = None, vectors: bool =
             np.save(fh, mat)
         raise EigensolverError(f"fiber eigensolver failed at dimension {mat.shape[0]}", path) from exc
     return vals[:count] if count is not None else vals
-
-
-def fiber_pencil(block: FiberBlock) -> ThetaPencil:
-    """``block`` as the ThetaPencil of numutil's Bloch band driver, solved by
-    eigenvalues_fiber of ``fiber_at``."""
-    return ThetaPencil(
-        solve=lambda t, count=None, vectors=False: eigenvalues_fiber(fiber_at(block, t), count, vectors),
-        matrix=lambda theta: fiber_at(block, theta),
-        slope=block.slope,
-        kinetic=block.kinetic,
-    )
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,14 @@ k -> c_k.  The decoupled reference operator of the channel is
     H_{n,n} = alpha (2n+1) + K_n(theta),   V_n = W_n(x) = <phi_n| W |phi_n>,
 
 whose n = 0 gaps the full band computation is compared against.
-hill_bands tabulates K_0 on a theta grid (numutil.BlochBands), one
-eigenvalues-only hill_spectrum solve per phase theta >= 0, since V is real
-and E_j(-theta) = E_j(theta).  Each band is then monotone in |theta| on
+hill_bands builds the one hill_block of a request and hands it to
+numutil.BlochBands, which tabulates K_0 on a theta grid with one
+eigenvalues-only solve per phase theta >= 0, since V is real and
+E_j(-theta) = E_j(theta).  Each band is then monotone in |theta| on
 [0, 1/2] (Reed-Simon IV, Thm XIII.89; Magnus-Winkler 1966), so its edges
 sit at the grid phases 0 and 1/2: the band intervals are grid extrema.
 h00_gaps refuses a Fourier window that does not resolve V below the
-ceiling.
+ceiling, from one wider block that it solves at theta = 0 and 1/2.
 
 An independent oracle discretizes K(theta) by central finite differences on
 a uniform grid with the phase-wrapped corner entries and Richardson
@@ -35,7 +36,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .channel import ChannelParams
-from .fiber import eigenvalues_fiber, fiber_at, hill_block
+from .fiber import fiber_at, hill_block
 # golden_section_minimize is unused here; perfbench's self-test still wraps this binding
 from .numutil import BlochBands, GapReport, gap_report, golden_section_minimize, theta_grid  # noqa: F401
 from .schema import ConfigError
@@ -61,12 +62,11 @@ def hill_matrix(coeffs, theta: float, m_max: int = 32) -> np.ndarray:
     return fiber_at(hill_block(coeffs, m_max), theta)
 
 
-def hill_spectrum(coeffs, theta: float, m_max: int = 32, count: int | None = None, vectors: bool = False):
-    """Ascending eigenvalues of the Fourier-discretized Hill operator (the
-    lowest ``count`` if given); with ``vectors``, the pair (eigenvalues,
-    eigenvectors as columns).  The channel fiber's eigensolver,
-    eigenvalues_fiber, solves it."""
-    return eigenvalues_fiber(hill_matrix(coeffs, theta, m_max), count, vectors=vectors)
+def hill_spectrum(coeffs, theta: float, m_max: int = 32, count: int | None = None) -> np.ndarray:
+    """Ascending eigenvalues of the Fourier-discretized Hill operator at one
+    phase (the lowest ``count`` if given): ``FiberBlock.solve`` of its
+    ``hill_block``."""
+    return hill_block(coeffs, m_max).solve(theta, count)
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +83,15 @@ def fd_hill_eigenvalues(
 
     The twisted boundary condition enters only the two corner entries
     -e^{+-2 pi i theta}/h^2.  Solved in shift-invert Lanczos mode with a
-    fixed start vector, so results are deterministic.
+    fixed start vector, so results are deterministic on a grid of at least
+    twice the Lanczos basis, max(2 count + 1, 20) vectors; a smaller grid
+    raises ValueError.  Below that, repeated calls differed at V constant
+    and theta = 0, where the start vector is itself an eigenvector and the
+    basis spans most of the space.
     """
-    if n_points < 8:
-        raise ValueError("need at least 8 grid points")
+    basis = max(2 * count + 1, 20)
+    if n_points < 2 * basis:
+        raise ValueError(f"need at least {2 * basis} grid points for {count} eigenvalues, got {n_points}")
     h = 2.0 * math.pi / n_points
     x = h * np.arange(n_points)
     v = np.asarray(potential(x), dtype=float)
@@ -151,22 +156,18 @@ class HillBands(BlochBands):
 def hill_bands(coeffs, m_max: int = 32, theta_count: int = 17, band_count: int = 8) -> HillBands:
     """Band structure of -d^2 + V over a uniform theta grid.
 
-    One eigenvalues-only solve per phase theta >= 0 gives the whole table,
-    mirrored to -theta.  theta_count must be odd and >= 9 so the grid
-    contains theta = 0 and +-1/2, where the band edges sit; the intervals of
-    the lowest band_count bands (fewer when the window holds fewer) are the
-    extrema over the whole grid, never narrower than the end rows near the
-    top of the Fourier window, where monotonicity is only approximate.
+    One hill_block serves the request: one eigenvalues-only solve of it per
+    phase theta >= 0 gives the whole table, mirrored to -theta.
+    theta_count must be odd and >= 9 so the grid contains theta = 0 and
+    +-1/2, where the band edges sit; the intervals of the lowest band_count
+    bands (fewer when the window holds fewer) are the extrema over the whole
+    grid, never narrower than the end rows near the top of the Fourier
+    window, where monotonicity is only approximate.
     """
     grid = theta_grid(theta_count)
     c = dict(coeffs)
-
-    def solve(t, count, vectors):
-        # read at call time, so that a wrapper installed on hill_spectrum sees every Hill solve
-        return hill_spectrum(c, t, m_max, count, vectors=vectors)
-
     # V is real, so the grid folds
-    hill = HillBands.on_grid(solve, grid, folds=True, eigenvectors=False, coeffs=c, m_max=m_max)
+    hill = HillBands.on_grid(hill_block(c, m_max), grid, folds=True, eigenvectors=False, coeffs=c, m_max=m_max)
     return hill.with_grid_extrema(band_count)
 
 
@@ -196,10 +197,10 @@ def h00_gaps(
             f"{trusted} that the Fourier window m_max = {hill.m_max} resolves"
         )
     tol = 1e-6 * params.alpha
+    wider = hill_block(hill.coeffs, hill.m_max + 4)
     for theta, row in ((0.0, hill.table[len(hill.table) // 2]), (0.5, hill.table[-1])):
         low = row[row <= ceiling - params.alpha]
-        wider = hill_spectrum(hill.coeffs, theta, hill.m_max + 4, low.size)
-        shift = float(np.max(np.abs(low - wider), initial=0.0))
+        shift = float(np.max(np.abs(low - wider.solve(theta, low.size)), initial=0.0))
         if shift > tol:
             raise ConfigError(
                 f"Fourier window m_max = {hill.m_max} does not resolve V: widening it by 4 moves a Hill "

@@ -3,13 +3,15 @@ Brent's one-dimensional minimisation, gap reports and BlochBands, the one
 Bloch band record of both the channel fiber H(theta) (bands) and the Hill
 operator K_0(theta) behind the H_{0,0} reference (hill).
 
-The grid pass takes any eigensolver theta -> spectrum, and the Hill edges
-are the grid extrema.  The fiber is a quadratic pencil in theta
-(ThetaPencil), whose edges are searched the k.p way (Luttinger and Kohn,
-Phys. Rev. 97, 869, 1955), in its reduced-basis form (Machiels, Maday,
-Oliveira, Patera and Rovas, C. R. Acad. Sci. Paris 331, 153, 2000): the
-eigenvectors at two neighbouring grid phases span those in between to
-high accuracy, so a small Rayleigh-Ritz pencil reproduces every band there.
+The driver takes the family's fiber.FiberBlock, a quadratic pencil in
+theta, H(theta + h) = H(theta) + h H'(theta) + kinetic h^2 I: the grid pass
+calls its eigensolver ``FiberBlock.solve`` once per phase, and the Hill
+edges are the grid extrema.  The channel fiber's edges are searched the
+k.p way (Luttinger and Kohn, Phys. Rev. 97, 869, 1955), in its
+reduced-basis form (Machiels, Maday, Oliveira, Patera and Rovas, C. R.
+Acad. Sci. Paris 331, 153, 2000): the eigenvectors at two neighbouring grid
+phases span those in between to high accuracy, so a small Rayleigh-Ritz
+pencil reproduces every band there.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import scipy.linalg
 
+from .fiber import FiberBlock, fiber_at
+
 __all__ = [
     "golden_section_minimize",
     "theta_grid",
-    "ThetaPencil",
     "BlochBands",
     "GapReport",
     "gap_report",
@@ -143,25 +146,6 @@ def theta_grid(theta_count: int) -> np.ndarray:
     return np.linspace(-0.5, 0.5, theta_count)
 
 
-@dataclass(frozen=True)
-class ThetaPencil:
-    """A 1-periodic Hermitian family that is a quadratic pencil in theta,
-
-        H(theta + h) = H(theta) + h H'(theta) + kinetic h^2 I.
-
-    ``solve(theta, count=None, vectors=False)`` is the family's eigensolver:
-    the ascending eigenvalues (the lowest ``count`` if given), and with
-    ``vectors`` the pair (values, eigenvectors as columns).  ``matrix`` is
-    the dense H(theta) and ``slope`` the sparse H'(theta), which the edge
-    search of ``BlochBands.extended`` reads.
-    """
-
-    solve: Callable
-    matrix: Callable[[float], np.ndarray]
-    slope: Callable[[float], object]
-    kinetic: float
-
-
 @dataclass(frozen=True, eq=False)
 class BlochBands:
     """Bands of a 1-periodic Hermitian family read off a theta grid.
@@ -187,16 +171,15 @@ class BlochBands:
 
     @classmethod
     def on_grid(
-        cls, solve: Callable, grid, keep: int | None = None, *, folds: bool, eigenvectors: bool = True, **fields
+        cls, block: FiberBlock, grid, keep: int | None = None, *, folds: bool, eigenvectors: bool = True, **fields
     ):
-        """The record over the grid, with no band intervals yet: one call of
-        the eigensolver ``solve(theta, count, vectors=)`` (as in ThetaPencil)
-        per solved phase, for the lowest ``keep`` eigenpairs (all when None),
-        or for the eigenvalues alone without ``eigenvectors``; such a record
-        cannot be extended.  With ``folds``, which holds when E_j(-theta) =
-        E_j(theta), only the phases theta >= 0 are solved.  ``fields`` are
-        those of a subclass."""
-        solves = [solve(float(t), keep, vectors=eigenvectors) for t in grid[_first_solved(grid, folds) :]]
+        """The record over the grid, with no band intervals yet: one
+        ``block.solve`` per solved phase, for the lowest ``keep`` eigenpairs
+        (all when None), or for the eigenvalues alone without
+        ``eigenvectors``; such a record cannot be extended.  With ``folds``,
+        which holds when E_j(-theta) = E_j(theta), only the phases theta >= 0
+        are solved.  ``fields`` are those of a subclass."""
+        solves = [block.solve(float(t), keep, vectors=eigenvectors) for t in grid[_first_solved(grid, folds) :]]
         table = np.vstack([vals for vals, _ in solves] if eigenvectors else solves)
         if folds:
             table = np.vstack([table[:0:-1], table])
@@ -223,10 +206,11 @@ class BlochBands:
         curves = self.table[:, :count]
         return replace(self, band_intervals=np.column_stack([curves.min(axis=0), curves.max(axis=0)]))
 
-    def extended(self, pencil: ThetaPencil, count: int, xtol: float, *, minimize: Callable):
+    def extended(self, block: FiberBlock, count: int, xtol: float, *, minimize: Callable):
         """This record with the [min, max] of its lowest count bands (fewer
         when the table holds fewer).
 
+        ``block`` is the family's FiberBlock, the one ``on_grid`` solved.
         Every grid interval gets one reduced pencil from the eigenvectors at
         its two ends, shared by all bands (``_ReducedPencil``).  Its Ritz
         values at _SUBSTEPS - 1 phases inside the interval, from one stacked
@@ -255,13 +239,13 @@ class BlochBands:
         thetas, rows = self.theta_grid[first:], self.table[first:, :width]
         vectors = [vecs[:, :width] for vecs in self.vectors]
         right, left, curvature = np.stack(
-            [_derivatives(pencil, float(t), vals, vecs) for t, vals, vecs in zip(thetas, rows, vectors)], axis=1
+            [_derivatives(block, float(t), vals, vecs) for t, vals, vecs in zip(thetas, rows, vectors)], axis=1
         )
         # a slope this small moves an extremum off its grid phase by a negligible
         # amount, and it is about the rounding of the slope of a nearly degenerate pair
         flat = 1e-6 * (1.0 + float(np.max(np.abs(right))))
         reduced = [
-            _ReducedPencil(pencil, float(a), float(b), va, vb)
+            _ReducedPencil(block, float(a), float(b), va, vb)
             for a, b, va, vb in zip(thetas, thetas[1:], vectors, vectors[1:])
         ]
         fine_thetas = np.append(
@@ -319,7 +303,7 @@ class BlochBands:
             # the certifying full solve at theta*: the search on the bracket of
             # width xtol that the reduced search left ends at its first evaluation
             _, found = minimize(
-                lambda u: sign * float(pencil.solve(u - round(u))[j]), t - 0.5 * xtol, t + 0.5 * xtol, xtol
+                lambda u: sign * float(block.solve(u - round(u))[j]), t - 0.5 * xtol, t + 0.5 * xtol, xtol
             )
             return sign * min(found, grid_value)
 
@@ -332,7 +316,7 @@ def _first_solved(grid: np.ndarray, folded: bool) -> int:
     return len(grid) // 2 if folded else 0
 
 
-def _derivatives(pencil: ThetaPencil, theta: float, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+def _derivatives(block: FiberBlock, theta: float, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """One-sided slopes (to the right and to the left) and curvatures of the
     kept bands at theta, as the rows of a (3, kept) array.
 
@@ -342,14 +326,14 @@ def _derivatives(pencil: ThetaPencil, theta: float, vals: np.ndarray, vecs: np.n
     The Ritz curvature E_j'' = 2 kinetic + 2 sum_k |v_k* H' v_j|^2 / (E_j - E_k)
     sums over the kept bands apart from E_j; it is nan in a cluster.
     """
-    p = vecs.conj().T @ (pencil.slope(theta) @ vecs)
+    p = vecs.conj().T @ (block.slope(theta) @ vecs)
     out = np.empty((3, vals.size))
     out[0] = out[1] = p.diagonal().real
     # pairs closer than this cross at the scale of the grid; their vectors, and
     # so their own slopes, are too ill-conditioned to tell a turning point
     tol = 1e-7 * max(1.0, float(np.max(np.abs(vals))))
     gaps = vals[:, None] - vals[None, :]
-    out[2] = 2.0 * pencil.kinetic + 2.0 * np.sum(np.abs(p) ** 2 / np.where(np.abs(gaps) > tol, gaps, np.inf), axis=1)
+    out[2] = 2.0 * block.kinetic + 2.0 * np.sum(np.abs(p) ** 2 / np.where(np.abs(gaps) > tol, gaps, np.inf), axis=1)
     for cluster in np.split(np.arange(vals.size), np.flatnonzero(np.diff(vals) > tol) + 1):
         if cluster.size > 1:
             mu = scipy.linalg.eigvalsh(p[np.ix_(cluster, cluster)])
@@ -386,12 +370,12 @@ class _ReducedPencil:
     smaller than Q for all but the top bands.
     """
 
-    def __init__(self, pencil: ThetaPencil, start: float, end: float, va: np.ndarray, vb: np.ndarray):
+    def __init__(self, block: FiberBlock, start: float, end: float, va: np.ndarray, vb: np.ndarray):
         q = _span(va, vb)
         qh = q.conj().T
-        self.start, self.end, self.kinetic = start, end, pencil.kinetic
-        self.r0 = qh @ (pencil.matrix(start) @ q)
-        self.r1 = qh @ (pencil.slope(start) @ q)
+        self.start, self.end, self.kinetic = start, end, block.kinetic
+        self.r0 = qh @ (fiber_at(block, start) @ q)
+        self.r1 = qh @ (block.slope(start) @ q)
         self._bands: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # j -> its pencil
 
     def values(self, thetas: np.ndarray) -> np.ndarray:

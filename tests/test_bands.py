@@ -496,7 +496,7 @@ def test_refinement_solves_per_extremum(monkeypatch, case):
         finally:
             inside.pop()
 
-    # the certifying solve goes through fiber_pencil to fiber.eigenvalues_fiber
+    # the certifying solve goes through FiberBlock.solve to fiber.eigenvalues_fiber
     monkeypatch.setattr(fiber, "eigenvalues_fiber", counted_solve)
     monkeypatch.setattr(bands, "golden_section_minimize", counted_search)
     bs = compute_bands(params, spec, theta_count=17, **settings)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import typing
 from pathlib import Path
 
@@ -472,6 +473,15 @@ def test_an_odd_fd_grid_exits_one_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_an_fd_grid_below_the_oracle_floor_exits_one_before_any_output(tmp_path, capsys):
+    # the half grid of 39 points is under the 40 that the oracle's Lanczos
+    # basis needs at five eigenvalues
+    out = tmp_path / "run"
+    assert main(["hill", "--set", "fd_check=true", "--set", "fd_points=78", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: fd_points must be >= 80, got 78\n"
+    assert not out.exists()
+
+
 _DEEP_WELL_CFG = {"kind": "fourier_x", "coeffs": {"0": -30, "1": 0.5, "-1": 0.5}}
 # c_1 = 2, c_2 = c_3 = i: too strong for the lowest bands of a window m_max = 6
 _STRONG_V_CFG = {
@@ -544,16 +554,17 @@ def test_hill_window_below_the_ceiling_exits_one(tmp_path, capsys, argv, refused
     ids=["band-count-above-window", "ceiling-above-window"],
 )
 def test_hill_config_error_writes_only_the_manifest(tmp_path, capsys, monkeypatch, argv, message, solves):
-    from channel_spectra import hill
+    from channel_spectra import fiber
 
     calls = []
-    solve = hill.hill_spectrum
+    solve = fiber.eigenvalues_fiber
 
     def counted_solve(*args, **kwargs):
         calls.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(hill, "hill_spectrum", counted_solve)
+    # the hill command solves no channel fiber, so every eigensolve is a Hill solve
+    monkeypatch.setattr(fiber, "eigenvalues_fiber", counted_solve)
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 1
     assert message in capsys.readouterr().err
@@ -599,6 +610,71 @@ def test_hill_command_exits_cleanly_without_nan(
     assert manifest["exit_status"] == code
     for name in manifest["artifacts"]:
         if name.endswith(".csv"):
+            assert "nan" not in (out / name).read_text().lower()
+
+
+def _cosines(amplitudes):
+    """The fourier_x coefficients of sum_k 2 a_k cos(k x)."""
+    coeffs = {}
+    for k, a in enumerate(amplitudes, start=1):
+        coeffs[str(k)], coeffs[str(-k)] = [a, 0.0], [a, 0.0]
+    return coeffs
+
+
+_PERIODIC_POTENTIALS = st.one_of(
+    st.just({"kind": "zero"}),
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3).map(
+        lambda a: {"kind": "fourier_x", "coeffs": _cosines(a)}
+    ),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(
+        lambda c: {"kind": "fourier_x", "coeffs": {"1": [c[0], c[1]], "-1": [c[0], -c[1]]}}
+    ),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 2.0)).map(
+        lambda c: {
+            "kind": "fourier_x_profile",
+            "coeffs": _cosines([c[0]]),
+            "profile": {"shape": "gaussian", "sigma": c[1]},
+        }
+    ),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(0.5, 2.0)).map(
+        lambda c: {"kind": "profile_y", "profile": {"shape": "gaussian", "sigma": c[1]}, "amplitude": c[0]}
+    ),
+)
+# the ceiling's offset from alpha: from below the spectrum to a few Landau
+# levels up, or past the fiber cap of 4096 rows at n_hermite = 8, which exits
+# 1 before anything is allocated.  The ceilings in between are left out: a
+# run there takes seconds to minutes (ceiling 100 takes over 20 s)
+_CEILING_OFFSETS = st.one_of(st.floats(-4.0, 12.0), st.floats(1e5, 1e7))
+# seconds per example: of 150 drawn runs, the slowest took 7 s and 90 in 100 under 0.2 s
+_BANDS_RUN_BOUND = 30.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(["bands", "gaps"]),
+    B=st.floats(0.0, 4.0),
+    omega=st.floats(1.0, 5.0),
+    potential=_PERIODIC_POTENTIALS,
+    theta_count=st.sampled_from([9, 17]),
+    ceiling_offset=_CEILING_OFFSETS,
+)
+def test_bands_and_gaps_exit_cleanly_without_nan(
+    tmp_path_factory, command, B, omega, potential, theta_count, ceiling_offset
+):
+    out = tmp_path_factory.mktemp(command)
+    ceiling = derive_params(B, omega).alpha + ceiling_offset
+    argv = [command, "--set", f"potential={json.dumps(potential)}", "--set", "n_hermite=8"]
+    for key, value in {"B": B, "omega": omega, "theta_count": theta_count, "ceiling": ceiling}.items():
+        argv += ["--set", f"{key}={value!r}"]
+    start = time.perf_counter()
+    code = main(argv + ["--out", str(out)])
+    elapsed = time.perf_counter() - start
+    assert elapsed < _BANDS_RUN_BOUND
+    assert code in (0, 1, 2)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == code
+    for name in ("bands.csv", "band_intervals.csv", "gaps.csv"):
+        if name in manifest["artifacts"]:
             assert "nan" not in (out / name).read_text().lower()
 
 

@@ -262,9 +262,12 @@ def test_fiber_is_a_quadratic_pencil_in_theta(basis):
     if basis == "hermite":
         spec = SeparableFourierPotential({1: 0.3 + 0.1j, -1: 0.3 - 0.1j}, GaussianProfile(1.2))
         block = fiber_block(params, project_potential(spec, params, nmax=7, mfourier=16), 6, 3)
-        assert block.ladder_rows.size  # the magnetic ladder enters H'(theta)
+        assert block.ladder.any()  # the magnetic ladder enters H'(theta)
+        # it couples levels of one Fourier index only
+        assert not block.ladder[block.n_hermite - 1 :: block.n_hermite].any()
     else:
         block = landau_block(params, [(1, 0.3 + 0.1j), (-1, 0.3 - 0.1j)], 4, 3)
+        assert block.ladder.shape == (len(block.row_m) - 1,) and not block.ladder.any()
     theta, h = 0.13, 0.21
     slope = block.slope(theta).toarray()
     step = fiber_at(block, theta + h) - fiber_at(block, theta)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import mathieu_a, mathieu_b
 
@@ -22,6 +22,7 @@ from channel_spectra import (
 from channel_spectra.fiber import hill_block
 from channel_spectra.hermite import project_potential
 from channel_spectra.numutil import merge_intervals
+from channel_spectra.schema import ConfigError
 
 # -d^2/dx^2 + 2 cos x maps onto the Mathieu equation with q = 4 under
 # x = 2z: v'' + (4E - 8 cos 2z) v = 0, so E = (characteristic value)/4.
@@ -99,6 +100,20 @@ def test_richardson_refuses_an_odd_grid(n_points):
 def test_fd_oracle_rejects_tiny_grid():
     with pytest.raises(ValueError):
         fd_hill_eigenvalues(lambda x: 0.0 * x, 0.0, n_points=4, count=1)
+    # the grid must hold twice the Lanczos basis, max(2 count + 1, 20) vectors
+    with pytest.raises(ValueError, match="at least 40 grid points"):
+        fd_hill_eigenvalues(lambda x: 0.0 * x, 0.0, n_points=38, count=5)
+    with pytest.raises(ValueError, match="at least 46 grid points"):
+        fd_hill_eigenvalues(lambda x: 0.0 * x, 0.0, n_points=44, count=11)
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_fd_oracle_is_deterministic_on_a_degenerate_spectrum_at_its_floor(count):
+    # V constant at theta = 0: the start vector is an eigenvector; on 8 and
+    # 12 points repeated calls differed, and 40 is the smallest grid allowed
+    calls = [fd_hill_eigenvalues(lambda x: np.full_like(x, 1.5), 0.0, n_points=40, count=count) for _ in range(4)]
+    assert all(np.array_equal(c, calls[0]) for c in calls)
+    assert abs(calls[0][0] - 1.5) < 1e-12
 
 
 def test_free_hill_spectrum_is_exact():
@@ -206,7 +221,7 @@ def test_hill_matrix_matches_entrywise_reference(coeffs):
 def test_refinement_solves_per_extremum(monkeypatch, coeffs):
     from channel_spectra import hill
 
-    work = _count_hill_work(monkeypatch)
+    work = _count_hill_work(monkeypatch, 8)
     hb = hill.hill_bands(coeffs, m_max=8, theta_count=17, band_count=5)
     assert hb.band_intervals.shape == (5, 2)
     # V is real, so each band is monotone in |theta| on [0, 1/2] (Reed-Simon
@@ -217,26 +232,32 @@ def test_refinement_solves_per_extremum(monkeypatch, coeffs):
     assert np.array_equal(hb.band_intervals, np.column_stack([ends.min(axis=0), ends.max(axis=0)]))
 
 
-def _count_hill_work(monkeypatch):
-    """Counts Hill solves; no Hill path searches an edge, so every one of
-    them is a grid solve or a check of the Fourier window."""
-    from channel_spectra import hill
+def _count_hill_work(monkeypatch, *m_maxes):
+    """Counts Hill solves, the eigensolves of 2 m_max + 1 rows (the grid) or
+    2 (m_max + 4) + 1 rows (the window check) for the given m_max, and
+    records whether each asked for eigenvectors.  No Hill path searches an
+    edge, so every one of them is a grid solve or a check of the Fourier
+    window; the channel fibers of these tests have an even number of rows."""
+    from channel_spectra import fiber
 
-    work = {"grid_solves": 0}
-    solve = hill.hill_spectrum
+    work = {"grid_solves": 0, "vectors": []}
+    rows = {2 * m + 1 for m in m_maxes} | {2 * m + 9 for m in m_maxes}
+    solve = fiber.eigenvalues_fiber
 
-    def counted_solve(*args, **kwargs):
-        work["grid_solves"] += 1
-        return solve(*args, **kwargs)
+    def counted_solve(mat, count=None, vectors=False):
+        if mat.shape[0] in rows:
+            work["grid_solves"] += 1
+            work["vectors"].append(vectors)
+        return solve(mat, count, vectors)
 
-    monkeypatch.setattr(hill, "hill_spectrum", counted_solve)
+    monkeypatch.setattr(fiber, "eigenvalues_fiber", counted_solve)
     return work
 
 
 def test_hill_command_solves_each_phase_and_searches_each_extremum_once(monkeypatch, tmp_path):
     from channel_spectra.cli import main
 
-    work = _count_hill_work(monkeypatch)
+    work = _count_hill_work(monkeypatch, 32)
     assert main(["hill", "--set", "theta_count=9", "--out", str(tmp_path)]) == 0
     # the grid folds: the five phases theta >= 0 are solved once each, and
     # the window check solves theta = 0 and 1/2 once more in a wider window;
@@ -248,7 +269,7 @@ def test_hill_command_solves_each_phase_and_searches_each_extremum_once(monkeypa
 def test_sweep_omega_solves_each_phase_and_searches_each_extremum_once(monkeypatch):
     from channel_spectra import gap_persistence_sweep
 
-    work = _count_hill_work(monkeypatch)
+    work = _count_hill_work(monkeypatch, 8)
     spec = SeparableFourierPotential.from_cosines({1: 1.0})
     report = gap_persistence_sweep(3.0, [4.0], spec, target_gap_count=2, theta_count=9, hill_m_max=8)
     assert report.entries[0].reference.count >= 2
@@ -263,13 +284,17 @@ def test_hill_matrix_is_a_quadratic_pencil_in_theta():
     assert np.max(np.abs(step - h * slope - h * h * np.eye(13))) < 1e-13
 
 
-# stronger harmonics leave the lowest m_max bands of a window as small as
-# m_max = 6 unresolved: at c_1 = 2, c_2 = c_3 = i the truncated band 2 turns
-# inside (0, 1/2) by 5e-7, an artefact of the window, not of the operator
 _PART = st.floats(-1.0, 1.0)
+# h00_gaps refuses a window whose eigenvalues move by more than 1e-6 alpha
+# when m_max grows by 4: 5e-6 here.  Over 2500 draws of this generator (half
+# of them with |c_k| >= 0.3 and m_max <= 8), a window whose lowest bands
+# moved by less than 1e-4 matched the scan to 1.6e-13; a mismatch above 1e-10
+# took a move of 5.1e-4 or more, by a band that turns inside (0, 1/2), an
+# artefact of the window, not of the operator
+_H00_PARAMS = derive_params(3.0, 4.0)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     c0=st.floats(-30.0, 5.0),
     harmonics=st.lists(st.tuples(_PART, _PART), min_size=3, max_size=3),
@@ -277,36 +302,40 @@ _PART = st.floats(-1.0, 1.0)
     theta_count=st.sampled_from([9, 17]),
     band_count=st.integers(1, 12),
 )
+# m_max = 6 does not resolve this V: band 2 turns at theta = 0.497, 1.1e-6
+# below its value at 1/2, and widening the window moves it by 5.4e-4
+@example(c0=0.0, harmonics=[(0.0, -1.0), (0.0, -1.0), (1.0, 1.0)], m_max=6, theta_count=9, band_count=2)
 def test_hill_intervals_are_the_extrema_of_a_dense_theta_scan(c0, harmonics, m_max, theta_count, band_count):
     # V is real, so each band is monotone in |theta| on [0, 1/2] (Reed-Simon
     # IV, Thm XIII.89) and takes its extrema at theta = 0 and 1/2, which the
-    # grid holds; the lowest m_max bands of the window keep that to rounding
+    # grid holds.  A window that resolves V keeps that to rounding; one that
+    # does not is refused by h00_gaps at a ceiling over the compared bands
     coeffs = {0: c0}
     for k, (re, im) in enumerate(harmonics, start=1):
         coeffs[k], coeffs[-k] = complex(re, im), complex(re, -im)
     hb = hill_bands(coeffs, m_max=m_max, theta_count=theta_count, band_count=band_count)
     n = min(band_count, m_max)
+    ceiling = _H00_PARAMS.alpha + float(np.max(hb.table[[len(hb.table) // 2, -1], :n]))
+    try:
+        h00_gaps(_H00_PARAMS, hb, ceiling)
+    except ConfigError as exc:
+        assert "does not resolve V" in str(exc)
+        return
     scan = np.array([hill_spectrum(coeffs, t, m_max)[:n] for t in np.linspace(-0.5, 0.5, 401)])
     expected = np.column_stack([scan.min(axis=0), scan.max(axis=0)])
     assert np.max(np.abs(hb.band_intervals[:n] - expected)) < 1e-10
 
 
 def test_no_hill_request_runs_a_reduced_pencil_or_an_eigenvector_solve(monkeypatch, tmp_path):
-    from channel_spectra import gap_persistence_sweep, hill, numutil
+    from channel_spectra import gap_persistence_sweep, numutil
     from channel_spectra.cli import main
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Hill band edge was searched on a reduced pencil")
 
-    vectors = []
-    solve = hill.hill_spectrum
-
-    def recorded_solve(*args, **kwargs):
-        vectors.append(kwargs.get("vectors", False))
-        return solve(*args, **kwargs)
-
     monkeypatch.setattr(numutil, "_ReducedPencil", refuse)
-    monkeypatch.setattr(hill, "hill_spectrum", recorded_solve)
+    # the hill command's default window, and the sweep's
+    vectors = _count_hill_work(monkeypatch, 32, 8)["vectors"]
     # band_count = 2: hill_gaps.csv reads more bands than hill_intervals.csv
     assert main(["hill", "--set", "theta_count=9", "--set", "band_count=2", "--out", str(tmp_path / "o")]) == 0
     # the unrefined 2-D bands search nothing either, so every pencil would be Hill's

@@ -1,13 +1,14 @@
 """Brent's bounded minimisation, the shared Bloch band driver and gap reports."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from channel_spectra.fiber import hill_block
 from channel_spectra.numutil import (
     BlochBands,
-    ThetaPencil,
     gap_report,
     golden_section_minimize,
     theta_grid,
@@ -78,56 +79,47 @@ def test_argument_validation():
         golden_section_minimize(lambda x: x, 0.0, 1.0, xtol=0.0)
 
 
-def _shifted_hill(delta, coupling=0.0, m_max=3):
-    """The Fourier matrix of -d^2 + 2 coupling cos x with its Bloch phase
-    shifted by delta, as the theta-pencil (A0, A1) of A0 + theta A1 + theta^2:
-    diag (m + theta - delta)^2 plus coupling on the first off-diagonals.  Its
-    bands are not even in theta unless delta is in Z/2."""
-    m = np.arange(-m_max, m_max + 1) - delta
-    a0 = np.diag(m**2) + coupling * (np.eye(m.size, k=1) + np.eye(m.size, k=-1))
-    return a0, np.diag(2.0 * m)
+def _shifted_hill(delta, coupling=0.0, m_max=3, solves=None):
+    """The Hill block of -d^2 + 2 coupling cos x with its Bloch phase shifted
+    by delta: diag (m + theta - delta)^2 plus coupling on the first
+    off-diagonals.  Its bands are not even in theta unless delta is in Z/2.
+    With ``solves``, the block records the phase of every full solve there."""
+    block = hill_block({1: coupling, -1: coupling}, m_max)
+    block = dataclasses.replace(block, row_m=block.row_m - delta)
+    if solves is not None:
+        solve = block.solve
 
-
-def _pencil(a0, a1, solves=None):
-    """The ThetaPencil a0 + theta a1 + theta^2 I, which records the phase of
-    every full solve in ``solves``."""
-
-    def matrix(t):
-        assert -0.5 <= t <= 0.5
-        return a0 + t * a1 + t * t * np.eye(len(a0))
-
-    def solve(t, count=None, vectors=False):
-        if solves is not None:
+        def recorded(t, count=None, vectors=False):
             solves.append(t)
-        vals, vecs = np.linalg.eigh(matrix(t))
-        return (vals[:count], vecs[:, :count]) if vectors else vals[:count]
+            return solve(t, count, vectors)
 
-    return ThetaPencil(solve=solve, matrix=matrix, slope=lambda t: a1 + 2.0 * t * np.eye(len(a0)), kinetic=1.0)
+        block.solve = recorded
+    return block
 
 
-def _assert_matches_a_scan(intervals, pencil, points=20001):
+def _assert_matches_a_scan(intervals, block, points=20001):
     """The band intervals reach at least as far as a dense theta scan, and
     a kink between two scan phases takes the scan at most slope / points
     further."""
-    table = np.array([pencil.solve(t)[: len(intervals)] for t in np.linspace(-0.5, 0.5, points)])
+    table = np.array([block.solve(t)[: len(intervals)] for t in np.linspace(-0.5, 0.5, points)])
     lo, hi = intervals.T
     assert np.all(lo <= table.min(axis=0) + 1e-10) and np.all(hi >= table.max(axis=0) - 1e-10)
     assert np.all(table.min(axis=0) - lo < 1e-3) and np.all(hi - table.max(axis=0) < 1e-3)
 
 
 def test_refine_band_edge_wraps_the_period_and_keeps_the_grid_value():
-    # band 0 of the uncoupled pencil is min_m (m + theta - 0.51)^2: its minimum
+    # band 0 of the uncoupled block is min_m (m + theta - 0.51)^2: its minimum
     # 0 sits just past the +1/2 endpoint (theta = -0.49), and its maximum 1/4
     # is the crossing at theta = 0.01, a kink between two grid phases
-    pencil = _pencil(*_shifted_hill(0.51))
-    record = BlochBands.on_grid(pencil.solve, theta_grid(17), folds=False)
-    lo, hi = record.extended(pencil, 1, 1e-9, minimize=golden_section_minimize).band_intervals[0]
+    block = _shifted_hill(0.51)
+    record = BlochBands.on_grid(block, theta_grid(17), folds=False)
+    lo, hi = record.extended(block, 1, 1e-9, minimize=golden_section_minimize).band_intervals[0]
     assert abs(lo) < 1e-14
     # a kink is located to within xtol, at slope 1
     assert abs(hi - 0.25) <= 2e-9
     # a search that finds nothing better leaves the grid extrema
     column = record.table[:, 0]
-    kept = record.extended(pencil, 1, 1e-9, minimize=lambda f, a, b, xtol: (a, math.inf)).band_intervals[0]
+    kept = record.extended(block, 1, 1e-9, minimize=lambda f, a, b, xtol: (a, math.inf)).band_intervals[0]
     assert kept.tolist() == [column.min(), column.max()]
 
 
@@ -135,12 +127,12 @@ def test_bloch_bands_solves_each_phase_once_and_refines_every_edge():
     # two coupled bands with off-grid extrema (delta = 0.1 moves them off the
     # symmetric phases); a third band is left out by the count
     solves = []
-    pencil = _pencil(*_shifted_hill(0.1, coupling=0.2), solves=solves)
+    block = _shifted_hill(0.1, coupling=0.2, solves=solves)
     grid = theta_grid(9)
-    record = BlochBands.on_grid(pencil.solve, grid, folds=False)
+    record = BlochBands.on_grid(block, grid, folds=False)
     assert solves == list(grid)
     assert record.table.shape == (9, 7) and record.count_below(1.0) == 2
-    refined = record.extended(pencil, 2, 1e-9, minimize=golden_section_minimize)
+    refined = record.extended(block, 2, 1e-9, minimize=golden_section_minimize)
     assert refined.bands.shape == (9, 2)
     # the grid extrema lie within the refined edges, and off the symmetric
     # phases they reach further than the rows at theta = 0 and +-1/2 alone
@@ -151,7 +143,7 @@ def test_bloch_bands_solves_each_phase_once_and_refines_every_edge():
     assert np.any(coarse[:, 0] < ends.min(axis=0)) or np.any(coarse[:, 1] > ends.max(axis=0))
     # one full solve at most per edge, to certify it
     assert len(solves) - len(grid) <= 4
-    _assert_matches_a_scan(refined.band_intervals, pencil)
+    _assert_matches_a_scan(refined.band_intervals, block)
     arrays = (refined.theta_grid, refined.table, refined.band_intervals, *refined.vectors)
     assert not any(a.flags.writeable for a in arrays)
     for count in (7, 8, 10):
@@ -160,11 +152,11 @@ def test_bloch_bands_solves_each_phase_once_and_refines_every_edge():
 
 
 def test_a_folded_grid_solves_only_the_phases_from_zero():
-    # the unshifted pencil is even in theta: its bands' edges sit at 0 and 1/2
+    # the unshifted block is even in theta: its bands' edges sit at 0 and 1/2
     solves, searched = [], []
-    pencil = _pencil(*_shifted_hill(0.0, coupling=0.2), solves=solves)
+    block = _shifted_hill(0.0, coupling=0.2, solves=solves)
     grid = theta_grid(9)
-    record = BlochBands.on_grid(pencil.solve, grid, folds=True)
+    record = BlochBands.on_grid(block, grid, folds=True)
     assert solves == list(grid[4:]) and len(record.vectors) == 5
     assert np.array_equal(record.table, record.table[::-1])
 
@@ -172,12 +164,12 @@ def test_a_folded_grid_solves_only_the_phases_from_zero():
         searched.append((a, b))
         return golden_section_minimize(f, a, b, xtol)
 
-    refined = record.extended(pencil, 5, 1e-9, minimize=search)
+    refined = record.extended(block, 5, 1e-9, minimize=search)
     # zero slopes with curvatures of the right sign, or kinks, at both ends
     assert searched == [] and len(solves) == 5
     ends = record.table[[4, 8], :5]
     assert np.array_equal(refined.band_intervals, np.column_stack([ends.min(axis=0), ends.max(axis=0)]))
-    _assert_matches_a_scan(refined.band_intervals, pencil)
+    _assert_matches_a_scan(refined.band_intervals, block)
 
 
 def test_gap_report_measures_from_the_band_bottom():

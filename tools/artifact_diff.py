@@ -12,8 +12,10 @@ Both run the same requests:
   not set (a grid potential, a constant profile, a commutator without
   ``--gen-nogo``, an orbit that aborts, ...), a ``gaps`` and a ``bands``
   run whose truncation search grows the starting size, a ``bands`` run
-  whose ``m_max`` is raised to cover the ceiling, and two ``gaps`` runs
-  that search band edges off the grid phases, which no workload does.
+  whose ``m_max`` is raised to cover the ceiling, two ``gaps`` runs that
+  search band edges off the grid phases, which no workload does, a ``hill``
+  run whose Fourier window is refused, and the finite-difference check on
+  the degenerate spectrum of W = 0 at its smallest grid.
 
 Each checkout runs all of them back to back in one child process, with
 OPENBLAS_NUM_THREADS=1 so that BLAS reduces in the same order in both.
@@ -70,6 +72,12 @@ _DEEP_WELL = '{"kind": "fourier_x", "coeffs": {"0": -30, "1": 0.5, "-1": 0.5}}'
 _OVERTURNED = (
     '{"kind": "fourier_x_profile", "coeffs": {"0": [1, 0]},'
     ' "profile": {"shape": "polynomial", "coeffs": [0, 0, -10]}}'
+)
+# V = 2 Re(-i e^{ix} - i e^{2ix} + (1 + i) e^{3ix}): the Fourier window
+# m_max = 6 does not resolve it, and its truncated band 2 turns inside (0, 1/2)
+_UNRESOLVED = (
+    '{"kind": "fourier_x", "coeffs": {"1": [0, -1], "-1": [0, 1], "2": [0, -1], "-2": [0, 1],'
+    ' "3": [1, 1], "-3": [1, -1]}}'
 )
 _CONSTANT_COS = (
     '{"kind": "fourier_x_profile", "coeffs": {"1": [0.3, 0.1], "-1": [0.3, -0.1]},'
@@ -134,6 +142,16 @@ CHEAP = {
     # nearly flat Hill bands, whose grid extrema off theta = 0 and 1/2 could
     # differ from the endpoint rows by rounding
     "hill-deep-well": ["hill", "--set", f"potential={_DEEP_WELL}"],
+    # a window too small for V: refused, with only the manifest written
+    "hill-unresolved-window": [
+        "hill", "--set", f"potential={_UNRESOLVED}", "--set", "m_max=6", "--set", "theta_count=9",
+        "--set", "band_count=2",
+    ],
+    # W = 0 gives the finite-difference oracle a degenerate spectrum, which
+    # no other request does, on the smallest grid it takes
+    "hill-fd-flat": [
+        "hill", "--set", 'potential={"kind": "zero"}', "--set", "fd_check=true", "--set", "fd_points=80",
+    ],
     "classical": ["classical", "--set", f"potential={_GRID}", "--set", "t_end=0.5"],
     "classical-bumps": ["classical", "--set", f"potential={_TWO_BUMPS}", "--set", "t_end=0.5"],
     "classical-abort": [
