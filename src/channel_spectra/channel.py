@@ -121,16 +121,12 @@ class GaussianProfile:
     def is_even(self) -> bool:
         return True
 
+    @property
+    def bounded_second_derivative(self) -> bool:
+        return True
+
     def sup_abs(self) -> float:
         return 1.0
-
-    def sup_abs_derivative(self) -> float:
-        # |g'| peaks at y = sigma with value exp(-1/2)/sigma
-        return math.exp(-0.5) / self.sigma
-
-    def sup_abs_second(self) -> float:
-        # |g''| peaks at y = 0 with value 1/sigma^2
-        return 1.0 / self.sigma**2
 
 
 @dataclass(frozen=True)
@@ -164,18 +160,13 @@ class PolynomialProfile:
     def is_even(self) -> bool:
         return all(c == 0.0 for c in self.coeffs[1::2])
 
+    @property
+    def bounded_second_derivative(self) -> bool:
+        """g'' is bounded exactly when the degree is at most 2."""
+        return all(c == 0.0 for c in self.coeffs[3:])
+
     def sup_abs(self) -> float:
         return abs(self.coeffs[0]) if self.is_constant else math.inf
-
-    def sup_abs_derivative(self) -> float:
-        if all(c == 0.0 for c in self.coeffs[2:]):
-            return abs(self.coeffs[1]) if len(self.coeffs) > 1 else 0.0
-        return math.inf
-
-    def sup_abs_second(self) -> float:
-        if all(c == 0.0 for c in self.coeffs[3:]):
-            return 2.0 * abs(self.coeffs[2]) if len(self.coeffs) > 2 else 0.0
-        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -184,24 +175,20 @@ class PolynomialProfile:
 
 @dataclass(frozen=True)
 class PotentialBounds:
-    """Certified upper bounds on sup norms of W and its weighted derivatives.
+    """What the transport certificate reads of W.
 
-    w0       : ||W||_inf
-    w0_prime : ||x dW/dx||_inf  (infinite for potentials whose x-dependence
-               does not decay, e.g. nonconstant periodic ones)
-    dxx, dyy, dxy : sup norms of the second derivatives
-    x2_dxx   : ||x^2 d^2 W/dx^2||_inf
-    method   : "analytic" for closed-form bounds, "grid" when a padded grid
-               maximum was used for at least one entry
+    w0       : certified upper bound on ||W||_inf
+    w0_prime : certified upper bound on ||x dW/dx||_inf (infinite for
+               potentials whose x-dependence does not decay, e.g.
+               nonconstant periodic ones)
+    second_derivatives_bounded : whether W_xx, W_yy, W_xy and x^2 W_xx are
+               all bounded, which lets the certificate conclude absolute
+               continuity rather than only the absence of eigenvalues
     """
 
     w0: float
     w0_prime: float
-    dxx: float
-    dyy: float
-    dxy: float
-    x2_dxx: float
-    method: str = "analytic"
+    second_derivatives_bounded: bool
 
 
 def _certified_grid_sup(values: np.ndarray, step: float) -> float:
@@ -224,8 +211,9 @@ class Potential:
     """Base class for potential descriptors.
 
     Subclasses provide vectorized ``evaluate``, an analytic or
-    finite-difference ``gradient`` and certified ``norm_estimates``.
-    Instances are immutable.
+    finite-difference ``gradient`` and ``norm_estimates``: certified sup
+    bounds on W and x dW/dx, and whether the second derivatives of W are
+    bounded.  Instances are immutable.
     """
 
     kind: ClassVar[str] = ""
@@ -283,7 +271,7 @@ class ZeroPotential(Potential):
         return np.zeros_like(xb), np.zeros_like(xb)
 
     def norm_estimates(self) -> PotentialBounds:
-        return PotentialBounds(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return PotentialBounds(0.0, 0.0, True)
 
 
 def _canonical_coeffs(coeffs: Mapping[int, complex]) -> tuple[tuple[int, complex], ...]:
@@ -334,8 +322,8 @@ def _fourier_eval_deriv(coeffs, x, out=0.0):
     return out
 
 
-def _fourier_sup(coeffs) -> tuple[float, bool]:
-    """(sup |f|, exact) for f(x) = sum c_k e^{ikx}.
+def _fourier_sup(coeffs) -> float:
+    """sup |f| for f(x) = sum c_k e^{ikx}.
 
     Single-harmonic profiles (optionally with a constant term) admit the
     closed form |c_0| + 2|c_k|; otherwise a padded grid maximum is used.
@@ -343,14 +331,13 @@ def _fourier_sup(coeffs) -> tuple[float, bool]:
     nonzero = [(k, c) for k, c in coeffs if k > 0]
     c0 = next((c.real for k, c in coeffs if k == 0), 0.0)
     if not nonzero:
-        return abs(c0), True
+        return abs(c0)
     if len(nonzero) == 1:
-        k, c = nonzero[0]
-        return abs(c0) + 2.0 * abs(c), True
+        return abs(c0) + 2.0 * abs(nonzero[0][1])
     kmax = max(k for k, _ in nonzero)
     n = max(4096, 64 * kmax)
     x = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return _certified_grid_sup(_fourier_eval(coeffs, x), 2.0 * math.pi / n), False
+    return _certified_grid_sup(_fourier_eval(coeffs, x), 2.0 * math.pi / n)
 
 
 def _times(a: float, b: float) -> float:
@@ -411,22 +398,13 @@ class SeparableFourierPotential(Potential):
         )
 
     def norm_estimates(self) -> PotentialBounds:
-        fsup, exact = _fourier_sup(self.coeffs)
-        fd1 = sum(2.0 * k * abs(c) for k, c in self.coeffs if k > 0)
-        fd2 = sum(2.0 * k * k * abs(c) for k, c in self.coeffs if k > 0)
+        fsup = _fourier_sup(self.coeffs)
         w0 = _times(fsup, self.profile.sup_abs())
-        dxx = _times(fd2, self.profile.sup_abs())
         # a nonconstant periodic f makes x dW/dx and x^2 W_xx unbounded unless W = 0
-        nonconst_x = any(k != 0 for k, _ in self.coeffs)
-        return PotentialBounds(
-            w0=w0,
-            w0_prime=math.inf if nonconst_x and w0 > 0 else 0.0,
-            dxx=dxx,
-            dyy=_times(fsup, self.profile.sup_abs_second()),
-            dxy=_times(fd1, self.profile.sup_abs_derivative()),
-            x2_dxx=math.inf if nonconst_x and dxx > 0 else 0.0,
-            method="analytic" if exact else "grid",
-        )
+        if any(k != 0 for k, _ in self.coeffs) and w0 > 0:
+            return PotentialBounds(w0, math.inf, False)
+        # otherwise f'' g = 0 and f' g' = 0, and W_yy = f g'' is bounded when f = 0 or g'' is
+        return PotentialBounds(w0, 0.0, fsup == 0.0 or self.profile.bounded_second_derivative)
 
 
 @dataclass(frozen=True)
@@ -495,37 +473,17 @@ class GaussianBumpPotential(Potential):
         return min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad
 
     def norm_estimates(self) -> PotentialBounds:
+        # a sum of Gaussians has bounded derivatives of every order, x-weighted too
         if len(self.bumps) == 1 and self.bumps[0].x0 == 0.0:
-            b = self.bumps[0]
-            a = abs(b.amplitude)
-            # |x dW/dx| = a * u^2 exp(-u^2/2) with u = x/s, peak 2/e;
-            # |x^2 d^2W/dx^2| = a * t|t-1| exp(-t/2) with t = u^2, peak at t = (5+sqrt(17))/2
-            t = 0.5 * (5.0 + math.sqrt(17.0))
-            return PotentialBounds(
-                w0=a,
-                w0_prime=a * 2.0 / math.e,
-                dxx=a / b.width**2,
-                dyy=a / b.width**2,
-                dxy=a / (math.e * b.width**2),
-                x2_dxx=a * t * (t - 1.0) * math.exp(-0.5 * t),
-                method="analytic",
-            )
-        w0 = _grid_sup_weighted(self, None)
-        w0p = _grid_sup_weighted(self, lambda xg: xg, first="x")
-        a_over_s2 = sum(abs(b.amplitude) / b.width**2 for b in self.bumps)
-        return PotentialBounds(
-            w0=w0,
-            w0_prime=w0p,
-            dxx=a_over_s2,
-            dyy=a_over_s2,
-            dxy=a_over_s2 / math.e,
-            x2_dxx=_grid_sup_weighted(self, lambda xg: xg * xg, second="xx"),
-            method="grid",
-        )
+            a = abs(self.bumps[0].amplitude)
+            # |x dW/dx| = a * u^2 exp(-u^2/2) with u = x/s, peak 2/e
+            return PotentialBounds(a, a * 2.0 / math.e, True)
+        return PotentialBounds(_grid_sup_weighted(self, False), _grid_sup_weighted(self, True), True)
 
 
-def _grid_sup_weighted(pot: GaussianBumpPotential, weight, first: str | None = None, second: str | None = None) -> float:
-    """Padded grid sup of |weight(x) * D W| over a box containing all bumps.
+def _grid_sup_weighted(pot: GaussianBumpPotential, x_derivative: bool) -> float:
+    """Padded grid sup of |W|, or of |x dW/dx| with ``x_derivative``, over a
+    box containing all bumps.
 
     The 10-sigma box makes the truncated tail negligible against the interior
     maximum for the Gaussian kinds this is used with.
@@ -538,15 +496,7 @@ def _grid_sup_weighted(pot: GaussianBumpPotential, weight, first: str | None = N
     xg = np.linspace(xlo, xhi, nx)
     yg = np.linspace(ylo, yhi, ny)
     X, Y = np.meshgrid(xg, yg, indexing="ij")
-    if second == "xx":
-        h = 1e-4 * min(b.width for b in pot.bumps)
-        vals = (pot.evaluate(X + h, Y) - 2.0 * pot.evaluate(X, Y) + pot.evaluate(X - h, Y)) / h**2
-    elif first == "x":
-        vals = pot.gradient(X, Y)[0]
-    else:
-        vals = pot.evaluate(X, Y)
-    if weight is not None:
-        vals = weight(X) * vals
+    vals = X * pot.gradient(X, Y)[0] if x_derivative else pot.evaluate(X, Y)
     step = xg[1] - xg[0]
     lip_x = np.max(np.abs(np.diff(vals, axis=0))) / step if nx > 1 else 0.0
     step_y = yg[1] - yg[0]
@@ -606,15 +556,8 @@ class GridSampledPotential(Potential):
         xedge = np.maximum(np.abs(self.x[:-1]), np.abs(self.x[1:]))[:, None]
         # the x-slope varies linearly in y inside a cell, so cell sup is at a y-edge
         cell_slope = np.maximum(slopes[:, :-1], slopes[:, 1:])
-        w0p = float(np.max(xedge * cell_slope))
-        dy = np.diff(self.y)[None, :]
-        cross = np.abs(np.diff(np.diff(self.values, axis=0), axis=1)) / (dx * dy)
-        dxy = float(np.max(cross)) if cross.size else 0.0
         # piecewise-bilinear data has no classical second derivatives
-        return PotentialBounds(
-            w0=w0, w0_prime=w0p, dxx=math.inf, dyy=math.inf, dxy=dxy, x2_dxx=math.inf,
-            method="grid",
-        )
+        return PotentialBounds(w0, float(np.max(xedge * cell_slope)), False)
 
     def __repr__(self) -> str:
         return f"GridSampledPotential(nx={self.x.size}, ny={self.y.size})"

@@ -48,12 +48,16 @@ _MAX_STEPS = 10**7
 
 
 def _step_count(t_end: float, dt: float) -> int:
-    """round(t_end / dt), refused above _MAX_STEPS before anything is allocated."""
+    """round(t_end / dt), refused when it is 0 or above _MAX_STEPS, before
+    anything is allocated."""
     if not (dt > 0 and t_end > 0):
         raise ConfigError("need positive dt and t_end")
     if not t_end / dt <= _MAX_STEPS:
         raise ConfigError(f"t_end / dt = {t_end / dt:.3g} exceeds the cap of {_MAX_STEPS:.0e} steps")
-    return int(round(t_end / dt))
+    n = int(round(t_end / dt))
+    if n == 0:
+        raise ConfigError(f"t_end / dt = {t_end / dt:.3g} rounds to 0 steps; need dt < 2 t_end")
+    return n
 
 
 @dataclass(frozen=True)
@@ -173,9 +177,9 @@ def integrate(
     out in the loop, and the potential gradient is taken at one float point
     per stage.  Every operation is the one the length-4 state array would
     do, in the same order, so the trajectory is the array form's bit for
-    bit.  Accepted states go into a preallocated (n + 1, 4) array.  At most
-    10^7 steps are taken: t_end / dt above 1e7 raises ValueError before
-    anything is allocated.
+    bit.  Accepted states go into a preallocated (n + 1, 4) array.  From 1
+    to 10^7 steps are taken: a t_end / dt above 1e7, or one that rounds to
+    0, raises ValueError before anything is allocated.
 
     Aborts (returning the partial trajectory flagged ``aborted``) when any
     phase-space component exceeds 1e9 or is not finite, which only happens

@@ -67,7 +67,7 @@ from .channel import (
     potential_from_dict,
 )
 from .classical import ClassicalState, closed_form_trajectory, integrate, mourre_observable
-from .fiber import EigensolverError, assemble_fiber, complex_theta_resolvent_bound, eigenvalues_fiber
+from .fiber import EigensolverError, assemble_fiber, complex_theta_resolvent_bound, eigenvalues_fiber, hill_block
 from .hermite import project_potential
 from .hill import _coarse_points, fd_hill_richardson, h00_gaps, hill_bands, hill_spectrum
 from .mourre import ScalingSweepRow, appendix_norm_checks, evaluate_certificate, scaling_sweep
@@ -358,9 +358,11 @@ def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
         def v_of_x(x):
             return _fourier_eval(pairs, x, np.zeros_like(x))
 
+        # one block of the request's Fourier window serves the three phases
+        block = hill_block(hb.coeffs, m_max)
         checks = []
         for theta in (0.0, 0.25, 0.5):
-            fourier = hill_spectrum(hb.coeffs, theta, m_max=m_max, count=5)
+            fourier = block.solve(theta, 5)
             fd = fd_hill_richardson(v_of_x, theta, count=5, n_points=cfg["fd_points"])
             checks.append(
                 {

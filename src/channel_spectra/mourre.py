@@ -18,6 +18,10 @@ padded threshold intervals), energies in
     I(alpha, d) = union_n [ (2n+1) alpha - d, (2n+1) alpha + d ]
 
 carry no eigenvalues, and transport through the channel persists there.
+A report's ``conclusion`` is "none" when the certificate is inadmissible.
+An admissible one concludes "absolutely_continuous" when W_xx, W_yy, W_xy
+and x^2 W_xx are bounded (``PotentialBounds.second_derivatives_bounded``),
+and only "no_eigenvalues" when they are not.
 
 The constant C comes from bounds on second-derivative operators against the
 transverse resolvent: after Fourier transform in x with dual variable u the
@@ -213,9 +217,6 @@ def evaluate_certificate(
         admissible = False
         reasons.append("certified set is empty below E")
 
-    sec_ok = all(
-        math.isfinite(v) for v in (bounds.dxx, bounds.dyy, bounds.dxy, bounds.x2_dxx)
-    )
     return MourreReport(
         params=params,
         E=float(E),
@@ -233,7 +234,7 @@ def evaluate_certificate(
         w0_below_alpha=w0_small,
         energy_outside_thresholds=outside,
         intervals_disjoint=disjoint,
-        second_derivatives_bounded=sec_ok,
+        second_derivatives_bounded=bounds.second_derivatives_bounded,
         admissible=admissible,
         excluded=tuple(windows),
         certified_set=tuple(certified),

@@ -21,6 +21,7 @@ from channel_spectra import (
 )
 from channel_spectra.channel import Potential
 from channel_spectra.classical import _BLOWUP_LIMIT, _free_orbit, _hamiltonian, _trajectory_arrays
+from channel_spectra.schema import ConfigError
 
 _P34 = derive_params(3.0, 4.0)
 _INIT = ClassicalState(t=0.0, x=0.0, y=0.0, px=1.0, py=0.0)
@@ -260,6 +261,17 @@ def test_time_step_validation():
             integrate(_P34, None, _INIT, t_end=t_end, dt=dt)
         with pytest.raises(ValueError, match="cap"):
             closed_form_trajectory(_P34, _INIT, t_end=t_end, dt=dt)
+
+
+@pytest.mark.parametrize("t_end, dt", [(1.0, 2.0), (0.3, 1.0), (1e-9, 1.0)])
+def test_a_step_count_that_rounds_to_zero_is_refused(t_end, dt):
+    # round(0.5) is 0: such an orbit would be its initial state alone
+    with pytest.raises(ConfigError, match="0 steps"):
+        integrate(_P34, None, _INIT, t_end=t_end, dt=dt)
+    with pytest.raises(ConfigError, match="0 steps"):
+        closed_form_trajectory(_P34, _INIT, t_end=t_end, dt=dt)
+    # just past half a step rounds up to one
+    assert integrate(_P34, None, _INIT, t_end=0.5000001, dt=1.0).times.size == 2
 
 
 @pytest.mark.parametrize(

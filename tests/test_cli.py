@@ -285,6 +285,17 @@ def test_mourre_inadmissible_is_still_success(tmp_path):
     assert any("non-localized" in r for r in cert["reasons"])
 
 
+def test_mourre_certificate_reads_unbounded_second_derivatives(tmp_path):
+    # W = 0.6 (0.2 - 0.4 y + 0.9 y^2 + 0.1 y^3): W_yy grows like y
+    potential = {
+        "kind": "profile_y", "profile": {"shape": "polynomial", "coeffs": [0.2, -0.4, 0.9, 0.1]}, "amplitude": 0.6,
+    }
+    out = tmp_path / "run"
+    assert main(["mourre", "--out", str(out), "--set", f"potential={json.dumps(potential)}"]) == 0
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["second_derivatives_bounded"] is False
+
+
 @pytest.mark.parametrize(
     "potential, w0",
     [
@@ -678,6 +689,74 @@ def test_bands_and_gaps_exit_cleanly_without_nan(
             assert "nan" not in (out / name).read_text().lower()
 
 
+def _nan_cells(path):
+    """(row, column) of every nan number in an artifact: a CSV cell, or a
+    number anywhere in a JSON value (row and column None)."""
+    if path.suffix == ".json":
+        def walk(value):
+            if isinstance(value, float) and math.isnan(value):
+                yield (None, None)
+            elif isinstance(value, dict):
+                for sub in value.values():
+                    yield from walk(sub)
+            elif isinstance(value, list):
+                for sub in value:
+                    yield from walk(sub)
+
+        return list(walk(json.loads(path.read_text())))
+    rows = _read_csv(path)
+    return [(i, key) for i, row in enumerate(rows) for key, cell in row.items() if cell.lower() == "nan"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    B=st.floats(0.5, 4.0),
+    omega_list=st.lists(st.floats(1.0, 200.0), min_size=1, max_size=4).map(sorted),
+    target_gap_count=st.integers(1, 6),
+    hill_m_max=st.sampled_from([5, 8, 12, 16]),
+    potential=st.one_of(
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3).map(
+            lambda a: {"kind": "fourier_x", "coeffs": _cosines(a)}
+        ),
+        st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 2.0)).map(
+            lambda c: {
+                "kind": "fourier_x_profile",
+                "coeffs": _cosines([c[0]]),
+                "profile": {"shape": "gaussian", "sigma": c[1]},
+            }
+        ),
+    ),
+)
+def test_sweep_omega_exits_cleanly_without_undocumented_nan(
+    tmp_path_factory, B, omega_list, target_gap_count, hill_m_max, potential
+):
+    out = tmp_path_factory.mktemp("sweep")
+    argv = ["sweep-omega", "--set", f"potential={json.dumps(potential)}"]
+    settings_ = {
+        "B": B, "omega_list": omega_list, "target_gap_count": target_gap_count,
+        "hill_m_max": hill_m_max, "n_hermite": 8, "theta_count": 9,
+    }
+    for key, value in settings_.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    start = time.perf_counter()
+    code = main(argv + ["--out", str(out)])
+    assert time.perf_counter() - start < _BANDS_RUN_BOUND
+    assert code in (0, 1, 2)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == code
+    for name in ["manifest.json", *manifest["artifacts"]]:
+        cells = _nan_cells(out / name)
+        if name != "sweep.csv":
+            assert not cells, name
+            continue
+        # the documented nan: a tracked gap that the reference H_{0,0} lacks,
+        # both of its edges, with an inf discrepancy
+        rows = _read_csv(out / name)
+        for i in {i for i, _ in cells}:
+            assert {key for j, key in cells if j == i} == {"reference_lower", "reference_upper"}
+            assert rows[i]["discrepancy"] == "inf"
+
+
 def test_diagnostics_command(tmp_path):
     out = tmp_path / "run"
     assert main(["diagnostics", "--out", str(out)]) == 0
@@ -847,6 +926,17 @@ def test_oversized_run_is_refused_promptly(tmp_path, argv):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_status"] == 1
     assert manifest["error"] == proc.stderr.strip()
+
+
+def test_an_orbit_of_zero_steps_exits_one_with_only_the_manifest(tmp_path, capsys):
+    # t_end / dt = 0.5 rounds to 0 steps; this used to exit 0 with a one-row trajectory
+    out = tmp_path / "o"
+    assert main(["classical", "--set", "dt=2", "--set", "t_end=1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t_end / dt = 0.5") and err.count("\n") == 1, err
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["exit_status"], manifest["artifacts"]) == (1, [])
 
 
 @pytest.mark.parametrize(

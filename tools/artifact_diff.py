@@ -14,8 +14,10 @@ Both run the same requests:
   run whose truncation search grows the starting size, a ``bands`` run
   whose ``m_max`` is raised to cover the ceiling, two ``gaps`` runs that
   search band edges off the grid phases, which no workload does, a ``hill``
-  run whose Fourier window is refused, and the finite-difference check on
-  the degenerate spectrum of W = 0 at its smallest grid.
+  run whose Fourier window is refused, the finite-difference check on
+  the degenerate spectrum of W = 0 at its smallest grid, and a ``mourre``
+  certificate with its scaling sweep for each way a kind decides whether
+  the second derivatives of W are bounded.
 
 Each checkout runs all of them back to back in one child process, with
 OPENBLAS_NUM_THREADS=1 so that BLAS reduces in the same order in both.
@@ -83,6 +85,19 @@ _CONSTANT_COS = (
     '{"kind": "fourier_x_profile", "coeffs": {"1": [0.3, 0.1], "-1": [0.3, -0.1]},'
     ' "profile": {"shape": "constant", "value": 2.0}}'
 )
+
+_SCALING = '{"E0": 1.6, "delta0": 0.2, "eps0": 0.2, "omega_list": [0.5, 1.0, 2.0, 4.0, 8.0]}'
+_OFF_CENTRE_BUMP = '{"kind": "gaussian_bumps", "bumps": [[0.013, 0.5, 0.0, 1.0]]}'
+_GAUSSIAN_Y = '{"kind": "profile_y", "profile": {"shape": "gaussian", "sigma": 0.8}, "amplitude": 0.01}'
+_CUBIC_Y = (
+    '{"kind": "profile_y", "profile": {"shape": "polynomial", "coeffs": [0.2, -0.4, 0.9, 0.1]},'
+    ' "amplitude": 0.6}'
+)
+
+
+def _mourre(potential: str) -> list[str]:
+    return ["mourre", "--set", "B=0.3", "--set", f"potential={potential}", "--set", f"scaling={_SCALING}"]
+
 
 # each command once, at settings far below its defaults where those are slow
 CHEAP = {
@@ -159,6 +174,14 @@ CHEAP = {
         "--set", "y0=0.1", "--set", "px0=0", "--set", "py0=0", "--set", "t_end=10",
     ],
     "mourre": ["mourre"],
+    # certificates whose second-derivative regularity is decided by each
+    # rule: the bump grid branch (off centre), bilinear data, a periodic
+    # f(x), a profile with bounded g'' and one with unbounded g''
+    "mourre-bump-off-centre": _mourre(_OFF_CENTRE_BUMP),
+    "mourre-grid": _mourre(_GRID),
+    "mourre-fourier-x": _mourre(_TWO_COS),
+    "mourre-gaussian-y": _mourre(_GAUSSIAN_Y),
+    "mourre-cubic-y": _mourre(_CUBIC_Y),
     "commutator": ["commutator"],
     "diagnostics": ["diagnostics"],
 }
