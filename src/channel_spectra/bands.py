@@ -22,46 +22,46 @@ the confinement omega grows at fixed field B.
 Truncation policy.  The Fourier window must cover the ceiling
 kinematically, beta (M - 1/2)^2 + alpha > ceiling with margin, and it
 starts at that cover (_kinematic_m_cover), the smallest such M plus 3.
-One growth loop serves both bases: each hands it how to build and judge
-the block of a truncation (N, M), and a failed judgement doubles N, widens
-M by 4, or both, so M grows past the cover only on the evidence of a
-check.  At most four truncations are checked, and a step that would take N
-past 500 (the Hermite degree cap), or need a dense fiber of dimension above
-MAX_FIBER_DIM = 4096, stops the growth; a truncation that never passes is
-reported with converged = False and a warning, and the last truncation
-checked is the one used.
+One check judges a truncation (N, M) in both bases.  At the probe phases
+theta = 0, 1/3, -1/2, every eigenpair (lambda, v) below the ceiling has the
+residual r = ||H_QP v|| into the discarded space Q (levels n >= N or
+Fourier indices |m| > M), on which H >= c_Q, the lower of the levels' and
+the window's floor.  The block form of the Temple/Kato estimate,
+sum r^2 / min (c_Q - lambda) over all pairs below the ceiling, bounds the
+truncation error of each of them (Parlett, The Symmetric Eigenvalue
+Problem, ch. 10-11); a per-pair r^2 / (c_Q - lambda) undershoots when two
+Ritz values nearly coincide.  The truncation passes when twice the block
+estimate plus the eigensolver's rounding eps ||H|| is at most cauchy_tol,
+and c_Q clears the ceiling.  Otherwise N doubles when the levels' share of
+the estimate exceeds half of what the rounding leaves of cauchy_tol, or
+their floor is below the ceiling, and M grows by 4 on the same test for
+the window's share and floor.  At most four truncations are checked, and a
+step that would take N past 500 (the Hermite degree cap), or the kept
+fiber N (2M + 1) past MAX_FIBER_DIM = 4096, stops the growth; a truncation
+that never passes is reported with converged = False and a warning, and
+the last truncation checked is the one used.
+
+The floors read W >= -(a + b y^2): (sup |W|, 0) for a bounded W, and
+a = F (|g_0| + |g_1| / 2), b = F (|g_2| + |g_1| / 2) for W = f(x) g(y),
+F = sup |f| and g a polynomial of degree 1 or 2, by |y| <= (1 + y^2) / 2.
+The window's floor alpha_b + beta_b (M + 1/2)^2 - a is then the free one
+of the channel with omega^2 weakened to omega^2 - b.  A profile of higher
+degree, or b >= omega^2, leaves H without a floor: ConfigError.
 
 - W = W(x) (W = 0, or a separable potential with a constant profile): the
-  fiber is built in the displaced Landau basis, where the free part is
-  diagonal.  At the probe phases theta = 0, 1/3, -1/2, every eigenpair
-  (lambda, v) below the ceiling has the residual r = ||H_QP v|| into the
-  discarded space Q (levels n >= N or Fourier indices |m| > M), on which
-  H >= c_Q = min(alpha (2N+1), alpha + beta (M + 1/2)^2) - sup |W|.  The
-  block form of the Temple/Kato estimate, sum r^2 / min (c_Q - lambda)
-  over all pairs below the ceiling, bounds the truncation error of each
-  of them (Parlett, The Symmetric Eigenvalue Problem, ch. 10-11); a
-  per-pair r^2 / (c_Q - lambda) undershoots when two Ritz values nearly
-  coincide.  The residuals of the three phases are formed together, once
-  per truncation.  The truncation passes when twice the block estimate
-  plus the eigensolver's rounding eps ||H|| is at most cauchy_tol, and c_Q
-  clears the ceiling (no discarded state can then sit below it).
-  Otherwise N doubles when the levels' share of the estimate exceeds half
-  of what the rounding leaves of cauchy_tol, or their floor alpha (2N+1) -
-  sup |W| is below the ceiling, and M grows by 4 on the same test for the
-  window's share and floor.  N starts at 4, or at n_hermite.
-- any other potential: the Hermite basis, validated by a Cauchy criterion
-  (eigenvalues below the ceiling move by < cauchy_tol when the Hermite
-  cutoff doubles and the Fourier window widens by 4), and raised to that
-  larger pair until it passes.  The kept pair is a block built from the
-  probe's own projection; the larger pair is solved at the three probe
-  phases as one-off fibers.  N starts at 40, or at n_hermite.
+  displaced Landau basis, where the free part is diagonal, so only W
+  couples into Q and the levels' floor is alpha (2N+1) - a.  N starts at 4.
+- any other potential: the Hermite basis.  The magnetic ladder from level
+  N - 1 to N couples into Q too, and the residual cuts W's overlap G at
+  degree 2N - 1.  The ladder's 2 B k y >= -delta alpha^2 y^2 -
+  B^2 k^2 / (delta alpha^2) at the best delta gives the levels' floor
+  (omega^2 - b) A / alpha^2 + max(0, B sqrt(A) / alpha - M - 1/2)^2 - a,
+  A = alpha (2N+1).  N starts at 40.
 
 An explicit n_hermite or m_max is a starting size that is only ever
 raised; an m_max below the cover is raised to it, with a note.  An
-n_hermite above 500, or a starting truncation whose check needs a dense
-fiber above MAX_FIBER_DIM (N (2M + 1) for the Landau block, 2N (2M + 9)
-for the Hermite probe; a large ceiling widens M), is a configuration
-error.
+n_hermite above 500, or a starting fiber N (2M + 1) above MAX_FIBER_DIM (a
+large ceiling widens M), is a configuration error.
 """
 
 from __future__ import annotations
@@ -73,16 +73,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .channel import ChannelParams, Potential, SeparableFourierPotential, ZeroPotential, derive_params
-from .fiber import (
-    FiberBlock,
-    assemble_fiber,
-    eigenvalues_fiber,
-    fiber_at,
-    fiber_block,
-    landau_block,
-    landau_residuals,
-)
+from .channel import ChannelParams, Potential, SeparableFourierPotential, ZeroPotential, _fourier_sup, derive_params
+# assemble_fiber is unused here; perfbench's self-test still wraps this binding
+from .fiber import FiberBlock, assemble_fiber, fiber_at, fiber_block, landau_block, landau_terms  # noqa: F401
+from .fiber import truncation_residuals
 from .hermite import project_potential
 from .hill import h00_gaps, hill_bands
 from .numutil import RITZ_PAD, BlochBands, GapReport, gap_report, golden_section_minimize, theta_grid
@@ -96,12 +90,12 @@ __all__ = [
     "compute_bands",
     "detect_gaps",
     "gap_persistence_sweep",
-    "landau_error_estimates",
+    "error_estimates",
 ]
 
 DEFAULT_N_HERMITE = 40
 DEFAULT_N_LANDAU = 4
-# the Cauchy probe projects W up to Hermite degree 2N - 1 <= 999
+# the residual check projects W up to Hermite degree 2N - 1 <= 999
 MAX_N_HERMITE = 500
 # the largest dense fiber a truncation search assembles: a complex fiber of
 # dimension 4096 holds 256 MiB, and the eigensolver's working copy as much again
@@ -134,29 +128,6 @@ def _kinematic_m_cover(params: ChannelParams, ceiling: float) -> int:
     return int(math.ceil(math.sqrt(span / params.beta) + 0.5)) + 3
 
 
-def _hermite_basis(params, spec, ceiling, tol):
-    """The Hermite basis: the Cauchy probe compares the eigenvalues below the
-    ceiling at (N, M) and at (2N, M+4), its largest dense fiber."""
-
-    def check(n, m):
-        # the projection covers the larger pair, and the kept block comes from it too
-        proj = project_potential(spec, params, nmax=2 * n - 1, mfourier=max(16, 2 * (m + 4)))
-        block = fiber_block(params, proj, n, m)
-        below = 0
-        for theta in _PROBES:
-            small = block.solve(theta)
-            # three phases only, so the larger pair is assembled one-off
-            big = eigenvalues_fiber(assemble_fiber(params, proj, theta, 2 * n, m + 4))
-            small, big = small[small <= ceiling], big[big <= ceiling]
-            below = max(below, small.size)
-            common = min(small.size, big.size)
-            if big.size - small.size > 2 or (common and np.max(np.abs(small[:common] - big[:common])) > tol):
-                return block, (True, True), below
-        return block, None, below
-
-    return check, lambda n, m: 2 * n * (2 * (m + 4) + 1)
-
-
 def _t_symmetric(spec: Potential) -> bool:
     """Whether E_j(-theta) = E_j(theta) for every band.
 
@@ -180,20 +151,19 @@ def _x_only_coeffs(spec: Potential):
     return None
 
 
-def landau_error_estimates(
-    block: FiberBlock, coeffs, w0: float, ceiling: float, thetas
+def error_estimates(
+    block: FiberBlock, terms, ladder: float, floors: tuple[float, float], ceiling: float, thetas
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
     """Eigenvalues below the ceiling at each of ``thetas`` and their truncation error estimates.
 
-    ``block`` is a ``landau_block`` for the Fourier pairs ``coeffs`` of W,
-    and w0 bounds sup |W|.  For each phase: the eigenvalues, the shares of
-    the block estimate 2 sum r^2 / min (c_Q - lambda) from the discarded
-    levels and from the discarded Fourier indices (see the module
-    docstring), each the same for every eigenvalue, and the eigensolver's
-    rounding eps ||H||.  The shares are infinite when c_Q does not clear the
-    ceiling.  The residuals of all phases come from one ``landau_residuals``
-    call on their eigenvectors side by side, so its overlaps are formed once
-    per truncation.
+    ``terms`` and ``ladder`` couple ``block`` into its discarded space (see
+    ``truncation_residuals``), and ``floors`` bound H there (``_floors``).
+    For each phase: the eigenvalues, the shares of the block estimate
+    2 sum r^2 / min (c_Q - lambda) from the discarded levels and from the
+    discarded Fourier indices (see the module docstring), each the same for
+    every eigenvalue, and the eigensolver's rounding eps ||H||.  The shares
+    are infinite when c_Q does not clear the ceiling.  All phases share one
+    ``truncation_residuals`` call, so the coupling is formed once.
     """
     solved = []
     for theta in thetas:
@@ -201,10 +171,12 @@ def landau_error_estimates(
         vals, vecs = scipy.linalg.eigh(h, subset_by_value=(-np.inf, ceiling))
         rounding = np.finfo(float).eps * float(np.max(np.sum(np.abs(h), axis=1)))
         solved.append((vals, vecs, rounding))
-    c_q = min(_floors(block, w0))
-    stacked = landau_residuals(block, coeffs, np.hstack([vecs for _, vecs, _ in solved]))
-    cuts = np.cumsum([vals.size for vals, _, _ in solved])[:-1]
-    residuals = zip(*(np.split(r2, cuts) for r2 in stacked))
+    c_q = min(floors)
+    sizes = [vals.size for vals, _, _ in solved]
+    stacked = truncation_residuals(
+        block, terms, np.hstack([vecs for _, vecs, _ in solved]), ladder, np.repeat(thetas, sizes)
+    )
+    residuals = zip(*(np.split(r2, np.cumsum(sizes)[:-1]) for r2 in stacked))
     out = []
     for (vals, _, rounding), shares in zip(solved, residuals):
         gap = c_q - np.max(vals, initial=-np.inf)
@@ -215,54 +187,56 @@ def landau_error_estimates(
     return out
 
 
-def _floors(block: FiberBlock, w0: float) -> tuple[float, float]:
+def _floors(block: FiberBlock, a: float, b: float, hermite: bool) -> tuple[float, float]:
     """Lower bounds of H on the discarded levels n >= N and on the discarded
-    Fourier indices |m| > M, given sup |W| <= w0."""
-    p = block.params
-    return p.alpha * (2 * block.n_hermite + 1) - w0, p.alpha + p.beta * (block.m_max + 0.5) ** 2 - w0
+    Fourier indices |m| > M, given W >= -(a + b y^2) (the module docstring)."""
+    p, k = block.params, block.m_max + 0.5
+    weak = derive_params(p.B, math.sqrt(p.omega * p.omega - b))  # p itself at b = 0
+    levels = p.alpha * (2 * block.n_hermite + 1)
+    if hermite:
+        shift = max(0.0, p.B * math.sqrt(levels) / p.alpha - k)
+        levels = (p.omega * p.omega - b) / p.alpha**2 * levels + shift**2
+    return levels - a, weak.alpha + weak.beta * k**2 - a
 
 
-def _landau_basis(params, coeffs, w0, ceiling, tol):
-    """The Landau basis: the residual estimate of the module docstring, on
-    the block of (N, M) itself."""
-
-    def check(n, m):
-        block = landau_block(params, coeffs, n, m)
-        estimates = landau_error_estimates(block, coeffs, w0, ceiling, _PROBES)
-        below = max(vals.size for vals, *_ in estimates)
-        worst = max(float(np.max(lv + wn, initial=0.0)) + r for _, lv, wn, r in estimates)
-        low_levels, low_window = (floor <= ceiling for floor in _floors(block, w0))
-        if worst <= tol and not (low_levels or low_window):
-            return block, None, below
-        # grow each direction whose share takes more than half of what the
-        # rounding leaves of the tolerance, or whose floor is below the ceiling
-        half = 0.5 * (tol - max(r for *_, r in estimates))
-        return block, (
-            low_levels or any(np.any(lv > half) for _, lv, _, _ in estimates),
-            low_window or any(np.any(wn > half) for _, _, wn, _ in estimates),
-        ), below
-
-    return check, lambda n, m: n * (2 * m + 1)
+def _quadratic_bound(spec: Potential, w0: float, params: ChannelParams) -> tuple[float, float]:
+    """(a, b) with W >= -(a + b y^2) and b < omega^2 (the module docstring), else ConfigError."""
+    if math.isfinite(w0):
+        return w0, 0.0
+    # W is unbounded only through a polynomial profile
+    g0, g1, g2, *higher = (abs(c) for c in (*spec.profile.coeffs, 0.0, 0.0))
+    if any(higher):
+        raise ConfigError("a profile of degree 3 or more leaves H without the floor the truncation check needs")
+    f = _fourier_sup(spec.coeffs)
+    a, b = f * (g0 + 0.5 * g1), f * (g2 + 0.5 * g1)
+    if b >= params.omega**2:
+        raise ConfigError(f"W >= -({a:.6g} + {b:.6g} y^2) overturns the confinement omega^2 = {params.omega**2:.6g}")
+    return a, b
 
 
-def _grow(check, size, n_h, m_m, notes) -> tuple[FiberBlock, bool, int]:
-    """Check at most _GROWTH_STEPS truncations, from (n_h, m_m) upwards.
-
-    ``check(N, M)`` builds a truncation's block and judges it: None when it
-    passes, else whether to grow the levels (N doubles) and the Fourier
-    window (M grows by 4); and it counts the block's eigenvalues below the
-    ceiling, at most over its probe phases.  ``size(N, M)`` is the largest
-    dense fiber that checking (N, M) assembles.  Returns the last block
-    checked, whether it passed, and its count.
+def _grow(build, ceiling: float, tol: float, n_h: int, m_m: int, notes) -> tuple[FiberBlock, bool, int]:
+    """Check at most _GROWTH_STEPS truncations, from (n_h, m_m) upwards, by
+    the module docstring's rule.  ``build(N, M)`` gives a truncation's block
+    and what ``error_estimates`` reads of it.  Returns the last block
+    checked, whether it passed, and its most eigenvalues below the ceiling
+    at a probe phase.
     """
     for step in range(_GROWTH_STEPS):
-        block, grow, below = check(n_h, m_m)
-        if grow is None:
+        block, terms, ladder, floors = build(n_h, m_m)
+        estimates = error_estimates(block, terms, ladder, floors, ceiling, _PROBES)
+        below = max(vals.size for vals, *_ in estimates)
+        worst = max(float(np.max(lv + wn, initial=0.0)) + r for _, lv, wn, r in estimates)
+        low_levels, low_window = (floor <= ceiling for floor in floors)
+        if worst <= tol and not (low_levels or low_window):
             return block, True, below
         if step + 1 == _GROWTH_STEPS:
             break
-        n_next, m_next = (2 * n_h if grow[0] else n_h), (m_m + 4 if grow[1] else m_m)
-        if n_next > MAX_N_HERMITE or size(n_next, m_next) > MAX_FIBER_DIM:
+        # grow each direction whose share takes more than half of what the
+        # rounding leaves of the tolerance, or whose floor is below the ceiling
+        half = 0.5 * (tol - max(r for *_, r in estimates))
+        n_next = 2 * n_h if low_levels or any(np.any(lv > half) for _, lv, _, _ in estimates) else n_h
+        m_next = m_m + 4 if low_window or any(np.any(wn > half) for _, _, wn, _ in estimates) else m_m
+        if n_next > MAX_N_HERMITE or n_next * (2 * m_next + 1) > MAX_FIBER_DIM:
             cap = "Hermite degree" if n_next > MAX_N_HERMITE else "fiber dimension"
             notes.append(f"truncation growth stopped at (N={n_h}, M={m_m}) by the {cap} cap")
             break
@@ -288,9 +262,10 @@ def compute_bands(
     both +-1/2 endpoints), and cauchy_tol > 0.  Bands are reported when
     their grid minimum lies at or below the ceiling; eigenvalues above the
     ceiling are not trusted.  The basis and the truncation follow the
-    module's truncation policy; n_hermite above MAX_N_HERMITE, or a starting
-    truncation whose check needs a fiber above MAX_FIBER_DIM, raises
-    ConfigError, as does a ceiling below the spectrum.  With refine, xtol
+    module's truncation policy, whose check passes at cauchy_tol;
+    n_hermite above MAX_N_HERMITE, a starting fiber N (2M + 1) above
+    MAX_FIBER_DIM, a potential without the floor that check reads, and a
+    ceiling below the spectrum raise ConfigError.  With refine, xtol
     bounds the phase theta* of each searched edge on its reduced pencil, and
     the edge value is a full solve at theta*; else the grid extrema stand.
     """
@@ -315,16 +290,29 @@ def compute_bands(
 
     if coeffs is None:
         n_h = DEFAULT_N_HERMITE if n_hermite is None else int(n_hermite)
-        check, size = _hermite_basis(params, spec, energy_ceiling, cauchy_tol)
+        a, b = _quadratic_bound(spec, w0, params)
+
+        def build(n, m):
+            # G to degree 2N - 1, where the residual cuts it, and the harmonics
+            # that couple past the window, which the residual reads too
+            proj = project_potential(spec, params, nmax=2 * n - 1, mfourier=max(16, 2 * (m + 4)))
+            block = fiber_block(params, proj, n, m)
+            terms = [(k, c, proj.overlap[:, :n]) for k, c in proj.fourier]
+            return block, terms, params.B * math.sqrt(2 * n / params.alpha), _floors(block, a, b, True)
+
     else:
         n_h = DEFAULT_N_LANDAU if n_hermite is None else int(n_hermite)
-        check, size = _landau_basis(params, coeffs, w0, energy_ceiling, cauchy_tol)
-    if size(n_h, m_m) > MAX_FIBER_DIM:
+
+        def build(n, m):
+            block = landau_block(params, coeffs, n, m)
+            return block, landau_terms(block, coeffs), 0.0, _floors(block, w0, 0.0, False)
+
+    if n_h * (2 * m_m + 1) > MAX_FIBER_DIM:
         raise ConfigError(
             f"truncation (N={n_h}, M={m_m}) for ceiling {energy_ceiling:.6g} needs a dense fiber of "
-            f"dimension {size(n_h, m_m)}, above the cap of {MAX_FIBER_DIM}"
+            f"dimension {n_h * (2 * m_m + 1)}, above the cap of {MAX_FIBER_DIM}"
         )
-    block, converged, below = _grow(check, size, n_h, m_m, notes)
+    block, converged, below = _grow(build, energy_ceiling, cauchy_tol, n_h, m_m, notes)
     if not converged:
         warnings.warn(
             f"truncation did not meet the Cauchy tolerance {cauchy_tol:.1e} at "

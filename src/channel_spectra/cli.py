@@ -87,6 +87,12 @@ _B = Key(float, 3.0, ge=0.0)
 _OMEGA = Key(float, 4.0, gt=0.0)
 
 
+def _ascending(omegas: list[float]) -> None:
+    # a sweep reads its verdict along the list, and a repeat reruns a whole omega
+    if any(b <= a for a, b in zip(omegas, omegas[1:])):
+        raise ValueError(f"must ascend strictly, got {omegas}")
+
+
 def _potential(default: dict, kinds=PERIODIC_POTENTIAL) -> Key:
     # the gap and Hill commands need W periodic in x; the constructors'
     # own checks (conjugate symmetry, grid shape, bump width) run here too
@@ -115,7 +121,7 @@ _SCHEMAS: dict[str, dict] = {
     "gaps": {**_BANDS, "potential": _potential(_TWO_COS), "gap_tolerance": _GAP_TOLERANCE},
     "sweep-omega": {
         "B": _B,
-        "omega_list": Key(list[float], [4.0, 10.0, 40.0], gt=0.0),
+        "omega_list": Key(list[float], [4.0, 10.0, 40.0], gt=0.0, check=_ascending),
         "potential": _potential(_TWO_COS),
         "theta_count": Key(int, 17, check=theta_grid),
         "hill_m_max": Key(int, 32, ge=2),
@@ -160,7 +166,7 @@ _SCHEMAS: dict[str, dict] = {
                 "E0": Key(float, gt=0.0),
                 "delta0": Key(float, gt=0.0),
                 "eps0": Key(float, gt=0.0),
-                "omega_list": Key(list[float], gt=0.0),
+                "omega_list": Key(list[float], gt=0.0, check=_ascending),
             },
             None,
         ),

@@ -58,7 +58,8 @@ __all__ = [
     "fiber_block",
     "landau_block",
     "hill_block",
-    "landau_residuals",
+    "landau_terms",
+    "truncation_residuals",
     "displacement_overlaps",
     "fiber_at",
     "assemble_fiber",
@@ -238,37 +239,47 @@ def hill_block(pairs, m_max: int) -> FiberBlock:
     return _build_block(None, terms, np.zeros(1), m_max, kinetic=1.0)
 
 
-def landau_residuals(block: FiberBlock, coeffs, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """||H_QP v||^2 for the columns v of ``vectors``, split by where Q lies.
-
-    ``block`` is a ``landau_block`` for the same ``coeffs``, and Q is the
-    complement of its truncation: the levels n >= N inside the Fourier
-    window (first array) and the Fourier indices |m| > M (second).  The free
-    part is diagonal in this basis, so only W couples into Q, and it reaches
-    the rows |m| <= M + max |k| and the levels up to where D falls below
-    1e-12 (the rows beyond add less than 1e-24 sum |W_k|^2 to r^2, and the
-    quadrature's own rounding in D is about 1e-14).  Only those rows are
-    formed.
+def landau_terms(block: FiberBlock, coeffs) -> list[tuple[int, complex, np.ndarray]]:
+    """The coupling of a ``landau_block`` for the same ``coeffs`` into its
+    discarded levels, for ``truncation_residuals``: (k, W_k, D(B k /
+    alpha^{3/2})) for each k != 0, since W_0 D(0) stays within the kept
+    levels.  D reaches the levels up to where it falls below 1e-12 (the rows
+    beyond add less than 1e-24 sum |W_k|^2 to r^2, and the quadrature's own
+    rounding in D is about 1e-14); only those rows are formed.
     """
-    N, size = block.n_hermite, 2 * block.m_max + 1
+    N = block.n_hermite
     harmonics = [(k, c) for k, c in _canonical_coeffs(dict(coeffs)) if k != 0]
-    vecs = vectors.reshape(size, N, vectors.shape[1])
-    if not harmonics:
-        zero = np.zeros(vecs.shape[2])
-        return zero, zero
     scale = block.params.B / block.params.alpha**1.5
-    reach = max(abs(k) for k, _ in harmonics)
     pad = 8
     while True:
         n_rows = min(N + pad, _MAX_DEGREE + 1)
         overlaps = [displacement_overlaps(n_rows, N, scale * k) for k, _ in harmonics]
-        tail = max(float(np.max(np.abs(d[-4:]))) for d in overlaps)
+        tail = max((float(np.max(np.abs(d[-4:]))) for d in overlaps), default=0.0)
         if tail <= 1e-12 or n_rows > _MAX_DEGREE:
             break
         pad *= 2
+    return [(k, c, d) for (k, c), d in zip(harmonics, overlaps)]
+
+
+def truncation_residuals(block: FiberBlock, terms, vectors: np.ndarray, ladder=0.0, thetas=0.0):
+    """||H_QP v||^2 for the columns v of ``vectors``, split by where Q lies.
+
+    Q is the complement of the truncation of ``block``: the levels n >= N
+    inside the Fourier window (first array) and the Fourier indices |m| > M
+    (second).  ``terms`` are the potential's triples (k, c_k, M_k) as
+    ``_build_block`` takes them, with M_k of shape (n_rows, N), the levels n
+    < n_rows that the kept ones couple to.  ``ladder`` is the weight B
+    sqrt(2N / alpha) of the magnetic ladder from level N - 1 to level N,
+    times m + theta at the phase ``thetas`` of each column.
+    """
+    N, size = block.n_hermite, 2 * block.m_max + 1
+    vecs = vectors.reshape(size, N, vectors.shape[1])
+    reach = max((abs(k) for k, _, _ in terms), default=0)
+    n_rows = max((overlap.shape[0] for *_, overlap in terms), default=N + 1)
     rows = np.zeros((size + 2 * reach, n_rows, vecs.shape[2]), dtype=np.result_type(vecs, complex))
-    for (k, c), d in zip(harmonics, overlaps):
-        rows[reach + k : reach + k + size] += c * (d @ vecs)
+    for k, c, overlap in terms:
+        rows[reach + k : reach + k + size] += c * (overlap @ vecs)
+    rows[reach : reach + size, N] += ladder * (block.row_m[::N, None] + thetas) * vecs[:, N - 1]
     rows[reach : reach + size, :N] = 0.0  # the kept space P
     r2 = np.abs(rows) ** 2
     inside = r2[reach : reach + size].sum(axis=(0, 1))

@@ -293,32 +293,104 @@ def test_x_only_potentials_take_the_landau_basis():
     assert (free.n_hermite, coupled.n_hermite) == (4, 8)
 
 
-def test_hermite_probe_builds_one_block_and_three_one_off_fibers(monkeypatch):
-    from channel_spectra import bands
+def test_hermite_check_builds_one_block_and_no_one_off_fiber(monkeypatch):
+    from channel_spectra import bands, fiber
 
     blocks, fibers = [], []
-    block, fiber = bands.fiber_block, bands.assemble_fiber
+    block = bands.fiber_block
 
     def counted_block(params, proj, n_hermite, m_max, *args):
         blocks.append((n_hermite, m_max))
         return block(params, proj, n_hermite, m_max, *args)
 
-    def counted_fiber(params, proj, theta, n_hermite, m_max, *args):
-        fibers.append((n_hermite, m_max))
-        return fiber(params, proj, theta, n_hermite, m_max, *args)
-
     monkeypatch.setattr(bands, "fiber_block", counted_block)
-    monkeypatch.setattr(bands, "assemble_fiber", counted_fiber)
+    # every binding of the one-off fiber builder
+    for module in (bands, fiber):
+        monkeypatch.setattr(module, "assemble_fiber", lambda *args: fibers.append(args))
     bs = compute_bands(_P34, _GAUSSIAN_COS, theta_count=9, energy_ceiling=6.0, n_hermite=8, refine=False)
     # converged at the first size: the kept pair is the one block built
     assert bs.converged and not any("truncation raised" in note for note in bs.notes)
     assert blocks == [(8, bs.m_max)]
-    assert fibers == [(16, bs.m_max + 4)] * 3
+    assert fibers == []
+
+
+def _cos_times(amplitude, profile):
+    """amplitude cos x times a transverse profile."""
+    return SeparableFourierPotential({1: amplitude / 2, -1: amplitude / 2}, profile)
+
+
+@pytest.mark.parametrize(
+    "B,omega,spec,n_levels,ceiling",
+    [
+        (3.0, 4.0, _cos_times(0.6, GaussianProfile(1.5)), 6, 10.0),
+        # sup |W| = 4.8, about alpha = 5
+        (3.0, 4.0, _cos_times(4.8, GaussianProfile(1.0)), 8, 10.0),
+        # polynomial profiles, whose floors read W >= -(a + b y^2)
+        (3.0, 4.0, _cos_times(0.6, PolynomialProfile((1.0, 0.5))), 8, 10.0),
+        (3.0, 4.0, _cos_times(0.6, PolynomialProfile((1.0, 0.0, 0.05))), 8, 10.0),
+        # no magnetic ladder, then a strong field in a weak channel
+        (0.0, 4.0, _cos_times(2.0, GaussianProfile(1.0)), 6, 8.0),
+        (4.0, 1.5, _cos_times(1.0, GaussianProfile(1.0)), 12, 5.77),
+    ],
+    ids=["weak-gaussian", "sup-near-alpha", "linear-profile", "quadratic-profile", "B-0", "B-4-omega-1.5"],
+)
+def test_hermite_estimate_bounds_the_truncation_error(B, omega, spec, n_levels, ceiling):
+    from channel_spectra.bands import _floors, _quadratic_bound, error_estimates
+    from channel_spectra.fiber import fiber_at, fiber_block
+
+    params, theta = derive_params(B, omega), 0.23
+    m_max = _kinematic_m_cover(params, ceiling)
+    # the truncation exactly as compute_bands checks it
+    proj = project_potential(spec, params, nmax=2 * n_levels - 1, mfourier=max(16, 2 * (m_max + 4)))
+    block = fiber_block(params, proj, n_levels, m_max)
+    terms = [(k, c, proj.overlap[:, :n_levels]) for k, c in proj.fourier]
+    a, b = _quadratic_bound(spec, spec.norm_estimates().w0, params)
+    ladder = B * math.sqrt(2 * n_levels / params.alpha)
+    [(vals, levels, window, _)] = error_estimates(
+        block, terms, ladder, _floors(block, a, b, True), ceiling, [theta]
+    )
+    ref_proj = project_potential(spec, params, nmax=63, mfourier=max(16, 2 * (m_max + 8)))
+    ref = scipy.linalg.eigvalsh(fiber_at(fiber_block(params, ref_proj, 64, m_max + 8), theta))
+    # min-max: a truncation only raises eigenvalues; the estimate bounds by
+    # how much, up to the rounding of the reference solve (dimension 1600-2000)
+    err = vals - ref[: vals.size]
+    rounding = 1e-12 * ceiling
+    assert vals.size >= 4 and np.all(np.isfinite(levels + window))
+    assert np.max(err) > 1e-10  # the truncation is visibly short of converged
+    assert np.all(err >= -rounding)
+    assert np.all(err <= levels + window + rounding)
+
+
+def test_the_residual_check_holds_a_strong_potential_to_its_tolerance():
+    # sup |W| = 4 near alpha = 5: at (8, 10) the bands are still 1.2e-7 off
+    # (16, 10), beyond cauchy_tol = 1e-7, so the check grows N once more
+    spec = _cos_times(4.0, GaussianProfile(1.0))
+    bs = compute_bands(_P34, spec, theta_count=9, energy_ceiling=9.0, n_hermite=4, refine=False)
+    assert bs.converged and (bs.n_hermite, bs.m_max) == (16, 10)
+    assert bs.notes == ("truncation raised to (N=8, M=10)", "truncation raised to (N=16, M=10)")
+
+
+@pytest.mark.parametrize(
+    "profile, omega, message",
+    [
+        (PolynomialProfile((1.0, 0.0, 0.0, 0.05)), 4.0, "degree 3"),
+        # W >= -(0 + 10 y^2) against omega^2 = 9
+        (PolynomialProfile((0.0, 0.0, -10.0)), 3.0, "overturns the confinement"),
+    ],
+    ids=["cubic", "overturned"],
+)
+def test_a_potential_without_a_floor_is_refused_before_any_solve(monkeypatch, profile, omega, message):
+    from channel_spectra import fiber
+
+    monkeypatch.setattr(fiber, "eigenvalues_fiber", lambda *args, **kwargs: pytest.fail("solved"))
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda *args, **kwargs: pytest.fail("solved"))
+    with pytest.raises(ConfigError, match=message):
+        compute_bands(derive_params(3.0, omega), SeparableFourierPotential({0: 1.0}, profile), n_hermite=8)
 
 
 @pytest.mark.parametrize("spec", [_TWO_COS, _GAUSSIAN_COS], ids=["landau", "hermite"])
 def test_unrefined_bands_solve_no_eigenvectors(monkeypatch, spec):
-    from channel_spectra import bands, fiber
+    from channel_spectra import fiber
 
     vector_solves = []
     solve = fiber.eigenvalues_fiber
@@ -327,9 +399,8 @@ def test_unrefined_bands_solve_no_eigenvectors(monkeypatch, spec):
         vector_solves.append(vectors)
         return solve(mat, count, vectors=vectors)
 
-    # every binding of the fiber eigensolver that the band driver may call
+    # every band-driver solve goes through FiberBlock.solve to the fiber eigensolver
     monkeypatch.setattr(fiber, "eigenvalues_fiber", counted_solve)
-    monkeypatch.setattr(bands, "eigenvalues_fiber", counted_solve)
     bs = compute_bands(_P34, spec, theta_count=9, energy_ceiling=6.0, n_hermite=8, refine=False)
     assert bs.band_count > 0 and bs.vectors == ()
     assert len(vector_solves) >= 5 and not any(vector_solves)
@@ -384,8 +455,7 @@ def test_growth_stops_at_the_fiber_dimension_cap(monkeypatch, spec):
 
     # the cap is the size of the start (N=4, M at the ceiling's cover), so the first raise stops
     m = _kinematic_m_cover(_P34, 6.0)
-    size = 4 * (2 * m + 1) if spec is _TWO_COS else 8 * (2 * (m + 4) + 1)
-    monkeypatch.setattr(bands, "MAX_FIBER_DIM", size)
+    monkeypatch.setattr(bands, "MAX_FIBER_DIM", 4 * (2 * m + 1))
     with pytest.warns(UserWarning, match="did not meet"):
         bs = compute_bands(
             _P34, spec, theta_count=9, energy_ceiling=6.0, n_hermite=4, cauchy_tol=1e-18, refine=False

@@ -711,7 +711,7 @@ def _nan_cells(path):
 @settings(max_examples=30, deadline=None)
 @given(
     B=st.floats(0.5, 4.0),
-    omega_list=st.lists(st.floats(1.0, 200.0), min_size=1, max_size=4).map(sorted),
+    omega_list=st.lists(st.floats(1.0, 200.0), min_size=1, max_size=4, unique=True).map(sorted),
     target_gap_count=st.integers(1, 6),
     hill_m_max=st.sampled_from([5, 8, 12, 16]),
     potential=st.one_of(
@@ -755,6 +755,61 @@ def test_sweep_omega_exits_cleanly_without_undocumented_nan(
         for i in {i for i, _ in cells}:
             assert {key for j, key in cells if j == i} == {"reference_lower", "reference_upper"}
             assert rows[i]["discrepancy"] == "inf"
+
+
+_MOURRE_POTENTIALS = st.one_of(
+    st.just({"kind": "zero"}),
+    # a centred bump, then one off centre
+    st.tuples(st.floats(-2.0, 2.0), st.floats(0.3, 1.5)).map(
+        lambda b: {"kind": "gaussian_bumps", "bumps": [[b[0], 0.0, 0.0, b[1]]]}
+    ),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-3.0, 3.0), st.floats(-1.0, 1.0), st.floats(0.3, 1.5)).map(
+        lambda b: {"kind": "gaussian_bumps", "bumps": [list(b)]}
+    ),
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3).map(lambda a: {"kind": "fourier_x", "coeffs": _cosines(a)}),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(0.5, 2.0)).map(
+        lambda c: {"kind": "profile_y", "profile": {"shape": "gaussian", "sigma": c[1]}, "amplitude": c[0]}
+    ),
+    st.tuples(st.floats(-2.0, 2.0), st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4)).map(
+        lambda c: {"kind": "profile_y", "profile": {"shape": "polynomial", "coeffs": c[1]}, "amplitude": c[0]}
+    ),
+)
+_SCALING_BLOCKS = st.fixed_dictionaries(
+    {
+        "E0": st.floats(0.5, 20.0),
+        "delta0": st.floats(0.05, 2.0),
+        "eps0": st.floats(0.05, 2.0),
+        "omega_list": st.lists(st.floats(0.2, 8.0), min_size=1, max_size=5, unique=True).map(sorted),
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mourre"], ["commutator"], ["commutator", "--gen-nogo"], ["diagnostics"]],
+    ids=["mourre", "commutator", "commutator-gen-nogo", "diagnostics"],
+)
+@settings(max_examples=20, deadline=None)
+@given(B=st.floats(0.0, 6.0), omega=st.floats(0.2, 8.0), data=st.data())
+def test_certificate_and_check_commands_exit_cleanly_without_nan(tmp_path_factory, argv, B, omega, data):
+    out = tmp_path_factory.mktemp(argv[0])
+    sets = {"B": B, "omega": omega}
+    if argv == ["mourre"]:
+        sets["potential"] = data.draw(_MOURRE_POTENTIALS)
+        scaling = data.draw(st.none() | _SCALING_BLOCKS)
+        if scaling is not None:
+            sets["scaling"] = scaling
+    for key, value in sets.items():
+        argv = [*argv, "--set", f"{key}={json.dumps(value)}"]
+    start = time.perf_counter()
+    code = main(argv + ["--out", str(out)])
+    assert time.perf_counter() - start < _BANDS_RUN_BOUND
+    assert code in (0, 1, 2)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == code
+    for name in ["manifest.json", *manifest["artifacts"]]:
+        if name.endswith((".csv", ".json")):
+            assert not _nan_cells(out / name), name
 
 
 def test_diagnostics_command(tmp_path):
@@ -809,6 +864,27 @@ def test_mourre_rejects_non_finite_and_absurd_inputs_promptly(tmp_path, setting)
     )
     assert proc.returncode == 1, proc.stderr
     assert "config error" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        # a repeat reran the whole band computation: three times for [1, 1, 1]
+        (["sweep-omega", "--set", "omega_list=[1.0, 1.0, 1.0]"], "omega_list"),
+        # unsorted, this reported "admissible from omega=8" while 0.5 is admissible
+        (
+            ["mourre", "--set", 'scaling={"E0": 1.6, "delta0": 0.2, "eps0": 0.2, "omega_list": [8.0, 0.5, 4.0]}'],
+            "scaling.omega_list",
+        ),
+    ],
+    ids=["sweep-omega-repeated", "mourre-scaling-unsorted"],
+)
+def test_an_omega_list_that_does_not_ascend_exits_one_before_any_output(tmp_path, capsys, argv, key):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: must ascend strictly") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_sweep_command_small(tmp_path):
@@ -956,6 +1032,23 @@ def test_ceiling_below_the_spectrum_writes_only_the_manifest(tmp_path, capsys, a
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_status"] == 1 and manifest["artifacts"] == []
     assert manifest["error"] == err.strip()
+
+
+def test_a_cubic_profile_writes_only_the_manifest(tmp_path, capsys):
+    # W = 0.6 cos x (1 + 0.05 y^3) has no floor -(a + b y^2) for the
+    # truncation check; this used to exit 0
+    potential = {
+        "kind": "fourier_x_profile", "coeffs": {"1": [0.3, 0.0], "-1": [0.3, 0.0]},
+        "profile": {"shape": "polynomial", "coeffs": [1.0, 0.0, 0.0, 0.05]},
+    }
+    out = tmp_path / "o"
+    argv = ["gaps", "--set", f"potential={json.dumps(potential)}", "--set", "n_hermite=8", "--set", "ceiling=6.5"]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: a profile of degree 3") and err.count("\n") == 1, err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1 and manifest["artifacts"] == []
 
 
 def test_cross_key_error_leaves_a_manifest(tmp_path, capsys):

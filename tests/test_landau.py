@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
 from channel_spectra import SeparableFourierPotential, assemble_fiber, derive_params, project_potential
-from channel_spectra.bands import _kinematic_m_cover, landau_error_estimates
-from channel_spectra.fiber import displacement_overlaps, fiber_at, landau_block, landau_residuals
+from channel_spectra.bands import _floors, _kinematic_m_cover, error_estimates
+from channel_spectra.fiber import displacement_overlaps, fiber_at, landau_block, landau_terms, truncation_residuals
 
 _TWO_COS = SeparableFourierPotential.from_cosines({1: 2.0})
 _COMPLEX = SeparableFourierPotential({1: 0.6 + 0.3j, -1: 0.6 - 0.3j, 2: 0.2 - 0.4j, -2: 0.2 + 0.4j})
@@ -93,7 +93,7 @@ def test_residual_vanishes_without_coupling_harmonics():
     for coeffs in ((), ((0, 1.5 + 0j),)):
         block = landau_block(params, coeffs, 4, 3)
         _, vecs = scipy.linalg.eigh(fiber_at(block, 0.2))
-        levels, window = landau_residuals(block, coeffs, vecs)
+        levels, window = truncation_residuals(block, landau_terms(block, coeffs), vecs)
         assert not levels.any() and not window.any()
 
 
@@ -128,7 +128,8 @@ def test_residual_estimate_bounds_the_truncation_error(spec, B, omega, n_levels,
     m_max = _kinematic_m_cover(params, ceiling) - narrower
     w0 = spec.norm_estimates().w0
     block = landau_block(params, spec.coeffs, n_levels, m_max)
-    [(vals, levels, window, _)] = landau_error_estimates(block, spec.coeffs, w0, ceiling, [theta])
+    terms, floors = landau_terms(block, spec.coeffs), _floors(block, w0, 0.0, False)
+    [(vals, levels, window, _)] = error_estimates(block, terms, 0.0, floors, ceiling, [theta])
     ref = scipy.linalg.eigvalsh(fiber_at(landau_block(params, spec.coeffs, 30, m_max + 8), theta))
     # min-max: a truncation only raises eigenvalues; the estimate bounds by
     # how much, up to the rounding of the reference solve (dim about 1000,

@@ -11,7 +11,9 @@ Both run the same requests:
 - each command once at cheap settings, with the options the workloads do
   not set (a grid potential, a constant profile, a commutator without
   ``--gen-nogo``, an orbit that aborts, ...), a ``gaps`` and a ``bands``
-  run whose truncation search grows the starting size, a ``bands`` run
+  run whose truncation search grows the starting size, three ``gaps`` runs
+  in the Hermite basis (without the magnetic ladder, at a potential near
+  alpha, and with a cubic profile, which is refused), a ``bands`` run
   whose ``m_max`` is raised to cover the ceiling, two ``gaps`` runs that
   search band edges off the grid phases, which no workload does, a ``hill``
   run whose Fourier window is refused, the finite-difference check on
@@ -67,6 +69,14 @@ _ODD_PROFILE = (
     ' "profile": {"shape": "polynomial", "coeffs": [1.0, 0.5]}}'
 )
 _TWO_COS = '{"kind": "fourier_x", "coeffs": {"1": [1.0, 0.0], "-1": [1.0, 0.0]}}'
+_STRONG_GAUSSIAN_COS = (
+    '{"kind": "fourier_x_profile", "coeffs": {"1": [2.0, 0.0], "-1": [2.0, 0.0]},'
+    ' "profile": {"shape": "gaussian", "sigma": 1.0}}'
+)
+_CUBIC_PROFILE = (
+    '{"kind": "fourier_x_profile", "coeffs": {"1": [0.3, 0.0], "-1": [0.3, 0.0]},'
+    ' "profile": {"shape": "polynomial", "coeffs": [1.0, 0.0, 0.0, 0.05]}}'
+)
 _COMPLEX_COS = '{"kind": "fourier_x", "coeffs": {"1": [0.3, 0.2], "-1": [0.3, -0.2]}}'
 _DEEP_WELL = '{"kind": "fourier_x", "coeffs": {"0": -30, "1": 0.5, "-1": 0.5}}'
 # W = -10 y^2 overturns the confinement at omega = 1: the orbit leaves the
@@ -119,6 +129,21 @@ CHEAP = {
     "gaps-growth": [
         "gaps", "--set", f"potential={_GAUSSIAN_COS}", "--set", "n_hermite=4",
         "--set", "theta_count=9", "--set", "ceiling=6.5", "--set", "xtol=1e-6",
+    ],
+    # the Hermite basis without the magnetic ladder (B = 0), and at sup |W|
+    # near alpha, where the truncation check raises N twice
+    "gaps-hermite-b0": [
+        "gaps", "--set", "B=0", "--set", f"potential={_GAUSSIAN_COS}", "--set", "n_hermite=8",
+        "--set", "theta_count=9", "--set", "ceiling=6.5",
+    ],
+    "gaps-hermite-strong": [
+        "gaps", "--set", f"potential={_STRONG_GAUSSIAN_COS}", "--set", "n_hermite=4",
+        "--set", "theta_count=9", "--set", "ceiling=9",
+    ],
+    # a profile of degree 3 gives the check no floor: refused, with only the manifest
+    "gaps-cubic-profile": [
+        "gaps", "--set", f"potential={_CUBIC_PROFILE}", "--set", "n_hermite=8",
+        "--set", "theta_count=9", "--set", "ceiling=6.5",
     ],
     "bands-growth": [
         "bands", "--set", f"potential={_TWO_COS}", "--set", "n_hermite=1",
