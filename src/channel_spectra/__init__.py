@@ -25,7 +25,7 @@ from .channel import (
     derive_params,
     potential_from_dict,
 )
-from .hermite import HermiteBasis, ProjectedPotential, project_potential
+from .hermite import ProjectedPotential, project_potential
 from .fiber import (
     EigensolverError,
     ResolventBoundCheck,

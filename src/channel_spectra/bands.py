@@ -44,6 +44,8 @@ the last truncation checked is the one used.
 The floors read W >= -(a + b y^2): (sup |W|, 0) for a bounded W, and
 a = F (|g_0| + |g_1| / 2), b = F (|g_2| + |g_1| / 2) for W = f(x) g(y),
 F = sup |f| and g a polynomial of degree 1 or 2, by |y| <= (1 + y^2) / 2.
+When |c_0| >= sum_{k != 0} |c_k| (every profile_y), f has the sign of c_0,
+so g_0 and g_2 count only when of the other sign: 10 y^2 has a = b = 0.
 The window's floor alpha_b + beta_b (M + 1/2)^2 - a is then the free one
 of the channel with omega^2 weakened to omega^2 - b.  A profile of higher
 degree, or b >= omega^2, leaves H without a floor: ConfigError.
@@ -75,7 +77,7 @@ import scipy.linalg
 
 from .channel import ChannelParams, Potential, SeparableFourierPotential, ZeroPotential, _fourier_sup, derive_params
 # assemble_fiber is unused here; perfbench's self-test still wraps this binding
-from .fiber import FiberBlock, assemble_fiber, fiber_at, fiber_block, landau_block, landau_terms  # noqa: F401
+from .fiber import FiberBlock, assemble_fiber, fiber_at, fiber_block, landau_block  # noqa: F401
 from .fiber import truncation_residuals
 from .hermite import project_potential
 from .hill import h00_gaps, hill_bands
@@ -204,10 +206,13 @@ def _quadratic_bound(spec: Potential, w0: float, params: ChannelParams) -> tuple
     if math.isfinite(w0):
         return w0, 0.0
     # W is unbounded only through a polynomial profile
-    g0, g1, g2, *higher = (abs(c) for c in (*spec.profile.coeffs, 0.0, 0.0))
+    g0, g1, g2, *higher = (*spec.profile.coeffs, 0.0, 0.0)
     if any(higher):
         raise ConfigError("a profile of degree 3 or more leaves H without the floor the truncation check needs")
-    f = _fourier_sup(spec.coeffs)
+    c0 = next((c.real for k, c in spec.coeffs if k == 0), 0.0)
+    if abs(c0) >= sum(abs(c) for k, c in spec.coeffs if k != 0):  # f has the sign of c_0
+        g0, g2 = (max(-math.copysign(1.0, c0) * g, 0.0) for g in (g0, g2))
+    f, g0, g1, g2 = _fourier_sup(spec.coeffs), abs(g0), abs(g1), abs(g2)
     a, b = f * (g0 + 0.5 * g1), f * (g2 + 0.5 * g1)
     if b >= params.omega**2:
         raise ConfigError(f"W >= -({a:.6g} + {b:.6g} y^2) overturns the confinement omega^2 = {params.omega**2:.6g}")
@@ -304,8 +309,8 @@ def compute_bands(
         n_h = DEFAULT_N_LANDAU if n_hermite is None else int(n_hermite)
 
         def build(n, m):
-            block = landau_block(params, coeffs, n, m)
-            return block, landau_terms(block, coeffs), 0.0, _floors(block, w0, 0.0, False)
+            block, terms = landau_block(params, coeffs, n, m)
+            return block, terms, 0.0, _floors(block, w0, 0.0, False)
 
     if n_h * (2 * m_m + 1) > MAX_FIBER_DIM:
         raise ConfigError(

@@ -1,7 +1,7 @@
 """Command line interface.
 
     channel-spectra <command> [--config file] [--set key=value ...]
-                              [--out dir] [--workers 1]
+                              [--out dir] [--workers 1] [--gen-nogo]
 
 Commands and their main artifacts (written into the output directory):
 
@@ -612,32 +612,30 @@ def build_parser() -> argparse.ArgumentParser:
         "for a magnetic channel with parabolic confinement.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
-        p = sub.add_parser(command, help=f"run the {command} pipeline")
-        p.add_argument("--config", help="JSON config file", default=None)
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a config key (dots descend into nested objects)",
-        )
-        p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument(
-            "--workers", type=int, default=1, help="accepted for compatibility; must be 1"
-        )
-        if command == "commutator":
-            p.add_argument(
-                "--gen-nogo",
-                action="store_true",
-                help="scan all quadratic conjugates for a uniformly positive commutator",
-            )
+    parser.add_argument("command", choices=COMMANDS, help="the pipeline to run")
+    parser.add_argument("--config", help="JSON config file", default=None)
+    parser.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override a config key (dots descend into nested objects)",
+    )
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
+    parser.add_argument("--workers", type=int, default=1, help="accepted for compatibility; must be 1")
+    parser.add_argument(
+        "--gen-nogo",
+        action="store_true",
+        help="commutator only: scan all quadratic conjugates for a uniformly positive commutator",
+    )
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.gen_nogo and args.command != "commutator":
+        parser.error("--gen-nogo applies to the commutator command only")
     try:
         if args.workers != 1:
             raise ConfigError("--workers must be 1: every command runs in one process")
@@ -645,7 +643,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "gen_nogo", False):
+    if args.gen_nogo:
         cfg["gen_nogo"] = True
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -26,8 +26,9 @@ diagonalises the free part instead:
     <n,m| H(theta) |n',m'> = delta_{nn'} delta_{mm'} [alpha (2n+1) + beta (m+theta)^2]
                            + W_{m-m'} D_{nn'}(B (m-m') / alpha^{3/2}),
 
-with D the displaced-Hermite overlap of ``displacement_overlaps``.  The
-coupling does not depend on theta, which enters through the diagonal only.
+with D the displaced-Hermite overlap of ``displacement_overlaps``, by the
+Gauss-Hermite rule that G takes too.  The coupling does not depend on
+theta, which enters through the diagonal only.
 
 The Hill operator K(theta) = -d^2 + V(x) is the same form with one level,
 no level energy and no ladder: <m| K(theta) |m'> = delta_{mm'} (m+theta)^2
@@ -48,17 +49,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from numpy.polynomial.hermite import hermgauss
 
 from .channel import ChannelParams, _canonical_coeffs
-from .hermite import _MAX_DEGREE, ProjectedPotential, _hermite_table
+from .hermite import _MAX_DEGREE, ProjectedPotential, _hermite_table, gauss_hermite
 
 __all__ = [
     "FiberBlock",
     "fiber_block",
     "landau_block",
     "hill_block",
-    "landau_terms",
     "truncation_residuals",
     "displacement_overlaps",
     "fiber_at",
@@ -193,37 +192,53 @@ def displacement_overlaps(n_rows: int, n_cols: int, d: float) -> np.ndarray:
 
     The matrix elements of the displacement operator between Hermite
     functions (Cahill and Glauber, Phys. Rev. 177, 1857, 1969); D(0) is the
-    identity and D(-d) = D(d)^T.  With s = u + d/2 the integrand is e^{-u^2}
-    times a polynomial of degree n + k, so the Gauss-Hermite rule in u with
+    identity, D(-d) = D(d)^T, and the parity of the phi_n gives D(-d)[n, k]
+    = (-1)^{n+k} D(d)[n, k].  With s = u + d/2 the integrand is e^{-u^2}
+    times a polynomial of degree n + k, so ``gauss_hermite`` in u with
     (n_rows + n_cols) // 2 + 1 nodes, each factor shifted by d/2, is exact
     up to rounding.
     """
-    nodes, weights = hermgauss((n_rows + n_cols) // 2 + 1)
-    # exp(u^2) in log space: raw weights underflow near the edge nodes
-    weights = np.exp(np.log(weights) + nodes * nodes)
+    nodes, weights = gauss_hermite((n_rows + n_cols) // 2 + 1)
     left = _hermite_table(n_rows - 1, nodes + 0.5 * d)
     right = _hermite_table(n_cols - 1, nodes - 0.5 * d)
     return (left * weights) @ right.T
 
 
-def landau_block(params: ChannelParams, coeffs, n_levels: int, m_max: int) -> FiberBlock:
-    """The theta-independent part of the fiber in the displaced Landau basis.
+def landau_block(params: ChannelParams, coeffs, n_levels: int, m_max: int):
+    """The pair (block, terms) of the fiber in the displaced Landau basis.
 
     For W(x) = sum_k W_k e^{ikx}, given as the (k, W_k) pairs ``coeffs``
     with W_{-k} = conj(W_k): ``base`` holds alpha (2n+1) on the diagonal and
     the blocks W_{m-m'} D(B (m-m') / alpha^{3/2}) for n, n' < n_levels and
-    |m|, |m'| <= m_max.  ``fiber_at`` adds beta (m+theta)^2.
+    |m|, |m'| <= m_max.  ``fiber_at`` adds beta (m+theta)^2.  ``terms``, for
+    ``truncation_residuals``, are (k, W_k, D(B k / alpha^{3/2})) for each
+    k != 0, since W_0 D(0) stays within the kept levels.
+
+    One tall D per |k| != 0 reaches the levels up to where it falls below
+    1e-12 (the rows beyond add less than 1e-24 sum |W_k|^2 to r^2, and the
+    quadrature's own rounding in D is about 1e-14).  The block takes its
+    first n_levels rows, transposed for k < 0, which keeps the blocks of k
+    and -k exactly adjoint; the terms of k < 0 take its parity signs.
     """
     if n_levels < 1 or m_max < 0:
         raise ValueError("need n_levels >= 1 and m_max >= 0")
     N, size = n_levels, 2 * m_max + 1
-    harmonics = [(k, c) for k, c in _canonical_coeffs(dict(coeffs)) if abs(k) < size]
+    harmonics = _canonical_coeffs(dict(coeffs))
     scale = params.B / params.alpha**1.5
-    overlaps = {k: displacement_overlaps(N, N, scale * k) for k in {abs(k) for k, _ in harmonics} - {0}}
-    overlaps[0] = np.eye(N)  # D(0), exactly
-    # D(-d) = D(d)^T, so the blocks of k and -k are exactly adjoint
-    terms = [(k, c, overlaps[k] if k >= 0 else overlaps[-k].T) for k, c in harmonics]
-    return _build_block(params, terms, params.alpha * (2.0 * np.arange(N) + 1.0), m_max, kinetic=params.beta)
+    pad = 8
+    while True:
+        n_rows = min(N + pad, _MAX_DEGREE + 1)
+        tall = {k: displacement_overlaps(n_rows, N, scale * k) for k in {abs(k) for k, _ in harmonics} - {0}}
+        tail = max((float(np.max(np.abs(d[-4:]))) for d in tall.values()), default=0.0)
+        if tail <= 1e-12 or n_rows > _MAX_DEGREE:
+            break
+        pad *= 2
+    blocks = {0: np.eye(N), **{k: d[:N] for k, d in tall.items()}}  # D(0), exactly
+    kept = [(k, c, blocks[k] if k >= 0 else blocks[-k].T) for k, c in harmonics if abs(k) < size]
+    parity = (-1.0) ** np.arange(n_rows)
+    terms = [(k, c, tall[k] if k > 0 else tall[-k] * np.outer(parity, parity[:N])) for k, c in harmonics if k]
+    levels = params.alpha * (2.0 * np.arange(N) + 1.0)
+    return _build_block(params, kept, levels, m_max, kinetic=params.beta), terms
 
 
 def hill_block(pairs, m_max: int) -> FiberBlock:
@@ -237,28 +252,6 @@ def hill_block(pairs, m_max: int) -> FiberBlock:
     one = np.ones((1, 1))
     terms = [(k, c, one) for k, c in _canonical_coeffs(dict(pairs)) if abs(k) < 2 * m_max + 1]
     return _build_block(None, terms, np.zeros(1), m_max, kinetic=1.0)
-
-
-def landau_terms(block: FiberBlock, coeffs) -> list[tuple[int, complex, np.ndarray]]:
-    """The coupling of a ``landau_block`` for the same ``coeffs`` into its
-    discarded levels, for ``truncation_residuals``: (k, W_k, D(B k /
-    alpha^{3/2})) for each k != 0, since W_0 D(0) stays within the kept
-    levels.  D reaches the levels up to where it falls below 1e-12 (the rows
-    beyond add less than 1e-24 sum |W_k|^2 to r^2, and the quadrature's own
-    rounding in D is about 1e-14); only those rows are formed.
-    """
-    N = block.n_hermite
-    harmonics = [(k, c) for k, c in _canonical_coeffs(dict(coeffs)) if k != 0]
-    scale = block.params.B / block.params.alpha**1.5
-    pad = 8
-    while True:
-        n_rows = min(N + pad, _MAX_DEGREE + 1)
-        overlaps = [displacement_overlaps(n_rows, N, scale * k) for k, _ in harmonics]
-        tail = max((float(np.max(np.abs(d[-4:]))) for d in overlaps), default=0.0)
-        if tail <= 1e-12 or n_rows > _MAX_DEGREE:
-            break
-        pad *= 2
-    return [(k, c, d) for (k, c), d in zip(harmonics, overlaps)]
 
 
 def truncation_residuals(block: FiberBlock, terms, vectors: np.ndarray, ladder=0.0, thetas=0.0):

@@ -17,7 +17,8 @@ factors: the Fourier pairs (k, c_k) with |k| <= mfourier, and the overlap
 
 by Gauss-Hermite quadrature (exactly g * I for a constant g).  The
 coefficient of e^{ikx} between the levels n and m is c_k G_{nm}.  The
-factors are theta-independent.
+factors are theta-independent.  G and the displaced overlaps of the Landau
+basis (``fiber.displacement_overlaps``) take the one rule ``gauss_hermite``.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
+import scipy.linalg
 
 from .channel import ChannelParams, Potential, SeparableFourierPotential, ZeroPotential
 
-__all__ = ["HermiteBasis", "ProjectedPotential", "project_potential"]
+__all__ = ["ProjectedPotential", "gauss_hermite", "project_potential"]
 
 _MAX_DEGREE = 1000
 
@@ -40,8 +41,9 @@ def _hermite_table(nmax: int, s: np.ndarray) -> np.ndarray:
     """Rows 0..nmax of phi_n evaluated at s (shape (nmax+1,) + s.shape), by
     the stable normalized three-term recurrence.
 
-    Beyond |s| ~ 37 the Gaussian factor underflows for low n, which is
-    harmless for the quadrature sizes used.
+    Beyond |s| ~ 37 the Gaussian factor underflows, so every row is 0
+    there; only the rows above about n = 690, whose phi_n reach that far,
+    lose accuracy by it.  The fibers keep levels below 500.
     """
     out = np.empty((nmax + 1,) + s.shape, dtype=float)
     out[0] = math.pi ** (-0.25) * np.exp(-0.5 * s * s)
@@ -52,41 +54,28 @@ def _hermite_table(nmax: int, s: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
-class HermiteBasis:
-    """phi_0..phi_nmax tabulated on Gauss-Hermite nodes.
+def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Hermite rule of ``order`` points as (nodes, weights times
+    e^{s^2}), so that for smooth f
 
-    ``weights`` absorb the e^{+s^2} factor so that for smooth f
+        int f(s) phi_n(s) phi_m(s) ds ~= sum_i weights[i] f(s_i) phi_n(s_i) phi_m(s_i),
 
-        int f(s) phi_n(s) phi_m(s) ds ~= sum_i weights[i] f(s_i) phi[n,i] phi[m,i],
+    exact whenever f H_n H_m is a polynomial of degree <= 2 order - 1.
 
-    exact whenever f * H_n * H_m is a polynomial of degree <= 2*order - 1.
+    The nodes are the eigenvalues of the Jacobi matrix of the ladder
+    identity, off-diagonal sqrt(k/2) (Golub and Welsch, Math. Comp. 23, 221,
+    1969), then one Newton step on phi_order, whose slope at a zero is
+    sqrt(2 order) phi_{order-1}.  By Christoffel-Darboux the scaled weight is
+    1 / (order phi_{order-1}(s_i)^2), which the Gaussian factor of the table
+    keeps finite; it is 0 where phi_{order-1} underflows (|s| > 37, which
+    only orders above 700 reach), as is every phi_n the table gives there.
     """
-
-    nmax: int
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    phi: np.ndarray
-
-    @classmethod
-    def build(cls, nmax: int, order: int | None = None) -> "HermiteBasis":
-        if nmax < 0 or nmax > _MAX_DEGREE:
-            raise ValueError("nmax out of range")
-        if order is None:
-            order = 2 * nmax + 16
-        nodes, gh_weights = hermgauss(order)
-        # exp(s^2) in log space: raw weights underflow near the edge nodes
-        weights = np.exp(np.log(gh_weights) + nodes * nodes)
-        phi = _hermite_table(nmax, nodes)
-        for arr in (nodes, weights, phi):
-            arr.setflags(write=False)
-        return cls(nmax=nmax, order=order, nodes=nodes, weights=weights, phi=phi)
-
-    def overlap(self, fvals: np.ndarray) -> np.ndarray:
-        """Matrix <phi_n| f |phi_m> for f tabulated on the nodes."""
-        wphi = self.weights * self.phi
-        return np.einsum("ni,i,mi->nm", wphi, np.asarray(fvals, dtype=float), self.phi)
+    nodes = scipy.linalg.eigvalsh_tridiagonal(np.zeros(order), np.sqrt(0.5 * np.arange(1, order)))
+    prev, last = _hermite_table(order, nodes)[-2:]
+    slope = math.sqrt(2.0 * order) * prev
+    nodes -= np.divide(last, slope, out=np.zeros(order), where=slope != 0.0)
+    square = order * _hermite_table(order - 1, nodes)[-1] ** 2
+    return nodes, np.divide(1.0, square, out=np.zeros(order), where=square > 0.0)
 
 
 @dataclass(eq=False)
@@ -142,12 +131,14 @@ def project_potential(
 
 
 def _profile_overlap(profile, params: ChannelParams, nmax: int) -> np.ndarray:
-    """<phi_n| g(s/sqrt(alpha)) |phi_m> for a transverse profile g."""
+    """G = <phi_n| g(s/sqrt(alpha)) |phi_m>, n, m <= nmax, for a transverse
+    profile g: the Gauss-Hermite rule of order 2 nmax + 16, exact for a
+    polynomial g of degree <= 2 nmax + 31, and the phi_n on its nodes."""
     if profile.is_constant:
         return profile(0.0) * np.eye(nmax + 1)
-    basis = HermiteBasis.build(nmax)
-    gvals = profile(basis.nodes / math.sqrt(params.alpha))
-    return basis.overlap(gvals)
+    s, w = gauss_hermite(2 * nmax + 16)
+    phi = _hermite_table(nmax, s)
+    return (phi * (w * profile(s / math.sqrt(params.alpha)))) @ phi.T
 
 
 def _kept_harmonics(coeffs, mfourier: int) -> tuple[tuple[int, complex], ...]:

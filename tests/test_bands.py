@@ -371,21 +371,33 @@ def test_the_residual_check_holds_a_strong_potential_to_its_tolerance():
 
 
 @pytest.mark.parametrize(
-    "profile, omega, message",
+    "coeffs, profile, omega, message",
     [
-        (PolynomialProfile((1.0, 0.0, 0.0, 0.05)), 4.0, "degree 3"),
+        ({0: 1.0}, PolynomialProfile((1.0, 0.0, 0.0, 0.05)), 4.0, "degree 3"),
         # W >= -(0 + 10 y^2) against omega^2 = 9
-        (PolynomialProfile((0.0, 0.0, -10.0)), 3.0, "overturns the confinement"),
+        ({0: 1.0}, PolynomialProfile((0.0, 0.0, -10.0)), 3.0, "overturns the confinement"),
+        # 10 y^2 cos x: f changes sign, so all of g counts
+        ({1: 0.5, -1: 0.5}, PolynomialProfile((0.0, 0.0, 10.0)), 3.0, "overturns the confinement"),
     ],
-    ids=["cubic", "overturned"],
+    ids=["cubic", "overturned", "overturned-cos"],
 )
-def test_a_potential_without_a_floor_is_refused_before_any_solve(monkeypatch, profile, omega, message):
+def test_a_potential_without_a_floor_is_refused_before_any_solve(monkeypatch, coeffs, profile, omega, message):
     from channel_spectra import fiber
 
     monkeypatch.setattr(fiber, "eigenvalues_fiber", lambda *args, **kwargs: pytest.fail("solved"))
     monkeypatch.setattr(scipy.linalg, "eigh", lambda *args, **kwargs: pytest.fail("solved"))
     with pytest.raises(ConfigError, match=message):
-        compute_bands(derive_params(3.0, omega), SeparableFourierPotential({0: 1.0}, profile), n_hermite=8)
+        compute_bands(derive_params(3.0, omega), SeparableFourierPotential(coeffs, profile), n_hermite=8)
+
+
+@pytest.mark.parametrize("B, omega, c", [(3.0, 3.0, 10.0), (1.0, 2.0, 0.5)])
+def test_a_confining_quadratic_profile_has_the_stronger_channel_bottom(B, omega, c):
+    # W = c y^2 >= 0 turns omega^2 into omega^2 + c, whose free channel has
+    # its bottom at alpha = sqrt(B^2 + omega^2 + c)
+    spec = SeparableFourierPotential({0: 1.0}, PolynomialProfile((0.0, 0.0, c)))
+    bs = compute_bands(derive_params(B, omega), spec, theta_count=9)
+    assert bs.converged and bs.basis == "hermite"
+    assert abs(bs.spectrum_bottom - math.sqrt(B * B + omega * omega + c)) < 1e-7
 
 
 @pytest.mark.parametrize("spec", [_TWO_COS, _GAUSSIAN_COS], ids=["landau", "hermite"])
@@ -494,7 +506,7 @@ def _fiber_block_of(bs, spec):
     if bs.basis == "landau":
         g = 0.0 if isinstance(spec, ZeroPotential) else float(spec.profile(0.0))
         coeffs = () if isinstance(spec, ZeroPotential) else [(k, c * g) for k, c in spec.coeffs]
-        return landau_block(bs.params, coeffs, bs.n_hermite, bs.m_max)
+        return landau_block(bs.params, coeffs, bs.n_hermite, bs.m_max)[0]
     proj = project_potential(spec, bs.params, nmax=2 * bs.n_hermite - 1, mfourier=max(16, 2 * (bs.m_max + 4)))
     return fiber_block(bs.params, proj, bs.n_hermite, bs.m_max)
 
@@ -616,19 +628,29 @@ def test_the_window_starts_at_the_kinematic_cover_of_the_ceiling():
     ids=["first-size", "grown"],
 )
 def test_the_landau_check_forms_each_overlap_once(monkeypatch, kwargs):
-    from channel_spectra import fiber
+    from channel_spectra import bands, fiber
 
-    calls = []
-    overlaps = fiber.displacement_overlaps
+    steps = []  # the displacement_overlaps calls of each truncation checked
+    overlaps, build = fiber.displacement_overlaps, bands.landau_block
 
     def counted(n_rows, n_cols, d):
-        calls.append((n_rows, n_cols, d))
+        steps[-1].append((n_rows, n_cols, d))
         return overlaps(n_rows, n_cols, d)
 
+    def step(*args):
+        steps.append([])
+        return build(*args)
+
     monkeypatch.setattr(fiber, "displacement_overlaps", counted)
+    monkeypatch.setattr(bands, "landau_block", step)
     bs = compute_bands(_P34, _TWO_COS, theta_count=9, refine=False, **kwargs)
     assert bs.basis == "landau" and bs.converged
+    calls = [call for made in steps for call in made]
     assert calls and len(set(calls)) == len(calls)
+    # one tall D per |k|, here k = 1, at each row count the pad rule tries:
+    # the block and the terms of k = -1 read it too
+    for made in steps:
+        assert {d for *_, d in made} == {_P34.B / _P34.alpha**1.5}
 
 
 @pytest.mark.parametrize(

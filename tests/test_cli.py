@@ -428,6 +428,16 @@ def test_non_finite_potential_data_exits_one(tmp_path, capsys, potential):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bands", "mourre"])
+def test_gen_nogo_outside_commutator_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--gen-nogo", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--gen-nogo applies to the commutator command only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

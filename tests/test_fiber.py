@@ -266,7 +266,7 @@ def test_fiber_is_a_quadratic_pencil_in_theta(basis):
         # it couples levels of one Fourier index only
         assert not block.ladder[block.n_hermite - 1 :: block.n_hermite].any()
     else:
-        block = landau_block(params, [(1, 0.3 + 0.1j), (-1, 0.3 - 0.1j)], 4, 3)
+        block, _ = landau_block(params, [(1, 0.3 + 0.1j), (-1, 0.3 - 0.1j)], 4, 3)
         assert block.ladder.shape == (len(block.row_m) - 1,) and not block.ladder.any()
     theta, h = 0.13, 0.21
     slope = block.slope(theta).toarray()

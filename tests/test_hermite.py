@@ -9,14 +9,13 @@ from scipy.special import eval_hermite
 
 from channel_spectra import (
     GaussianProfile,
-    HermiteBasis,
     PolynomialProfile,
     SeparableFourierPotential,
     ZeroPotential,
     derive_params,
     project_potential,
 )
-from channel_spectra.hermite import _hermite_table
+from channel_spectra.hermite import _hermite_table, gauss_hermite
 
 from projection_oracle import dense_coefficients
 
@@ -34,6 +33,13 @@ def _toeplitz_block(proj, n, m, m_window):
     return dense_coefficients(proj)[n, m, kdiff + proj.mfourier]
 
 
+def _overlap(nmax, order, f):
+    """<phi_n| f(s) |phi_m> for n, m <= nmax by the Gauss-Hermite rule of ``order``."""
+    nodes, weights = gauss_hermite(order)
+    phi = _hermite_table(nmax, nodes)
+    return (phi * (weights * f(nodes))) @ phi.T
+
+
 def _max_abs_coeff(proj):
     return float(np.max(np.abs(dense_coefficients(proj))))
 
@@ -41,14 +47,15 @@ def _max_abs_coeff(proj):
 def _project_generic(spec, params, nmax, mfourier):
     """Oracle for project_potential: the same projection by brute force, on a
     tensor grid (Gauss-Hermite in s, uniform DFT in x), for any periodic W."""
-    basis = HermiteBasis.build(nmax)
+    nodes, weights = gauss_hermite(2 * nmax + 16)
+    phi = _hermite_table(nmax, nodes)
     nx = 8
     while nx < 4 * (mfourier + 2):
         nx *= 2
     x = 2.0 * math.pi * np.arange(nx) / nx
-    wgrid = spec.evaluate(x[None, :], basis.nodes[:, None] / math.sqrt(params.alpha))
+    wgrid = spec.evaluate(x[None, :], nodes[:, None] / math.sqrt(params.alpha))
     # g[n, m, j] = <phi_n| W(x_j, .) |phi_m>
-    g = np.einsum("ni,mi,ij->nmj", basis.weights * basis.phi, basis.phi, wgrid)
+    g = np.einsum("ni,mi,ij->nmj", weights * phi, phi, wgrid)
     spec_x = np.fft.fft(g, axis=-1) / nx  # coefficient of e^{ikx} at index k mod nx
     ks = np.arange(-mfourier, mfourier + 1)
     return spec_x[:, :, ks % nx]
@@ -65,20 +72,32 @@ def test_hermite_eval_matches_polynomial_formula():
 
 
 def test_basis_orthonormality():
-    basis = HermiteBasis.build(nmax=40)
-    gram = basis.overlap(np.ones_like(basis.nodes))
+    gram = _overlap(40, 96, np.ones_like)
     assert np.max(np.abs(gram - np.eye(41))) < 1e-12
 
 
-def test_overlap_s_squared_matches_ladder():
-    basis = HermiteBasis.build(nmax=12)
-    got = basis.overlap(basis.nodes**2)
-    expected = np.zeros((13, 13))
-    for n in range(13):
+def _s_squared_ladder(nmax):
+    """<phi_n| s^2 |phi_m> for n, m <= nmax, from the ladder identity."""
+    expected = np.zeros((nmax + 1, nmax + 1))
+    for n in range(nmax + 1):
         expected[n, n] = n + 0.5
-        if n + 2 <= 12:
+        if n + 2 <= nmax:
             expected[n, n + 2] = expected[n + 2, n] = math.sqrt((n + 1) * (n + 2)) / 2.0
-    assert np.max(np.abs(got - expected)) < 1e-12
+    return expected
+
+
+def test_overlap_s_squared_matches_ladder():
+    got = _overlap(12, 40, np.square)
+    assert np.max(np.abs(got - _s_squared_ladder(12))) < 1e-12
+
+
+def test_projection_of_y_squared_matches_ladder_at_a_high_order():
+    # nmax = 199 takes the rule of order 414; NumPy's hermgauss gives no
+    # positive weight from order 371 on
+    p = derive_params(1.0, 2.0)
+    spec = SeparableFourierPotential({0: 1.0}, PolynomialProfile([0.0, 0.0, 1.0]))
+    got = project_potential(spec, p, nmax=199, mfourier=0).overlap
+    assert np.max(np.abs(got - _s_squared_ladder(199) / p.alpha)) < 1e-10
 
 
 def test_zero_potential_projects_to_zero():
@@ -205,7 +224,6 @@ def test_projection_of_one_cosine_has_only_its_harmonics():
 
 
 def test_quadrature_weights_do_not_overflow():
-    basis = HermiteBasis.build(nmax=120, order=300)
-    assert np.all(np.isfinite(basis.weights))
-    gram = basis.overlap(np.ones_like(basis.nodes))
+    assert np.all(np.isfinite(gauss_hermite(300)[1]))
+    gram = _overlap(120, 300, np.ones_like)
     assert np.max(np.abs(gram - np.eye(121))) < 1e-10

@@ -11,7 +11,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from channel_spectra import SeparableFourierPotential, assemble_fiber, derive_params, project_potential
 from channel_spectra.bands import _floors, _kinematic_m_cover, error_estimates
-from channel_spectra.fiber import displacement_overlaps, fiber_at, landau_block, landau_terms, truncation_residuals
+from channel_spectra.fiber import displacement_overlaps, fiber_at, landau_block, truncation_residuals
 
 _TWO_COS = SeparableFourierPotential.from_cosines({1: 2.0})
 _COMPLEX = SeparableFourierPotential({1: 0.6 + 0.3j, -1: 0.6 - 0.3j, 2: 0.2 - 0.4j, -2: 0.2 + 0.4j})
@@ -53,7 +53,7 @@ def test_landau_fiber_matches_hermite_fiber(spec, omega):
     ceiling = 3.0 * params.alpha + 2.0
     m_max = 6
     proj = project_potential(spec, params, nmax=79, mfourier=16)
-    block = landau_block(params, spec.coeffs, 20, m_max)
+    block, _ = landau_block(params, spec.coeffs, 20, m_max)
     for theta in (0.0, 0.27, 0.5):
         ref = scipy.linalg.eigvalsh(
             assemble_fiber(params, proj, theta, 80, m_max), subset_by_value=(-np.inf, ceiling)
@@ -66,7 +66,7 @@ def test_landau_fiber_matches_hermite_fiber(spec, omega):
 @pytest.mark.parametrize("n_levels", [1, 3])
 def test_free_landau_fiber_is_diagonal_and_exact(n_levels):
     params = derive_params(3.0, 4.0)
-    block = landau_block(params, (), n_levels, 5)
+    block, _ = landau_block(params, (), n_levels, 5)
     for theta in (0.0, 0.3, -0.5):
         entries = fiber_at(block, theta)
         assert not np.any(entries - np.diag(np.diag(entries)))
@@ -80,8 +80,8 @@ def test_free_landau_fiber_is_diagonal_and_exact(n_levels):
 
 def test_landau_block_is_hermitian_and_real_for_real_coefficients():
     params = derive_params(2.0, 1.5)
-    real = landau_block(params, _TWO_COS.coeffs, 6, 4)
-    cplx = landau_block(params, _COMPLEX.coeffs, 6, 4)
+    real, _ = landau_block(params, _TWO_COS.coeffs, 6, 4)
+    cplx, _ = landau_block(params, _COMPLEX.coeffs, 6, 4)
     assert not np.iscomplexobj(real.base) and np.iscomplexobj(cplx.base)
     for block in (real, cplx):
         assert np.array_equal(block.base, block.base.conj().T)
@@ -91,9 +91,9 @@ def test_residual_vanishes_without_coupling_harmonics():
     # W = 0 and a constant W leave the Landau levels uncoupled
     params = derive_params(3.0, 4.0)
     for coeffs in ((), ((0, 1.5 + 0j),)):
-        block = landau_block(params, coeffs, 4, 3)
+        block, terms = landau_block(params, coeffs, 4, 3)
         _, vecs = scipy.linalg.eigh(fiber_at(block, 0.2))
-        levels, window = truncation_residuals(block, landau_terms(block, coeffs), vecs)
+        levels, window = truncation_residuals(block, terms, vecs)
         assert not levels.any() and not window.any()
 
 
@@ -127,10 +127,10 @@ def test_residual_estimate_bounds_the_truncation_error(spec, B, omega, n_levels,
     # both shares of the estimate are exercised
     m_max = _kinematic_m_cover(params, ceiling) - narrower
     w0 = spec.norm_estimates().w0
-    block = landau_block(params, spec.coeffs, n_levels, m_max)
-    terms, floors = landau_terms(block, spec.coeffs), _floors(block, w0, 0.0, False)
+    block, terms = landau_block(params, spec.coeffs, n_levels, m_max)
+    floors = _floors(block, w0, 0.0, False)
     [(vals, levels, window, _)] = error_estimates(block, terms, 0.0, floors, ceiling, [theta])
-    ref = scipy.linalg.eigvalsh(fiber_at(landau_block(params, spec.coeffs, 30, m_max + 8), theta))
+    ref = scipy.linalg.eigvalsh(fiber_at(landau_block(params, spec.coeffs, 30, m_max + 8)[0], theta))
     # min-max: a truncation only raises eigenvalues; the estimate bounds by
     # how much, up to the rounding of the reference solve (dim about 1000,
     # diagonal up to 60 alpha), which reaches 1e-12 relative to the ceiling

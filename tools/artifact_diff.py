@@ -11,9 +11,11 @@ Both run the same requests:
 - each command once at cheap settings, with the options the workloads do
   not set (a grid potential, a constant profile, a commutator without
   ``--gen-nogo``, an orbit that aborts, ...), a ``gaps`` and a ``bands``
-  run whose truncation search grows the starting size, three ``gaps`` runs
+  run whose truncation search grows the starting size, four ``gaps`` runs
   in the Hermite basis (without the magnetic ladder, at a potential near
-  alpha, and with a cubic profile, which is refused), a ``bands`` run
+  alpha, with a cubic profile, which is refused, and at n_hermite = 100,
+  whose projection takes a Gauss-Hermite rule of order 414), a ``bands``
+  run of the confining W = 10 y^2, a ``bands`` run
   whose ``m_max`` is raised to cover the ceiling, two ``gaps`` runs that
   search band edges off the grid phases, which no workload does, a ``hill``
   run whose Fourier window is refused, the finite-difference check on
@@ -73,6 +75,7 @@ _STRONG_GAUSSIAN_COS = (
     '{"kind": "fourier_x_profile", "coeffs": {"1": [2.0, 0.0], "-1": [2.0, 0.0]},'
     ' "profile": {"shape": "gaussian", "sigma": 1.0}}'
 )
+_CONFINING_Y = '{"kind": "profile_y", "profile": {"shape": "polynomial", "coeffs": [0, 0, 10]}, "amplitude": 1.0}'
 _CUBIC_PROFILE = (
     '{"kind": "fourier_x_profile", "coeffs": {"1": [0.3, 0.0], "-1": [0.3, 0.0]},'
     ' "profile": {"shape": "polynomial", "coeffs": [1.0, 0.0, 0.0, 0.05]}}'
@@ -144,6 +147,14 @@ CHEAP = {
     "gaps-cubic-profile": [
         "gaps", "--set", f"potential={_CUBIC_PROFILE}", "--set", "n_hermite=8",
         "--set", "theta_count=9", "--set", "ceiling=6.5",
+    ],
+    # the Hermite truncation N = 100 projects W to degree 199
+    "gaps-hermite-100": [
+        "gaps", "--set", f"potential={_GAUSSIAN_COS}", "--set", "n_hermite=100", "--set", "ceiling=6",
+    ],
+    # W = 10 y^2 >= 0 only strengthens the confinement: 7 bands from sqrt(28)
+    "bands-confining-profile": [
+        "bands", "--set", "omega=3", "--set", f"potential={_CONFINING_Y}",
     ],
     "bands-growth": [
         "bands", "--set", f"potential={_TWO_COS}", "--set", "n_hermite=1",
