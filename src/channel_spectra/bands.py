@@ -320,8 +320,8 @@ def compute_bands(
     block, converged, below = _grow(build, energy_ceiling, cauchy_tol, n_h, m_m, notes)
     if not converged:
         warnings.warn(
-            f"truncation did not meet the Cauchy tolerance {cauchy_tol:.1e} at "
-            f"(N={block.n_hermite}, M={block.m_max}); eigenvalues near the ceiling may be unconverged",
+            f"truncation (N={block.n_hermite}, M={block.m_max}) did not meet the residual truncation "
+            f"check at cauchy_tol {cauchy_tol:.1e}; eigenvalues near the ceiling may be unconverged",
             stacklevel=2,
         )
 

@@ -43,6 +43,7 @@ each Fourier index m owns a contiguous block of levels.
 
 from __future__ import annotations
 
+import math
 import tempfile
 from dataclasses import dataclass
 
@@ -204,6 +205,26 @@ def displacement_overlaps(n_rows: int, n_cols: int, d: float) -> np.ndarray:
     return (left * weights) @ right.T
 
 
+def _tail_bound(n_rows: int, n_cols: int, d: float) -> float:
+    """A closed-form bound on |D(d)| in the last four of n_rows rows, n_cols
+    columns, when it is below 1 (n_rows >= n_cols + 3).
+
+    D[n, k] = sqrt(k!/n!) z^{n-k} e^{-z^2/2} L_k^{(n-k)}(z^2), z = d /
+    sqrt(2), and |L_k^{(a)}(x)| <= binom(k+a, k) e^{x/2} (Abramowitz and
+    Stegun 22.14.13) give |D[n, k]| <= b(n, k) = sqrt(n!/k!) |z|^{n-k} /
+    (n-k)!.  Down a column b changes by the factor |z| sqrt(n+1) / (n-k+1),
+    which only falls, so b(n, k) < 1 says that b has peaked and falls down
+    the column from there.  Then the factor |z| sqrt(k) / (n-k+1) from
+    column k to k - 1 is below 1 as well: b(n_rows - 4, n_cols - 1) bounds
+    every entry of the last four rows.
+    """
+    if d == 0.0:
+        return 0.0
+    n, k = n_rows - 4, n_cols - 1
+    log_b = 0.5 * (math.lgamma(n + 1) - math.lgamma(k + 1)) - math.lgamma(n - k + 1)
+    return math.exp(log_b + (n - k) * math.log(abs(d) / math.sqrt(2.0)))
+
+
 def landau_block(params: ChannelParams, coeffs, n_levels: int, m_max: int):
     """The pair (block, terms) of the fiber in the displaced Landau basis.
 
@@ -214,25 +235,25 @@ def landau_block(params: ChannelParams, coeffs, n_levels: int, m_max: int):
     ``truncation_residuals``, are (k, W_k, D(B k / alpha^{3/2})) for each
     k != 0, since W_0 D(0) stays within the kept levels.
 
-    One tall D per |k| != 0 reaches the levels up to where it falls below
-    1e-12 (the rows beyond add less than 1e-24 sum |W_k|^2 to r^2, and the
-    quadrature's own rounding in D is about 1e-14).  The block takes its
-    first n_levels rows, transposed for k < 0, which keeps the blocks of k
-    and -k exactly adjoint; the terms of k < 0 take its parity signs.
+    One tall D per |k| != 0, formed once, reaches the levels up to where
+    it falls below 1e-12 (the rows beyond add less than 1e-24 sum |W_k|^2
+    to r^2, and the quadrature's own rounding in D is about 1e-14): its
+    pad of rows past n_levels doubles from 8 until ``_tail_bound`` at the
+    largest |k| is below 1e-12.  The block takes its first n_levels rows,
+    transposed for k < 0, which keeps the blocks of k and -k exactly
+    adjoint; the terms of k < 0 take its parity signs.
     """
     if n_levels < 1 or m_max < 0:
         raise ValueError("need n_levels >= 1 and m_max >= 0")
     N, size = n_levels, 2 * m_max + 1
     harmonics = _canonical_coeffs(dict(coeffs))
     scale = params.B / params.alpha**1.5
+    reach = {abs(k) for k, _ in harmonics} - {0}
     pad = 8
-    while True:
-        n_rows = min(N + pad, _MAX_DEGREE + 1)
-        tall = {k: displacement_overlaps(n_rows, N, scale * k) for k in {abs(k) for k, _ in harmonics} - {0}}
-        tail = max((float(np.max(np.abs(d[-4:]))) for d in tall.values()), default=0.0)
-        if tail <= 1e-12 or n_rows > _MAX_DEGREE:
-            break
+    while N + pad <= _MAX_DEGREE and _tail_bound(N + pad, N, scale * max(reach, default=0)) > 1e-12:
         pad *= 2
+    n_rows = min(N + pad, _MAX_DEGREE + 1)
+    tall = {k: displacement_overlaps(n_rows, N, scale * k) for k in reach}
     blocks = {0: np.eye(N), **{k: d[:N] for k, d in tall.items()}}  # D(0), exactly
     kept = [(k, c, blocks[k] if k >= 0 else blocks[-k].T) for k, c in harmonics if abs(k) < size]
     parity = (-1.0) ** np.arange(n_rows)

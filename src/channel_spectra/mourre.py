@@ -290,8 +290,7 @@ def scaling_sweep(
     pad = delta0 + eps0
     if pad >= 1.0:
         raise ConfigError("delta0 + eps0 must be < 1 for disjoint scaled windows")
-    n_near = round((E0 - 1.0) / 2.0)
-    if n_near >= 0 and abs(E0 - (2 * n_near + 1)) <= pad:
+    if any(lo <= E0 <= hi for lo, hi in _threshold_windows(1.0, pad, E0 + pad)):
         raise ConfigError("E0 lies inside a scaled threshold window")
     rows = []
     smallest = None
@@ -422,7 +421,7 @@ def appendix_norm_checks(
     )
 
     ests = {"dyy": 0.0, "dxx": 0.0, "two_y_dx": 0.0, "yy": 0.0, "dxdy": 0.0}
-    for u in u_values:
+    for u in u_values.tolist():  # Python floats, so the estimates and flags are too
         # fiber at momentum u: oscillator centered at vc, R0 exactly diagonal
         r_diag = 1.0 / (alpha * (2.0 * np.arange(n_hermite) + 1.0) + params.beta * u * u + lam)
         vc = -params.mu * u

@@ -27,7 +27,9 @@ __all__ = [
 
 def jsonable(value):
     """Recursively convert report contents to JSON-encodable data."""
-    if isinstance(value, (bool, str)) or value is None:
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, str) or value is None:
         return value
     if isinstance(value, (float, np.floating)):
         v = float(value)

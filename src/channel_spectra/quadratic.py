@@ -17,7 +17,9 @@ The channel Hamiltonian with W = 0 is
 
 and the conjugate observable A = sym(x1 p1) + mu p1 p2 satisfies
 [H_0, iA] = 2 beta p1^2.  The generator scan shows this cannot be improved
-to a definite commutator: once the unbounded-coefficient directions are
+to a definite commutator.  It forms the map A -> [H_0, iA] on the ten
+quadratic slots once, as a 10 x 10 matrix, and runs its obstruction chain
+on rows of that matrix: once the unbounded-coefficient directions are
 removed (x1-dependent coefficients must vanish, and sign constraints force
 two more), every surviving quadratic A yields a pure p1 p2 cross term,
 which is indefinite unless zero.
@@ -29,8 +31,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .channel import ChannelParams
+from .channel import ChannelParams, derive_params
 
 __all__ = [
     "VARIABLES",
@@ -210,35 +213,7 @@ def conjugate_observable(params: ChannelParams) -> QuadraticObservable:
 # generator scan
 
 
-_QUAD_BASIS = [(i, j) for i in range(4) for j in range(i, 4)]  # 10 upper-triangle slots
-
-
-def _basis_observable(slot: tuple[int, int]) -> QuadraticObservable:
-    quad = np.zeros((4, 4))
-    i, j = slot
-    if i == j:
-        quad[i, i] = 1.0
-    else:
-        quad[i, j] = quad[j, i] = 0.5
-    return QuadraticObservable(quad, np.zeros(4))
-
-
-def _from_param_vector(vec: np.ndarray) -> QuadraticObservable:
-    obs = QuadraticObservable.zero()
-    for coef, slot in zip(vec, _QUAD_BASIS):
-        if coef != 0.0:
-            obs = obs + float(coef) * _basis_observable(slot)
-    return obs
-
-
-def _coefficient_row(h0: QuadraticObservable, out_slot: tuple[int, int]) -> np.ndarray:
-    """Linear functional A-params -> commutator coefficient at out_slot."""
-    row = np.empty(len(_QUAD_BASIS))
-    names = (VARIABLES[out_slot[0]], VARIABLES[out_slot[1]])
-    for col, slot in enumerate(_QUAD_BASIS):
-        comm = commutator_iA(h0, _basis_observable(slot))
-        row[col] = comm.coefficient(*names)
-    return row
+_SLOTS = [(VARIABLES[i], VARIABLES[j]) for i in range(4) for j in range(i, 4)]  # 10 slots, terms() order
 
 
 @dataclass(frozen=True)
@@ -248,19 +223,21 @@ class NoGoReport:
     The scan fixes the sym(x1 p1) coefficient to zero (the one direction
     with an unbounded commutator coefficient already used by the transport
     generator) and asks whether any remaining quadratic A makes [H_0, iA]
-    positive on its support.  The obstruction chain:
+    positive on its support.  Every step reads rows of one 10 x 10 matrix,
+    the linear map A -> [H_0, iA] on the quadratic slots.  The obstruction
+    chain:
 
-      1. the x1^2 coefficient of [H_0, iA] vanishes identically
-         (translation invariance in x1);
-      2. killing the x1 x2, sym(x1 p1) and x1 p2 output terms is a rank-3
+      1. the x1^2 row vanishes identically (translation invariance in x1);
+      2. killing the x1 x2, sym(x1 p1) and x1 p2 rows is a rank-3
          condition (the 2x2 block has determinant -16 omega^2 != 0);
-      3. the surviving x2^2 and p2^2 coefficients come in the fixed ratio
-         -alpha^2, so a sign-definite commutator forces both to zero;
-      4. killing sym(x2 p2) and x2 p1 leaves a residual space on which the
-         commutator is a pure p1 p2 cross term: indefinite unless zero.
+      3. on the surviving space the x2^2 and p2^2 rows come in the fixed
+         ratio -alpha^2, so a sign-definite commutator forces both to zero;
+      4. killing the sym(x2 p2) and x2 p1 rows leaves a residual space on
+         which only the p1 p2 row is live: a pure cross term, indefinite
+         unless zero.
 
-    verdict is "no-go" when the residual cross functional is not
-    identically zero, i.e. no admissible A yields a definite commutator.
+    verdict is "no-go" when the p1 p2 row is not identically zero on the
+    residual space, i.e. no admissible A yields a definite commutator.
     """
 
     B: float
@@ -276,68 +253,66 @@ class NoGoReport:
 def gen_nogo_scan(B: float, alpha: float, tol: float = 1e-10) -> NoGoReport:
     """Scan all quadratic generators with the sym(x1 p1) direction removed.
 
-    Requires omega^2 = alpha^2 - B^2 > 0 (the confinement assumption that
-    makes step 2 of the obstruction chain a full-rank condition).
+    Forms the commutator matrix once (column j holds the slot coefficients
+    of [H_0, i sym(slot j)]) and runs the obstruction chain of
+    :class:`NoGoReport` on its rows.  Requires omega^2 = alpha^2 - B^2 > 0
+    (the confinement assumption that makes step 2 of the chain a full-rank
+    condition).
     """
     if alpha <= 0 or alpha * alpha <= B * B:
         raise ValueError("need alpha > 0 and alpha^2 > B^2 (omega^2 > 0)")
-    from .channel import derive_params
-
-    params = derive_params(B, math.sqrt(alpha * alpha - B * B))
-    h0 = h0_observable(params)
+    h0 = h0_observable(derive_params(B, math.sqrt(alpha * alpha - B * B)))
+    comms = [commutator_iA(h0, QuadraticObservable.from_terms({slot: 1.0})) for slot in _SLOTS]
+    matrix = np.array([[comm.coefficient(*out) for comm in comms] for out in _SLOTS])
+    scale = max(1.0, B * B, alpha * alpha)
     chain: list[str] = []
 
-    x1_slot = (_IDX["x1"], _IDX["x1"])
-    row_x1sq = _coefficient_row(h0, x1_slot)
-    x1sq_zero = bool(np.max(np.abs(row_x1sq)) < tol)
+    def rows(*slots):
+        return matrix[[_SLOTS.index(slot) for slot in slots]]
+
+    def restrict(space, constraints):
+        """The part of the column space on which the constraint rows vanish."""
+        functional = constraints @ space
+        if np.all(np.abs(functional) < tol * scale):
+            return space
+        return space @ scipy.linalg.null_space(functional, rcond=tol / scale)
+
+    x1sq_zero = bool(np.max(np.abs(rows(("x1", "x1")))) < tol)
     chain.append("x1^2 output row identically zero" if x1sq_zero else "x1^2 output row NONZERO")
 
-    scale = max(1.0, B * B, alpha * alpha)
-
-    def constraint_rows(slots):
-        return np.vstack([_coefficient_row(h0, (_IDX[a], _IDX[b])) for a, b in slots])
-
     # freeze the sym(x1 p1) direction of A itself
-    freeze = np.zeros((1, len(_QUAD_BASIS)))
-    freeze[0, _QUAD_BASIS.index((_IDX["x1"], _IDX["p1"]))] = 1.0
-
-    rows1 = constraint_rows([("x1", "x2"), ("x1", "p1"), ("x1", "p2")])
-    space = _nullspace(np.vstack([freeze, rows1]), scale, tol)
+    freeze = np.eye(len(_SLOTS))[[_SLOTS.index(("x1", "p1"))]]
+    x1_coupled = rows(("x1", "x2"), ("x1", "p1"), ("x1", "p2"))
+    space = restrict(np.eye(len(_SLOTS)), np.vstack([freeze, x1_coupled]))
     chain.append(f"after removing x1-coupled outputs: dim {space.shape[1]}")
 
     # fixed ratio x2^2 = -alpha^2 * p2^2 on the surviving space
-    row_x2sq = _coefficient_row(h0, (_IDX["x2"], _IDX["x2"]))
-    row_p2sq = _coefficient_row(h0, (_IDX["p2"], _IDX["p2"]))
-    ratio_dev = float(np.max(np.abs((row_x2sq + alpha * alpha * row_p2sq) @ space)))
+    x2sq, p2sq = rows(("x2", "x2"), ("p2", "p2"))
+    ratio_dev = float(np.max(np.abs((x2sq + alpha * alpha * p2sq) @ space)))
     chain.append(
         f"x2^2 + alpha^2 p2^2 output vanishes on the space (dev {ratio_dev:.1e})"
     )
-    space = _restrict(space, row_x2sq @ space, scale, tol)
-    space = _restrict(space, row_p2sq @ space, scale, tol)
+    space = restrict(space, rows(("x2", "x2")))
+    space = restrict(space, rows(("p2", "p2")))
     chain.append(f"after sign constraint (both forced to zero): dim {space.shape[1]}")
 
-    for a, b in (("x2", "p1"), ("x2", "p2")):
-        row = _coefficient_row(h0, (_IDX[a], _IDX[b]))
-        if space.size:
-            space = _restrict(space, row @ space, scale, tol)
+    for slot in (("x2", "p1"), ("x2", "p2")):
+        space = restrict(space, rows(slot))
     chain.append(f"after removing remaining non-cross outputs: dim {space.shape[1]}")
 
     # on the residual space every commutator must be a pure p1 p2 term
-    pure = True
-    cross_values = []
+    values = matrix @ space
+    cross = _SLOTS.index(("p1", "p2"))
+    live = np.abs(values[cross]) > tol * scale
+    # purity is judged on the entries of the quad matrix: off the diagonal
+    # each is half its sym(v_a v_b) coefficient
+    entries = values / np.array([1.0 if a == b else 2.0 for a, b in _SLOTS])[:, None]
+    pure = bool(np.all(np.abs(np.delete(entries, cross, axis=0)) <= tol * scale))
     witness = {}
-    for col in range(space.shape[1]):
-        obs = _from_param_vector(space[:, col])
-        comm = commutator_iA(h0, obs)
-        cross_val = comm.coefficient("p1", "p2")
-        cross_values.append(cross_val)
-        stripped = comm - QuadraticObservable.from_terms({("p1", "p2"): cross_val})
-        if stripped.max_abs() > tol * scale:
-            pure = False
-        if abs(cross_val) > tol * scale and not witness:
-            witness = comm.terms(tol=tol * scale)
-    residual_nonzero = any(abs(v) > tol * scale for v in cross_values)
-    verdict = "no-go" if (x1sq_zero and pure and residual_nonzero) else "inconclusive"
+    if live.any():
+        column = values[:, np.argmax(live)]
+        witness = {slot: float(v) for slot, v in zip(_SLOTS, column) if abs(v) > tol * scale}
+    verdict = "no-go" if (x1sq_zero and pure and live.any()) else "inconclusive"
     chain.append(
         "residual commutators are pure p1 p2 cross terms (indefinite unless zero)"
         if pure
@@ -353,24 +328,3 @@ def gen_nogo_scan(B: float, alpha: float, tol: float = 1e-10) -> NoGoReport:
         witness_terms=witness,
         chain=tuple(chain),
     )
-
-
-def _nullspace(rows: np.ndarray, scale: float, tol: float) -> np.ndarray:
-    import scipy.linalg
-
-    if rows.size == 0:
-        return np.eye(len(_QUAD_BASIS))
-    return scipy.linalg.null_space(rows, rcond=tol / scale)
-
-
-def _restrict(space: np.ndarray, functional: np.ndarray, scale: float, tol: float) -> np.ndarray:
-    """Intersect a column space with the kernel of a functional on it."""
-    if space.size == 0:
-        return space
-    functional = np.atleast_2d(functional)
-    if np.max(np.abs(functional)) < tol * scale:
-        return space
-    import scipy.linalg
-
-    kernel = scipy.linalg.null_space(functional, rcond=tol / scale)
-    return space @ kernel

@@ -148,7 +148,7 @@ def test_dominant_hermite_index_identifies_landau_stripe():
 
 
 def test_truncation_warning_when_cauchy_tolerance_unattainable():
-    with pytest.warns(UserWarning, match="Cauchy"):
+    with pytest.warns(UserWarning, match="did not meet the residual truncation check"):
         bs = compute_bands(
             _P34,
             _TWO_COS,
@@ -435,7 +435,7 @@ def test_landau_bands_match_the_hermite_basis_to_the_tolerance(tol):
 def test_tolerance_below_rounding_is_never_met_even_at_zero_residual():
     # W = 0: the Landau basis is exact and every residual is 0, but the
     # eigensolver still rounds at about eps ||H||
-    with pytest.warns(UserWarning, match="Cauchy"):
+    with pytest.warns(UserWarning, match="did not meet the residual truncation check"):
         bs = compute_bands(
             _P34, ZeroPotential(), theta_count=9, energy_ceiling=6.0, cauchy_tol=1e-18, refine=False
         )
@@ -634,8 +634,9 @@ def test_the_landau_check_forms_each_overlap_once(monkeypatch, kwargs):
     overlaps, build = fiber.displacement_overlaps, bands.landau_block
 
     def counted(n_rows, n_cols, d):
-        steps[-1].append((n_rows, n_cols, d))
-        return overlaps(n_rows, n_cols, d)
+        made = overlaps(n_rows, n_cols, d)
+        steps[-1].append(((n_rows, n_cols, d), float(np.max(np.abs(made[-4:])))))
+        return made
 
     def step(*args):
         steps.append([])
@@ -645,12 +646,13 @@ def test_the_landau_check_forms_each_overlap_once(monkeypatch, kwargs):
     monkeypatch.setattr(bands, "landau_block", step)
     bs = compute_bands(_P34, _TWO_COS, theta_count=9, refine=False, **kwargs)
     assert bs.basis == "landau" and bs.converged
-    calls = [call for made in steps for call in made]
+    calls = [call for made in steps for call, _ in made]
     assert calls and len(set(calls)) == len(calls)
-    # one tall D per |k|, here k = 1, at each row count the pad rule tries:
-    # the block and the terms of k = -1 read it too
+    # one tall D per |k|, here k = 1, at each truncation: the block and the
+    # terms of k = -1 read it too, and its rows reach below 1e-12 at once
     for made in steps:
-        assert {d for *_, d in made} == {_P34.B / _P34.alpha**1.5}
+        assert [d for (*_, d), _ in made] == [_P34.B / _P34.alpha**1.5]
+        assert all(tail <= 1e-12 for _, tail in made)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Transport certificate arithmetic, the confinement scaling sweep and the
 closed-form resolvent norm bounds."""
 
+import json
 import math
 
 import numpy as np
@@ -15,12 +16,14 @@ from channel_spectra import (
     evaluate_certificate,
     scaling_sweep,
 )
+from channel_spectra.cli import main
 from channel_spectra.mourre import (
     RELATIVE_BOUND_CONSTANT,
     condition_one_threshold,
     resolvent_constant,
     transverse_quadratic_eigenvalues,
 )
+from channel_spectra.schema import ConfigError
 
 _P34 = derive_params(3.0, 4.0)
 _C = math.sqrt(6.0)
@@ -133,6 +136,20 @@ def test_scaling_sweep_validation():
         scaling_sweep(0.3, 1.6, 0.6, 0.5, spec, [1.0])  # windows overlap
     with pytest.raises(ValueError):
         scaling_sweep(0.3, 3.05, 0.1, 0.1, spec, [1.0])  # E0 inside a window
+
+
+@pytest.mark.parametrize(
+    "E0, inside",
+    [(0.7, False), (1.2 - 1e-9, True), (2.8 - 1e-9, False), (2.8 + 1e-9, True), (3.2 - 1e-9, True), (3.2 + 1e-9, False)],
+)
+def test_scaling_sweep_tests_e0_against_the_scaled_windows(tmp_path, E0, inside):
+    # delta0 + eps0 = 0.2: the scaled windows are [0.8, 1.2], [2.8, 3.2], ...
+    scaling = {"E0": E0, "delta0": 0.1, "eps0": 0.1, "omega_list": [4.0]}
+    if inside:
+        with pytest.raises(ConfigError, match="E0 lies inside a scaled threshold window"):
+            scaling_sweep(0.3, E0, 0.1, 0.1, ZeroPotential(), [4.0])
+    argv = ["mourre", "--set", "B=0.3", "--set", f"scaling={json.dumps(scaling)}", "--out", str(tmp_path / "o")]
+    assert main(argv) == (1 if inside else 0)
 
 
 def test_transverse_quadratic_eigenvalues_closed_form():

@@ -61,6 +61,8 @@ def test_a_float_table_is_written_with_the_bytes_of_the_csv_module(tmp_path, tab
 
 def test_jsonable_scalars_and_specials():
     assert jsonable(True) is True
+    assert jsonable(np.bool_(True)) is True and jsonable(np.bool_(False)) is False
+    assert jsonable(np.float64(2.0) < 1.0) is False
     assert jsonable(None) is None
     assert jsonable(math.inf) == "inf"
     assert jsonable(-math.inf) == "-inf"
@@ -137,3 +139,14 @@ def test_write_band_svg(tmp_path):
 def test_write_band_svg_validates_shape(tmp_path):
     with pytest.raises(ValueError):
         write_band_svg(tmp_path / "bad.svg", np.linspace(0, 1, 5), np.zeros((2, 4)))
+
+
+def test_the_appendix_report_holds_plain_floats_and_bools():
+    from channel_spectra import appendix_norm_checks, derive_params
+
+    report = appendix_norm_checks(derive_params(3.0, 4.0), n_hermite=12, m_range=3, theta_count=3)
+    assert {type(v) for v in report.estimates.values()} == {float}
+    assert {type(v) for v in report.passed.values()} == {bool}
+    got = jsonable(report)
+    assert got["passed"] == {k: True for k in report.estimates}
+    json.dumps(got)

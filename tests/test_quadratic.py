@@ -207,7 +207,7 @@ def test_arithmetic_operations():
     assert (f - f).is_zero()
 
 
-@pytest.mark.parametrize("B,alpha", [(3.0, 5.0), (0.0, 1.0), (1.0, 2.0)])
+@pytest.mark.parametrize("B,alpha", [(3.0, 5.0), (0.0, 1.0), (1.0, 2.0), (10.0, math.sqrt(100.25))])
 def test_nogo_scan_verdict(B, alpha):
     report = gen_nogo_scan(B, alpha)
     assert report.verdict == "no-go"
@@ -217,6 +217,22 @@ def test_nogo_scan_verdict(B, alpha):
     assert list(report.witness_terms) == [("p1", "p2")]
     assert abs(report.witness_terms[("p1", "p2")]) > 1e-6
     assert len(report.chain) == 6
+
+
+def test_nogo_scan_forms_one_commutator_per_slot(monkeypatch):
+    # the chain reads rows of one 10 x 10 matrix, so a scan forms the
+    # commutator with each of the ten quadratic slots once
+    from channel_spectra import quadratic
+
+    calls = []
+
+    def counted(h, a):
+        calls.append(a)
+        return commutator_iA(h, a)
+
+    monkeypatch.setattr(quadratic, "commutator_iA", counted)
+    assert quadratic.gen_nogo_scan(3.0, 5.0).verdict == "no-go"
+    assert len(calls) == 10
 
 
 def test_nogo_scan_requires_confinement():

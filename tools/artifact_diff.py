@@ -21,7 +21,9 @@ Both run the same requests:
   run whose Fourier window is refused, the finite-difference check on
   the degenerate spectrum of W = 0 at its smallest grid, and a ``mourre``
   certificate with its scaling sweep for each way a kind decides whether
-  the second derivatives of W are bounded.
+  the second derivatives of W are bounded, and the generator scan of
+  ``commutator --gen-nogo`` at B = 0, omega = 1 and at B = 10, omega =
+  0.5, outside the workloads' B in [1, 4] and omega in [3, 8].
 
 Each checkout runs all of them back to back in one child process, with
 OPENBLAS_NUM_THREADS=1 so that BLAS reduces in the same order in both.
@@ -219,6 +221,9 @@ CHEAP = {
     "mourre-gaussian-y": _mourre(_GAUSSIAN_Y),
     "mourre-cubic-y": _mourre(_CUBIC_Y),
     "commutator": ["commutator"],
+    # the generator scan without a field, and at a field far above omega
+    "commutator-nogo-b0": ["commutator", "--gen-nogo", "--set", "B=0", "--set", "omega=1"],
+    "commutator-nogo-strong-field": ["commutator", "--gen-nogo", "--set", "B=10", "--set", "omega=0.5"],
     "diagnostics": ["diagnostics"],
 }
 
