@@ -26,11 +26,11 @@ One check judges a truncation (N, M) in both bases.  At the probe phases
 theta = 0, 1/3, -1/2, every eigenpair (lambda, v) below the ceiling has the
 residual r = ||H_QP v|| into the discarded space Q (levels n >= N or
 Fourier indices |m| > M), on which H >= c_Q, the lower of the levels' and
-the window's floor.  The block form of the Temple/Kato estimate,
-sum r^2 / min (c_Q - lambda) over all pairs below the ceiling, bounds the
-truncation error of each of them (Parlett, The Symmetric Eigenvalue
-Problem, ch. 10-11); a per-pair r^2 / (c_Q - lambda) undershoots when two
-Ritz values nearly coincide.  The truncation passes when twice the block
+the window's floor; the truncation's FiberBlock carries H_QP.  The block
+form of the Temple/Kato estimate, sum r^2 / min (c_Q - lambda) over all
+pairs below the ceiling, bounds the truncation error of each of them
+(Parlett, The Symmetric Eigenvalue Problem, ch. 10-11); a per-pair r^2 /
+(c_Q - lambda) undershoots when two Ritz values nearly coincide.  The truncation passes when twice the block
 estimate plus the eigensolver's rounding eps ||H|| is at most cauchy_tol,
 and c_Q clears the ceiling.  Otherwise N doubles when the levels' share of
 the estimate exceeds half of what the rounding leaves of cauchy_tol, or
@@ -55,10 +55,10 @@ degree, or b >= omega^2, leaves H without a floor: ConfigError.
   couples into Q and the levels' floor is alpha (2N+1) - a.  N starts at 4.
 - any other potential: the Hermite basis.  The magnetic ladder from level
   N - 1 to N couples into Q too, and the residual cuts W's overlap G at
-  degree 2N - 1.  The ladder's 2 B k y >= -delta alpha^2 y^2 -
-  B^2 k^2 / (delta alpha^2) at the best delta gives the levels' floor
-  (omega^2 - b) A / alpha^2 + max(0, B sqrt(A) / alpha - M - 1/2)^2 - a,
-  A = alpha (2N+1).  N starts at 40.
+  degree 2N - 1 and reads every harmonic of W.  The ladder's 2 B k y >=
+  -delta alpha^2 y^2 - B^2 k^2 / (delta alpha^2) at the best delta gives
+  the levels' floor (omega^2 - b) A / alpha^2 + max(0, B sqrt(A) / alpha -
+  M - 1/2)^2 - a, A = alpha (2N+1).  N starts at 40.
 
 An explicit n_hermite or m_max is a starting size that is only ever
 raised; an m_max below the cover is raised to it, with a note.  An
@@ -79,7 +79,7 @@ from .channel import ChannelParams, Potential, SeparableFourierPotential, ZeroPo
 # assemble_fiber is unused here; perfbench's self-test still wraps this binding
 from .fiber import FiberBlock, assemble_fiber, fiber_at, fiber_block, landau_block  # noqa: F401
 from .fiber import truncation_residuals
-from .hermite import project_potential
+from .hermite import fourier_reach, project_potential
 from .hill import h00_gaps, hill_bands
 from .numutil import RITZ_PAD, BlochBands, GapReport, gap_report, golden_section_minimize, theta_grid
 from .schema import ConfigError
@@ -154,18 +154,18 @@ def _x_only_coeffs(spec: Potential):
 
 
 def error_estimates(
-    block: FiberBlock, terms, ladder: float, floors: tuple[float, float], ceiling: float, thetas
+    block: FiberBlock, floors: tuple[float, float], ceiling: float, thetas
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
     """Eigenvalues below the ceiling at each of ``thetas`` and their truncation error estimates.
 
-    ``terms`` and ``ladder`` couple ``block`` into its discarded space (see
-    ``truncation_residuals``), and ``floors`` bound H there (``_floors``).
+    The block's coupling into its discarded space (``truncation_residuals``)
+    gives the residuals, and ``floors`` bound H there (``_floors``).
     For each phase: the eigenvalues, the shares of the block estimate
     2 sum r^2 / min (c_Q - lambda) from the discarded levels and from the
     discarded Fourier indices (see the module docstring), each the same for
     every eigenvalue, and the eigensolver's rounding eps ||H||.  The shares
     are infinite when c_Q does not clear the ceiling.  All phases share one
-    ``truncation_residuals`` call, so the coupling is formed once.
+    ``truncation_residuals`` call, so the coupling is applied once.
     """
     solved = []
     for theta in thetas:
@@ -175,9 +175,7 @@ def error_estimates(
         solved.append((vals, vecs, rounding))
     c_q = min(floors)
     sizes = [vals.size for vals, _, _ in solved]
-    stacked = truncation_residuals(
-        block, terms, np.hstack([vecs for _, vecs, _ in solved]), ladder, np.repeat(thetas, sizes)
-    )
+    stacked = truncation_residuals(block, np.hstack([vecs for _, vecs, _ in solved]), np.repeat(thetas, sizes))
     residuals = zip(*(np.split(r2, np.cumsum(sizes)[:-1]) for r2 in stacked))
     out = []
     for (vals, _, rounding), shares in zip(solved, residuals):
@@ -221,14 +219,14 @@ def _quadratic_bound(spec: Potential, w0: float, params: ChannelParams) -> tuple
 
 def _grow(build, ceiling: float, tol: float, n_h: int, m_m: int, notes) -> tuple[FiberBlock, bool, int]:
     """Check at most _GROWTH_STEPS truncations, from (n_h, m_m) upwards, by
-    the module docstring's rule.  ``build(N, M)`` gives a truncation's block
-    and what ``error_estimates`` reads of it.  Returns the last block
-    checked, whether it passed, and its most eigenvalues below the ceiling
-    at a probe phase.
+    the module docstring's rule.  ``build(N, M)`` gives a truncation's block,
+    which carries its coupling into the discarded space, and the floors of H
+    there.  Returns the last block checked, whether it passed, and its most
+    eigenvalues below the ceiling at a probe phase.
     """
     for step in range(_GROWTH_STEPS):
-        block, terms, ladder, floors = build(n_h, m_m)
-        estimates = error_estimates(block, terms, ladder, floors, ceiling, _PROBES)
+        block, floors = build(n_h, m_m)
+        estimates = error_estimates(block, floors, ceiling, _PROBES)
         below = max(vals.size for vals, *_ in estimates)
         worst = max(float(np.max(lv + wn, initial=0.0)) + r for _, lv, wn, r in estimates)
         low_levels, low_window = (floor <= ceiling for floor in floors)
@@ -296,21 +294,21 @@ def compute_bands(
     if coeffs is None:
         n_h = DEFAULT_N_HERMITE if n_hermite is None else int(n_hermite)
         a, b = _quadratic_bound(spec, w0, params)
+        reach = fourier_reach(spec)
 
         def build(n, m):
-            # G to degree 2N - 1, where the residual cuts it, and the harmonics
-            # that couple past the window, which the residual reads too
-            proj = project_potential(spec, params, nmax=2 * n - 1, mfourier=max(16, 2 * (m + 4)))
+            # G to degree 2N - 1, where the residual cuts it, and every harmonic
+            # of W, since those past the window couple into it too
+            proj = project_potential(spec, params, nmax=2 * n - 1, mfourier=max(16, 2 * (m + 4), reach))
             block = fiber_block(params, proj, n, m)
-            terms = [(k, c, proj.overlap[:, :n]) for k, c in proj.fourier]
-            return block, terms, params.B * math.sqrt(2 * n / params.alpha), _floors(block, a, b, True)
+            return block, _floors(block, a, b, True)
 
     else:
         n_h = DEFAULT_N_LANDAU if n_hermite is None else int(n_hermite)
 
         def build(n, m):
-            block, terms = landau_block(params, coeffs, n, m)
-            return block, terms, 0.0, _floors(block, w0, 0.0, False)
+            block = landau_block(params, coeffs, n, m)
+            return block, _floors(block, w0, 0.0, False)
 
     if n_h * (2 * m_m + 1) > MAX_FIBER_DIM:
         raise ConfigError(
@@ -442,7 +440,7 @@ def gap_persistence_sweep(
     for omega in omega_list:
         params = derive_params(B, omega)
         ceiling = 3.0 * params.alpha
-        proj0 = project_potential(spec, params, nmax=0, mfourier=2 * hill_m_max)
+        proj0 = project_potential(spec, params, nmax=0, mfourier=max(2 * hill_m_max, fourier_reach(spec)))
         k0 = hill_bands(proj0.diag_coeffs(0), hill_m_max, theta_count, band_count=target_gap_count + 1)
         if math.isfinite(w0) and k0.band_count > target_gap_count:
             cover = params.alpha + k0.band_intervals[target_gap_count][1] + 2.0 * w0 + 1.0

@@ -68,11 +68,11 @@ from .channel import (
 )
 from .classical import ClassicalState, closed_form_trajectory, integrate, mourre_observable
 from .fiber import EigensolverError, assemble_fiber, complex_theta_resolvent_bound, eigenvalues_fiber, hill_block
-from .hermite import project_potential
+from .hermite import fourier_reach, project_potential
 from .hill import _coarse_points, fd_hill_richardson, h00_gaps, hill_bands, hill_spectrum
 from .mourre import ScalingSweepRow, appendix_norm_checks, evaluate_certificate, scaling_sweep
 from .numutil import theta_grid
-from .output import write_band_svg, write_csv, write_json
+from .output import jsonable, write_band_svg, write_csv, write_json
 from .quadratic import QuadraticObservable, commutator_iA, conjugate_observable, gen_nogo_scan, h0_observable
 from .schema import ConfigError, Key, parse
 
@@ -350,7 +350,7 @@ def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
         )
     params = derive_params(cfg["B"], cfg["omega"])
     spec = potential_from_dict(cfg["potential"])
-    proj = project_potential(spec, params, nmax=0, mfourier=2 * m_max)
+    proj = project_potential(spec, params, nmax=0, mfourier=max(2 * m_max, fourier_reach(spec)))
     pairs = proj.diag_coeffs(0)
     hb = hill_bands(pairs, m_max, cfg["theta_count"], cfg["band_count"])
     ceiling = 3.0 * params.alpha if cfg["ceiling"] is None else cfg["ceiling"]
@@ -426,10 +426,10 @@ def _cmd_mourre(cfg: dict, art: _Artifacts) -> int:
     params = derive_params(cfg["B"], cfg["omega"])
     spec = potential_from_dict(cfg["potential"])
     report = evaluate_certificate(params, spec, cfg["E"], cfg["delta"], cfg["eps"])
-    art.write(write_json, "certificate.json", report)
+    art.write(write_json, "certificate.json", {**jsonable(report), "conclusion": report.conclusion})
     art.write(write_csv, "excluded.csv", ["lower", "upper"], report.excluded)
     art.write(write_csv, "certified.csv", ["lower", "upper"], report.certified_set)
-    print(f"certificate: {report.verdict}")
+    print(f"certificate: {report.verdict}; conclusion: {report.conclusion}")
     for reason in report.reasons:
         print(f"  {reason}")
     scaling = cfg["scaling"]

@@ -35,7 +35,8 @@ no level energy and no ladder: <m| K(theta) |m'> = delta_{mm'} (m+theta)^2
 + c_{m-m'}.  One builder makes the FiberBlock of all three families, and
 the block is what numutil's Bloch band driver solves (``FiberBlock.solve``,
 which is eigenvalues_fiber of ``fiber_at``) and differentiates
-(``FiberBlock.slope``).
+(``FiberBlock.slope``); a block of the channel also carries its coupling
+into the discarded space (``truncation_residuals``).
 
 Storage is dense; the basis ordering is row = (m - off + M) * N + n so that
 each Fourier index m owns a contiguous block of levels.
@@ -49,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .channel import ChannelParams, _canonical_coeffs
 from .hermite import _MAX_DEGREE, ProjectedPotential, _hermite_table, gauss_hermite
@@ -90,7 +90,8 @@ class FiberBlock:
     basis, else 1), and both first off-diagonals gain ``ladder`` * (m +
     theta).  ``ladder`` holds the weights of the first superdiagonal, zero
     where a Fourier block ends and everywhere outside the Hermite basis.
-    ``params`` is None for the Hill operator.
+    ``params`` is None for the Hill operator.  ``coupling`` and ``boundary``
+    couple the block into its discarded space (``truncation_residuals``).
     """
 
     params: ChannelParams | None
@@ -100,30 +101,34 @@ class FiberBlock:
     row_m: np.ndarray
     ladder: np.ndarray  # (dim - 1,)
     kinetic: float
+    coupling: tuple = ()  # (k, c_k, M_k), M_k of shape (n_rows, N)
+    boundary: float = 0.0  # ladder weight from level N - 1 to N
 
     def solve(self, theta: float, count: int | None = None, vectors: bool = False):
         """The family's eigensolver: ``eigenvalues_fiber`` of ``fiber_at``
         at theta, with its ``count`` and ``vectors``."""
         return eigenvalues_fiber(fiber_at(self, theta), count, vectors)
 
-    def slope(self, theta: float) -> scipy.sparse.dia_array:
-        """H'(theta), the derivative of ``fiber_at`` in theta: 2 ``kinetic``
-        (m + theta) on the diagonal and ``ladder`` on both first
-        off-diagonals.  The fiber is quadratic in theta, H(theta + h) =
-        H(theta) + h H'(theta) + kinetic h^2 I.  The ladder couples the
-        levels n and n + 1 of one Fourier index, which are neighbouring rows,
-        so H' is tridiagonal."""
-        dim = self.row_m.size
-        diagonals = np.zeros((3, dim))  # offsets 0, 1, -1; entry (i, j) at [., j]
-        diagonals[0] = 2.0 * self.kinetic * (self.row_m + theta)
-        diagonals[1, 1:] = diagonals[2, :-1] = self.ladder
-        return scipy.sparse.dia_array((diagonals, (0, 1, -1)), shape=(dim, dim))
+    def slope(self, theta: float, vectors: np.ndarray) -> np.ndarray:
+        """H'(theta) @ vectors, in C order.  H', the derivative of ``fiber_at``
+        in theta, has 2 ``kinetic`` (m + theta) on the diagonal and ``ladder``
+        on both first off-diagonals.  The fiber is quadratic in theta,
+        H(theta + h) = H(theta) + h H'(theta) + kinetic h^2 I.  The ladder
+        couples the levels n and n + 1 of one Fourier index, which are
+        neighbouring rows, so H' is tridiagonal."""
+        # C order even from eigh's Fortran-ordered vectors: the layout decides
+        # how BLAS rounds the products taken of it
+        out = np.multiply((2.0 * self.kinetic * (self.row_m + theta))[:, None], vectors, order="C")
+        out[:-1] += self.ladder[:, None] * vectors[1:]
+        out[1:] += self.ladder[:, None] * vectors[:-1]
+        return out
 
 
-def _build_block(params, terms, levels, m_max: int, kinetic: float, ladder=(), m_offset: int = 0) -> FiberBlock:
+def _build_block(params, terms, levels, m_max: int, kinetic: float, ladder=(), m_offset: int = 0, **discarded):
     """The FiberBlock of any family: ``base`` is sum_k c_k S^k (x) M_k, S the
     shift of the Fourier index, plus ``levels`` on the diagonal of each
-    Fourier block; ``ladder`` couples the levels n and n + 1.
+    Fourier block; ``ladder`` couples the levels n and n + 1, and
+    ``discarded`` gives the block's ``coupling`` and ``boundary``.
 
     ``terms`` are triples (k, c_k, M_k) with |k| <= 2 m_max and M_k of shape
     (N, N), N = levels.size: G (Hermite), D(B k / alpha^{3/2}) (Landau) or
@@ -152,6 +157,7 @@ def _build_block(params, terms, levels, m_max: int, kinetic: float, ladder=(), m
         row_m=np.repeat(np.arange(-m_max, m_max + 1) + m_offset, n).astype(float),
         ladder=superdiagonal.ravel()[:-1],
         kinetic=kinetic,
+        **discarded,
     )
 
 
@@ -165,7 +171,8 @@ def fiber_block(
     """Build the theta-independent part of the fiber once per truncation.
 
     The projection must cover the requested truncation: proj.nmax + 1 >=
-    n_hermite and proj.mfourier >= 2 * m_max.
+    n_hermite and proj.mfourier >= 2 * m_max.  The block couples into the
+    levels up to proj.nmax by every pair of the projection.
     """
     if n_hermite < 1 or m_max < 0:
         raise ValueError("need n_hermite >= 1 and m_max >= 0")
@@ -182,10 +189,13 @@ def fiber_block(
 
     N, alpha = n_hermite, params.alpha
     terms = [(k, c, proj.overlap[:N, :N]) for k, c in proj.fourier if abs(k) <= 2 * m_max]
-    # magnetic ladder coupling B sqrt(2(n+1)/alpha) (m+theta) between n and n+1
-    ladder = params.B * np.sqrt(2.0 * np.arange(1, N) / alpha)
+    coupling = tuple((k, c, proj.overlap[:, :N]) for k, c in proj.fourier)
+    # magnetic ladder coupling B sqrt(2(n+1)/alpha) (m+theta) between n and n+1, up to n = N
+    ladder = params.B * np.sqrt(2.0 * np.arange(1, N + 1) / alpha)
     levels = alpha * (2.0 * np.arange(N) + 1.0)
-    return _build_block(params, terms, levels, m_max, kinetic=1.0, ladder=ladder, m_offset=m_offset)
+    return _build_block(
+        params, terms, levels, m_max, 1.0, ladder[:-1], m_offset, coupling=coupling, boundary=float(ladder[-1])
+    )
 
 
 def displacement_overlaps(n_rows: int, n_cols: int, d: float) -> np.ndarray:
@@ -225,15 +235,15 @@ def _tail_bound(n_rows: int, n_cols: int, d: float) -> float:
     return math.exp(log_b + (n - k) * math.log(abs(d) / math.sqrt(2.0)))
 
 
-def landau_block(params: ChannelParams, coeffs, n_levels: int, m_max: int):
-    """The pair (block, terms) of the fiber in the displaced Landau basis.
+def landau_block(params: ChannelParams, coeffs, n_levels: int, m_max: int) -> FiberBlock:
+    """The block of the fiber in the displaced Landau basis.
 
     For W(x) = sum_k W_k e^{ikx}, given as the (k, W_k) pairs ``coeffs``
     with W_{-k} = conj(W_k): ``base`` holds alpha (2n+1) on the diagonal and
     the blocks W_{m-m'} D(B (m-m') / alpha^{3/2}) for n, n' < n_levels and
-    |m|, |m'| <= m_max.  ``fiber_at`` adds beta (m+theta)^2.  ``terms``, for
-    ``truncation_residuals``, are (k, W_k, D(B k / alpha^{3/2})) for each
-    k != 0, since W_0 D(0) stays within the kept levels.
+    |m|, |m'| <= m_max.  ``fiber_at`` adds beta (m+theta)^2.  The block's
+    ``coupling`` is (k, W_k, D(B k / alpha^{3/2})) for each k != 0, since
+    W_0 D(0) stays within the kept levels.
 
     One tall D per |k| != 0, formed once, reaches the levels up to where
     it falls below 1e-12 (the rows beyond add less than 1e-24 sum |W_k|^2
@@ -241,7 +251,7 @@ def landau_block(params: ChannelParams, coeffs, n_levels: int, m_max: int):
     pad of rows past n_levels doubles from 8 until ``_tail_bound`` at the
     largest |k| is below 1e-12.  The block takes its first n_levels rows,
     transposed for k < 0, which keeps the blocks of k and -k exactly
-    adjoint; the terms of k < 0 take its parity signs.
+    adjoint; the coupling of k < 0 takes its parity signs.
     """
     if n_levels < 1 or m_max < 0:
         raise ValueError("need n_levels >= 1 and m_max >= 0")
@@ -257,9 +267,9 @@ def landau_block(params: ChannelParams, coeffs, n_levels: int, m_max: int):
     blocks = {0: np.eye(N), **{k: d[:N] for k, d in tall.items()}}  # D(0), exactly
     kept = [(k, c, blocks[k] if k >= 0 else blocks[-k].T) for k, c in harmonics if abs(k) < size]
     parity = (-1.0) ** np.arange(n_rows)
-    terms = [(k, c, tall[k] if k > 0 else tall[-k] * np.outer(parity, parity[:N])) for k, c in harmonics if k]
+    coupling = tuple((k, c, tall[k] if k > 0 else tall[-k] * np.outer(parity, parity[:N])) for k, c in harmonics if k)
     levels = params.alpha * (2.0 * np.arange(N) + 1.0)
-    return _build_block(params, kept, levels, m_max, kinetic=params.beta), terms
+    return _build_block(params, kept, levels, m_max, kinetic=params.beta, coupling=coupling)
 
 
 def hill_block(pairs, m_max: int) -> FiberBlock:
@@ -268,32 +278,29 @@ def hill_block(pairs, m_max: int) -> FiberBlock:
     V = sum_k c_k e^{ikx} is given by its (k, c_k) ``pairs`` (or a mapping
     k -> c_k), which must satisfy c_{-k} = conj(c_k); the Fourier window is
     |m| <= m_max.  ``base`` is the Toeplitz matrix of the c_k, ``fiber_at``
-    adds (m + theta)^2, and the block has no params.
+    adds (m + theta)^2, and the block has no params and no coupling.
     """
     one = np.ones((1, 1))
     terms = [(k, c, one) for k, c in _canonical_coeffs(dict(pairs)) if abs(k) < 2 * m_max + 1]
     return _build_block(None, terms, np.zeros(1), m_max, kinetic=1.0)
 
 
-def truncation_residuals(block: FiberBlock, terms, vectors: np.ndarray, ladder=0.0, thetas=0.0):
+def truncation_residuals(block: FiberBlock, vectors: np.ndarray, thetas=0.0):
     """||H_QP v||^2 for the columns v of ``vectors``, split by where Q lies.
 
     Q is the complement of the truncation of ``block``: the levels n >= N
     inside the Fourier window (first array) and the Fourier indices |m| > M
-    (second).  ``terms`` are the potential's triples (k, c_k, M_k) as
-    ``_build_block`` takes them, with M_k of shape (n_rows, N), the levels n
-    < n_rows that the kept ones couple to.  ``ladder`` is the weight B
-    sqrt(2N / alpha) of the magnetic ladder from level N - 1 to level N,
+    (second).  H_QP is the block's ``coupling``, and its ``boundary`` weight
     times m + theta at the phase ``thetas`` of each column.
     """
     N, size = block.n_hermite, 2 * block.m_max + 1
     vecs = vectors.reshape(size, N, vectors.shape[1])
-    reach = max((abs(k) for k, _, _ in terms), default=0)
-    n_rows = max((overlap.shape[0] for *_, overlap in terms), default=N + 1)
+    reach = max((abs(k) for k, _, _ in block.coupling), default=0)
+    n_rows = max([N + 1] + [overlap.shape[0] for *_, overlap in block.coupling])
     rows = np.zeros((size + 2 * reach, n_rows, vecs.shape[2]), dtype=np.result_type(vecs, complex))
-    for k, c, overlap in terms:
+    for k, c, overlap in block.coupling:
         rows[reach + k : reach + k + size] += c * (overlap @ vecs)
-    rows[reach : reach + size, N] += ladder * (block.row_m[::N, None] + thetas) * vecs[:, N - 1]
+    rows[reach : reach + size, N] += block.boundary * (block.row_m[::N, None] + thetas) * vecs[:, N - 1]
     rows[reach : reach + size, :N] = 0.0  # the kept space P
     r2 = np.abs(rows) ** 2
     inside = r2[reach : reach + size].sum(axis=(0, 1))
@@ -339,17 +346,14 @@ def eigenvalues_fiber(mat: np.ndarray, count: int | None = None, vectors: bool =
     """Ascending eigenvalues of the dense Hermitian fiber ``mat`` (the lowest ``count`` if given).
 
     With ``vectors``, the pair (eigenvalues, eigenvectors as columns); only
-    the lowest ``count`` pairs are computed then.
+    the lowest ``count`` pairs are computed then.  A fiber of real
+    coefficients is real (``_build_block``) and takes the real solver.
     """
-    # real-coefficient potentials give exactly real symmetric fibers; the
-    # real solver is about four times faster than the Hermitian one
-    real = np.iscomplexobj(mat) and not mat.imag.any()
-    entries = np.ascontiguousarray(mat.real) if real else mat
     try:
         if vectors:
-            subset = None if count is None else (0, min(count, entries.shape[0]) - 1)
-            return scipy.linalg.eigh(entries, subset_by_index=subset)
-        vals = scipy.linalg.eigh(entries, eigvals_only=True)
+            subset = None if count is None else (0, min(count, mat.shape[0]) - 1)
+            return scipy.linalg.eigh(mat, subset_by_index=subset)
+        vals = scipy.linalg.eigh(mat, eigvals_only=True)
     except scipy.linalg.LinAlgError as exc:
         fd, path = tempfile.mkstemp(prefix="fiber_matrix_", suffix=".npy")
         with open(fd, "wb") as fh:

@@ -32,7 +32,7 @@ import scipy.linalg
 
 from .channel import ChannelParams, Potential, SeparableFourierPotential, ZeroPotential
 
-__all__ = ["ProjectedPotential", "gauss_hermite", "project_potential"]
+__all__ = ["ProjectedPotential", "fourier_reach", "gauss_hermite", "project_potential"]
 
 _MAX_DEGREE = 1000
 
@@ -128,6 +128,14 @@ def project_potential(
     return ProjectedPotential(
         alpha=params.alpha, nmax=nmax, mfourier=mfourier, fourier=fourier, overlap=overlap
     )
+
+
+def fourier_reach(spec: Potential) -> int:
+    """The largest |k| of W's Fourier pairs, the mfourier that projects every
+    harmonic; 0 for W = 0 and for a kind that is not x-periodic."""
+    if not isinstance(spec, SeparableFourierPotential):
+        return 0
+    return max((abs(k) for k, _ in spec.coeffs), default=0)
 
 
 def _profile_overlap(profile, params: ChannelParams, nmax: int) -> np.ndarray:

@@ -17,7 +17,8 @@ E_j(-theta) = E_j(theta).  Each band is then monotone in |theta| on
 [0, 1/2] (Reed-Simon IV, Thm XIII.89; Magnus-Winkler 1966), so its edges
 sit at the grid phases 0 and 1/2: the band intervals are grid extrema.
 h00_gaps refuses a Fourier window that does not resolve V below the
-ceiling, from one wider block that it solves at theta = 0 and 1/2.
+ceiling: one that leaves out harmonics of V, or whose eigenvalues move
+when one wider block is solved at theta = 0 and 1/2.
 
 An independent oracle discretizes K(theta) by central finite differences on
 a uniform grid with the phase-wrapped corner entries and Richardson
@@ -182,10 +183,12 @@ def h00_gaps(
     count 2 sqrt(ceiling - alpha) + 4.  The top three eigenvalues of the
     Fourier window m_max are not trusted, so a ceiling that needs more than
     2 m_max - 2 bands raises ConfigError.  So does a window too small for
-    V: one whose eigenvalues at or below ceiling - alpha move by more than
-    1e-6 alpha, the default gap tolerance, at theta = 0 or 1/2 when m_max
-    grows by 4.  The kept bands' intervals are their grid extrema in hill's
-    table.
+    V, by 1e-6 alpha, the default gap tolerance: one whose harmonics past
+    |k| = 2 m_max, which couple no two of its indices and so move the
+    spectrum by up to the sum of their |c_k|, sum to more than that, or
+    whose eigenvalues at or below ceiling - alpha move by more than that at
+    theta = 0 or 1/2 when m_max grows by 4.  The kept bands' intervals are
+    their grid extrema in hill's table.
     """
     trusted = 2 * hill.m_max - 2
     # free bands reach (k/2)^2, so the free count is a floor; W_0 shifts bands down
@@ -197,6 +200,12 @@ def h00_gaps(
             f"{trusted} that the Fourier window m_max = {hill.m_max} resolves"
         )
     tol = 1e-6 * params.alpha
+    beyond = sum(abs(c) for k, c in hill.coeffs.items() if abs(k) > 2 * hill.m_max)
+    if beyond > tol:
+        raise ConfigError(
+            f"Fourier window m_max = {hill.m_max} does not resolve V: its harmonics past |k| = "
+            f"{2 * hill.m_max} sum to {beyond:.3g}, more than {tol:.3g}"
+        )
     wider = hill_block(hill.coeffs, hill.m_max + 4)
     for theta, row in ((0.0, hill.table[len(hill.table) // 2]), (0.5, hill.table[-1])):
         low = row[row <= ceiling - params.alpha]

@@ -149,10 +149,7 @@ class MourreReport:
     def verdict(self) -> str:
         if self.admissible:
             return "admissible"
-        for reason in self.reasons:
-            if "non-localized" in reason:
-                return "inadmissible: non-localized"
-        return "inadmissible"
+        return "inadmissible: non-localized" if math.isinf(self.w0_prime) else "inadmissible"
 
 
 def evaluate_certificate(

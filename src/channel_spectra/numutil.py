@@ -326,7 +326,7 @@ def _derivatives(block: FiberBlock, theta: float, vals: np.ndarray, vecs: np.nda
     The Ritz curvature E_j'' = 2 kinetic + 2 sum_k |v_k* H' v_j|^2 / (E_j - E_k)
     sums over the kept bands apart from E_j; it is nan in a cluster.
     """
-    p = vecs.conj().T @ (block.slope(theta) @ vecs)
+    p = vecs.conj().T @ block.slope(theta, vecs)
     out = np.empty((3, vals.size))
     out[0] = out[1] = p.diagonal().real
     # pairs closer than this cross at the scale of the grid; their vectors, and
@@ -375,7 +375,7 @@ class _ReducedPencil:
         qh = q.conj().T
         self.start, self.end, self.kinetic = start, end, block.kinetic
         self.r0 = qh @ (fiber_at(block, start) @ q)
-        self.r1 = qh @ (block.slope(start) @ q)
+        self.r1 = qh @ block.slope(start, q)
         self._bands: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # j -> its pencil
 
     def values(self, thetas: np.ndarray) -> np.ndarray:

@@ -343,12 +343,8 @@ def test_hermite_estimate_bounds_the_truncation_error(B, omega, spec, n_levels, 
     # the truncation exactly as compute_bands checks it
     proj = project_potential(spec, params, nmax=2 * n_levels - 1, mfourier=max(16, 2 * (m_max + 4)))
     block = fiber_block(params, proj, n_levels, m_max)
-    terms = [(k, c, proj.overlap[:, :n_levels]) for k, c in proj.fourier]
     a, b = _quadratic_bound(spec, spec.norm_estimates().w0, params)
-    ladder = B * math.sqrt(2 * n_levels / params.alpha)
-    [(vals, levels, window, _)] = error_estimates(
-        block, terms, ladder, _floors(block, a, b, True), ceiling, [theta]
-    )
+    [(vals, levels, window, _)] = error_estimates(block, _floors(block, a, b, True), ceiling, [theta])
     ref_proj = project_potential(spec, params, nmax=63, mfourier=max(16, 2 * (m_max + 8)))
     ref = scipy.linalg.eigvalsh(fiber_at(fiber_block(params, ref_proj, 64, m_max + 8), theta))
     # min-max: a truncation only raises eigenvalues; the estimate bounds by
@@ -359,6 +355,21 @@ def test_hermite_estimate_bounds_the_truncation_error(B, omega, spec, n_levels, 
     assert np.max(err) > 1e-10  # the truncation is visibly short of converged
     assert np.all(err >= -rounding)
     assert np.all(err <= levels + window + rounding)
+
+
+def test_the_hermite_check_reads_the_harmonics_past_the_window():
+    # cos 30x couples the window |m| <= 8 only to indices past it; with that
+    # harmonic left out of the residuals, (N=12, M=8) passed the check while
+    # its bands were 5.3e-4 off those of a window of 36
+    spec = SeparableFourierPotential({1: 0.3, -1: 0.3, 30: 0.5, -30: 0.5}, GaussianProfile(1.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the check's own, and the old projection's
+        bs = compute_bands(_P34, spec, theta_count=9, n_hermite=12, refine=False)
+    wide = compute_bands(_P34, spec, theta_count=9, n_hermite=12, m_max=36, refine=False)
+    assert wide.converged and wide.band_count == bs.band_count
+    # a truncation that passes is within cauchy_tol of the wider one
+    assert not bs.converged or np.max(np.abs(bs.band_intervals - wide.band_intervals)) <= 1e-7
+    assert bs.m_max == 20
 
 
 def test_the_residual_check_holds_a_strong_potential_to_its_tolerance():
@@ -506,7 +517,7 @@ def _fiber_block_of(bs, spec):
     if bs.basis == "landau":
         g = 0.0 if isinstance(spec, ZeroPotential) else float(spec.profile(0.0))
         coeffs = () if isinstance(spec, ZeroPotential) else [(k, c * g) for k, c in spec.coeffs]
-        return landau_block(bs.params, coeffs, bs.n_hermite, bs.m_max)[0]
+        return landau_block(bs.params, coeffs, bs.n_hermite, bs.m_max)
     proj = project_potential(spec, bs.params, nmax=2 * bs.n_hermite - 1, mfourier=max(16, 2 * (bs.m_max + 4)))
     return fiber_block(bs.params, proj, bs.n_hermite, bs.m_max)
 

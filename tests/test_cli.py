@@ -504,6 +504,7 @@ def test_an_fd_grid_below_the_oracle_floor_exits_one_before_any_output(tmp_path,
 
 
 _DEEP_WELL_CFG = {"kind": "fourier_x", "coeffs": {"0": -30, "1": 0.5, "-1": 0.5}}
+_FAR_HARMONIC_CFG = {"kind": "fourier_x", "coeffs": {"1": 0.5, "-1": 0.5, "30": 0.5, "-30": 0.5}}
 # c_1 = 2, c_2 = c_3 = i: too strong for the lowest bands of a window m_max = 6
 _STRONG_V_CFG = {
     "kind": "fourier_x",
@@ -545,8 +546,15 @@ def test_hill_gaps_keep_every_band_a_deep_well_moves_below_the_ceiling(tmp_path)
             "Fourier window m_max = 6 does not resolve V",
             True,
         ),
+        # cos 30x couples no two indices of the window m_max = 10: left out, it
+        # moved the lowest six band intervals by 5.8e-4 against m_max = 48
+        (
+            ["hill", "--set", f"potential={json.dumps(_FAR_HARMONIC_CFG)}", "--set", "m_max=10", "--set", "band_count=6"],
+            "Fourier window m_max = 10 does not resolve V",
+            True,
+        ),
     ],
-    ids=["hill-m-max-1", "hill-m-max-2", "sweep-hill-m-max-1", "hill-window-too-small-for-v"],
+    ids=["hill-m-max-1", "hill-m-max-2", "sweep-hill-m-max-1", "hill-window-too-small-for-v", "hill-far-harmonic"],
 )
 def test_hill_window_below_the_ceiling_exits_one(tmp_path, capsys, argv, refused, manifest):
     # the window holds 2 m_max + 1 eigenvalues, of which 2 m_max - 2 are

@@ -266,13 +266,51 @@ def test_fiber_is_a_quadratic_pencil_in_theta(basis):
         # it couples levels of one Fourier index only
         assert not block.ladder[block.n_hermite - 1 :: block.n_hermite].any()
     else:
-        block, _ = landau_block(params, [(1, 0.3 + 0.1j), (-1, 0.3 - 0.1j)], 4, 3)
+        block = landau_block(params, [(1, 0.3 + 0.1j), (-1, 0.3 - 0.1j)], 4, 3)
         assert block.ladder.shape == (len(block.row_m) - 1,) and not block.ladder.any()
     theta, h = 0.13, 0.21
-    slope = block.slope(theta).toarray()
+    slope = block.slope(theta, np.eye(len(block.row_m)))
     step = fiber_at(block, theta + h) - fiber_at(block, theta)
     assert np.max(np.abs(step - h * slope - block.kinetic * h * h * np.eye(len(slope)))) < 1e-12
     assert np.array_equal(slope, slope.conj().T)
+
+
+@pytest.mark.parametrize("basis", ["hermite", "landau"])
+def test_truncation_residuals_match_the_larger_fiber(basis):
+    from channel_spectra.fiber import landau_block, truncation_residuals
+
+    params, theta, n_levels, m_max = derive_params(2.0, 3.0), 0.27, 5, 3
+    if basis == "hermite":
+        spec = SeparableFourierPotential({1: 0.3 + 0.1j, -1: 0.3 - 0.1j, 2: 0.2, -2: 0.2}, GaussianProfile(1.2))
+        proj = project_potential(spec, params, nmax=2 * n_levels - 1, mfourier=16)
+
+        def build(n, m):
+            return fiber_block(params, proj, n, m)
+
+    else:
+        coeffs = [(1, 0.3 + 0.1j), (-1, 0.3 - 0.1j), (3, 0.1), (-3, 0.1)]
+
+        def build(n, m):
+            return landau_block(params, coeffs, n, m)
+
+    block = build(n_levels, m_max)
+    assert (block.boundary > 0.0) == (basis == "hermite")
+    # a truncation holding every level and index that the kept ones couple to
+    wide_n = max(overlap.shape[0] for *_, overlap in block.coupling)
+    wide_m = m_max + max(abs(k) for k, _, _ in block.coupling)
+    wide = build(wide_n, wide_m)
+    _, vecs = scipy.linalg.eigh(fiber_at(block, theta), subset_by_index=(0, 7))
+    embedded = np.zeros((2 * wide_m + 1, wide_n, vecs.shape[1]), dtype=complex)
+    window = slice(wide_m - m_max, wide_m + m_max + 1)
+    embedded[window, :n_levels] = vecs.reshape(2 * m_max + 1, n_levels, -1)
+    image = (fiber_at(wide, theta) @ embedded.reshape(-1, vecs.shape[1])).reshape(embedded.shape)
+    r2 = np.abs(image) ** 2
+    inside = r2[window, n_levels:].sum(axis=(0, 1))
+    outside = r2[: window.start].sum(axis=(0, 1)) + r2[window.stop :].sum(axis=(0, 1))
+    levels, beyond = truncation_residuals(block, vecs, theta)
+    assert np.all(inside > 0.0) and np.all(outside > 0.0)
+    np.testing.assert_allclose(levels, inside, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(beyond, outside, rtol=1e-12, atol=0.0)
 
 
 def test_vectors_mode_returns_the_lowest_eigenpairs():

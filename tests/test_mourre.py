@@ -152,6 +152,24 @@ def test_scaling_sweep_tests_e0_against_the_scaled_windows(tmp_path, E0, inside)
     assert main(argv) == (1 if inside else 0)
 
 
+@pytest.mark.parametrize(
+    "potential, conclusion",
+    [
+        ('{"kind": "zero"}', "absolutely_continuous"),
+        # bilinear data has no second derivatives
+        ('{"kind": "grid", "x": [-2, 0, 2], "y": [-1, 1], "values": [[0, 0], [0.003, 0.001], [0, 0]]}', "no_eigenvalues"),
+        ('{"kind": "fourier_x", "coeffs": {"1": 0.5, "-1": 0.5}}', "none"),
+    ],
+    ids=["zero", "grid", "fourier-x"],
+)
+def test_the_certificate_artifact_holds_its_conclusion(tmp_path, capsys, potential, conclusion):
+    out = tmp_path / "o"
+    assert main(["mourre", "--set", f"potential={potential}", "--out", str(out)]) == 0
+    written = json.loads((out / "certificate.json").read_text())
+    assert written["conclusion"] == conclusion
+    assert f"conclusion: {conclusion}" in capsys.readouterr().out
+
+
 def test_transverse_quadratic_eigenvalues_closed_form():
     lp, lm = transverse_quadratic_eigenvalues(_P34)
     disc = 6.0 * math.sqrt(17.0)  # sqrt(26^2 - 64)

@@ -14,11 +14,14 @@ Both run the same requests:
   run whose truncation search grows the starting size, four ``gaps`` runs
   in the Hermite basis (without the magnetic ladder, at a potential near
   alpha, with a cubic profile, which is refused, and at n_hermite = 100,
-  whose projection takes a Gauss-Hermite rule of order 414), a ``bands``
+  whose projection takes a Gauss-Hermite rule of order 414), a ``gaps``
+  run whose harmonic cos 30x reaches past the Fourier window, which the
+  truncation check grows the window for, a ``bands``
   run of the confining W = 10 y^2, a ``bands`` run
   whose ``m_max`` is raised to cover the ceiling, two ``gaps`` runs that
-  search band edges off the grid phases, which no workload does, a ``hill``
-  run whose Fourier window is refused, the finite-difference check on
+  search band edges off the grid phases, which no workload does, two
+  ``hill`` runs whose Fourier window is refused (too small for V, and
+  without room for its harmonic cos 30x), the finite-difference check on
   the degenerate spectrum of W = 0 at its smallest grid, and a ``mourre``
   certificate with its scaling sweep for each way a kind decides whether
   the second derivatives of W are bounded, and the generator scan of
@@ -96,6 +99,12 @@ _UNRESOLVED = (
     '{"kind": "fourier_x", "coeffs": {"1": [0, -1], "-1": [0, 1], "2": [0, -1], "-2": [0, 1],'
     ' "3": [1, 1], "-3": [1, -1]}}'
 )
+# cos x + cos 30x: a harmonic past every Fourier window these requests start at
+_FAR_HARMONIC = '{"kind": "fourier_x", "coeffs": {"1": 0.5, "-1": 0.5, "30": 0.5, "-30": 0.5}}'
+_FAR_HARMONIC_GAUSSIAN = (
+    '{"kind": "fourier_x_profile", "coeffs": {"1": 0.3, "-1": 0.3, "30": 0.5, "-30": 0.5},'
+    ' "profile": {"shape": "gaussian", "sigma": 1.5}}'
+)
 _CONSTANT_COS = (
     '{"kind": "fourier_x_profile", "coeffs": {"1": [0.3, 0.1], "-1": [0.3, -0.1]},'
     ' "profile": {"shape": "constant", "value": 2.0}}'
@@ -154,6 +163,12 @@ CHEAP = {
     "gaps-hermite-100": [
         "gaps", "--set", f"potential={_GAUSSIAN_COS}", "--set", "n_hermite=100", "--set", "ceiling=6",
     ],
+    # cos 30x couples the window M = 8 only past it: the check grows M to 20
+    # and still does not pass, so the run exits 2
+    "gaps-far-harmonic": [
+        "gaps", "--set", f"potential={_FAR_HARMONIC_GAUSSIAN}", "--set", "n_hermite=12",
+        "--set", "theta_count=9", "--set", "refine=false",
+    ],
     # W = 10 y^2 >= 0 only strengthens the confinement: 7 bands from sqrt(28)
     "bands-confining-profile": [
         "bands", "--set", "omega=3", "--set", f"potential={_CONFINING_Y}",
@@ -199,6 +214,10 @@ CHEAP = {
     "hill-unresolved-window": [
         "hill", "--set", f"potential={_UNRESOLVED}", "--set", "m_max=6", "--set", "theta_count=9",
         "--set", "band_count=2",
+    ],
+    # cos 30x couples no two indices of the window m_max = 10: refused
+    "hill-far-harmonic": [
+        "hill", "--set", f"potential={_FAR_HARMONIC}", "--set", "m_max=10", "--set", "band_count=6",
     ],
     # W = 0 gives the finite-difference oracle a degenerate spectrum, which
     # no other request does, on the smallest grid it takes
