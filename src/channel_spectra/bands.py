@@ -50,7 +50,7 @@ The window's floor alpha_b + beta_b (M + 1/2)^2 - a is then the free one
 of the channel with omega^2 weakened to omega^2 - b.  A profile of higher
 degree, or b >= omega^2, leaves H without a floor: ConfigError.
 
-- W = W(x) (W = 0, or a separable potential with a constant profile): the
+- W = W(x) (a separable potential with a constant profile, W = 0 too): the
   displaced Landau basis, where the free part is diagonal, so only W
   couples into Q and the levels' floor is alpha (2N+1) - a.  N starts at 4.
 - any other potential: the Hermite basis.  The magnetic ladder from level
@@ -75,12 +75,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .channel import ChannelParams, Potential, SeparableFourierPotential, ZeroPotential, _fourier_sup, derive_params
+from .channel import ChannelParams, Potential, SeparableFourierPotential, _fourier_sup, derive_params
 # assemble_fiber is unused here; perfbench's self-test still wraps this binding
 from .fiber import FiberBlock, assemble_fiber, fiber_at, fiber_block, landau_block  # noqa: F401
 from .fiber import truncation_residuals
 from .hermite import fourier_reach, project_potential
-from .hill import h00_gaps, hill_bands
+from .hill import check_harmonics, h00_gaps, hill_bands
 from .numutil import RITZ_PAD, BlochBands, GapReport, gap_report, golden_section_minimize, theta_grid
 from .schema import ConfigError
 
@@ -138,15 +138,11 @@ def _t_symmetric(spec: Potential) -> bool:
     onto the fiber at -theta; both bases' truncations are mapped onto
     themselves.
     """
-    return isinstance(spec, ZeroPotential) or (
-        isinstance(spec, SeparableFourierPotential) and spec.profile.is_even
-    )
+    return isinstance(spec, SeparableFourierPotential) and spec.profile.is_even
 
 
 def _x_only_coeffs(spec: Potential):
     """The (k, W_k) Fourier pairs of W when W depends on x only, else None."""
-    if isinstance(spec, ZeroPotential):
-        return ()
     if isinstance(spec, SeparableFourierPotential) and spec.profile.is_constant:
         g = float(spec.profile(0.0))
         return tuple((k, c * g) for k, c in spec.coeffs)
@@ -155,17 +151,18 @@ def _x_only_coeffs(spec: Potential):
 
 def error_estimates(
     block: FiberBlock, floors: tuple[float, float], ceiling: float, thetas
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
+) -> list[tuple[np.ndarray, float, float, float]]:
     """Eigenvalues below the ceiling at each of ``thetas`` and their truncation error estimates.
 
     The block's coupling into its discarded space (``truncation_residuals``)
     gives the residuals, and ``floors`` bound H there (``_floors``).
     For each phase: the eigenvalues, the shares of the block estimate
     2 sum r^2 / min (c_Q - lambda) from the discarded levels and from the
-    discarded Fourier indices (see the module docstring), each the same for
-    every eigenvalue, and the eigensolver's rounding eps ||H||.  The shares
-    are infinite when c_Q does not clear the ceiling.  All phases share one
-    ``truncation_residuals`` call, so the coupling is applied once.
+    discarded Fourier indices (see the module docstring), one number each
+    for all eigenvalues, and the eigensolver's rounding eps ||H||.  The
+    shares are 0 at a phase without eigenvalues, else infinite when c_Q does
+    not clear the ceiling.  All phases share one ``truncation_residuals``
+    call, so the coupling is applied once.
     """
     solved = []
     for theta in thetas:
@@ -181,7 +178,7 @@ def error_estimates(
     for (vals, _, rounding), shares in zip(solved, residuals):
         gap = c_q - np.max(vals, initial=-np.inf)
         levels, window = (
-            np.full_like(vals, 2.0 * np.sum(r2) / gap if c_q > ceiling else np.inf) for r2 in shares
+            0.0 if not vals.size else 2.0 * np.sum(r2) / gap if c_q > ceiling else math.inf for r2 in shares
         )
         out.append((vals, levels, window, rounding))
     return out
@@ -228,17 +225,17 @@ def _grow(build, ceiling: float, tol: float, n_h: int, m_m: int, notes) -> tuple
         block, floors = build(n_h, m_m)
         estimates = error_estimates(block, floors, ceiling, _PROBES)
         below = max(vals.size for vals, *_ in estimates)
-        worst = max(float(np.max(lv + wn, initial=0.0)) + r for _, lv, wn, r in estimates)
+        worst = max(float(lv + wn) + r for _, lv, wn, r in estimates)
         low_levels, low_window = (floor <= ceiling for floor in floors)
         if worst <= tol and not (low_levels or low_window):
             return block, True, below
         if step + 1 == _GROWTH_STEPS:
             break
-        # grow each direction whose share takes more than half of what the
-        # rounding leaves of the tolerance, or whose floor is below the ceiling
+        # grow each direction whose share at a phase with eigenvalues takes more than
+        # half of what the rounding leaves of the tolerance, or whose floor is below the ceiling
         half = 0.5 * (tol - max(r for *_, r in estimates))
-        n_next = 2 * n_h if low_levels or any(np.any(lv > half) for _, lv, _, _ in estimates) else n_h
-        m_next = m_m + 4 if low_window or any(np.any(wn > half) for _, _, wn, _ in estimates) else m_m
+        n_next = 2 * n_h if low_levels or any(vals.size and lv > half for vals, lv, _, _ in estimates) else n_h
+        m_next = m_m + 4 if low_window or any(vals.size and wn > half for vals, _, wn, _ in estimates) else m_m
         if n_next > MAX_N_HERMITE or n_next * (2 * m_next + 1) > MAX_FIBER_DIM:
             cap = "Hermite degree" if n_next > MAX_N_HERMITE else "fiber dimension"
             notes.append(f"truncation growth stopped at (N={n_h}, M={m_m}) by the {cap} cap")
@@ -441,7 +438,9 @@ def gap_persistence_sweep(
         params = derive_params(B, omega)
         ceiling = 3.0 * params.alpha
         proj0 = project_potential(spec, params, nmax=0, mfourier=max(2 * hill_m_max, fourier_reach(spec)))
-        k0 = hill_bands(proj0.diag_coeffs(0), hill_m_max, theta_count, band_count=target_gap_count + 1)
+        pairs = proj0.diag_coeffs(0)
+        check_harmonics(pairs, hill_m_max, params.alpha)
+        k0 = hill_bands(pairs, hill_m_max, theta_count, band_count=target_gap_count + 1)
         if math.isfinite(w0) and k0.band_count > target_gap_count:
             cover = params.alpha + k0.band_intervals[target_gap_count][1] + 2.0 * w0 + 1.0
             ceiling = min(ceiling, cover)

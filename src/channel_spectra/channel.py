@@ -21,11 +21,12 @@ the 2*pi normalization is implemented.  Fourier convention throughout:
 
 Potential kinds split into x-periodic ones (usable by the Bloch fiber and
 band modules) and localized ones (classical scattering, transport
-certificates).  The x-periodic ones are ZeroPotential and one separable
-type, SeparableFourierPotential W = f(x) g(y): the config kinds
-``fourier_x``, ``fourier_x_profile`` and ``profile_y`` are three spellings
-of it.  All descriptor types are immutable after construction and safe to
-share across threads or worker processes.
+certificates).  The x-periodic ones are the separable type
+SeparableFourierPotential W = f(x) g(y), which the config kinds
+``fourier_x``, ``fourier_x_profile`` and ``profile_y`` spell, and its
+subclass ZeroPotential (``zero``, no harmonics).  All descriptor types are
+immutable after construction and safe to share across threads or worker
+processes.
 """
 
 from __future__ import annotations
@@ -191,16 +192,16 @@ class PotentialBounds:
     second_derivatives_bounded: bool
 
 
-def _certified_grid_sup(values: np.ndarray, step: float) -> float:
-    """Grid maximum of |values| padded by a finite-difference Lipschitz term.
+def _certified_grid_sup(values: np.ndarray, *steps: float) -> float:
+    """Grid maximum of |values| padded by a finite-difference Lipschitz term
+    L*step/2 for each axis, ``steps`` giving their grid steps.
 
-    The padding L*step/2 with L estimated from first differences makes the
-    estimate an upper bound up to curvature of order step^2; inputs are
-    sampled densely enough that this is far below the quantities bounded.
+    With L estimated from first differences this is an upper bound up to
+    curvature of order step^2; inputs are sampled densely enough that this
+    is far below the quantities bounded.
     """
-    absvals = np.abs(np.asarray(values, dtype=float))
-    lipschitz = float(np.max(np.abs(np.diff(values)))) / step if values.size > 1 else 0.0
-    return float(np.max(absvals)) + 0.5 * lipschitz * step
+    lipschitz = [np.max(np.abs(np.diff(values, axis=axis))) / step for axis, step in enumerate(steps)]
+    return float(np.max(np.abs(values)) + 0.5 * sum(lip * step for lip, step in zip(lipschitz, steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +214,11 @@ class Potential:
     Subclasses provide vectorized ``evaluate``, an analytic or
     finite-difference ``gradient`` and ``norm_estimates``: certified sup
     bounds on W and x dW/dx, and whether the second derivatives of W are
-    bounded.  Instances are immutable.
+    bounded.  Instances are immutable; the x-periodic ones are exactly the
+    SeparableFourierPotential ones.
     """
 
     kind: ClassVar[str] = ""
-    periodic_in_x: ClassVar[bool] = False
 
     def evaluate(self, x, y):
         raise NotImplementedError
@@ -255,23 +256,6 @@ def _ones(x, y):
     if isinstance(x, float) and isinstance(y, float):
         return 1.0
     return np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)))
-
-
-@dataclass(frozen=True)
-class ZeroPotential(Potential):
-    kind: ClassVar[str] = "zero"
-    periodic_in_x: ClassVar[bool] = True
-
-    def evaluate(self, x, y):
-        xb, _, scalar = _as_xy(x, y)
-        return _ret(np.zeros_like(xb), scalar)
-
-    def gradient(self, x, y):
-        xb, _, _ = _as_xy(x, y)
-        return np.zeros_like(xb), np.zeros_like(xb)
-
-    def norm_estimates(self) -> PotentialBounds:
-        return PotentialBounds(0.0, 0.0, True)
 
 
 def _canonical_coeffs(coeffs: Mapping[int, complex]) -> tuple[tuple[int, complex], ...]:
@@ -353,15 +337,14 @@ def _times(a: float, b: float) -> float:
 class SeparableFourierPotential(Potential):
     """W(x, y) = f(x) g(y) with f a 2*pi-periodic Fourier sum and g a profile.
 
-    The one x-periodic type besides ZeroPotential.  The config kinds
-    ``fourier_x`` (g = 1), ``fourier_x_profile`` and ``profile_y``
-    (f = amplitude) all build it.
+    The one x-periodic type.  The config kinds ``fourier_x`` (g = 1),
+    ``fourier_x_profile`` and ``profile_y`` (f = amplitude) all build it,
+    and ``zero`` its subclass ZeroPotential (no harmonics, g = 1).
     """
 
     coeffs: tuple[tuple[int, complex], ...]
     profile: GaussianProfile | PolynomialProfile
     kind: ClassVar[str] = "fourier_x_profile"
-    periodic_in_x: ClassVar[bool] = True
 
     def __init__(self, coeffs: Mapping[int, complex], profile=PolynomialProfile((1.0,))) -> None:
         object.__setattr__(self, "coeffs", _canonical_coeffs(coeffs))
@@ -407,6 +390,16 @@ class SeparableFourierPotential(Potential):
         return PotentialBounds(w0, 0.0, fsup == 0.0 or self.profile.bounded_second_derivative)
 
 
+class ZeroPotential(SeparableFourierPotential):
+    """W = 0, the free channel: the separable potential with no harmonics
+    and g = 1, whose methods give zeros and the bounds (0, 0, True)."""
+
+    kind: ClassVar[str] = "zero"
+
+    def __init__(self) -> None:
+        super().__init__({})
+
+
 @dataclass(frozen=True)
 class _Bump:
     amplitude: float
@@ -439,7 +432,6 @@ class GaussianBumpPotential(Potential):
 
     bumps: tuple[_Bump, ...]
     kind: ClassVar[str] = "gaussian_bumps"
-    periodic_in_x: ClassVar[bool] = False
 
     def __init__(self, bumps: Iterable[Sequence[float]]):
         parsed = tuple(map(_as_bump, bumps))
@@ -497,11 +489,7 @@ def _grid_sup_weighted(pot: GaussianBumpPotential, x_derivative: bool) -> float:
     yg = np.linspace(ylo, yhi, ny)
     X, Y = np.meshgrid(xg, yg, indexing="ij")
     vals = X * pot.gradient(X, Y)[0] if x_derivative else pot.evaluate(X, Y)
-    step = xg[1] - xg[0]
-    lip_x = np.max(np.abs(np.diff(vals, axis=0))) / step if nx > 1 else 0.0
-    step_y = yg[1] - yg[0]
-    lip_y = np.max(np.abs(np.diff(vals, axis=1))) / step_y if ny > 1 else 0.0
-    return float(np.max(np.abs(vals)) + 0.5 * (lip_x * step + lip_y * step_y))
+    return _certified_grid_sup(vals, xg[1] - xg[0], yg[1] - yg[0])
 
 
 class GridSampledPotential(Potential):
@@ -511,7 +499,6 @@ class GridSampledPotential(Potential):
     """
 
     kind: ClassVar[str] = "grid"
-    periodic_in_x: ClassVar[bool] = False
 
     def __init__(self, x: Sequence[float], y: Sequence[float], values: np.ndarray):
         x = np.asarray(x, dtype=float)
@@ -605,7 +592,7 @@ _KINDS: dict[str, tuple[type, dict]] = {
 }
 POTENTIAL = OneOf("kind", {kind: keys for kind, (_, keys) in _KINDS.items()})
 PERIODIC_POTENTIAL = OneOf(
-    "kind", {kind: keys for kind, (cls, keys) in _KINDS.items() if cls.periodic_in_x}
+    "kind", {kind: keys for kind, (cls, keys) in _KINDS.items() if issubclass(cls, SeparableFourierPotential)}
 )
 
 

@@ -69,7 +69,7 @@ from .channel import (
 from .classical import ClassicalState, closed_form_trajectory, integrate, mourre_observable
 from .fiber import EigensolverError, assemble_fiber, complex_theta_resolvent_bound, eigenvalues_fiber, hill_block
 from .hermite import fourier_reach, project_potential
-from .hill import _coarse_points, fd_hill_richardson, h00_gaps, hill_bands, hill_spectrum
+from .hill import _coarse_points, check_harmonics, fd_hill_richardson, h00_gaps, hill_bands, hill_spectrum
 from .mourre import ScalingSweepRow, appendix_norm_checks, evaluate_certificate, scaling_sweep
 from .numutil import theta_grid
 from .output import jsonable, write_band_svg, write_csv, write_json
@@ -342,7 +342,8 @@ def _cmd_sweep(cfg: dict, art: _Artifacts) -> int:
 
 def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
     m_max = cfg["m_max"]
-    # refused before any solve; h00_gaps's own check also precedes every artifact
+    # refused before any solve, as is a window without room for V's harmonics;
+    # h00_gaps's own checks also precede every artifact
     if cfg["band_count"] > 2 * m_max - 2:
         raise ConfigError(
             f"band_count {cfg['band_count']} exceeds the {2 * m_max - 2} bands that the "
@@ -352,6 +353,7 @@ def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
     spec = potential_from_dict(cfg["potential"])
     proj = project_potential(spec, params, nmax=0, mfourier=max(2 * m_max, fourier_reach(spec)))
     pairs = proj.diag_coeffs(0)
+    check_harmonics(pairs, m_max, params.alpha)
     hb = hill_bands(pairs, m_max, cfg["theta_count"], cfg["band_count"])
     ceiling = 3.0 * params.alpha if cfg["ceiling"] is None else cfg["ceiling"]
     gaps = h00_gaps(params, hb, ceiling)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .channel import ChannelParams, Potential, SeparableFourierPotential, ZeroPotential
+from .channel import ChannelParams, Potential, SeparableFourierPotential
 
 __all__ = ["ProjectedPotential", "fourier_reach", "gauss_hermite", "project_potential"]
 
@@ -105,25 +105,21 @@ def project_potential(
 ) -> ProjectedPotential:
     """Project W onto the scaled Hermite basis and the x-Fourier modes.
 
-    Requires an x-periodic kind: W = 0, or the separable W = f(x) g(y)
-    that every other periodic config kind builds.  Returns its two factors
-    (see the module docstring); the tests cross-check their products against
-    a tensor-grid projection.  Warns when Fourier coefficients beyond
-    |k| = mfourier are dropped that exceed 1e-8 of the largest one kept.
+    Requires an x-periodic kind, that is the separable W = f(x) g(y) that
+    every periodic config kind builds (W = 0 has no harmonics and g = 1).
+    Returns its two factors (see the module docstring); the tests
+    cross-check their products against a tensor-grid projection.  Warns
+    when Fourier coefficients beyond |k| = mfourier are dropped that exceed
+    1e-8 of the largest one kept.
     """
     if not 0 <= nmax <= _MAX_DEGREE:
         raise ValueError(f"nmax must be in [0, {_MAX_DEGREE}], got {nmax}")
-    if not spec.periodic_in_x:
+    if not isinstance(spec, SeparableFourierPotential):
         raise ValueError(f"potential kind {spec.kind!r} is not 2*pi-periodic in x")
     if mfourier < 0:
         raise ValueError("mfourier must be >= 0")
-    if not isinstance(spec, (ZeroPotential, SeparableFourierPotential)):
-        raise ValueError(f"no Hermite projection for potential kind {spec.kind!r}")
-    if isinstance(spec, ZeroPotential):
-        fourier, overlap = (), np.zeros((nmax + 1, nmax + 1))
-    else:
-        fourier = _kept_harmonics(spec.coeffs, mfourier)
-        overlap = _profile_overlap(spec.profile, params, nmax)
+    fourier = _kept_harmonics(spec.coeffs, mfourier)
+    overlap = _profile_overlap(spec.profile, params, nmax)
     overlap.setflags(write=False)
     return ProjectedPotential(
         alpha=params.alpha, nmax=nmax, mfourier=mfourier, fourier=fourier, overlap=overlap

@@ -11,6 +11,7 @@ from channel_spectra import (
     GaussianProfile,
     GridSampledPotential,
     PolynomialProfile,
+    PotentialBounds,
     SeparableFourierPotential,
     ZeroPotential,
     derive_params,
@@ -311,6 +312,26 @@ def test_grid_roundtrip_through_dict():
     clone = potential_from_dict({"kind": "grid", "x": x, "y": y, "values": vals.tolist()})
     pts = np.linspace(0.0, 2.0, 9)
     assert np.array_equal(clone(pts, 0.5 + 0 * pts), spec(pts, 0.5 + 0 * pts))
+
+
+def test_zero_potential_is_the_separable_one_without_harmonics():
+    zero = ZeroPotential()
+    assert isinstance(zero, SeparableFourierPotential)
+    assert zero.coeffs == () and zero.profile.is_constant and zero.kind == "zero"
+    assert zero(0.3, -1.2) == 0.0
+    x, y = np.linspace(-3.0, 3.0, 7), np.linspace(-2.0, 2.0, 5)[:, None]
+    values = zero(x, y)
+    assert values.shape == (5, 7) and not np.any(values)
+    wx, wy = zero.gradient(x, y)
+    assert not np.any(wx) and not np.any(wy)
+    assert np.shape(wx) == np.shape(wy) == (5, 7)
+    assert zero.norm_estimates() == PotentialBounds(0.0, 0.0, True)
+
+
+def test_periodic_kinds_are_the_separable_ones():
+    from channel_spectra.channel import PERIODIC_POTENTIAL
+
+    assert sorted(PERIODIC_POTENTIAL.schemas) == ["fourier_x", "fourier_x_profile", "profile_y", "zero"]
 
 
 def test_unknown_kind_rejected():

@@ -579,8 +579,20 @@ def test_hill_window_below_the_ceiling_exits_one(tmp_path, capsys, argv, refused
         (["hill", "--set", "m_max=4", "--set", "band_count=8", "--set", "ceiling=8"], "band_count 8 exceeds", 0),
         # the gaps used to be checked after the curves and intervals were written
         (["hill", "--set", "m_max=2", "--set", "band_count=2", "--set", "ceiling=8"], "ceiling 8 needs", None),
+        # cos 30x lies past the window m_max = 10, which the coefficients alone
+        # show: refused before the Hill grid, in both commands
+        (
+            ["hill", "--set", f"potential={json.dumps(_FAR_HARMONIC_CFG)}", "--set", "m_max=10", "--set", "band_count=6"],
+            "Fourier window m_max = 10 does not resolve V",
+            0,
+        ),
+        (
+            ["sweep-omega", "--set", f"potential={json.dumps(_FAR_HARMONIC_CFG)}", "--set", "hill_m_max=10"],
+            "Fourier window m_max = 10 does not resolve V",
+            0,
+        ),
     ],
-    ids=["band-count-above-window", "ceiling-above-window"],
+    ids=["band-count-above-window", "ceiling-above-window", "hill-far-harmonic", "sweep-far-harmonic"],
 )
 def test_hill_config_error_writes_only_the_manifest(tmp_path, capsys, monkeypatch, argv, message, solves):
     from channel_spectra import fiber
@@ -592,7 +604,7 @@ def test_hill_config_error_writes_only_the_manifest(tmp_path, capsys, monkeypatc
         calls.append(args)
         return solve(*args, **kwargs)
 
-    # the hill command solves no channel fiber, so every eigensolve is a Hill solve
+    # every refusal precedes the channel fiber, so every eigensolve is a Hill solve
     monkeypatch.setattr(fiber, "eigenvalues_fiber", counted_solve)
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 1

@@ -177,7 +177,6 @@ def test_unknown_periodic_kind_rejected_before_the_cache():
 
     class Unhashable(Potential):
         kind = "unhashable"
-        periodic_in_x = True
         __hash__ = None
 
     with pytest.raises(ValueError, match="unhashable"):

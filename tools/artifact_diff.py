@@ -21,8 +21,12 @@ Both run the same requests:
   whose ``m_max`` is raised to cover the ceiling, two ``gaps`` runs that
   search band edges off the grid phases, which no workload does, two
   ``hill`` runs whose Fourier window is refused (too small for V, and
-  without room for its harmonic cos 30x), the finite-difference check on
-  the degenerate spectrum of W = 0 at its smallest grid, and a ``mourre``
+  without room for its harmonic cos 30x) and a ``sweep-omega`` run refused
+  on that harmonic too, the finite-difference check on
+  the degenerate spectrum of W = 0 at its smallest grid, W = 0 named
+  explicitly in a ``classical`` run (the RK4 path without a force, and the
+  closed-form comparison) and in a ``sweep-omega`` run (its Hill
+  projection), and a ``mourre``
   certificate with its scaling sweep for each way a kind decides whether
   the second derivatives of W are bounded, and the generator scan of
   ``commutator --gen-nogo`` at B = 0, omega = 1 and at B = 10, omega =
@@ -198,6 +202,15 @@ CHEAP = {
     "bands-unrefined": [
         "bands", "--set", "n_hermite=8", "--set", "theta_count=9", "--set", "ceiling=6.5", "--set", "refine=false",
     ],
+    # the Hill window of hill-far-harmonic below: refused before any solve
+    "sweep-far-harmonic": [
+        "sweep-omega", "--set", f"potential={_FAR_HARMONIC}", "--set", "hill_m_max=10",
+    ],
+    # W = 0 through the Hill projection, whose window check reads no harmonic
+    "sweep-zero": [
+        "sweep-omega", "--set", 'potential={"kind": "zero"}', "--set", "omega_list=[4.0, 10.0]",
+        "--set", "n_hermite=8", "--set", "theta_count=9", "--set", "hill_m_max=5",
+    ],
     "sweep-unrefined": [
         "sweep-omega", "--set", "omega_list=[4.0, 10.0]", "--set", "n_hermite=8",
         "--set", "theta_count=9", "--set", "hill_m_max=5", "--set", "refine=false",
@@ -225,6 +238,11 @@ CHEAP = {
         "hill", "--set", 'potential={"kind": "zero"}', "--set", "fd_check=true", "--set", "fd_points=80",
     ],
     "classical": ["classical", "--set", f"potential={_GRID}", "--set", "t_end=0.5"],
+    # the RK4 path that takes no gradient, off the channel axis
+    "classical-zero": [
+        "classical", "--set", 'potential={"kind": "zero"}', "--set", "y0=0.3", "--set", "py0=-0.2",
+        "--set", "t_end=0.5",
+    ],
     "classical-bumps": ["classical", "--set", f"potential={_TWO_BUMPS}", "--set", "t_end=0.5"],
     "classical-abort": [
         "classical", "--set", "B=0", "--set", "omega=1", "--set", f"potential={_OVERTURNED}",
