@@ -34,8 +34,10 @@ pairs below the ceiling, bounds the truncation error of each of them
 estimate plus the eigensolver's rounding eps ||H|| is at most cauchy_tol,
 and c_Q clears the ceiling.  Otherwise N doubles when the levels' share of
 the estimate exceeds half of what the rounding leaves of cauchy_tol, or
-their floor is below the ceiling, and M grows by 4 on the same test for
-the window's share and floor.  At most four truncations are checked, and a
+their floor is below the ceiling, and M grows on the same test for the
+window's share and floor, by the reach of the block's coupling (the largest
+|k| of W), at least 4: one step takes in a harmonic far past the window.
+At most four truncations are checked, and a
 step that would take N past 500 (the Hermite degree cap), or the kept
 fiber N (2M + 1) past MAX_FIBER_DIM = 4096, stops the growth; a truncation
 that never passes is reported with converged = False and a warning, and
@@ -79,7 +81,7 @@ from .channel import ChannelParams, Potential, SeparableFourierPotential, _fouri
 # assemble_fiber is unused here; perfbench's self-test still wraps this binding
 from .fiber import FiberBlock, assemble_fiber, fiber_at, fiber_block, landau_block  # noqa: F401
 from .fiber import truncation_residuals
-from .hermite import fourier_reach, project_potential
+from .hermite import project_potential
 from .hill import check_harmonics, h00_gaps, hill_bands
 from .numutil import RITZ_PAD, BlochBands, GapReport, gap_report, golden_section_minimize, theta_grid
 from .schema import ConfigError
@@ -235,7 +237,8 @@ def _grow(build, ceiling: float, tol: float, n_h: int, m_m: int, notes) -> tuple
         # half of what the rounding leaves of the tolerance, or whose floor is below the ceiling
         half = 0.5 * (tol - max(r for *_, r in estimates))
         n_next = 2 * n_h if low_levels or any(vals.size and lv > half for vals, lv, _, _ in estimates) else n_h
-        m_next = m_m + 4 if low_window or any(vals.size and wn > half for vals, _, wn, _ in estimates) else m_m
+        reach = max(4, max((abs(k) for k, *_ in block.coupling), default=0))
+        m_next = m_m + reach if low_window or any(vals.size and wn > half for vals, _, wn, _ in estimates) else m_m
         if n_next > MAX_N_HERMITE or n_next * (2 * m_next + 1) > MAX_FIBER_DIM:
             cap = "Hermite degree" if n_next > MAX_N_HERMITE else "fiber dimension"
             notes.append(f"truncation growth stopped at (N={n_h}, M={m_m}) by the {cap} cap")
@@ -291,12 +294,10 @@ def compute_bands(
     if coeffs is None:
         n_h = DEFAULT_N_HERMITE if n_hermite is None else int(n_hermite)
         a, b = _quadratic_bound(spec, w0, params)
-        reach = fourier_reach(spec)
 
         def build(n, m):
-            # G to degree 2N - 1, where the residual cuts it, and every harmonic
-            # of W, since those past the window couple into it too
-            proj = project_potential(spec, params, nmax=2 * n - 1, mfourier=max(16, 2 * (m + 4), reach))
+            # G to degree 2N - 1, where the residual cuts it
+            proj = project_potential(spec, params, nmax=2 * n - 1)
             block = fiber_block(params, proj, n, m)
             return block, _floors(block, a, b, True)
 
@@ -437,8 +438,7 @@ def gap_persistence_sweep(
     for omega in omega_list:
         params = derive_params(B, omega)
         ceiling = 3.0 * params.alpha
-        proj0 = project_potential(spec, params, nmax=0, mfourier=max(2 * hill_m_max, fourier_reach(spec)))
-        pairs = proj0.diag_coeffs(0)
+        pairs = project_potential(spec, params, nmax=0).diag_coeffs(0)
         check_harmonics(pairs, hill_m_max, params.alpha)
         k0 = hill_bands(pairs, hill_m_max, theta_count, band_count=target_gap_count + 1)
         if math.isfinite(w0) and k0.band_count > target_gap_count:

@@ -68,7 +68,7 @@ from .channel import (
 )
 from .classical import ClassicalState, closed_form_trajectory, integrate, mourre_observable
 from .fiber import EigensolverError, assemble_fiber, complex_theta_resolvent_bound, eigenvalues_fiber, hill_block
-from .hermite import fourier_reach, project_potential
+from .hermite import project_potential
 from .hill import _coarse_points, check_harmonics, fd_hill_richardson, h00_gaps, hill_bands, hill_spectrum
 from .mourre import ScalingSweepRow, appendix_norm_checks, evaluate_certificate, scaling_sweep
 from .numutil import theta_grid
@@ -351,8 +351,7 @@ def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
         )
     params = derive_params(cfg["B"], cfg["omega"])
     spec = potential_from_dict(cfg["potential"])
-    proj = project_potential(spec, params, nmax=0, mfourier=max(2 * m_max, fourier_reach(spec)))
-    pairs = proj.diag_coeffs(0)
+    pairs = project_potential(spec, params, nmax=0).diag_coeffs(0)
     check_harmonics(pairs, m_max, params.alpha)
     hb = hill_bands(pairs, m_max, cfg["theta_count"], cfg["band_count"])
     ceiling = 3.0 * params.alpha if cfg["ceiling"] is None else cfg["ceiling"]
@@ -495,7 +494,7 @@ def _free_fiber_check(params: ChannelParams, theta: float = 0.3) -> dict:
     ms = range(-3, 4)
     s0 = params.B * max(abs(m + theta) for m in ms) / params.alpha**1.5
     n_hermite = min(24 + math.ceil(s0 * s0 + 4.0 * s0), _FREE_CHECK_MAX_HERMITE)
-    proj = project_potential(ZeroPotential(), params, nmax=n_hermite - 1, mfourier=0)
+    proj = project_potential(ZeroPotential(), params, nmax=n_hermite - 1)
     levels = 2.0 * np.arange(4) + 1.0
     err = 0.0
     for m in ms:
@@ -529,8 +528,8 @@ def _cmd_diagnostics(cfg: dict, art: _Artifacts) -> int:
     checks["complex_theta_resolvent_bound"] = {"passed": all(res)}
 
     two_cos = SeparableFourierPotential({1: 1.0, -1: 1.0})  # 2 cos x
-    hproj = project_potential(two_cos, params, nmax=0, mfourier=64)
-    fourier = hill_spectrum(hproj.diag_coeffs(0), 0.25, m_max=32, count=5)
+    pairs = project_potential(two_cos, params, nmax=0).diag_coeffs(0)
+    fourier = hill_spectrum(pairs, 0.25, m_max=32, count=5)
     fd = fd_hill_richardson(lambda x: 2.0 * np.cos(x), 0.25, count=5, n_points=1024)
     hill_err = float(np.max(np.abs(np.asarray(fourier) - np.asarray(fd))))
     checks["hill_oracle"] = {"passed": hill_err < 1e-5, "max_abs_error": hill_err}

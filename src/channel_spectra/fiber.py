@@ -130,11 +130,13 @@ def _build_block(params, terms, levels, m_max: int, kinetic: float, ladder=(), m
     Fourier block; ``ladder`` couples the levels n and n + 1, and
     ``discarded`` gives the block's ``coupling`` and ``boundary``.
 
-    ``terms`` are triples (k, c_k, M_k) with |k| <= 2 m_max and M_k of shape
-    (N, N), N = levels.size: G (Hermite), D(B k / alpha^{3/2}) (Landau) or
-    the 1 x 1 identity (Hill).  ``base`` is real whenever every c_k is.
+    ``terms`` are triples (k, c_k, M_k), M_k of shape (N, N), N = levels.size:
+    G (Hermite), D(B k / alpha^{3/2}) (Landau) or the 1 x 1 identity (Hill).
+    Only here does the window cut them: |k| > 2 m_max couples none of its
+    indices.  ``base`` is real whenever every c_k kept is.
     """
     n, size = levels.size, 2 * m_max + 1
+    terms = [(k, c, block) for k, c, block in terms if abs(k) <= 2 * m_max]
     real = all(c.imag == 0.0 for _, c, _ in terms)
     h = np.zeros((size, n, size, n), dtype=float if real else complex)
     for k, c, block in terms:
@@ -171,8 +173,9 @@ def fiber_block(
     """Build the theta-independent part of the fiber once per truncation.
 
     The projection must cover the requested truncation: proj.nmax + 1 >=
-    n_hermite and proj.mfourier >= 2 * m_max.  The block couples into the
-    levels up to proj.nmax by every pair of the projection.
+    n_hermite, and proj.mfourier >= 2 * m_max if it is cut.  The block
+    couples into the levels up to proj.nmax, and past the window, by every
+    pair of the projection.
     """
     if n_hermite < 1 or m_max < 0:
         raise ValueError("need n_hermite >= 1 and m_max >= 0")
@@ -180,7 +183,7 @@ def fiber_block(
         raise ValueError(
             f"projection covers Hermite levels <= {proj.nmax}, need {n_hermite - 1}"
         )
-    if proj.mfourier < 2 * m_max:
+    if proj.mfourier is not None and proj.mfourier < 2 * m_max:
         raise ValueError(
             f"projection Fourier cutoff {proj.mfourier} < 2*m_max = {2 * m_max}"
         )
@@ -188,7 +191,7 @@ def fiber_block(
         raise ValueError("projection was computed for a different alpha")
 
     N, alpha = n_hermite, params.alpha
-    terms = [(k, c, proj.overlap[:N, :N]) for k, c in proj.fourier if abs(k) <= 2 * m_max]
+    terms = [(k, c, proj.overlap[:N, :N]) for k, c in proj.fourier]
     coupling = tuple((k, c, proj.overlap[:, :N]) for k, c in proj.fourier)
     # magnetic ladder coupling B sqrt(2(n+1)/alpha) (m+theta) between n and n+1, up to n = N
     ladder = params.B * np.sqrt(2.0 * np.arange(1, N + 1) / alpha)
@@ -255,7 +258,7 @@ def landau_block(params: ChannelParams, coeffs, n_levels: int, m_max: int) -> Fi
     """
     if n_levels < 1 or m_max < 0:
         raise ValueError("need n_levels >= 1 and m_max >= 0")
-    N, size = n_levels, 2 * m_max + 1
+    N = n_levels
     harmonics = _canonical_coeffs(dict(coeffs))
     scale = params.B / params.alpha**1.5
     reach = {abs(k) for k, _ in harmonics} - {0}
@@ -265,11 +268,11 @@ def landau_block(params: ChannelParams, coeffs, n_levels: int, m_max: int) -> Fi
     n_rows = min(N + pad, _MAX_DEGREE + 1)
     tall = {k: displacement_overlaps(n_rows, N, scale * k) for k in reach}
     blocks = {0: np.eye(N), **{k: d[:N] for k, d in tall.items()}}  # D(0), exactly
-    kept = [(k, c, blocks[k] if k >= 0 else blocks[-k].T) for k, c in harmonics if abs(k) < size]
+    terms = [(k, c, blocks[k] if k >= 0 else blocks[-k].T) for k, c in harmonics]
     parity = (-1.0) ** np.arange(n_rows)
     coupling = tuple((k, c, tall[k] if k > 0 else tall[-k] * np.outer(parity, parity[:N])) for k, c in harmonics if k)
     levels = params.alpha * (2.0 * np.arange(N) + 1.0)
-    return _build_block(params, kept, levels, m_max, kinetic=params.beta, coupling=coupling)
+    return _build_block(params, terms, levels, m_max, kinetic=params.beta, coupling=coupling)
 
 
 def hill_block(pairs, m_max: int) -> FiberBlock:
@@ -280,8 +283,7 @@ def hill_block(pairs, m_max: int) -> FiberBlock:
     |m| <= m_max.  ``base`` is the Toeplitz matrix of the c_k, ``fiber_at``
     adds (m + theta)^2, and the block has no params and no coupling.
     """
-    one = np.ones((1, 1))
-    terms = [(k, c, one) for k, c in _canonical_coeffs(dict(pairs)) if abs(k) < 2 * m_max + 1]
+    terms = [(k, c, np.ones((1, 1))) for k, c in _canonical_coeffs(dict(pairs))]
     return _build_block(None, terms, np.zeros(1), m_max, kinetic=1.0)
 
 

@@ -9,9 +9,9 @@ orthonormal in L^2(ds).  Ladder identities used throughout:
     s   phi_n = sqrt((n+1)/2) phi_{n+1} + sqrt(n/2) phi_{n-1}
     d_s phi_n = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}
 
-Every x-periodic potential is separable, W = f(x) g(y) with
-f(x) = sum_k c_k e^{ikx}, so it enters the fiber operators only through two
-factors: the Fourier pairs (k, c_k) with |k| <= mfourier, and the overlap
+Every x-periodic potential is separable, W = f(x) g(y), f = sum_k c_k e^{ikx},
+so it enters the fiber operators only through two factors: the pairs
+(k, c_k), all unless cut at |k| <= mfourier, and the overlap
 
     G_{nm} = int phi_n(s) g(s/sqrt(alpha)) phi_m(s) ds,   n, m <= nmax,
 
@@ -32,7 +32,7 @@ import scipy.linalg
 
 from .channel import ChannelParams, Potential, SeparableFourierPotential
 
-__all__ = ["ProjectedPotential", "fourier_reach", "gauss_hermite", "project_potential"]
+__all__ = ["ProjectedPotential", "gauss_hermite", "project_potential"]
 
 _MAX_DEGREE = 1000
 
@@ -80,12 +80,12 @@ def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class ProjectedPotential:
-    """The two factors of W = f(x) g(y) (module docstring): the pairs (k, c_k)
-    with |k| <= mfourier, and the (nmax+1, nmax+1) overlap G of g."""
+    """The two factors of W = f(x) g(y) (module docstring): the pairs (k, c_k),
+    with |k| <= mfourier unless it is None, and the overlap G of g."""
 
     alpha: float
     nmax: int
-    mfourier: int
+    mfourier: int | None
     fourier: tuple[tuple[int, complex], ...]
     overlap: np.ndarray
 
@@ -101,37 +101,29 @@ def project_potential(
     spec: Potential,
     params: ChannelParams,
     nmax: int,
-    mfourier: int = 16,
+    mfourier: int | None = None,
 ) -> ProjectedPotential:
     """Project W onto the scaled Hermite basis and the x-Fourier modes.
 
     Requires an x-periodic kind, that is the separable W = f(x) g(y) that
     every periodic config kind builds (W = 0 has no harmonics and g = 1).
     Returns its two factors (see the module docstring); the tests
-    cross-check their products against a tensor-grid projection.  Warns
-    when Fourier coefficients beyond |k| = mfourier are dropped that exceed
-    1e-8 of the largest one kept.
+    cross-check their products against a tensor-grid projection.  An
+    integer ``mfourier`` keeps only |k| <= mfourier, and warns when it drops
+    a coefficient above 1e-8 of the largest one kept.
     """
     if not 0 <= nmax <= _MAX_DEGREE:
         raise ValueError(f"nmax must be in [0, {_MAX_DEGREE}], got {nmax}")
     if not isinstance(spec, SeparableFourierPotential):
         raise ValueError(f"potential kind {spec.kind!r} is not 2*pi-periodic in x")
-    if mfourier < 0:
+    if mfourier is not None and mfourier < 0:
         raise ValueError("mfourier must be >= 0")
-    fourier = _kept_harmonics(spec.coeffs, mfourier)
+    fourier = spec.coeffs if mfourier is None else _kept_harmonics(spec.coeffs, mfourier)
     overlap = _profile_overlap(spec.profile, params, nmax)
     overlap.setflags(write=False)
     return ProjectedPotential(
         alpha=params.alpha, nmax=nmax, mfourier=mfourier, fourier=fourier, overlap=overlap
     )
-
-
-def fourier_reach(spec: Potential) -> int:
-    """The largest |k| of W's Fourier pairs, the mfourier that projects every
-    harmonic; 0 for W = 0 and for a kind that is not x-periodic."""
-    if not isinstance(spec, SeparableFourierPotential):
-        return 0
-    return max((abs(k) for k, _ in spec.coeffs), default=0)
 
 
 def _profile_overlap(profile, params: ChannelParams, nmax: int) -> np.ndarray:

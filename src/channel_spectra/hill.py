@@ -196,7 +196,7 @@ def h00_gaps(
     minimum lies at or below ceiling - alpha is kept, and at least the free
     count 2 sqrt(ceiling - alpha) + 4.  The top three eigenvalues of the
     Fourier window m_max are not trusted, so a ceiling that needs more than
-    2 m_max - 2 bands raises ConfigError.  So does a window too small for
+    2 m_max - 2 bands raises ConfigError, as does one that no band reaches.  So does a window too small for
     V, by 1e-6 alpha, the default gap tolerance: one that check_harmonics
     refuses (the commands call it before hill_bands too), or whose
     eigenvalues at or below ceiling - alpha move by more than that at
@@ -212,6 +212,9 @@ def h00_gaps(
             f"ceiling {ceiling:.6g} needs at least {below} Hill bands, more than the "
             f"{trusted} that the Fourier window m_max = {hill.m_max} resolves"
         )
+    if below == 0:
+        lowest = params.alpha + hill.table.min()
+        raise ConfigError(f"ceiling {ceiling:.6g} lies below the spectrum (lowest grid eigenvalue {lowest:.6g})")
     check_harmonics(hill.coeffs, hill.m_max, params.alpha)
     tol = 1e-6 * params.alpha
     wider = hill_block(hill.coeffs, hill.m_max + 4)

@@ -90,7 +90,7 @@ def _threshold_windows(alpha: float, half_width: float, ceiling: float) -> list[
     count = max(math.floor(((ceiling + half_width) / alpha - 1.0) / 2.0) + 1, 0)
     if count > _MAX_WINDOWS:
         raise ConfigError(
-            f"{count} threshold windows below {ceiling:g} (alpha = {alpha:g}); "
+            f"{count:.3g} threshold windows below {ceiling:g} (alpha = {alpha:g}); "
             f"at most {_MAX_WINDOWS} are supported"
         )
     # settle rounding at the boundary so the count agrees with starts_below

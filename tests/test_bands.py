@@ -360,16 +360,15 @@ def test_hermite_estimate_bounds_the_truncation_error(B, omega, spec, n_levels, 
 def test_the_hermite_check_reads_the_harmonics_past_the_window():
     # cos 30x couples the window |m| <= 8 only to indices past it; with that
     # harmonic left out of the residuals, (N=12, M=8) passed the check while
-    # its bands were 5.3e-4 off those of a window of 36
+    # its bands were 5.3e-4 off those of a window of 36.  The window grows by
+    # the coupling's reach, 30, so one step takes it to 38
     spec = SeparableFourierPotential({1: 0.3, -1: 0.3, 30: 0.5, -30: 0.5}, GaussianProfile(1.5))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the check's own, and the old projection's
-        bs = compute_bands(_P34, spec, theta_count=9, n_hermite=12, refine=False)
+    bs = compute_bands(_P34, spec, theta_count=9, n_hermite=12, refine=False)
     wide = compute_bands(_P34, spec, theta_count=9, n_hermite=12, m_max=36, refine=False)
     assert wide.converged and wide.band_count == bs.band_count
     # a truncation that passes is within cauchy_tol of the wider one
     assert not bs.converged or np.max(np.abs(bs.band_intervals - wide.band_intervals)) <= 1e-7
-    assert bs.m_max == 20
+    assert bs.converged and bs.m_max == 38
 
 
 def test_the_residual_check_holds_a_strong_potential_to_its_tolerance():

@@ -896,6 +896,13 @@ def test_mourre_rejects_non_finite_and_absurd_inputs_promptly(tmp_path, setting)
     assert "config error" in proc.stderr
 
 
+def test_mourre_counts_the_refused_threshold_windows_readably(tmp_path, capsys):
+    # the count is about 1e299: this used to print all of its 300 digits
+    assert main(["mourre", "--set", "E=1e300", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "1e+299 threshold windows" in err and err.count("\n") == 1 and len(err) < 200, err
+
+
 @pytest.mark.parametrize(
     "argv, key",
     [
@@ -1047,13 +1054,15 @@ def test_an_orbit_of_zero_steps_exits_one_with_only_the_manifest(tmp_path, capsy
 
 @pytest.mark.parametrize(
     "argv",
-    # the defaults put the spectrum bottom at 3.78 (gaps) and at alpha = 5 (bands)
-    [["gaps", "--set", "ceiling=3.5"], ["bands", "--set", "ceiling=-5"]],
-    ids=["gaps-ceiling-3.5", "bands-ceiling-minus-5"],
+    # the defaults put the spectrum bottom at 3.78 (gaps), at alpha = 5 (bands)
+    # and at 3.93 (the H_{0,0} reference of hill)
+    [["gaps", "--set", "ceiling=3.5"], ["bands", "--set", "ceiling=-5"], ["hill", "--set", "ceiling=2"]],
+    ids=["gaps-ceiling-3.5", "bands-ceiling-minus-5", "hill-ceiling-2"],
 )
 def test_ceiling_below_the_spectrum_writes_only_the_manifest(tmp_path, capsys, argv):
     # no band reaches the ceiling: this used to exit 2 as a numerical failure
-    # in the spectrum bottom, after gaps had written three artifacts
+    # in the spectrum bottom, after gaps had written three artifacts, and
+    # hill exited 0 with an empty hill_gaps.csv
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err

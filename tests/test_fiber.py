@@ -19,7 +19,7 @@ from channel_spectra import (
     eigenvalues_fiber,
     project_potential,
 )
-from channel_spectra.fiber import fiber_at, fiber_block
+from channel_spectra.fiber import fiber_at, fiber_block, hill_block, landau_block
 
 from projection_oracle import dense_coefficients
 
@@ -254,10 +254,36 @@ def test_resolvent_bound_matches_the_loop_over_levels_and_indices(B, omega, thet
     assert math.isclose(check.sup_value, best, rel_tol=1e-12)
 
 
+def _hermite_block(coeffs, m_max):
+    params = derive_params(2.0, 3.0)
+    spec = SeparableFourierPotential(coeffs, GaussianProfile(1.2))
+    return fiber_block(params, project_potential(spec, params, nmax=7), 4, m_max)
+
+
+def _landau_block(coeffs, m_max):
+    return landau_block(derive_params(2.0, 3.0), coeffs, 4, m_max)
+
+
+@pytest.mark.parametrize(
+    "build, rounding",
+    # the tall overlaps of the Landau block take rows by the largest |k| (64
+    # past the levels for k = 9, 16 for k = 1 alone), so the quadrature forms
+    # the D of k = 1 with more nodes and rounds it differently
+    [(_hermite_block, 0.0), (_landau_block, 1e-15), (hill_block, 0.0)],
+    ids=["hermite", "landau", "hill"],
+)
+def test_a_harmonic_past_the_window_leaves_the_block_as_it_is(build, rounding):
+    # k = 9 couples no two indices of |m| <= 4: only the discarded space sees it
+    near = {1: 0.3, -1: 0.3}
+    near_block = build(near, 4)
+    block = build({**near, 9: 0.2 + 0.1j, -9: 0.2 - 0.1j}, 4)
+    assert block.base.dtype == near_block.base.dtype == np.float64
+    assert np.max(np.abs(block.base - near_block.base)) <= rounding
+    assert (9 in {k for k, *_ in block.coupling}) == (block.params is not None)
+
+
 @pytest.mark.parametrize("basis", ["hermite", "landau"])
 def test_fiber_is_a_quadratic_pencil_in_theta(basis):
-    from channel_spectra.fiber import landau_block
-
     params = derive_params(2.0, 3.0)
     if basis == "hermite":
         spec = SeparableFourierPotential({1: 0.3 + 0.1j, -1: 0.3 - 0.1j}, GaussianProfile(1.2))
@@ -277,7 +303,7 @@ def test_fiber_is_a_quadratic_pencil_in_theta(basis):
 
 @pytest.mark.parametrize("basis", ["hermite", "landau"])
 def test_truncation_residuals_match_the_larger_fiber(basis):
-    from channel_spectra.fiber import landau_block, truncation_residuals
+    from channel_spectra.fiber import truncation_residuals
 
     params, theta, n_levels, m_max = derive_params(2.0, 3.0), 0.27, 5, 3
     if basis == "hermite":

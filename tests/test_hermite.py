@@ -198,6 +198,16 @@ def test_dropped_harmonics_warn():
         project_potential(spec, p, nmax=2, mfourier=3)
 
 
+def test_a_projection_without_a_cutoff_keeps_every_harmonic():
+    # the fiber builder cuts the harmonics at its window; the projection keeps cos 30x
+    spec = SeparableFourierPotential({1: 0.3, -1: 0.3, 30: 0.5, -30: 0.5}, GaussianProfile(1.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        proj = project_potential(spec, derive_params(3.0, 4.0), nmax=3)
+    assert proj.mfourier is None and proj.fourier == spec.coeffs
+    assert {k for k, _ in proj.fourier} == {-30, -1, 1, 30}
+
+
 def test_toeplitz_block_layout():
     p = derive_params(3.0, 4.0)
     spec = SeparableFourierPotential.from_cosines({1: 2.0, 2: 0.6})

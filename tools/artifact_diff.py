@@ -16,13 +16,14 @@ Both run the same requests:
   alpha, with a cubic profile, which is refused, and at n_hermite = 100,
   whose projection takes a Gauss-Hermite rule of order 414), a ``gaps``
   run whose harmonic cos 30x reaches past the Fourier window, which the
-  truncation check grows the window for, a ``bands``
+  truncation check grows the window for in one step, a ``bands``
   run of the confining W = 10 y^2, a ``bands`` run
   whose ``m_max`` is raised to cover the ceiling, two ``gaps`` runs that
   search band edges off the grid phases, which no workload does, two
   ``hill`` runs whose Fourier window is refused (too small for V, and
   without room for its harmonic cos 30x) and a ``sweep-omega`` run refused
-  on that harmonic too, the finite-difference check on
+  on that harmonic too, a ``hill`` run whose ceiling lies below the
+  spectrum, which is refused, the finite-difference check on
   the degenerate spectrum of W = 0 at its smallest grid, W = 0 named
   explicitly in a ``classical`` run (the RK4 path without a force, and the
   closed-form comparison) and in a ``sweep-omega`` run (its Hill
@@ -167,8 +168,8 @@ CHEAP = {
     "gaps-hermite-100": [
         "gaps", "--set", f"potential={_GAUSSIAN_COS}", "--set", "n_hermite=100", "--set", "ceiling=6",
     ],
-    # cos 30x couples the window M = 8 only past it: the check grows M to 20
-    # and still does not pass, so the run exits 2
+    # cos 30x couples the window M = 8 only past it: the check grows M once,
+    # by that reach, to 38, and passes
     "gaps-far-harmonic": [
         "gaps", "--set", f"potential={_FAR_HARMONIC_GAUSSIAN}", "--set", "n_hermite=12",
         "--set", "theta_count=9", "--set", "refine=false",
@@ -232,6 +233,8 @@ CHEAP = {
     "hill-far-harmonic": [
         "hill", "--set", f"potential={_FAR_HARMONIC}", "--set", "m_max=10", "--set", "band_count=6",
     ],
+    # no band of the defaults reaches the ceiling 2: refused, with only the manifest
+    "hill-ceiling-below": ["hill", "--set", "ceiling=2"],
     # W = 0 gives the finite-difference oracle a degenerate spectrum, which
     # no other request does, on the smallest grid it takes
     "hill-fd-flat": [
