@@ -22,17 +22,15 @@ the confinement omega grows at fixed field B.
 Truncation policy.  The Fourier window must cover the ceiling
 kinematically, beta (M - 1/2)^2 + alpha > ceiling with margin, and it
 starts at that cover (_kinematic_m_cover), the smallest such M plus 3.
-One check judges a truncation (N, M) in both bases.  At the probe phases
-theta = 0, 1/3, -1/2, every eigenpair (lambda, v) below the ceiling has the
-residual r = ||H_QP v|| into the discarded space Q (levels n >= N or
-Fourier indices |m| > M), on which H >= c_Q, the lower of the levels' and
-the window's floor; the truncation's FiberBlock carries H_QP.  The block
-form of the Temple/Kato estimate, sum r^2 / min (c_Q - lambda) over all
-pairs below the ceiling, bounds the truncation error of each of them
-(Parlett, The Symmetric Eigenvalue Problem, ch. 10-11); a per-pair r^2 /
-(c_Q - lambda) undershoots when two Ritz values nearly coincide.  The truncation passes when twice the block
-estimate plus the eigensolver's rounding eps ||H|| is at most cauchy_tol,
-and c_Q clears the ceiling.  Otherwise N doubles when the levels' share of
+One check judges a truncation (N, M) in both bases, and the Hill window of
+the H_{0,0} reference too: fiber.truncation_check, the block Temple
+estimate of the eigenpairs below the ceiling, here at the probe phases
+theta = 0, 1/3, -1/2.  Their residuals r = ||H_QP v|| into the discarded
+space Q (levels n >= N or Fourier indices |m| > M) come from the coupling
+that the truncation's FiberBlock carries, and H >= c_Q on Q, the lower of
+the levels' and the window's floor.  The truncation passes when 2 sum r^2 /
+min (c_Q - lambda), plus the rounding eps ||H||, is at most cauchy_tol and
+c_Q clears the ceiling.  Otherwise N doubles when the levels' share of
 the estimate exceeds half of what the rounding leaves of cauchy_tol, or
 their floor is below the ceiling, and M grows on the same test for the
 window's share and floor, by the reach of the block's coupling (the largest
@@ -79,10 +77,9 @@ import scipy.linalg
 
 from .channel import ChannelParams, Potential, SeparableFourierPotential, _fourier_sup, derive_params
 # assemble_fiber is unused here; perfbench's self-test still wraps this binding
-from .fiber import FiberBlock, assemble_fiber, fiber_at, fiber_block, landau_block  # noqa: F401
-from .fiber import truncation_residuals
+from .fiber import FiberBlock, assemble_fiber, fiber_at, fiber_block, landau_block, truncation_check  # noqa: F401
 from .hermite import project_potential
-from .hill import check_harmonics, h00_gaps, hill_bands
+from .hill import h00_gaps, k0_bands
 from .numutil import RITZ_PAD, BlochBands, GapReport, gap_report, golden_section_minimize, theta_grid
 from .schema import ConfigError
 
@@ -151,39 +148,17 @@ def _x_only_coeffs(spec: Potential):
     return None
 
 
-def error_estimates(
-    block: FiberBlock, floors: tuple[float, float], ceiling: float, thetas
-) -> list[tuple[np.ndarray, float, float, float]]:
-    """Eigenvalues below the ceiling at each of ``thetas`` and their truncation error estimates.
-
-    The block's coupling into its discarded space (``truncation_residuals``)
-    gives the residuals, and ``floors`` bound H there (``_floors``).
-    For each phase: the eigenvalues, the shares of the block estimate
-    2 sum r^2 / min (c_Q - lambda) from the discarded levels and from the
-    discarded Fourier indices (see the module docstring), one number each
-    for all eigenvalues, and the eigensolver's rounding eps ||H||.  The
-    shares are 0 at a phase without eigenvalues, else infinite when c_Q does
-    not clear the ceiling.  All phases share one ``truncation_residuals``
-    call, so the coupling is applied once.
-    """
+def error_estimates(block: FiberBlock, floors: tuple[float, float], ceiling: float, thetas):
+    """``truncation_check`` of the eigenpairs below the ceiling at each of
+    ``thetas``, solved by value, with the rounding eps times H's largest
+    absolute row sum; ``floors`` are ``_floors``."""
     solved = []
     for theta in thetas:
         h = fiber_at(block, theta)  # real whenever the coefficients are
         vals, vecs = scipy.linalg.eigh(h, subset_by_value=(-np.inf, ceiling))
         rounding = np.finfo(float).eps * float(np.max(np.sum(np.abs(h), axis=1)))
-        solved.append((vals, vecs, rounding))
-    c_q = min(floors)
-    sizes = [vals.size for vals, _, _ in solved]
-    stacked = truncation_residuals(block, np.hstack([vecs for _, vecs, _ in solved]), np.repeat(thetas, sizes))
-    residuals = zip(*(np.split(r2, np.cumsum(sizes)[:-1]) for r2 in stacked))
-    out = []
-    for (vals, _, rounding), shares in zip(solved, residuals):
-        gap = c_q - np.max(vals, initial=-np.inf)
-        levels, window = (
-            0.0 if not vals.size else 2.0 * np.sum(r2) / gap if c_q > ceiling else math.inf for r2 in shares
-        )
-        out.append((vals, levels, window, rounding))
-    return out
+        solved.append((theta, vals, vecs, rounding))
+    return truncation_check(block, floors, ceiling, solved)
 
 
 def _floors(block: FiberBlock, a: float, b: float, hermite: bool) -> tuple[float, float]:
@@ -225,17 +200,16 @@ def _grow(build, ceiling: float, tol: float, n_h: int, m_m: int, notes) -> tuple
     """
     for step in range(_GROWTH_STEPS):
         block, floors = build(n_h, m_m)
-        estimates = error_estimates(block, floors, ceiling, _PROBES)
+        estimates, worst = error_estimates(block, floors, ceiling, _PROBES)
         below = max(vals.size for vals, *_ in estimates)
-        worst = max(float(lv + wn) + r for _, lv, wn, r in estimates)
-        low_levels, low_window = (floor <= ceiling for floor in floors)
-        if worst <= tol and not (low_levels or low_window):
+        if worst <= tol:
             return block, True, below
         if step + 1 == _GROWTH_STEPS:
             break
         # grow each direction whose share at a phase with eigenvalues takes more than
         # half of what the rounding leaves of the tolerance, or whose floor is below the ceiling
         half = 0.5 * (tol - max(r for *_, r in estimates))
+        low_levels, low_window = (floor <= ceiling for floor in floors)
         n_next = 2 * n_h if low_levels or any(vals.size and lv > half for vals, lv, _, _ in estimates) else n_h
         reach = max(4, max((abs(k) for k, *_ in block.coupling), default=0))
         m_next = m_m + reach if low_window or any(vals.size and wn > half for vals, _, wn, _ in estimates) else m_m
@@ -438,9 +412,7 @@ def gap_persistence_sweep(
     for omega in omega_list:
         params = derive_params(B, omega)
         ceiling = 3.0 * params.alpha
-        pairs = project_potential(spec, params, nmax=0).diag_coeffs(0)
-        check_harmonics(pairs, hill_m_max, params.alpha)
-        k0 = hill_bands(pairs, hill_m_max, theta_count, band_count=target_gap_count + 1)
+        k0 = k0_bands(spec, params, hill_m_max, theta_count, band_count=target_gap_count + 1)
         if math.isfinite(w0) and k0.band_count > target_gap_count:
             cover = params.alpha + k0.band_intervals[target_gap_count][1] + 2.0 * w0 + 1.0
             ceiling = min(ceiling, cover)

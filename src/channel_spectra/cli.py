@@ -62,14 +62,13 @@ from .channel import (
     ChannelParams,
     SeparableFourierPotential,
     ZeroPotential,
-    _fourier_eval,
     derive_params,
     potential_from_dict,
 )
 from .classical import ClassicalState, closed_form_trajectory, integrate, mourre_observable
-from .fiber import EigensolverError, assemble_fiber, complex_theta_resolvent_bound, eigenvalues_fiber, hill_block
+from .fiber import EigensolverError, assemble_fiber, complex_theta_resolvent_bound, eigenvalues_fiber
 from .hermite import project_potential
-from .hill import _coarse_points, check_harmonics, fd_hill_richardson, h00_gaps, hill_bands, hill_spectrum
+from .hill import _coarse_points, fd_comparison, h00_gaps, k0_bands
 from .mourre import ScalingSweepRow, appendix_norm_checks, evaluate_certificate, scaling_sweep
 from .numutil import theta_grid
 from .output import jsonable, write_band_svg, write_csv, write_json
@@ -342,18 +341,14 @@ def _cmd_sweep(cfg: dict, art: _Artifacts) -> int:
 
 def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
     m_max = cfg["m_max"]
-    # refused before any solve, as is a window without room for V's harmonics;
-    # h00_gaps's own checks also precede every artifact
+    # refused before any solve, as k0_bands refuses V's harmonics; h00_gaps's checks precede every artifact
     if cfg["band_count"] > 2 * m_max - 2:
         raise ConfigError(
             f"band_count {cfg['band_count']} exceeds the {2 * m_max - 2} bands that the "
             f"Fourier window m_max = {m_max} resolves"
         )
     params = derive_params(cfg["B"], cfg["omega"])
-    spec = potential_from_dict(cfg["potential"])
-    pairs = project_potential(spec, params, nmax=0).diag_coeffs(0)
-    check_harmonics(pairs, m_max, params.alpha)
-    hb = hill_bands(pairs, m_max, cfg["theta_count"], cfg["band_count"])
+    hb = k0_bands(potential_from_dict(cfg["potential"]), params, m_max, cfg["theta_count"], cfg["band_count"])
     ceiling = 3.0 * params.alpha if cfg["ceiling"] is None else cfg["ceiling"]
     gaps = h00_gaps(params, hb, ceiling)
     names = ("hill_curves.csv", "hill_intervals.csv")
@@ -361,24 +356,7 @@ def _cmd_hill(cfg: dict, art: _Artifacts) -> int:
     art.write(write_csv, "hill_gaps.csv", _GAP_HEADER, _gap_rows(gaps.gaps))
     print(f"{hb.band_count} band(s); {gaps.count} gap(s) below {ceiling:.6g}")
     if cfg["fd_check"]:
-        # V(x) from the same pairs, conjugate-symmetric as W is real
-        def v_of_x(x):
-            return _fourier_eval(pairs, x, np.zeros_like(x))
-
-        # one block of the request's Fourier window serves the three phases
-        block = hill_block(hb.coeffs, m_max)
-        checks = []
-        for theta in (0.0, 0.25, 0.5):
-            fourier = block.solve(theta, 5)
-            fd = fd_hill_richardson(v_of_x, theta, count=5, n_points=cfg["fd_points"])
-            checks.append(
-                {
-                    "theta": theta,
-                    "fourier": list(fourier),
-                    "finite_difference": list(fd),
-                    "max_abs_diff": float(np.max(np.abs(np.asarray(fourier) - np.asarray(fd)))),
-                }
-            )
+        checks = fd_comparison(hb.coeffs, (0.0, 0.25, 0.5), m_max, cfg["fd_points"])
         art.write(write_json, "fd_check.json", {"checks": checks})
         worst = max(c["max_abs_diff"] for c in checks)
         print(f"finite-difference cross-check: max deviation {worst:.3e}")
@@ -529,9 +507,7 @@ def _cmd_diagnostics(cfg: dict, art: _Artifacts) -> int:
 
     two_cos = SeparableFourierPotential({1: 1.0, -1: 1.0})  # 2 cos x
     pairs = project_potential(two_cos, params, nmax=0).diag_coeffs(0)
-    fourier = hill_spectrum(pairs, 0.25, m_max=32, count=5)
-    fd = fd_hill_richardson(lambda x: 2.0 * np.cos(x), 0.25, count=5, n_points=1024)
-    hill_err = float(np.max(np.abs(np.asarray(fourier) - np.asarray(fd))))
+    hill_err = fd_comparison(pairs, (0.25,), 32, 1024)[0]["max_abs_diff"]
     checks["hill_oracle"] = {"passed": hill_err < 1e-5, "max_abs_error": hill_err}
 
     ax = appendix_norm_checks(params, n_hermite=40, m_range=8, theta_count=5)

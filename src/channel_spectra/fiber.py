@@ -35,8 +35,9 @@ no level energy and no ladder: <m| K(theta) |m'> = delta_{mm'} (m+theta)^2
 + c_{m-m'}.  One builder makes the FiberBlock of all three families, and
 the block is what numutil's Bloch band driver solves (``FiberBlock.solve``,
 which is eigenvalues_fiber of ``fiber_at``) and differentiates
-(``FiberBlock.slope``); a block of the channel also carries its coupling
-into the discarded space (``truncation_residuals``).
+(``FiberBlock.slope``).  Every block also carries its coupling into the
+discarded space (``truncation_residuals``), which the one truncation check
+of all three families reads (``truncation_check``).
 
 Storage is dense; the basis ordering is row = (m - off + M) * N + n so that
 each Fourier index m owns a contiguous block of levels.
@@ -60,6 +61,7 @@ __all__ = [
     "landau_block",
     "hill_block",
     "truncation_residuals",
+    "truncation_check",
     "displacement_overlaps",
     "fiber_at",
     "assemble_fiber",
@@ -281,10 +283,12 @@ def hill_block(pairs, m_max: int) -> FiberBlock:
     V = sum_k c_k e^{ikx} is given by its (k, c_k) ``pairs`` (or a mapping
     k -> c_k), which must satisfy c_{-k} = conj(c_k); the Fourier window is
     |m| <= m_max.  ``base`` is the Toeplitz matrix of the c_k, ``fiber_at``
-    adds (m + theta)^2, and the block has no params and no coupling.
+    adds (m + theta)^2, and the block has no params.  Its ``coupling`` holds
+    every pair with k != 0, also those past the window, which couple only
+    into |m| > m_max; c_0 stays within the window.
     """
     terms = [(k, c, np.ones((1, 1))) for k, c in _canonical_coeffs(dict(pairs))]
-    return _build_block(None, terms, np.zeros(1), m_max, kinetic=1.0)
+    return _build_block(None, terms, np.zeros(1), m_max, kinetic=1.0, coupling=tuple(t for t in terms if t[0]))
 
 
 def truncation_residuals(block: FiberBlock, vectors: np.ndarray, thetas=0.0):
@@ -301,12 +305,43 @@ def truncation_residuals(block: FiberBlock, vectors: np.ndarray, thetas=0.0):
     n_rows = max([N + 1] + [overlap.shape[0] for *_, overlap in block.coupling])
     rows = np.zeros((size + 2 * reach, n_rows, vecs.shape[2]), dtype=np.result_type(vecs, complex))
     for k, c, overlap in block.coupling:
-        rows[reach + k : reach + k + size] += c * (overlap @ vecs)
+        # into the rows the overlap has: a shorter one must not broadcast into level N
+        rows[reach + k : reach + k + size, : overlap.shape[0]] += c * (overlap @ vecs)
     rows[reach : reach + size, N] += block.boundary * (block.row_m[::N, None] + thetas) * vecs[:, N - 1]
     rows[reach : reach + size, :N] = 0.0  # the kept space P
     r2 = np.abs(rows) ** 2
     inside = r2[reach : reach + size].sum(axis=(0, 1))
     return inside, r2.sum(axis=(0, 1)) - inside
+
+
+def truncation_check(block: FiberBlock, floors: tuple[float, float], ceiling: float, solved):
+    """The block Temple estimate of the truncation error of ``block``.
+
+    ``solved`` holds (theta, vals, vecs, rounding) per phase: the eigenpairs
+    below the ceiling and the solver's rounding eps ||H||.  With c_Q the
+    lower of the ``floors`` of H on the discarded levels and Fourier indices,
+    sum r^2 / min (c_Q - lambda), r^2 = ||H_QP v||^2 (``truncation_residuals``),
+    bounds the error of every pair below the ceiling (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 10-11), where a per-pair r^2 / (c_Q - lambda)
+    undershoots when two Ritz values nearly coincide.  Returns each phase's
+    (vals, levels, window, rounding), with the shares of twice that estimate,
+    and the largest levels + window + rounding, infinite when c_Q does not
+    clear the ceiling: the truncation passes at tol when that is at most tol.
+    """
+    c_q = min(floors)
+    thetas, values, vectors, roundings = zip(*solved)
+    sizes = [vals.size for vals in values]
+    stacked = truncation_residuals(block, np.hstack(vectors), np.repeat(thetas, sizes))
+    residuals = zip(*(np.split(r2, np.cumsum(sizes)[:-1]) for r2 in stacked))
+    estimates = []
+    for vals, rounding, shares in zip(values, roundings, residuals):
+        gap = c_q - np.max(vals, initial=-np.inf)
+        levels, window = (
+            0.0 if not vals.size else 2.0 * np.sum(r2) / gap if c_q > ceiling else math.inf for r2 in shares
+        )
+        estimates.append((vals, levels, window, rounding))
+    worst = max(float(lv + wn) + r for _, lv, wn, r in estimates) if c_q > ceiling else math.inf
+    return estimates, worst
 
 
 def fiber_at(block: FiberBlock, theta: float) -> np.ndarray:

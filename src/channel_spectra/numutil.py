@@ -135,14 +135,20 @@ def golden_section_minimize(
                 v, fv = u, fu
 
 
+# the finest theta grid, spacing 1/1024.  Each solved phase keeps eigenvectors:
+# at ceiling 100, 172 of 784 rows (1.1 MB), so 1025 phases hold 1.1 GB
+MAX_THETA_COUNT = 1025
+
+
 def theta_grid(theta_count: int) -> np.ndarray:
     """Uniform Bloch-phase grid over [-1/2, 1/2], both endpoints included.
 
-    theta_count must be odd and >= 9, so the grid contains theta = 0 and
-    the +-1/2 endpoints, where band edges of real, even potentials sit.
+    theta_count must be odd, >= 9 and at most MAX_THETA_COUNT, so the grid
+    contains theta = 0 and the +-1/2 endpoints, where band edges of real,
+    even potentials sit.
     """
-    if theta_count < 9 or theta_count % 2 == 0:
-        raise ValueError("theta_count must be odd and >= 9")
+    if theta_count < 9 or theta_count % 2 == 0 or theta_count > MAX_THETA_COUNT:
+        raise ValueError(f"theta_count must be odd, >= 9 and <= {MAX_THETA_COUNT}")
     return np.linspace(-0.5, 0.5, theta_count)
 
 

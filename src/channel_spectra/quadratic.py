@@ -59,8 +59,6 @@ _J = np.array(
     ]
 )
 
-_COEFF_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class QuadraticObservable:
@@ -84,10 +82,6 @@ class QuadraticObservable:
         object.__setattr__(self, "quad", quad)
         object.__setattr__(self, "lin", lin)
         object.__setattr__(self, "const", float(self.const))
-
-    @classmethod
-    def zero(cls) -> "QuadraticObservable":
-        return cls(np.zeros((4, 4)), np.zeros(4), 0.0)
 
     @classmethod
     def from_terms(cls, terms: dict, const: float = 0.0) -> "QuadraticObservable":
@@ -144,33 +138,8 @@ class QuadraticObservable:
             self.quad - other.quad, self.lin - other.lin, self.const - other.const
         )
 
-    def __mul__(self, scalar: float) -> "QuadraticObservable":
-        return QuadraticObservable(self.quad * scalar, self.lin * scalar, self.const * scalar)
-
-    __rmul__ = __mul__
-
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(self.quad))), float(np.max(np.abs(self.lin))), abs(self.const))
-
-    def is_zero(self, tol: float = _COEFF_TOL) -> bool:
-        return self.max_abs() <= tol
-
-    def definiteness(self, tol: float = _COEFF_TOL) -> str:
-        """Sign type of the quadratic part on its support.
-
-        "zero", "positive", "negative" (semi-definite with a nonzero
-        eigenvalue) or "indefinite".  Linear and constant parts are ignored.
-        """
-        eigs = np.linalg.eigvalsh(self.quad)
-        pos = np.any(eigs > tol)
-        neg = np.any(eigs < -tol)
-        if pos and neg:
-            return "indefinite"
-        if pos:
-            return "positive"
-        if neg:
-            return "negative"
-        return "zero"
 
 
 def poisson_bracket(f: QuadraticObservable, g: QuadraticObservable) -> QuadraticObservable:

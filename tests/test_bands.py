@@ -344,7 +344,7 @@ def test_hermite_estimate_bounds_the_truncation_error(B, omega, spec, n_levels, 
     proj = project_potential(spec, params, nmax=2 * n_levels - 1, mfourier=max(16, 2 * (m_max + 4)))
     block = fiber_block(params, proj, n_levels, m_max)
     a, b = _quadratic_bound(spec, spec.norm_estimates().w0, params)
-    [(vals, levels, window, _)] = error_estimates(block, _floors(block, a, b, True), ceiling, [theta])
+    [(vals, levels, window, _)], _ = error_estimates(block, _floors(block, a, b, True), ceiling, [theta])
     ref_proj = project_potential(spec, params, nmax=63, mfourier=max(16, 2 * (m_max + 8)))
     ref = scipy.linalg.eigvalsh(fiber_at(fiber_block(params, ref_proj, 64, m_max + 8), theta))
     # min-max: a truncation only raises eigenvalues; the estimate bounds by

@@ -503,6 +503,26 @@ def test_an_fd_grid_below_the_oracle_floor_exits_one_before_any_output(tmp_path,
     assert not out.exists()
 
 
+def test_an_fd_grid_past_its_accuracy_exits_one_before_any_output(tmp_path, capsys):
+    # the oracle's error at 2 cos x was 9.9e-12 at 16384 points and grew past
+    # it, to 1.8e-7 at 1e6, which took 34 s and 881 MB
+    out = tmp_path / "run"
+    assert main(["hill", "--set", "fd_check=true", "--set", "fd_points=16386", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: fd_points: ") and "at most 16384" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bands", "gaps", "sweep-omega", "hill"])
+def test_a_theta_grid_past_its_cap_exits_one_before_any_output(tmp_path, capsys, command):
+    # theta_count = 200001 kept a hill run for 25 s, and 8001 a gaps run for 10 s
+    out = tmp_path / "run"
+    assert main([command, "--set", "theta_count=1027", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: theta_count must be odd, >= 9 and <= 1025\n"
+    assert not out.exists()
+
+
 _DEEP_WELL_CFG = {"kind": "fourier_x", "coeffs": {"0": -30, "1": 0.5, "-1": 0.5}}
 _FAR_HARMONIC_CFG = {"kind": "fourier_x", "coeffs": {"1": 0.5, "-1": 0.5, "30": 0.5, "-30": 0.5}}
 # c_1 = 2, c_2 = c_3 = i: too strong for the lowest bands of a window m_max = 6

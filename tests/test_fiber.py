@@ -279,7 +279,7 @@ def test_a_harmonic_past_the_window_leaves_the_block_as_it_is(build, rounding):
     block = build({**near, 9: 0.2 + 0.1j, -9: 0.2 - 0.1j}, 4)
     assert block.base.dtype == near_block.base.dtype == np.float64
     assert np.max(np.abs(block.base - near_block.base)) <= rounding
-    assert (9 in {k for k, *_ in block.coupling}) == (block.params is not None)
+    assert 9 in {k for k, *_ in block.coupling}
 
 
 @pytest.mark.parametrize("basis", ["hermite", "landau"])
@@ -337,6 +337,28 @@ def test_truncation_residuals_match_the_larger_fiber(basis):
     assert np.all(inside > 0.0) and np.all(outside > 0.0)
     np.testing.assert_allclose(levels, inside, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(beyond, outside, rtol=1e-12, atol=0.0)
+
+
+def test_a_hill_block_couples_only_its_window_into_the_indices_past_it():
+    from channel_spectra.fiber import truncation_check, truncation_residuals
+
+    # one level: no discarded level is coupled, and the residual past the
+    # window is that of a window holding every index the kept ones couple to
+    coeffs = {0: 0.3, 1: 0.5, -1: 0.5, 3: 0.2j, -3: -0.2j}
+    theta, m_max = 0.31, 6
+    block, wide = hill_block(coeffs, m_max), hill_block(coeffs, m_max + 3)
+    _, vecs = block.solve(theta, 5, vectors=True)
+    levels, beyond = truncation_residuals(block, vecs, theta)
+    image = fiber_at(wide, theta) @ np.vstack([np.zeros((3, 5)), vecs, np.zeros((3, 5))])
+    outside = np.sum(np.abs(image[:3]) ** 2 + np.abs(image[-3:]) ** 2, axis=0)
+    assert not levels.any() and np.all(beyond > 0.0)
+    np.testing.assert_allclose(beyond, outside, rtol=1e-12, atol=0.0)
+    # so the levels' share of the estimate is 0: the rows of level 1 once
+    # took every term too, 0.019 for 2 cos x at m_max = 32
+    block = hill_block({1: 1.0, -1: 1.0}, 32)
+    vals, vecs = block.solve(0.0, 8, vectors=True)
+    [(_, levels, window, _)], worst = truncation_check(block, (math.inf, 32.5**2 - 2.0), 10.0, [(0.0, vals, vecs, 0.0)])
+    assert levels == 0.0 and worst == window < 1e-20
 
 
 def test_vectors_mode_returns_the_lowest_eigenpairs():

@@ -69,6 +69,22 @@ def test_fd_oracle_matches_fourier_solver(theta):
     assert np.max(np.abs(fourier - fd)) < 1e-4
 
 
+def test_fd_comparison_evaluates_v_from_its_pairs():
+    # diagnostics compares the projected 2 cos x, whose pairs evaluate to
+    # 2 cos x bit for bit, so its numbers are those of the closed form
+    from channel_spectra.channel import _fourier_eval
+    from channel_spectra.hill import fd_comparison
+
+    p = derive_params(3.0, 4.0)
+    pairs = project_potential(SeparableFourierPotential({1: 1.0, -1: 1.0}), p, nmax=0).diag_coeffs(0)
+    x = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
+    assert np.array_equal(_fourier_eval(pairs, x, np.zeros_like(x)), 2.0 * np.cos(x))
+    [check] = fd_comparison(pairs, (0.25,), 32, 1024)
+    assert check["fourier"] == list(hill_spectrum(pairs, 0.25, m_max=32, count=5))
+    assert check["finite_difference"] == list(fd_hill_richardson(lambda t: 2.0 * np.cos(t), 0.25, 5, 1024))
+    assert check["max_abs_diff"] == max(abs(a - b) for a, b in zip(check["fourier"], check["finite_difference"]))
+
+
 def test_fd_oracle_is_deterministic():
     a = fd_hill_eigenvalues(lambda x: np.cos(x), 0.3, n_points=256, count=4)
     b = fd_hill_eigenvalues(lambda x: np.cos(x), 0.3, n_points=256, count=4)
@@ -194,6 +210,19 @@ def test_h00_gaps_match_mathieu_gap_edges():
     assert math.isclose(report.ceiling, p.alpha + 5.0)
 
 
+def test_h00_gaps_of_a_shifted_v_are_shifted():
+    # a constant c_0 moves K and its floor past the window alike, so the
+    # window check reads c_0 itself: with -|c_0| in the floor, a window of 6
+    # under V + 40 would be refused for the ceiling that V passes
+    p = derive_params(3.0, 4.0)
+    gaps = [
+        h00_gaps(p, hill_bands({0: c0, 1: 1.0, -1: 1.0}, m_max=6, theta_count=9), p.alpha + c0 + 5.0).gaps
+        for c0 in (0.0, 40.0)
+    ]
+    assert len(gaps[0]) == 4
+    assert np.max(np.abs(np.array(gaps[1]) - 40.0 - np.array(gaps[0]))) < 1e-9
+
+
 def _loop_hill_matrix(coeffs, theta, m_max):
     """Entry-by-entry reference: c_{m_i - m_j} plus (m + theta)^2 on the diagonal."""
     ms = range(-m_max, m_max + 1)
@@ -233,15 +262,15 @@ def test_refinement_solves_per_extremum(monkeypatch, coeffs):
 
 
 def _count_hill_work(monkeypatch, *m_maxes):
-    """Counts Hill solves, the eigensolves of 2 m_max + 1 rows (the grid) or
-    2 (m_max + 4) + 1 rows (the window check) for the given m_max, and
-    records whether each asked for eigenvectors.  No Hill path searches an
-    edge, so every one of them is a grid solve or a check of the Fourier
-    window; the channel fibers of these tests have an even number of rows."""
+    """Counts Hill solves, the eigensolves of 2 m_max + 1 rows for the given
+    m_max, and records whether each asked for eigenvectors.  No Hill path
+    searches an edge, so every one of them is a grid solve or a check of the
+    Fourier window, which solves in the window itself; the channel fibers of
+    these tests have an even number of rows."""
     from channel_spectra import fiber
 
     work = {"grid_solves": 0, "vectors": []}
-    rows = {2 * m + 1 for m in m_maxes} | {2 * m + 9 for m in m_maxes}
+    rows = {2 * m + 1 for m in m_maxes}
     solve = fiber.eigenvalues_fiber
 
     def counted_solve(mat, count=None, vectors=False):
@@ -260,7 +289,7 @@ def test_hill_command_solves_each_phase_and_searches_each_extremum_once(monkeypa
     work = _count_hill_work(monkeypatch, 32)
     assert main(["hill", "--set", "theta_count=9", "--out", str(tmp_path)]) == 0
     # the grid folds: the five phases theta >= 0 are solved once each, and
-    # the window check solves theta = 0 and 1/2 once more in a wider window;
+    # the window check solves theta = 0 and 1/2 once more, with eigenvectors;
     # band_count = 8 bands, and the bands below 3 alpha beyond them, all have
     # their edges at theta = 0 and 1/2, so nothing is searched
     assert work["grid_solves"] == 7
@@ -285,12 +314,11 @@ def test_hill_matrix_is_a_quadratic_pencil_in_theta():
 
 
 _PART = st.floats(-1.0, 1.0)
-# h00_gaps refuses a window whose eigenvalues move by more than 1e-6 alpha
-# when m_max grows by 4: 5e-6 here.  Over 2500 draws of this generator (half
-# of them with |c_k| >= 0.3 and m_max <= 8), a window whose lowest bands
-# moved by less than 1e-4 matched the scan to 1.6e-13; a mismatch above 1e-10
-# took a move of 5.1e-4 or more, by a band that turns inside (0, 1/2), an
-# artefact of the window, not of the operator
+# h00_gaps refuses a window whose residual estimate at theta = 0 and 1/2
+# exceeds 1e-6 alpha: 5e-6 here.  A mismatch with the scan above 1e-10 comes
+# from a band that turns inside (0, 1/2), an artefact of a window too small
+# for V, not of the operator: such windows were 5.1e-4 or more off a wider
+# one, an error the estimate bounds
 _H00_PARAMS = derive_params(3.0, 4.0)
 
 
@@ -303,7 +331,7 @@ _H00_PARAMS = derive_params(3.0, 4.0)
     band_count=st.integers(1, 12),
 )
 # m_max = 6 does not resolve this V: band 2 turns at theta = 0.497, 1.1e-6
-# below its value at 1/2, and widening the window moves it by 5.4e-4
+# below its value at 1/2, and a window of 48 moves it by 5.4e-4
 @example(c0=0.0, harmonics=[(0.0, -1.0), (0.0, -1.0), (1.0, 1.0)], m_max=6, theta_count=9, band_count=2)
 def test_hill_intervals_are_the_extrema_of_a_dense_theta_scan(c0, harmonics, m_max, theta_count, band_count):
     # V is real, so each band is monotone in |theta| on [0, 1/2] (Reed-Simon
@@ -326,7 +354,7 @@ def test_hill_intervals_are_the_extrema_of_a_dense_theta_scan(c0, harmonics, m_m
     assert np.max(np.abs(hb.band_intervals[:n] - expected)) < 1e-10
 
 
-def test_no_hill_request_runs_a_reduced_pencil_or_an_eigenvector_solve(monkeypatch, tmp_path):
+def test_no_hill_request_runs_a_reduced_pencil_and_only_the_window_check_keeps_eigenvectors(monkeypatch, tmp_path):
     from channel_spectra import gap_persistence_sweep, numutil
     from channel_spectra.cli import main
 
@@ -341,5 +369,44 @@ def test_no_hill_request_runs_a_reduced_pencil_or_an_eigenvector_solve(monkeypat
     # the unrefined 2-D bands search nothing either, so every pencil would be Hill's
     spec = SeparableFourierPotential.from_cosines({1: 1.0})
     gap_persistence_sweep(3.0, [4.0], spec, target_gap_count=2, theta_count=9, hill_m_max=8, refine=False)
-    # five grid phases and two window checks per request
-    assert len(vectors) == 14 and not any(vectors)
+    # per request, five grid phases for the eigenvalues alone, then the
+    # window check's theta = 0 and 1/2, with the eigenvectors its residuals read
+    assert vectors == 2 * ([False] * 5 + [True] * 2)
+
+
+_UNIT = st.floats(-math.sqrt(0.5), math.sqrt(0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c0=st.floats(-1.0, 1.0),
+    harmonics=st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=3),
+    m_max=st.integers(6, 16),
+    theta=st.floats(-0.5, 0.5),
+    depth=st.floats(0.05, 0.95),
+)
+@example(c0=0.0, harmonics=[(1.0 / math.sqrt(2.0), 0.0)], m_max=6, theta=0.5, depth=0.95)
+def test_the_hill_residual_estimate_bounds_the_window_error(c0, harmonics, m_max, theta, depth):
+    from channel_spectra.fiber import truncation_check
+
+    # V with |c_k| <= 1; the window's floor (m_max + 1/2)^2 + c_0 - sum_{k != 0}
+    # |c_k| is h00_gaps's, and the ceiling lies a fraction ``depth`` of the way up to it
+    coeffs = {0: c0}
+    for k, (re, im) in enumerate(harmonics, start=1):
+        coeffs[k], coeffs[-k] = complex(re, im), complex(re, -im)
+    floor = (m_max + 0.5) ** 2 + c0 - sum(abs(c) for k, c in coeffs.items() if k)
+    top = depth * floor
+    block = hill_block(coeffs, m_max)
+    vals, vecs = block.solve(theta, vectors=True)
+    count = int(np.count_nonzero(vals <= top))
+    solved = [(theta, vals[:count], vecs[:, :count], 0.0)]
+    [(_, levels, window, _)], worst = truncation_check(block, (math.inf, floor), top, solved)
+    ref = hill_spectrum(coeffs, theta, m_max=48, count=count)
+    # min-max: a window only raises eigenvalues; the estimate bounds by how
+    # much (it was at least twice the error in 2000 draws), up to the rounding
+    # of the reference solve, 8.1 eps ||K|| at most in those draws, ||K|| <= 48.5^2 + 7
+    err = vals[:count] - ref
+    rounding = 32.0 * np.finfo(float).eps * (48.5**2 + 7.0)
+    assert levels == 0.0 and worst == window
+    assert np.all(err >= -rounding)
+    assert np.all(err <= window + rounding)

@@ -129,7 +129,7 @@ def test_residual_estimate_bounds_the_truncation_error(spec, B, omega, n_levels,
     w0 = spec.norm_estimates().w0
     block = landau_block(params, spec.coeffs, n_levels, m_max)
     floors = _floors(block, w0, 0.0, False)
-    [(vals, levels, window, _)] = error_estimates(block, floors, ceiling, [theta])
+    [(vals, levels, window, _)], _ = error_estimates(block, floors, ceiling, [theta])
     ref = scipy.linalg.eigvalsh(fiber_at(landau_block(params, spec.coeffs, 30, m_max + 8), theta))
     # min-max: a truncation only raises eigenvalues; the estimate bounds by
     # how much, up to the rounding of the reference solve (dim about 1000,

@@ -78,6 +78,10 @@ def _max_coeff_diff(op1, op2):
     return max((abs(op1.get(k, 0.0) - op2.get(k, 0.0)) for k in keys), default=0.0)
 
 
+def _scaled(lam, obs):
+    return QuadraticObservable(lam * obs.quad, lam * obs.lin, lam * obs.const)
+
+
 def _random_observable(rng):
     m = rng.uniform(-1.0, 1.0, size=(4, 4))
     return QuadraticObservable(
@@ -108,7 +112,6 @@ def test_reference_commutator_is_exact():
     target = QuadraticObservable.from_terms({("p1", "p1"): 2.0 * p.beta})
     assert (comm - target).max_abs() < 1e-12
     assert abs(comm.coefficient("p1", "p1") - 1.28) < 1e-14
-    assert comm.definiteness() == "positive"
 
 
 def test_commutator_matches_operator_oracle():
@@ -126,8 +129,8 @@ def test_poisson_bracket_antisymmetry_and_linearity():
         f, g, h = (_random_observable(rng) for _ in range(3))
         assert (poisson_bracket(f, g) + poisson_bracket(g, f)).max_abs() < 1e-13
         lam = float(rng.uniform(-2.0, 2.0))
-        lin = poisson_bracket(f + lam * g, h) - (
-            poisson_bracket(f, h) + lam * poisson_bracket(g, h)
+        lin = poisson_bracket(f + _scaled(lam, g), h) - (
+            poisson_bracket(f, h) + _scaled(lam, poisson_bracket(g, h))
         )
         assert lin.max_abs() < 1e-12
 
@@ -149,8 +152,8 @@ def test_coordinate_brackets():
     p1 = QuadraticObservable.from_terms({"p1": 1.0})
     p2 = QuadraticObservable.from_terms({"p2": 1.0})
     assert poisson_bracket(x1, p1).terms() == {(): 1.0}
-    assert poisson_bracket(x1, p2).is_zero()
-    assert poisson_bracket(p1, p2).is_zero()
+    assert poisson_bracket(x1, p2).max_abs() == 0.0
+    assert poisson_bracket(p1, p2).max_abs() == 0.0
 
 
 def test_observable_term_expansions():
@@ -189,22 +192,16 @@ def test_observable_validation():
         QuadraticObservable.from_terms({("x1", "p3"): 1.0})
 
 
-def test_definiteness_classification():
-    assert QuadraticObservable.from_terms({("p1", "p1"): 2.0}).definiteness() == "positive"
-    assert QuadraticObservable.from_terms({("x1", "x1"): -0.5}).definiteness() == "negative"
-    assert QuadraticObservable.from_terms({("p1", "p2"): 1.0}).definiteness() == "indefinite"
-    assert QuadraticObservable.zero().definiteness() == "zero"
-    linear_only = QuadraticObservable.from_terms({"x1": 3.0})
-    assert linear_only.definiteness() == "zero"
-
-
 def test_arithmetic_operations():
+    # the sum (acceptance criterion 10 adds the Jacobi cycle) and the
+    # difference (the commutator's deviation from 2 beta p1^2), term by term
     f = QuadraticObservable.from_terms({("x1", "x1"): 1.0, "p2": 2.0}, const=1.0)
     g = QuadraticObservable.from_terms({("x1", "x1"): -1.0, "p2": 1.0})
-    s = f + g
-    assert s.terms() == {"p2": 3.0, (): 1.0}
-    assert (2.0 * f - f * 2.0).is_zero()
-    assert (f - f).is_zero()
+    assert (f + g).terms() == {"p2": 3.0, (): 1.0}
+    d = f - g
+    assert d.terms() == {("x1", "x1"): 2.0, "p2": 1.0, (): 1.0}
+    assert d.coefficient("x1", "x1") == 2.0 and d.coefficient("p2") == 1.0
+    assert (f - f).max_abs() == 0.0
 
 
 @pytest.mark.parametrize("B,alpha", [(3.0, 5.0), (0.0, 1.0), (1.0, 2.0), (10.0, math.sqrt(100.25))])

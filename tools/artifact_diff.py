@@ -20,9 +20,10 @@ Both run the same requests:
   run of the confining W = 10 y^2, a ``bands`` run
   whose ``m_max`` is raised to cover the ceiling, two ``gaps`` runs that
   search band edges off the grid phases, which no workload does, two
-  ``hill`` runs whose Fourier window is refused (too small for V, and
-  without room for its harmonic cos 30x) and a ``sweep-omega`` run refused
-  on that harmonic too, a ``hill`` run whose ceiling lies below the
+  ``hill`` runs whose Fourier window is refused (too small for V, by the
+  residual estimate of the truncation check that ``gaps`` takes, and
+  without room for its harmonic cos 30x, before any solve) and a
+  ``sweep-omega`` run refused on that harmonic too, a ``hill`` run whose ceiling lies below the
   spectrum, which is refused, the finite-difference check on
   the degenerate spectrum of W = 0 at its smallest grid, W = 0 named
   explicitly in a ``classical`` run (the RK4 path without a force, and the
@@ -224,7 +225,7 @@ CHEAP = {
     # nearly flat Hill bands, whose grid extrema off theta = 0 and 1/2 could
     # differ from the endpoint rows by rounding
     "hill-deep-well": ["hill", "--set", f"potential={_DEEP_WELL}"],
-    # a window too small for V: refused, with only the manifest written
+    # a window too small for V: refused by its residual estimate, with only the manifest written
     "hill-unresolved-window": [
         "hill", "--set", f"potential={_UNRESOLVED}", "--set", "m_max=6", "--set", "theta_count=9",
         "--set", "band_count=2",
